@@ -63,10 +63,13 @@ bench-smoke:
 # invocation adds the persistence leg: with -cache-dir, the smoke run
 # kills the daemon and restarts it against the same cache directory,
 # asserting the identical spec warm-starts from disk (cache_disk_hits
-# >= 1, zero synthesis misses, byte-identical bitstream CRCs).
+# >= 1, zero synthesis misses, byte-identical bitstream CRCs). The third
+# runs the same leg with -state-dir alone: the restarted daemon recovers
+# its WAL and warm-starts from the checkpoint tier under the state dir.
 serve-smoke:
 	$(GO) run ./cmd/presp-served -smoke
 	$(GO) run ./cmd/presp-served -smoke -cache-dir "$$(mktemp -d /tmp/presp-serve-smoke.XXXXXX)"
+	$(GO) run ./cmd/presp-served -smoke -state-dir "$$(mktemp -d /tmp/presp-serve-smoke.XXXXXX)"
 
 # Longer fuzz session for the scheduler property suite.
 fuzz:
@@ -77,8 +80,9 @@ fuzz:
 # must leave the tile un-wedged and two runs byte-identical), the CAD
 # fault-plan parser/injector (arbitrary plans parse or reject cleanly,
 # and the injected fault set is interleaving-independent), and the
-# disk-tier entry codec (any mutation of a persisted checkpoint must
-# fail the CRC check — corruption is quarantined, never decoded).
+# disk-tier read path (any mutation of a persisted checkpoint or stage
+# artifact must fail the CRC check — corruption is quarantined, never
+# decoded).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerExecute -fuzztime=5s ./internal/flow/
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/reconfig/

@@ -9,7 +9,6 @@
 //	presp-flow -config my_soc.json           # a JSON tile-grid config
 //	presp-flow -preset SoC_A -strategy serial -baseline both
 //	presp-flow -preset SOC_2 -journal run.jsonl -timeout 30s
-//	presp-flow -preset SOC_2 -resume run.jsonl
 //	presp-flow -preset SOC_2 -cache-dir ~/.cache/presp  # persistent warm starts
 //	presp-flow -preset SOC_2 -faults 'seed=7,synth=0.2' -retries 2
 //
@@ -17,8 +16,10 @@
 // evaluation), SoC_X/SoC_Y/SoC_Z (WAMI runtime systems).
 //
 // The run is interruptible: SIGINT/SIGTERM (or -timeout) stop it at
-// the next job boundary. With -journal, completed jobs are recorded so
-// a later -resume run skips them through the checkpoint cache.
+// the next job boundary. With -cache-dir, every finished synthesis is
+// already on disk, so rerunning the same command resumes the run:
+// finished work is served from the cache instead of recomputed.
+// -journal records the completed jobs as an audit log.
 package main
 
 import (
@@ -60,7 +61,6 @@ type cliOptions struct {
 	errorPolicy flow.ErrorPolicy
 	faultPlan   *faultinject.Plan
 	journalPath string
-	resumePath  string
 	cacheDir    string
 	tracePath   string
 	metricsPath string
@@ -84,8 +84,7 @@ func parseCLI(args []string) (*cliOptions, error) {
 	fs.IntVar(&o.retries, "retries", 0, "retry failed jobs up to N times with capped virtual-time backoff")
 	fs.BoolVar(&o.incremental, "incremental", true, "cache stage artifacts (floorplan, per-partition impl, bitstreams) so edited re-runs skip unchanged stages")
 	fs.StringVar(&policy, "error-policy", "fail-fast", "job-failure policy: fail-fast or collect")
-	fs.StringVar(&o.journalPath, "journal", "", "record completed jobs to this JSON-lines file (resumable with -resume)")
-	fs.StringVar(&o.resumePath, "resume", "", "resume from a journal written by an interrupted run")
+	fs.StringVar(&o.journalPath, "journal", "", "record completed jobs to this JSON-lines audit log")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cu.RegisterWorkers(fs, "workers")
 	cu.RegisterTimeout(fs)
@@ -112,9 +111,6 @@ func parseCLI(args []string) (*cliOptions, error) {
 	default:
 		return nil, fmt.Errorf("unknown error policy %q (want fail-fast or collect)", policy)
 	}
-	if o.journalPath != "" && o.journalPath == o.resumePath {
-		return nil, fmt.Errorf("-journal and -resume must name different files")
-	}
 	return o, nil
 }
 
@@ -125,14 +121,16 @@ func main() {
 		os.Exit(2)
 	}
 	// SIGINT/SIGTERM cancel the flow at the next job boundary; the
-	// journal (if any) stays valid for -resume.
+	// disk tier (if any) keeps every synthesis finished so far.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "presp-flow:", err)
-		if o.journalPath != "" {
-			if _, statErr := os.Stat(o.journalPath); statErr == nil {
-				fmt.Fprintf(os.Stderr, "presp-flow: journal saved; resume with -resume %s\n", o.journalPath)
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if o.cacheDir != "" {
+				fmt.Fprintf(os.Stderr, "presp-flow: finished synthesis is cached; rerun with -cache-dir %s to resume\n", o.cacheDir)
+			} else {
+				fmt.Fprintln(os.Stderr, "presp-flow: rerun with -cache-dir <dir> to make an interrupted run resumable")
 			}
 		}
 		os.Exit(1)
@@ -188,19 +186,6 @@ func run(ctx context.Context, o *cliOptions) error {
 		}
 		opt.Strategy = strat
 	}
-	if o.resumePath != "" {
-		f, err := os.Open(o.resumePath)
-		if err != nil {
-			return err
-		}
-		journal, jerr := flow.LoadJournal(f)
-		f.Close()
-		if jerr != nil {
-			return fmt.Errorf("%s: %w", o.resumePath, jerr)
-		}
-		opt.Resume = journal
-		fmt.Printf("resuming: %d completed jobs journaled in %s\n", len(journal.CompletedJobs()), o.resumePath)
-	}
 	if o.journalPath != "" {
 		f, err := os.Create(o.journalPath)
 		if err != nil {
@@ -231,7 +216,7 @@ func run(ctx context.Context, o *cliOptions) error {
 	// Baselines run unobserved: the exported trace describes exactly
 	// the main flow, so its span count matches res.Jobs.
 	baseOpt := opt
-	baseOpt.Journal, baseOpt.Resume, baseOpt.Observer = nil, nil, nil
+	baseOpt.Journal, baseOpt.Observer = nil, nil
 	switch o.baseline {
 	case "":
 	case "mono":

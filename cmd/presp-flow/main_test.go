@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -72,7 +73,7 @@ func TestParseCLIRejects(t *testing.T) {
 		{"-faults", "frobnicate@x:count=1"},
 		{"-faults", "synth:count=notanumber"},
 		{"-retries", "-1"},
-		{"-journal", "same.jsonl", "-resume", "same.jsonl"},
+		{"-resume", "run.jsonl"},
 		{"-preset", "SOC_1", "stray-arg"},
 		{"-no-such-flag"},
 	}
@@ -145,24 +146,39 @@ func TestRunMissingConfig(t *testing.T) {
 	}
 }
 
-// TestRunJournalAndResume drives the whole binary logic end to end:
-// run with -journal, then resume from the written file.
+// TestRunJournalAndResume drives the whole binary logic end to end: a
+// run with -journal and -cache-dir, then the same command again — the
+// way an interrupted run resumes — which finds every synthesis the
+// first run finished in the cache directory and persists nothing new.
 func TestRunJournalAndResume(t *testing.T) {
 	dir := t.TempDir()
-	journal := dir + "/run.jsonl"
-	o, err := parseCLI([]string{"-preset", "SOC_1", "-journal", journal})
+	args := []string{"-preset", "SOC_1", "-journal", dir + "/run.jsonl", "-cache-dir", dir + "/cache"}
+	o, err := parseCLI(args)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), o); err != nil {
 		t.Fatalf("journaled run failed: %v", err)
 	}
-	o, err = parseCLI([]string{"-preset", "SOC_1", "-resume", journal})
+	data, err := os.ReadFile(dir + "/run.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !strings.Contains(string(data), `"stage":"synth"`) {
+		t.Fatalf("journal records no synthesis:\n%s", data)
+	}
+	ckpts, err := filepath.Glob(dir + "/cache/*.ckpt")
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("no checkpoints persisted (err %v)", err)
+	}
+	if o, err = parseCLI(args); err != nil {
+		t.Fatal(err)
+	}
 	if err := run(context.Background(), o); err != nil {
-		t.Fatalf("resumed run failed: %v", err)
+		t.Fatalf("rerun failed: %v", err)
+	}
+	if again, _ := filepath.Glob(dir + "/cache/*.ckpt"); len(again) != len(ckpts) {
+		t.Fatalf("rerun persisted new checkpoints: %d, was %d", len(again), len(ckpts))
 	}
 }
 

@@ -7,9 +7,9 @@
 //
 //	presp-served -addr :8080                  # serve the job API
 //	presp-served -addr :8080 -workers 4 -queue 128
-//	presp-served -journal-dir /var/lib/presp  # persist per-job journals
+//	presp-served -journal-dir /var/lib/presp  # per-job audit journals
 //	presp-served -cache-dir /var/cache/presp  # persistent checkpoint tier: restarts warm-start
-//	presp-served -state-dir /var/lib/presp    # job WAL: a kill -9'd daemon recovers its jobs on reboot
+//	presp-served -state-dir /var/lib/presp    # job WAL + checkpoint tier: a kill -9'd daemon recovers its jobs on reboot
 //	presp-served -job-stall-timeout 5m        # watchdog: requeue, then poison, runs with no heartbeat
 //	presp-served -smoke                       # boot, run one job, drain, exit
 //
@@ -39,6 +39,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -83,7 +84,7 @@ func parseCLI(args []string) (*cliOptions, error) {
 	cu.RegisterCacheDir(fs, "a restarted daemon warm-starts from it")
 	fs.Int64Var(&o.cacheMaxMB, "cache-max-mb", 0, "byte budget for -cache-dir in MiB, GC'd oldest-access-first (0 = unbounded)")
 	fs.BoolVar(&o.stageCache, "stage-cache", true, "share a stage-artifact cache across jobs so resubmitted edited specs skip unchanged stages")
-	fs.StringVar(&o.stateDir, "state-dir", "", "durable job state: WAL + resume journals; a crashed daemon recovers its jobs from here on the next boot")
+	fs.StringVar(&o.stateDir, "state-dir", "", "durable job state: WAL, plus the checkpoint disk tier under <dir>/cache unless -cache-dir is set; a crashed daemon recovers its jobs from here on the next boot")
 	fs.DurationVar(&o.stallTimeout, "job-stall-timeout", 0, "watchdog: cancel+requeue a run with no scheduler heartbeat for this long (0 = off)")
 	fs.IntVar(&o.stallReq, "stall-requeues", 1, "watchdog requeue budget before a stalled job is poisoned")
 	fs.IntVar(&o.breakerN, "breaker-threshold", 0, "open the per-tenant circuit after this many consecutive failures of one spec (0 = off)")
@@ -148,8 +149,10 @@ func main() {
 // buildServer assembles one daemon instance: observer, the optional
 // persistent checkpoint tier under -cache-dir, the job service, and —
 // when -state-dir is set — WAL recovery of whatever the previous
-// process left behind. Smoke mode calls it twice — the second instance
-// over the same cache directory is the warm-restart check.
+// process left behind (Recover roots the checkpoint tier at
+// <state-dir>/cache when -cache-dir is unset). Smoke mode calls it
+// twice — the second instance over the same directories is the
+// warm-restart check.
 func buildServer(o *cliOptions, out io.Writer) (*server.Server, error) {
 	observer := obs.New()
 	cfg := server.Config{
@@ -186,8 +189,8 @@ func buildServer(o *cliOptions, out io.Writer) (*server.Server, error) {
 			return nil, fmt.Errorf("recover: %w", err)
 		}
 		if stats.Jobs > 0 {
-			fmt.Fprintf(out, "presp-served: recovered %d jobs from %s (%d requeued, %d resumed mid-flow, %d already terminal)\n",
-				stats.Jobs, o.stateDir, stats.Requeued, stats.Resumed, stats.Terminal)
+			fmt.Fprintf(out, "presp-served: recovered %d jobs from %s (%d requeued, %d already terminal)\n",
+				stats.Jobs, o.stateDir, stats.Requeued, stats.Terminal)
 		}
 	}
 	return srv, nil
@@ -228,14 +231,14 @@ func run(ctx context.Context, o *cliOptions, out io.Writer) error {
 	}
 
 	if o.smoke {
-		coldCRCs, smokeErr := smoke(fmt.Sprintf("http://%s", ln.Addr()), out)
+		coldCRCs, smokeErr := smoke(fmt.Sprintf("http://%s", ln.Addr()), "smoke-1", out)
 		if err := drain(); err != nil {
 			return err
 		}
 		if smokeErr != nil {
 			return fmt.Errorf("smoke: %w", smokeErr)
 		}
-		if o.cacheDir != "" {
+		if o.cacheDir != "" || o.stateDir != "" {
 			if err := warmRestartSmoke(o, coldCRCs, out); err != nil {
 				return fmt.Errorf("smoke: warm restart: %w", err)
 			}
@@ -255,8 +258,9 @@ func run(ctx context.Context, o *cliOptions, out io.Writer) error {
 // smoke drives one job through the real HTTP API: submit, poll to
 // completion, check the metrics endpoint — the end-to-end boot check
 // `make serve-smoke` runs in CI. It returns the job's bitstream CRCs
-// so the warm-restart phase can assert byte-identical results.
-func smoke(base string, out io.Writer) ([]string, error) {
+// so the warm-restart phase can assert byte-identical results. idem is
+// the submission's Idempotency-Key.
+func smoke(base, idem string, out io.Writer) ([]string, error) {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	submit := func() (*http.Response, error) {
@@ -266,7 +270,7 @@ func smoke(base string, out io.Writer) ([]string, error) {
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Idempotency-Key", "smoke-1")
+		req.Header.Set("Idempotency-Key", idem)
 		return client.Do(req)
 	}
 	resp, err := submit()
@@ -274,9 +278,9 @@ func smoke(base string, out io.Writer) ([]string, error) {
 		return nil, err
 	}
 	var job struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-		Error string `json:"error"`
+		ID     string `json:"id"`
+		State  string `json:"state"`
+		Error  string `json:"error"`
 		Result *struct {
 			TotalMin      float64  `json:"total_min"`
 			CacheMisses   int      `json:"cache_misses"`
@@ -355,10 +359,12 @@ func smoke(base string, out io.Writer) ([]string, error) {
 }
 
 // warmRestartSmoke is the persistence leg of the self-test: after the
-// first daemon drained, boot a fresh one over the same -cache-dir, run
-// the identical spec, and require that it was served from the disk tier
-// (cache_disk_hits >= 1, zero synthesis misses) with the same bitstream
-// CRCs the cold run produced.
+// first daemon drained, boot a fresh one over the same -cache-dir or
+// -state-dir, run the identical spec, and require that it was served
+// from the disk tier (cache_disk_hits >= 1, zero synthesis misses) with
+// the same bitstream CRCs the cold run produced. The spec is submitted
+// under a fresh Idempotency-Key: with -state-dir the recovered WAL
+// would otherwise replay the first daemon's job instead of running it.
 func warmRestartSmoke(o *cliOptions, coldCRCs []string, out io.Writer) error {
 	if len(coldCRCs) == 0 {
 		return fmt.Errorf("cold run reported no bitstream CRCs to compare against")
@@ -374,9 +380,13 @@ func warmRestartSmoke(o *cliOptions, coldCRCs []string, out io.Writer) error {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	go httpSrv.Serve(ln) //nolint:errcheck
 	base := fmt.Sprintf("http://%s", ln.Addr())
-	fmt.Fprintf(out, "presp-served: smoke restarting against %s (cache %s)\n", base, o.cacheDir)
+	cacheDir := o.cacheDir
+	if cacheDir == "" {
+		cacheDir = filepath.Join(o.stateDir, "cache")
+	}
+	fmt.Fprintf(out, "presp-served: smoke restarting against %s (cache %s)\n", base, cacheDir)
 
-	warmCRCs, smokeErr := smoke(base, out)
+	warmCRCs, smokeErr := smoke(base, "smoke-2", out)
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	var metrics map[string]any

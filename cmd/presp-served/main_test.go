@@ -136,8 +136,10 @@ func TestSmokeModeWarmRestart(t *testing.T) {
 }
 
 // TestSmokeModeWithStateDir: -state-dir wires the job WAL into smoke
-// mode — recovery on boot is a clean no-op, the run completes, and the
-// job's records are durably on disk afterwards.
+// mode — recovery on boot is a clean no-op, the run completes, the
+// job's records are durably on disk afterwards, and with no -cache-dir
+// the restart leg warm-starts from the checkpoint tier under the state
+// directory.
 func TestSmokeModeWithStateDir(t *testing.T) {
 	dir := t.TempDir()
 	o, err := parseCLI([]string{"-smoke", "-state-dir", dir})
@@ -153,6 +155,11 @@ func TestSmokeModeWithStateDir(t *testing.T) {
 	fi, err := os.Stat(filepath.Join(dir, "jobs.wal"))
 	if err != nil || fi.Size() == 0 {
 		t.Fatalf("jobs.wal missing or empty after smoke: %v", err)
+	}
+	for _, want := range []string{"recovered 1 jobs", "smoke warm restart ok", "smoke ok"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Cancellation and resume suite: a flow killed at any point must leak
-// no goroutines, leave the checkpoint cache and journal consistent, and
-// resume to a byte-identical result.
+// no goroutines, leave the checkpoint cache and its disk tier
+// consistent, and a rerun over the same cache directory must reach a
+// byte-identical result.
 package flow
 
 import (
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"presp/internal/accel"
+	"presp/internal/faultinject"
 	"presp/internal/leakcheck"
 	"presp/internal/socgen"
 	"presp/internal/vivado"
@@ -78,59 +80,74 @@ func (w *cancellingWriter) Write(p []byte) (int, error) {
 }
 
 // TestFlowKillAndResume: interrupt a PR-ESP run after every possible
-// number of journaled completions, then resume from the journal with a
-// fresh cache. The resumed run must complete, hit the cache at least
-// once per journaled synthesis, and produce a byte-identical result.
+// number of completed jobs, then rerun it with a fresh in-memory cache
+// over the same CacheDir. The rerun must complete byte-identical to an
+// uninterrupted run and hit the cache at least once per synthesis that
+// completed before the kill: each checkpoint reaches the disk tier
+// before its job completes. The second leg runs under a seeded synth
+// fault plan with retries — the checkpoint cache stays on under faults,
+// so synthesis reuse survives there too.
 func TestFlowKillAndResume(t *testing.T) {
 	cfg := socgen.SOC1()
-	base := Options{Compress: true, Workers: 4}
-
-	ref, err := RunPRESP(context.Background(), elaborate(t, cfg), base)
+	plan, err := faultinject.ParsePlan("seed=5,synth=0.4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSig := resultSignature(ref)
-	totalJobs := ref.Jobs.Executed()
-
-	for k := 1; k <= totalJobs+1; k++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		w := &cancellingWriter{cancel: cancel, after: 1 + k} // +1: header line
-		opt := base
-		opt.Journal = NewJournal(w)
-		_, runErr := RunPRESP(ctx, elaborate(t, cfg), opt)
-		cancel()
-		if runErr == nil {
-			// Cancellation landed after the last job: the run finished.
-			continue
-		}
-		if !errors.Is(runErr, context.Canceled) {
-			t.Fatalf("k=%d: interrupted run failed with %v, want context.Canceled", k, runErr)
-		}
-
-		journal, err := LoadJournal(bytes.NewReader(w.buf.Bytes()))
+	legs := []struct {
+		name string
+		opt  Options
+	}{
+		{"clean", Options{Compress: true, Workers: 4}},
+		{"synth-faults", Options{Compress: true, Workers: 4, FaultPlan: plan, MaxJobRetries: 4}},
+	}
+	for _, leg := range legs {
+		ref, err := RunPRESP(context.Background(), elaborate(t, cfg), leg.opt)
 		if err != nil {
-			t.Fatalf("k=%d: journal unreadable after kill: %v", k, err)
+			t.Fatalf("%s: reference run: %v", leg.name, err)
 		}
-		synthJournaled := 0
-		for _, e := range journal.Entries() {
-			if e.Checkpoint != nil {
-				synthJournaled++
+		if leg.opt.FaultPlan != nil && ref.Jobs.Retries == 0 {
+			t.Fatalf("%s: the fault plan injected nothing", leg.name)
+		}
+		refSig := resultSignature(ref)
+		totalJobs := ref.Jobs.Executed()
+
+		for k := 1; k <= totalJobs+1; k++ {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			w := &cancellingWriter{cancel: cancel, after: 1 + k} // +1: header line
+			opt := leg.opt
+			opt.CacheDir = dir
+			opt.Journal = NewJournal(w)
+			_, runErr := RunPRESP(ctx, elaborate(t, cfg), opt)
+			cancel()
+			if runErr == nil {
+				// Cancellation landed after the last job: the run finished.
+				continue
 			}
-		}
+			if !errors.Is(runErr, context.Canceled) {
+				t.Fatalf("%s k=%d: interrupted run failed with %v, want context.Canceled", leg.name, k, runErr)
+			}
+			synthDone := 0
+			for _, e := range opt.Journal.Entries() {
+				if e.Kind == "job" && e.Stage == StageSynth.String() {
+					synthDone++
+				}
+			}
 
-		opt = base
-		opt.Resume = journal
-		opt.Cache = vivado.NewCheckpointCache()
-		res, err := RunPRESP(context.Background(), elaborate(t, cfg), opt)
-		if err != nil {
-			t.Fatalf("k=%d: resumed run failed: %v", k, err)
-		}
-		if sig := resultSignature(res); sig != refSig {
-			t.Fatalf("k=%d: resumed result differs from uninterrupted run:\n--- resumed ---\n%s--- reference ---\n%s", k, sig, refSig)
-		}
-		if res.Jobs.CacheHits < synthJournaled {
-			t.Fatalf("k=%d: %d cache hits on resume, want >= %d journaled syntheses",
-				k, res.Jobs.CacheHits, synthJournaled)
+			opt = leg.opt
+			opt.CacheDir = dir
+			opt.Cache = vivado.NewCheckpointCache()
+			res, err := RunPRESP(context.Background(), elaborate(t, cfg), opt)
+			if err != nil {
+				t.Fatalf("%s k=%d: rerun failed: %v", leg.name, k, err)
+			}
+			if sig := resultSignature(res); sig != refSig {
+				t.Fatalf("%s k=%d: rerun differs from uninterrupted run:\n--- rerun ---\n%s--- reference ---\n%s", leg.name, k, sig, refSig)
+			}
+			if res.Jobs.CacheHits < synthDone {
+				t.Fatalf("%s k=%d: %d cache hits on rerun, want >= %d syntheses completed before the kill",
+					leg.name, k, res.Jobs.CacheHits, synthDone)
+			}
 		}
 	}
 	leakcheck.VerifyNone(t)
@@ -202,28 +219,6 @@ func TestFlowPreCancelledContext(t *testing.T) {
 	_, err := RunPRESP(ctx, elaborate(t, socgen.SOC1()), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-// TestResumeRejectsWrongDesign: a journal from one design must not
-// seed a different design's run.
-func TestResumeRejectsWrongDesign(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	opt := Options{Journal: j, Compress: true}
-	if _, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC1()), opt); err != nil {
-		t.Fatal(err)
-	}
-	journal, err := LoadJournal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC2()), Options{Resume: journal}); err == nil {
-		t.Fatal("journal for SOC_1 accepted by a SOC_2 run")
-	}
-	// Same design, wrong flow.
-	if _, err := RunStandardDFX(context.Background(), elaborate(t, socgen.SOC1()), Options{Resume: journal}); err == nil {
-		t.Fatal("presp journal accepted by the standard-DFX flow")
 	}
 }
 

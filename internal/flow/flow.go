@@ -17,10 +17,10 @@
 // Runs are fault-tolerant, cancellable and resumable: a context (plus
 // Options.Timeout) stops the graph at the next job boundary, failed
 // jobs are retried with capped virtual-time backoff, seeded CAD faults
-// can be injected from a faultinject plan, every completion is
-// journaled, and a journal from a killed run resumes via the
-// synthesis-checkpoint cache. See DESIGN.md §11 for the failure
-// semantics.
+// can be injected from a faultinject plan, every completion can be
+// journaled for audit, and a rerun of a killed run over the same
+// Options.CacheDir reuses every synthesis it finished. See DESIGN.md
+// §11 for the failure semantics.
 package flow
 
 import (
@@ -89,13 +89,16 @@ type Options struct {
 	Workers int
 	// Cache is a shared synthesis-checkpoint cache; runs with a warm
 	// cache skip re-synthesizing unchanged modules (nil = no cache,
-	// except that Resume or CacheDir creates a private one).
+	// except that CacheDir creates a private one).
 	Cache *vivado.CheckpointCache
 	// CacheDir, when set, backs the checkpoint cache with a persistent
 	// disk tier rooted at the directory (created if absent): inserts
 	// write through, memory misses read through, and LRU evictions
 	// demote to disk, so a later run — or a restarted daemon — against
-	// the same directory warm-starts instead of re-synthesizing. When
+	// the same directory warm-starts instead of re-synthesizing. Each
+	// checkpoint reaches disk before its synthesis job completes, so
+	// this is also how an interrupted run resumes: rerun it over the
+	// same directory and every finished synthesis is a hit. When
 	// Cache is nil a private cache is created to carry the tier; when
 	// the caller's Cache already has a disk store attached, CacheDir is
 	// ignored in favour of it.
@@ -136,13 +139,9 @@ type Options struct {
 	// fault hook. Injection is order-independent, so results under
 	// faults stay byte-identical for every worker count.
 	FaultPlan *faultinject.Plan
-	// Journal, when set, records every completed job (JSON lines); a
-	// later run can resume from it.
+	// Journal, when set, records every completed job (JSON lines) as
+	// an audit log of the run.
 	Journal *Journal
-	// Resume replays a journal from an interrupted run: journaled
-	// synthesis checkpoints are preloaded into the cache, so completed
-	// work is skipped. The journal must match the design and flow.
-	Resume *Journal
 	// Heartbeat, when set, is called from the scheduler coordinator
 	// after every completed job with the cumulative count of completed
 	// jobs and the run's virtual-time position (sum of modelled job
@@ -234,8 +233,8 @@ func (m flowMode) name() string {
 
 // RunPRESP executes the PR-ESP flow on design d, bounded by ctx (and
 // Options.Timeout): cancellation stops the run at the next job
-// boundary, drains the worker pool and leaves the checkpoint cache and
-// journal consistent for a later resume. Designs without
+// boundary, drains the worker pool and leaves the checkpoint cache
+// (and its disk tier) consistent for a later rerun. Designs without
 // reconfigurable tiles (plain ESP SoCs with native accelerator tiles)
 // fall through to the monolithic implementation — the flow degrades
 // gracefully to the base ESP behaviour.
@@ -313,8 +312,8 @@ func flowCtx(ctx context.Context, opt Options) (context.Context, context.CancelF
 }
 
 // setupRun prepares the tool for one flow execution: fault injection
-// from the plan, the (possibly resume-private) checkpoint cache,
-// journal replay and the new journal's header.
+// from the plan, the checkpoint cache (private when only CacheDir is
+// given) with its disk tier, and the journal's header.
 func setupRun(d *socgen.Design, opt Options, flowName string) (*vivado.Tool, error) {
 	tool, err := vivado.New(d.Dev, opt.Model)
 	if err != nil {
@@ -328,9 +327,8 @@ func setupRun(d *socgen.Design, opt Options, flowName string) (*vivado.Tool, err
 		tool.SetFaultHook(inj.Check)
 	}
 	cache := opt.Cache
-	if cache == nil && (opt.Resume != nil || opt.CacheDir != "") {
-		// Resume rehydrates journaled checkpoints through the cache, and
-		// the disk tier needs a cache to sit under, so a private one
+	if cache == nil && opt.CacheDir != "" {
+		// The disk tier needs a cache to sit under, so a private one
 		// serves when the caller brought none.
 		cache = vivado.NewCheckpointCache()
 	}
@@ -350,14 +348,9 @@ func setupRun(d *socgen.Design, opt Options, flowName string) (*vivado.Tool, err
 	}
 	tool.SetCache(cache)
 	tool.SetObserver(opt.Observer)
-	digest := DesignDigest(d)
-	if opt.Resume != nil {
-		if err := opt.Resume.CheckDesign(digest, flowName); err != nil {
-			return nil, err
-		}
-		opt.Resume.Restore(cache)
+	if opt.Journal != nil {
+		opt.Journal.Begin(DesignDigest(d), flowName)
 	}
-	opt.Journal.Begin(digest, flowName)
 	return tool, nil
 }
 
@@ -365,42 +358,12 @@ func setupRun(d *socgen.Design, opt Options, flowName string) (*vivado.Tool, err
 // (journal writes), kept clear of the worker lanes 0..workers-1.
 const coordinatorTID = 1 << 20
 
-// journalBook captures each synthesis job's cache key and checkpoint so
-// the completion journal can embed them for resume. Synthesis jobs
-// write from worker goroutines; the journal callback reads from the
-// coordinator.
-type journalBook struct {
-	mu sync.Mutex
-	m  map[string]journalPayload
-}
-
-type journalPayload struct {
-	key string
-	ck  *vivado.SynthCheckpoint
-}
-
-func newJournalBook() *journalBook {
-	return &journalBook{m: make(map[string]journalPayload)}
-}
-
-func (b *journalBook) put(id, key string, ck *vivado.SynthCheckpoint) {
-	b.mu.Lock()
-	b.m[id] = journalPayload{key: key, ck: ck}
-	b.mu.Unlock()
-}
-
-func (b *journalBook) get(id string) journalPayload {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.m[id]
-}
-
 // execGraph runs the built graph under the options' retry, journal and
 // error policy, filling res.Jobs, res.Partial and res.JobErrors. It
 // returns the run-fatal error: execution-level failures (cancellation,
 // bad graph), journal write errors, or — under fail-fast — the first
 // job failure.
-func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, res *Result, book *journalBook) error {
+func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, res *Result) error {
 	execOpt := ExecOptions{
 		Workers:     opt.Workers,
 		MaxRetries:  opt.MaxJobRetries,
@@ -430,8 +393,7 @@ func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, re
 				if out.Skipped {
 					opt.Journal.Skip(j.ID, j.Stage, out.Minutes)
 				} else {
-					p := book.get(j.ID)
-					opt.Journal.Completed(j.ID, j.Stage, out.Minutes, out.Attempts, p.key, p.ck)
+					opt.Journal.Completed(j.ID, j.Stage, out.Minutes, out.Attempts)
 				}
 				journalWrites.Inc()
 				if tr != nil {
@@ -494,7 +456,6 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	sk := buildStageKeys(d, tool, res.Strategy, opt, mode)
 
 	g := NewGraph()
-	book := newJournalBook()
 	var mu sync.Mutex // guards rpCks and SynthRuns across parallel synth jobs
 
 	// --- Parse & split, then OoC synthesis (Fig 1): one job per
@@ -520,9 +481,6 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 		staticCk = ck
 		res.SynthRuns["static"] = ck.Runtime
 		mu.Unlock()
-		if opt.Journal != nil {
-			book.put("synth/static", tool.CheckpointKey(staticMod, false), ck)
-		}
 		return ck.Runtime, nil
 	}))
 	for _, rp := range d.RPs {
@@ -541,9 +499,6 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			rpCks[rp.Name] = ck
 			res.SynthRuns[rp.Name] = ck.Runtime
 			mu.Unlock()
-			if opt.Journal != nil {
-				book.put(id, tool.CheckpointKey(rp.Content, true), ck)
-			}
 			return ck.Runtime, nil
 		}))
 	}
@@ -716,7 +671,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 		}
 	}
 
-	if err := execGraph(ctx, g, tool, opt, res, book); err != nil {
+	if err := execGraph(ctx, g, tool, opt, res); err != nil {
 		return nil, err
 	}
 

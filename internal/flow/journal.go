@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -16,9 +15,7 @@ import (
 // JournalEntry is one JSON line of a flow journal. The first line of a
 // journal is a header (Kind "flow") binding the journal to a design
 // digest and flow name; every following line (Kind "job") records one
-// successfully completed job. Synthesis entries embed the produced
-// checkpoint and its cache key, which is what lets a resumed run
-// rehydrate the checkpoint cache and skip the re-synthesis cost.
+// successfully completed or skipped job.
 type JournalEntry struct {
 	// Kind is "flow" for the header line, "job" for completions.
 	Kind string `json:"kind"`
@@ -33,27 +30,22 @@ type JournalEntry struct {
 	// Skipped marks a job whose stage-artifact probe hit: its cached
 	// result was reused and Run never executed (Attempts is zero).
 	Skipped bool `json:"skipped,omitempty"`
-	// CacheKey and Checkpoint carry a synthesis job's product for
-	// resume (absent on plan/impl/bitgen jobs, whose recomputation is
-	// deterministic and costs no real time in the simulated tool).
-	CacheKey   string                  `json:"cache_key,omitempty"`
-	Checkpoint *vivado.SynthCheckpoint `json:"checkpoint,omitempty"`
 }
 
-// Journal is an append-only record of a flow run, written as JSON lines
-// so a killed process leaves at worst one truncated trailing line.
-// Completions are appended from the scheduler's coordinator goroutine;
-// the journal locks internally so facades can share one instance.
+// Journal is an append-only audit log of a flow run, written as JSON
+// lines so a killed process leaves at worst one truncated trailing
+// line. Completions are appended from the scheduler's coordinator
+// goroutine; the journal locks internally so facades can share one
+// instance.
 //
-// A Journal is either being written (NewJournal) or replayed
-// (LoadJournal) — the resume path loads a journal from a previous run
-// and hands it to Options.Resume.
+// The journal records what ran; it is not a recovery mechanism. An
+// interrupted run recovers its finished synthesis from the checkpoint
+// cache's disk tier (Options.CacheDir), which persists each checkpoint
+// before the job that produced it completes.
 type Journal struct {
 	mu      sync.Mutex
 	enc     *json.Encoder
 	err     error
-	design  string
-	flow    string
 	entries []JournalEntry
 }
 
@@ -67,47 +59,6 @@ func NewJournal(w io.Writer) *Journal {
 	return j
 }
 
-// MaxJournalLine bounds a single journal line during replay. Synthesis
-// entries embed whole checkpoints, and the disk-tier work makes large
-// checkpoints realistic, so the cap is generous — but it must exist: an
-// unbounded scanner would let one corrupt line swallow the file. A line
-// over the cap surfaces bufio.ErrTooLong from LoadJournal rather than
-// silently truncating the record.
-const MaxJournalLine = 16 * 1024 * 1024
-
-// LoadJournal replays a journal written by a previous run. A malformed
-// trailing line — the telltale of a process killed mid-write — is
-// tolerated and marks the end of the record; a journal whose very first
-// line does not parse is rejected as not-a-journal. A line exceeding
-// MaxJournalLine is a load error (wrapping bufio.ErrTooLong), never a
-// silently short journal.
-func LoadJournal(r io.Reader) (*Journal, error) {
-	j := &Journal{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxJournalLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e JournalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			if len(j.entries) == 0 {
-				return nil, fmt.Errorf("flow: not a journal: %v", err)
-			}
-			return j, nil // truncated tail from a killed run
-		}
-		if e.Kind == "flow" {
-			j.design, j.flow = e.Design, e.Flow
-		}
-		j.entries = append(j.entries, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("flow: reading journal: %w", err)
-	}
-	return j, nil
-}
-
 // Begin writes the header line binding the journal to a design digest
 // and flow name.
 func (j *Journal) Begin(designDigest, flowName string) {
@@ -116,25 +67,22 @@ func (j *Journal) Begin(designDigest, flowName string) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.design, j.flow = designDigest, flowName
 	j.append(JournalEntry{Kind: "flow", Design: designDigest, Flow: flowName})
 }
 
 // Completed records one successfully finished job.
-func (j *Journal) Completed(jobID string, stage Stage, minutes vivado.Minutes, attempts int, cacheKey string, ck *vivado.SynthCheckpoint) {
+func (j *Journal) Completed(jobID string, stage Stage, minutes vivado.Minutes, attempts int) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.append(JournalEntry{
-		Kind:       "job",
-		Job:        jobID,
-		Stage:      stage.String(),
-		Minutes:    minutes,
-		Attempts:   attempts,
-		CacheKey:   cacheKey,
-		Checkpoint: ck,
+		Kind:     "job",
+		Job:      jobID,
+		Stage:    stage.String(),
+		Minutes:  minutes,
+		Attempts: attempts,
 	})
 }
 
@@ -165,8 +113,8 @@ func (j *Journal) append(e JournalEntry) {
 	}
 }
 
-// Err returns the first write error, if any — a journal that cannot be
-// written is useless for recovery, so the flow surfaces it.
+// Err returns the first write error, if any — an audit log that cannot
+// be written is incomplete, so the flow surfaces it.
 func (j *Journal) Err() error {
 	if j == nil {
 		return nil
@@ -174,48 +122,6 @@ func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// DesignDigest returns the digest from the journal header ("" before
-// Begin or for an empty journal).
-func (j *Journal) DesignDigest() string {
-	if j == nil {
-		return ""
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.design
-}
-
-// FlowName returns the flow name from the journal header.
-func (j *Journal) FlowName() string {
-	if j == nil {
-		return ""
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.flow
-}
-
-// CheckDesign verifies the journal was written by the same flow on the
-// same design — resuming a different design from stale checkpoints
-// would silently produce wrong results.
-func (j *Journal) CheckDesign(designDigest, flowName string) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.design == "" {
-		return fmt.Errorf("flow: journal has no header (empty or truncated at line one)")
-	}
-	if j.design != designDigest {
-		return fmt.Errorf("flow: journal is for design %s, current design is %s", j.design, designDigest)
-	}
-	if j.flow != flowName {
-		return fmt.Errorf("flow: journal is for the %s flow, current flow is %s", j.flow, flowName)
-	}
-	return nil
 }
 
 // Entries returns a copy of the journal's entries.
@@ -228,43 +134,7 @@ func (j *Journal) Entries() []JournalEntry {
 	return append([]JournalEntry(nil), j.entries...)
 }
 
-// CompletedJobs returns the IDs of all journaled job completions.
-func (j *Journal) CompletedJobs() map[string]bool {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	done := make(map[string]bool)
-	for _, e := range j.entries {
-		if e.Kind == "job" && e.Job != "" {
-			done[e.Job] = true
-		}
-	}
-	return done
-}
-
-// Restore preloads every journaled synthesis checkpoint into cache and
-// returns how many entries it rehydrated. Resumed runs then hit the
-// cache instead of re-paying the modelled synthesis cost; plan, impl
-// and bitgen jobs recompute deterministically at zero real cost.
-func (j *Journal) Restore(cache *vivado.CheckpointCache) int {
-	if j == nil || cache == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	for _, e := range j.entries {
-		if e.Kind == "job" && e.CacheKey != "" && e.Checkpoint != nil {
-			cache.Preload(e.CacheKey, e.Checkpoint)
-			n++
-		}
-	}
-	return n
-}
-
-// DesignDigest fingerprints the parts of a design a journal's cached
+// DesignDigest fingerprints the parts of a design a run's cached
 // results depend on: configuration name, device identity and capacity,
 // the static module set and every partition's name, content and
 // resource envelope.

@@ -65,7 +65,7 @@ func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result,
 			return t, nil
 		}))
 	}
-	if err := execGraph(ctx, g, tool, opt, res, newJournalBook()); err != nil {
+	if err := execGraph(ctx, g, tool, opt, res); err != nil {
 		return nil, err
 	}
 

@@ -274,106 +274,55 @@ func TestCrashEveryWALPrefix(t *testing.T) {
 	}
 }
 
-// TestRecoverResumesFromJournal: an interrupted run whose journal
-// survived must resume from it — the journal is handed to the flow as
-// Options.Resume and counted in RecoveryStats.Resumed.
-func TestRecoverResumesFromJournal(t *testing.T) {
+// TestRecoverAttachesStateDirCache: with no disk tier configured,
+// Recover roots one at <StateDir>/cache and shares it with the stage
+// cache, so a restarted daemon reuses the previous process's synthesis
+// with no -cache-dir; a cache that already has a tier keeps it.
+func TestRecoverAttachesStateDirCache(t *testing.T) {
 	dir := t.TempDir()
-	spec := Spec{Preset: "SOC_2", Tau: 10}
-	cs, err := compile(spec)
-	if err != nil {
+	spec := Spec{Preset: "SOC_1", Compress: true}
+
+	s1, _ := bootWALServer(t, dir, nil, Config{})
+	if ds := s1.cache.Disk(); ds == nil || ds.Dir() != filepath.Join(dir, "cache") {
+		t.Fatalf("Recover attached %v, want a disk tier at %s", ds, filepath.Join(dir, "cache"))
+	}
+	if s1.stage.Disk() != s1.cache.Disk() {
+		t.Fatal("stage cache does not share the state-dir disk tier")
+	}
+	cold := runJob(t, s1, spec)
+	if cold.CacheMisses == 0 {
+		t.Fatal("cold run paid no synthesis")
+	}
+	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	// Synthesize the crash leftovers: an admitted+started WAL and the
-	// interrupted run's journal with a matching design header.
-	var img bytes.Buffer
-	for _, r := range []walRecord{
-		{Op: walAdmitted, Job: "j000001", Tenant: "acme", Key: cs.key, Spec: &spec},
-		{Op: walStarted, Job: "j000001"},
-	} {
-		enc, err := encodeWALRecord(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img.Write(enc)
+	o := obs.New()
+	s2, _ := bootWALServer(t, dir, nil, Config{Observer: o})
+	warm := runJob(t, s2, spec)
+	if warm.CacheMisses != 0 {
+		t.Fatalf("restart over the state dir paid %d synthesis misses, want 0", warm.CacheMisses)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), img.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(warm.BitstreamCRCs, cold.BitstreamCRCs) {
+		t.Fatalf("bitstreams diverged across restart:\ncold %v\nwarm %v", cold.BitstreamCRCs, warm.BitstreamCRCs)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "journals"), 0o755); err != nil {
-		t.Fatal(err)
+	if got := o.Metrics().Snapshot().Counters["cache_disk_hits"]; got < 1 {
+		t.Fatalf("cache_disk_hits = %d, want >= 1", got)
 	}
-	jf, err := os.Create(filepath.Join(dir, "journals", "j000001.jsonl"))
+
+	own, err := vivado.OpenDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := flow.NewJournal(jf)
-	j.Begin(flow.DesignDigest(cs.design), cs.spec.Flow)
-	jf.Close()
-
-	var gotResume *flow.Journal
-	st := &stubRunner{}
-	run := func(ctx context.Context, cs *compiledSpec, opt flow.Options) (*flow.Result, error) {
-		gotResume = opt.Resume
-		return st.run(ctx, cs, opt)
+	cache := vivado.NewCheckpointCache()
+	cache.SetDiskStore(own)
+	other := t.TempDir()
+	s3, _ := bootWALServer(t, other, nil, Config{Cache: cache})
+	if s3.cache.Disk() != own {
+		t.Fatal("Recover replaced the configured disk tier")
 	}
-	s, stats := bootWALServer(t, dir, run, Config{})
-	if stats.Jobs != 1 || stats.Requeued != 1 || stats.Resumed != 1 {
-		t.Fatalf("stats = %+v, want 1 job, 1 requeued, 1 resumed", stats)
-	}
-	waitState(t, s, "acme", "j000001", StateSucceeded)
-	if gotResume == nil {
-		t.Fatal("recovered run was not handed its journal as Options.Resume")
-	}
-	if gotResume.DesignDigest() != flow.DesignDigest(cs.design) {
-		t.Fatal("resume journal does not match the design")
-	}
-}
-
-// TestRecoverIgnoresMismatchedJournal: a journal from a different design
-// must be ignored — cold re-run, never a poisoned resume.
-func TestRecoverIgnoresMismatchedJournal(t *testing.T) {
-	dir := t.TempDir()
-	spec := Spec{Preset: "SOC_2", Tau: 10}
-	cs, err := compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var img bytes.Buffer
-	for _, r := range []walRecord{
-		{Op: walAdmitted, Job: "j000001", Tenant: "acme", Key: cs.key, Spec: &spec},
-		{Op: walStarted, Job: "j000001"},
-	} {
-		enc, _ := encodeWALRecord(r)
-		img.Write(enc)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), img.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "journals"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	jf, err := os.Create(filepath.Join(dir, "journals", "j000001.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flow.NewJournal(jf).Begin("not-this-design", "presp")
-	jf.Close()
-
-	var gotResume *flow.Journal
-	st := &stubRunner{}
-	run := func(ctx context.Context, cs *compiledSpec, opt flow.Options) (*flow.Result, error) {
-		gotResume = opt.Resume
-		return st.run(ctx, cs, opt)
-	}
-	s, stats := bootWALServer(t, dir, run, Config{})
-	if stats.Resumed != 0 {
-		t.Fatalf("mismatched journal counted as resumed: %+v", stats)
-	}
-	waitState(t, s, "acme", "j000001", StateSucceeded)
-	if gotResume != nil {
-		t.Fatal("mismatched journal was handed to the flow")
+	if _, err := os.Stat(filepath.Join(other, "cache")); !os.IsNotExist(err) {
+		t.Fatalf("Recover created a state-dir cache next to a configured tier (stat: %v)", err)
 	}
 }
 
@@ -388,15 +337,8 @@ func TestCrashDaemonChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("not a crash child")
 	}
-	o := obs.New()
-	store, err := vivado.OpenDiskStore(filepath.Join(dir, "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.SetObserver(o)
-	cache := vivado.NewCheckpointCache()
-	cache.SetDiskStore(store)
-	s := New(Config{Workers: 1, StateDir: dir, Cache: cache, Observer: o})
+	// No explicit cache: Recover roots the disk tier at <dir>/cache.
+	s := New(Config{Workers: 1, StateDir: dir, Observer: obs.New()})
 	real := s.runFlow
 	s.runFlow = func(ctx context.Context, cs *compiledSpec, opt flow.Options) (*flow.Result, error) {
 		inner := opt.Heartbeat
@@ -432,19 +374,19 @@ func TestCrashDaemonChild(t *testing.T) {
 // killPoint is one moment the battery kills the daemon at.
 type killPoint struct {
 	name string
-	// armed reports whether the daemon reached the point, given the
-	// job's journal path and the WAL path.
-	armed func(journal, wal string) bool
+	// armed reports whether the daemon reached the point, given its
+	// state directory.
+	armed func(dir string) bool
 }
 
 // TestKill9CrashRecovery is the process-level half of the battery: a
-// real daemon (child process, real flow engine, durable WAL, disk-tier
-// cache) is killed with SIGKILL at increasingly late points — right
-// after admission, mid-run once the journal shows progress — and a
-// recovery server over the same state directory must finish the job
-// with bitstream CRCs byte-identical to an uninterrupted reference run,
-// without re-synthesizing journaled work and without duplicating the
-// job on idempotent resubmit.
+// real daemon (child process, real flow engine, durable WAL, the
+// state-dir disk tier) is killed with SIGKILL at increasingly late
+// points — right after admission, mid-run once the first synthesis
+// checkpoint is on disk — and a recovery server over the same state
+// directory must finish the job with bitstream CRCs byte-identical to
+// an uninterrupted reference run, reusing the persisted synthesis and
+// without duplicating the job on idempotent resubmit.
 func TestKill9CrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -462,13 +404,13 @@ func TestKill9CrashRecovery(t *testing.T) {
 	}
 
 	points := []killPoint{
-		{name: "after-admission", armed: func(_, wal string) bool {
-			_, err := os.Stat(wal)
+		{name: "after-admission", armed: func(dir string) bool {
+			_, err := os.Stat(filepath.Join(dir, "jobs.wal"))
 			return err == nil
 		}},
-		{name: "mid-run", armed: func(journal, _ string) bool {
-			fi, err := os.Stat(journal)
-			return err == nil && fi.Size() > 0
+		{name: "mid-run", armed: func(dir string) bool {
+			ckpts, _ := filepath.Glob(filepath.Join(dir, "cache", "*.ckpt"))
+			return len(ckpts) > 0
 		}},
 	}
 	for _, pt := range points {
@@ -517,10 +459,8 @@ func TestKill9CrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			journalPath := filepath.Join(dir, "journals", accepted.ID+".jsonl")
-			walPath := filepath.Join(dir, "jobs.wal")
 			deadline = time.Now().Add(10 * time.Second)
-			for !pt.armed(journalPath, walPath) {
+			for !pt.armed(dir) {
 				if time.Now().After(deadline) {
 					t.Fatalf("kill point %q never armed", pt.name)
 				}
@@ -531,16 +471,10 @@ func TestKill9CrashRecovery(t *testing.T) {
 			}
 			cmd.Wait() //nolint:errcheck
 
-			// Recover in-process over the same state directory.
+			// Recover in-process over the same state directory, again
+			// with no explicit cache.
 			o := obs.New()
-			store, err := vivado.OpenDiskStore(filepath.Join(dir, "cache"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			store.SetObserver(o)
-			cache := vivado.NewCheckpointCache()
-			cache.SetDiskStore(store)
-			s := newTestServer(t, Config{Workers: 1, StateDir: dir, Cache: cache, Observer: o})
+			s := newTestServer(t, Config{Workers: 1, StateDir: dir, Observer: o})
 			stats, err := s.Recover()
 			if err != nil {
 				t.Fatal(err)
@@ -565,16 +499,14 @@ func TestKill9CrashRecovery(t *testing.T) {
 				t.Fatalf("bitstreams diverged across kill -9:\nref       %v\nrecovered %v",
 					ref.BitstreamCRCs, v.Result.BitstreamCRCs)
 			}
-			if got := o.Metrics().Snapshot().Counters["server_recovered_jobs"]; got < 1 {
+			counters := o.Metrics().Snapshot().Counters
+			if got := counters["server_recovered_jobs"]; got < 1 {
 				t.Fatalf("server_recovered_jobs = %d, want >= 1", got)
 			}
-			// A journaled mid-run kill must not re-pay journaled synthesis:
-			// the resumed run restores checkpoints instead of recomputing.
-			if pt.name == "mid-run" && stats.Resumed == 1 && v.Result.CacheMisses > 0 {
-				ent := countJournalEntries(t, journalPath)
-				if ent > 1 && v.Result.CacheHits == 0 {
-					t.Fatalf("resumed run re-synthesized everything: %d journal entries, 0 cache hits", ent)
-				}
+			// A mid-run kill must not re-pay the synthesis already on
+			// disk: the rerun reads it back from the state-dir tier.
+			if got := counters["cache_disk_hits"]; pt.name == "mid-run" && got < 1 {
+				t.Fatalf("cache_disk_hits = %d after a mid-run kill, want >= 1", got)
 			}
 
 			// Idempotent resubmit after the crash returns the recovered
@@ -586,18 +518,4 @@ func TestKill9CrashRecovery(t *testing.T) {
 			}
 		})
 	}
-}
-
-func countJournalEntries(t *testing.T, path string) int {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	j, err := flow.LoadJournal(f)
-	if err != nil {
-		return 0
-	}
-	return len(j.Entries())
 }

@@ -8,7 +8,7 @@ import (
 	"strconv"
 	"strings"
 
-	"presp/internal/flow"
+	"presp/internal/vivado"
 )
 
 // RecoveryStats summarizes one WAL replay at boot.
@@ -20,9 +20,6 @@ type RecoveryStats struct {
 	Jobs int `json:"jobs"`
 	// Requeued is how many live jobs went back on the admission queue.
 	Requeued int `json:"requeued"`
-	// Resumed is how many requeued flights found a usable journal from
-	// the interrupted run, so completed stages will not be recomputed.
-	Resumed int `json:"resumed"`
 	// Terminal is how many jobs were already finished in the log; their
 	// results are re-served from the replayed records.
 	Terminal int `json:"terminal"`
@@ -44,11 +41,13 @@ type replayJob struct {
 // rebuilds the server's job table: terminal jobs come back with their
 // recorded outcomes (so idempotent resubmits and GETs keep working
 // across the crash), and live jobs — admitted or interrupted
-// mid-run — are re-enqueued, with interrupted flights resuming from
-// their per-job journals so completed stages are never recomputed.
-// It must be called once, before the server takes traffic; with no
-// StateDir it is a durability-off no-op. Calling it twice, or after
-// jobs were already admitted, is an error.
+// mid-run — are re-enqueued. When the configured cache has no disk
+// tier, Recover attaches one at <StateDir>/cache and shares it with the
+// stage cache: every synthesis checkpoint reaches disk before its job
+// completes, so an interrupted run's rerun reuses all the synthesis it
+// finished. It must be called once, before the server takes traffic;
+// with no StateDir it is a durability-off no-op. Calling it twice, or
+// after jobs were already admitted, is an error.
 func (s *Server) Recover() (RecoveryStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -65,8 +64,16 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return RecoveryStats{}, fmt.Errorf("server: state dir: %w", err)
 	}
-	if err := os.MkdirAll(s.journalDir, 0o755); err != nil {
-		return RecoveryStats{}, fmt.Errorf("server: journal dir: %w", err)
+	if s.cache.Disk() == nil {
+		ds, err := vivado.OpenDiskStore(filepath.Join(s.cfg.StateDir, "cache"))
+		if err != nil {
+			return RecoveryStats{}, fmt.Errorf("server: state dir cache: %w", err)
+		}
+		ds.SetObserver(s.cfg.Observer)
+		s.cache.SetDiskStore(ds)
+	}
+	if s.stage != nil && s.stage.Disk() == nil {
+		s.stage.SetDiskStore(s.cache.Disk())
 	}
 	w, recs, err := openWAL(filepath.Join(s.cfg.StateDir, "jobs.wal"))
 	if err != nil {
@@ -110,8 +117,8 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		}
 		j.State = StateQueued
 		if rj.started {
-			// The crash interrupted this run; the next attempt resumes
-			// from its journal.
+			// The crash interrupted this run; the next attempt reuses
+			// its finished synthesis from the disk tier.
 			j.Attempts++
 		}
 	}
@@ -141,15 +148,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			s.walAppendLocked(walRecord{Op: walDone, Job: j.ID, State: StateFailed, Error: j.Err})
 			continue
 		}
-		g := s.newGroupLocked(cs, j)
-		if rj.started {
-			g.resume = s.loadResumeJournal(cs, rj.id)
-			if g.resume != nil {
-				stats.Resumed++
-				reg.Counter("server_recovered_resumed_total").Inc()
-			}
-		}
-		s.enqueueLocked(g)
+		s.enqueueLocked(s.newGroupLocked(cs, j))
 		s.cond.Signal()
 	}
 	for _, id := range order {
@@ -162,7 +161,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if tr := s.cfg.Observer.Tracer(); tr != nil && stats.Jobs > 0 {
 		tr.Instant("server", "recovered", serverTIDBase, map[string]any{
 			"records": stats.Records, "jobs": stats.Jobs,
-			"requeued": stats.Requeued, "resumed": stats.Resumed, "terminal": stats.Terminal,
+			"requeued": stats.Requeued, "terminal": stats.Terminal,
 		})
 	}
 	return stats, nil
@@ -234,28 +233,4 @@ func (s *Server) newGroupLocked(cs *compiledSpec, j *Job) *group {
 	j.group = g
 	s.flights[cs.key] = g
 	return g
-}
-
-// loadResumeJournal probes the interrupted run's journal — named after
-// the flight's leader job — and returns it when it is loadable and
-// matches the spec's design and flow. A missing, torn-at-birth or
-// mismatched journal just means a cold re-run; recovery never fails on
-// it.
-func (s *Server) loadResumeJournal(cs *compiledSpec, leader string) *flow.Journal {
-	if s.journalDir == "" {
-		return nil
-	}
-	f, err := os.Open(filepath.Join(s.journalDir, leader+".jsonl"))
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	j, err := flow.LoadJournal(f)
-	if err != nil {
-		return nil
-	}
-	if err := j.CheckDesign(flow.DesignDigest(cs.design), cs.spec.Flow); err != nil {
-		return nil
-	}
-	return j
 }

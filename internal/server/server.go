@@ -69,17 +69,17 @@ type Config struct {
 	// backs the /metrics endpoint (nil = no observation).
 	Observer *obs.Observer
 	// JournalDir, when set, writes each job's flow journal to
-	// <dir>/<job-id>.jsonl; in-flight jobs that complete during a drain
-	// are journaled there. When empty and StateDir is set, it defaults
-	// to <StateDir>/journals so crash recovery can always resume
-	// interrupted runs from their journals.
+	// <dir>/<job-id>.jsonl as an audit log; in-flight jobs that complete
+	// during a drain are journaled there.
 	JournalDir string
 	// StateDir, when set, makes accepted jobs crash-durable: every job
 	// state transition is appended to <dir>/jobs.wal (CRC-trailered,
 	// fsynced) before it is acknowledged, and Recover replays the log
-	// on boot — re-enqueueing jobs that never started and resuming
-	// interrupted runs from their journals. Recover must be called once
-	// before the server takes traffic; until then nothing is logged.
+	// on boot, re-enqueueing every job that had not finished. Unless
+	// Cache already has a disk tier, Recover also attaches one at
+	// <dir>/cache, so an interrupted run reuses the synthesis it
+	// finished. Recover must be called once before the server takes
+	// traffic; until then nothing is logged.
 	StateDir string
 	// StallTimeout arms the stuck-job watchdog: a running flight that
 	// makes no scheduler progress (virtual-time heartbeats) for longer
@@ -132,9 +132,6 @@ type group struct {
 	// often this flight was put back on the queue.
 	stalled  bool
 	requeues int
-	// resume carries a previous (crashed) run's journal so the flow
-	// skips completed stages.
-	resume *flow.Journal
 
 	journalFile *os.File // non-nil when a journal directory is set
 }
@@ -160,9 +157,6 @@ type Server struct {
 	// runFlow is the execution seam; tests substitute it to control
 	// run timing without touching the scheduling machinery.
 	runFlow func(ctx context.Context, cs *compiledSpec, opt flow.Options) (*flow.Result, error)
-
-	// journalDir is JournalDir after StateDir defaulting.
-	journalDir string
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -231,20 +225,16 @@ func New(cfg Config) *Server {
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 30 * time.Second
 	}
-	if cfg.JournalDir == "" && cfg.StateDir != "" {
-		cfg.JournalDir = filepath.Join(cfg.StateDir, "journals")
-	}
 	s := &Server{
-		cfg:        cfg,
-		now:        cfg.Now,
-		cache:      cfg.Cache,
-		stage:      cfg.StageCache,
-		journalDir: cfg.JournalDir,
-		jobs:       make(map[string]*Job),
-		flights:    make(map[string]*group),
-		queues:     make(map[string][]*group),
-		idem:       make(map[string]string),
-		breakers:   make(map[string]*breakerState),
+		cfg:      cfg,
+		now:      cfg.Now,
+		cache:    cfg.Cache,
+		stage:    cfg.StageCache,
+		jobs:     make(map[string]*Job),
+		flights:  make(map[string]*group),
+		queues:   make(map[string][]*group),
+		idem:     make(map[string]string),
+		breakers: make(map[string]*breakerState),
 	}
 	if s.now == nil {
 		s.now = time.Now
@@ -560,9 +550,6 @@ func (s *Server) execute(slot int, g *group) {
 	if g.cs.spec.ErrorPolicy == "collect" {
 		opt.ErrorPolicy = flow.Collect
 	}
-	s.mu.Lock()
-	opt.Resume = g.resume
-	s.mu.Unlock()
 	// Progress heartbeats feed the stall watchdog: each completed
 	// scheduler job advances the flight's virtual-time position and
 	// refreshes its wall-clock liveness.
@@ -749,9 +736,9 @@ func (s *Server) watchdog(quit chan struct{}) {
 }
 
 // openJournal creates the group's journal: in-memory always, backed by
-// a <journalDir>/<leader-job>.jsonl file when configured.
+// a <JournalDir>/<leader-job>.jsonl file when configured.
 func (s *Server) openJournal(g *group) (*flow.Journal, error) {
-	if s.journalDir == "" {
+	if s.cfg.JournalDir == "" {
 		return flow.NewJournal(nil), nil
 	}
 	s.mu.Lock()
@@ -760,10 +747,10 @@ func (s *Server) openJournal(g *group) (*flow.Journal, error) {
 		leader = g.jobs[0].ID
 	}
 	s.mu.Unlock()
-	if err := os.MkdirAll(s.journalDir, 0o755); err != nil {
+	if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: journal: %w", err)
 	}
-	f, err := os.Create(filepath.Join(s.journalDir, leader+".jsonl"))
+	f, err := os.Create(filepath.Join(s.cfg.JournalDir, leader+".jsonl"))
 	if err != nil {
 		return nil, fmt.Errorf("server: journal: %w", err)
 	}

@@ -20,7 +20,7 @@ import (
 //
 // The cache is bounded by an LRU eviction policy when MaxEntries is
 // set (SetMaxEntries; the default is unbounded, preserving the
-// original behaviour), so long strategy sweeps and resumed runs cannot
+// original behaviour), so long strategy sweeps and daemons cannot
 // grow memory without limit. Evictions only cost future re-synthesis
 // time — a checkpoint is pure derived state.
 //
@@ -162,31 +162,6 @@ func (c *CheckpointCache) Len() int {
 	return len(c.entries)
 }
 
-// Preload seeds the cache with a checkpoint under an externally-known
-// key — the resume path rehydrates journaled synthesis results through
-// it. Preloading counts as neither hit nor miss.
-//
-// Store precedence is first-store-wins: preloading a key that is
-// already cached is a no-op (the resident entry and its recency are
-// untouched), and conversely a preload that lands while a flight for
-// the same key is still computing wins the key — when the flight lands
-// on the occupied entry its result is discarded and every flight
-// subscriber is served the preloaded checkpoint. Keys are content
-// addresses, so whichever copy arrives first is the correct value.
-func (c *CheckpointCache) Preload(key string, ck *SynthCheckpoint) {
-	if key == "" || ck == nil {
-		return
-	}
-	c.mu.Lock()
-	stored, inserted := c.storeLocked(key, ck)
-	disk, demoted := c.disk, c.takeDemotedLocked()
-	c.mu.Unlock()
-	if disk != nil && inserted {
-		disk.Store(key, stored) //nolint:errcheck // best-effort durability tier
-	}
-	writeDemoted(disk, demoted)
-}
-
 // lookup fetches a deep copy of the checkpoint under key, counting the
 // access as a hit or miss and refreshing the entry's LRU position.
 func (c *CheckpointCache) lookup(key string) (*SynthCheckpoint, bool) {
@@ -202,21 +177,16 @@ func (c *CheckpointCache) lookup(key string) (*SynthCheckpoint, bool) {
 	return el.Value.(*lruEntry).ck.clone(), true
 }
 
-// storeLocked saves a deep copy of ck under key with first-store-wins
-// precedence: if the key is already occupied the resident checkpoint is
-// kept — value and LRU recency both untouched, the late store simply
-// discarded — and returned with inserted=false. On insert it returns
-// the cache-owned copy, which callers may hand to the disk tier (it is
-// never mutated) but must clone before handing to cache clients.
-// Callers hold c.mu.
-func (c *CheckpointCache) storeLocked(key string, ck *SynthCheckpoint) (stored *SynthCheckpoint, inserted bool) {
-	if el, ok := c.entries[key]; ok {
-		return el.Value.(*lruEntry).ck, false
-	}
-	stored = ck.clone()
+// storeLocked saves a deep copy of ck under key and returns the
+// cache-owned copy, which callers may hand to the disk tier (it is
+// never mutated) but must clone before handing to cache clients. The
+// key is never already present: only a flight lands a key, and a key
+// has at most one open flight. Callers hold c.mu.
+func (c *CheckpointCache) storeLocked(key string, ck *SynthCheckpoint) *SynthCheckpoint {
+	stored := ck.clone()
 	c.entries[key] = c.lru.PushFront(&lruEntry{key: key, ck: stored})
 	c.evict()
-	return stored, true
+	return stored
 }
 
 // materialize returns the checkpoint under key, computing it at most
@@ -233,10 +203,6 @@ func (c *CheckpointCache) storeLocked(key string, ck *SynthCheckpoint) (stored *
 // recency, so heavily-followed keys stay resident), a failed one
 // propagates the leader's error to all of them without wedging the
 // key — the next caller after a failure starts a fresh flight.
-//
-// If a Preload lands the key while the flight is computing, the
-// preloaded entry wins (see Preload): the flight's result is discarded
-// and the leader and every follower are served the resident checkpoint.
 func (c *CheckpointCache) materialize(key string, compute func() (*SynthCheckpoint, error)) (*SynthCheckpoint, flightRole, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -272,9 +238,9 @@ func (c *CheckpointCache) materialize(key string, compute func() (*SynthCheckpoi
 	// happens inside the flight, so concurrent callers of a disk-resident
 	// key cost exactly one file read and one promotion into memory.
 	if disk != nil {
-		if ck, ok := disk.Load(key); ok {
-			out := c.land(key, fl, ck, nil, true)
-			return out, roleHit, nil
+		if ck, ok := checkpointEntries.load(disk, key); ok {
+			c.land(key, fl, ck, nil, true)
+			return ck, roleHit, nil
 		}
 	}
 
@@ -282,32 +248,22 @@ func (c *CheckpointCache) materialize(key string, compute func() (*SynthCheckpoi
 	c.misses++
 	c.mu.Unlock()
 	ck, err := compute()
-	out := c.land(key, fl, ck, err, false)
+	c.land(key, fl, ck, err, false)
 	if err != nil {
 		return nil, roleLeader, err
 	}
-	return out, roleLeader, nil
+	return ck, roleLeader, nil
 }
 
-// land closes a flight with its outcome: on success the checkpoint is
-// stored (first-store-wins — a Preload that landed first keeps the key
-// and the flight result is discarded), written through to the disk tier
-// when the insert took, and returned as the value every flight caller
-// observes. hit marks a disk-served landing, which counts as a cache
-// hit instead of a miss.
-func (c *CheckpointCache) land(key string, fl *flight, ck *SynthCheckpoint, err error, hit bool) *SynthCheckpoint {
-	var out *SynthCheckpoint
-	var inserted bool
+// land closes a flight with its outcome: on success a copy of the
+// checkpoint is stored, written through to the disk tier (a no-op Stat
+// for a disk-served landing), and published to the followers (the
+// opener keeps ck itself, so no extra copy is made for it). hit marks a
+// disk-served landing, which counts as a cache hit instead of a miss.
+func (c *CheckpointCache) land(key string, fl *flight, ck *SynthCheckpoint, err error, hit bool) {
 	c.mu.Lock()
 	if err == nil {
-		var stored *SynthCheckpoint
-		stored, inserted = c.storeLocked(key, ck)
-		fl.ck = stored
-		if inserted {
-			out = ck // the opener owns ck; no extra copy needed
-		} else {
-			out = stored.clone() // first store won; serve the resident value
-		}
+		fl.ck = c.storeLocked(key, ck)
 		if hit {
 			c.hits++
 		}
@@ -318,11 +274,10 @@ func (c *CheckpointCache) land(key string, fl *flight, ck *SynthCheckpoint, err 
 	close(fl.done)
 	disk, demoted := c.disk, c.takeDemotedLocked()
 	c.mu.Unlock()
-	if disk != nil && inserted {
-		disk.Store(key, fl.ck) //nolint:errcheck // best-effort durability tier
+	if disk != nil && err == nil {
+		checkpointEntries.store(disk, key, fl.ck) //nolint:errcheck // best-effort durability tier
 	}
 	writeDemoted(disk, demoted)
-	return out
 }
 
 // evict drops least-recently-used entries until the bound is met. With
@@ -367,7 +322,7 @@ func writeDemoted(disk *DiskStore, entries []*lruEntry) {
 		return
 	}
 	for _, e := range entries {
-		disk.Store(e.key, e.ck) //nolint:errcheck // best-effort durability tier
+		checkpointEntries.store(disk, e.key, e.ck) //nolint:errcheck // best-effort durability tier
 	}
 }
 

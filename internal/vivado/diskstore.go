@@ -15,10 +15,13 @@ import (
 	"presp/internal/obs"
 )
 
-// DiskStore is the persistent tier under CheckpointCache: one file per
-// cache key holding the JSON-encoded checkpoint plus a CRC-32 trailer.
-// It is what lets a restarted daemon warm-start from the previous
-// process's synthesis corpus instead of re-paying every modelled run.
+// DiskStore is the persistent tier under CheckpointCache and StageCache:
+// one file per cache key holding a JSON body plus a CRC-32 trailer. The
+// two entry kinds (checkpointEntries, artifactEntries) share one read
+// path and one write path and differ only in file extension and body
+// check. The store is what lets a restarted daemon — or a rerun of an
+// interrupted flow — warm-start from the previous process's synthesis
+// corpus instead of re-paying every modelled run.
 //
 // Durability discipline:
 //
@@ -40,7 +43,7 @@ import (
 // The store is bounded by an optional byte budget (SetMaxBytes): after
 // each write, entries are garbage-collected oldest-access-first until
 // the total size fits. Access order is tracked through file mtimes — a
-// successful Load touches its entry — which keeps the policy intact
+// successful load touches its entry — which keeps the policy intact
 // across restarts without a sidecar index.
 //
 // All methods are safe for concurrent use; the store serializes its
@@ -78,16 +81,31 @@ type DiskStore struct {
 	hStore   *obs.Histogram
 }
 
-// diskEntryExt is the filename suffix of a live checkpoint entry,
-// diskArtifactExt the suffix of a stage-artifact entry (floorplan
-// solutions, implementation results, bitstream images — see StageCache);
-// quarantined files carry diskQuarantineExt appended to their full name.
-// The two live kinds must stay distinct: checkpoint entries are decoded
-// strictly as SynthCheckpoint, artifact entries as opaque JSON.
-const (
-	diskEntryExt      = ".ckpt"
-	diskArtifactExt   = ".art"
-	diskQuarantineExt = ".bad"
+// diskQuarantineExt is appended to the full name of a quarantined
+// entry file ("<key>.ckpt.bad", "<key>.art.bad").
+const diskQuarantineExt = ".bad"
+
+// diskKind is one kind of live store entry. Both kinds go through the
+// same verified read path (load) and atomic write path (store); they
+// differ only in file extension and in how a body is encoded and
+// checked. The extensions must stay distinct: checkpoint entries are
+// decoded strictly as SynthCheckpoint, artifact entries as opaque JSON.
+// Keys are the caches' hex digests, so "<key><ext>" is always a safe
+// file name.
+type diskKind[T any] struct {
+	ext    string
+	encode func(T) ([]byte, error)
+	// decode checks a CRC-verified body (without its terminating
+	// newline) in exactly one parse pass.
+	decode func(body []byte) (T, error)
+}
+
+var (
+	// checkpointEntries are synthesis checkpoints (CheckpointCache).
+	checkpointEntries = diskKind[*SynthCheckpoint]{ext: ".ckpt", encode: encodeCheckpoint, decode: decodeCheckpoint}
+	// artifactEntries are stage-artifact JSON bodies — floorplan
+	// solutions, implementation results, bitstream images (StageCache).
+	artifactEntries = diskKind[[]byte]{ext: ".art", encode: checkArtifact, decode: checkArtifact}
 )
 
 // quarantineMaxAge bounds how long a quarantined *.bad file is kept
@@ -236,72 +254,71 @@ func (ds *DiskStore) Stats() DiskStats {
 // Len returns the number of live entries on disk.
 func (ds *DiskStore) Len() int { return ds.Stats().Entries }
 
-// path maps a cache key to its entry file. Keys are the cache's hex
-// digests, so they are always filename-safe; anything else is rejected
-// by the callers before reaching disk.
-func (ds *DiskStore) path(key string) string {
-	return filepath.Join(ds.dir, key+diskEntryExt)
-}
-
-// artifactPath maps a stage-artifact key to its entry file.
-func (ds *DiskStore) artifactPath(key string) string {
-	return filepath.Join(ds.dir, key+diskArtifactExt)
-}
-
-// Load fetches the checkpoint stored under key. A present, verified
-// entry is returned (and its access time refreshed for the GC's
-// oldest-first ordering); a missing one is a miss; a corrupt one is
-// quarantined and reported as a miss.
-func (ds *DiskStore) Load(key string) (*SynthCheckpoint, bool) {
+// load fetches the entry stored under key: read, CRC trailer, body
+// check. A present, verified entry is returned and its mtime refreshed
+// for the GC's oldest-access-first ordering; a missing one is a miss; a
+// damaged one is quarantined and reported as a miss.
+func (k diskKind[T]) load(ds *DiskStore, key string) (T, bool) {
+	var zero T
 	if key == "" {
-		return nil, false
+		return zero, false
 	}
 	start := time.Now()
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	defer func() { ds.hLoad.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	path := ds.path(key)
+	path := filepath.Join(ds.dir, key+k.ext)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		count(&ds.misses, &ds.exported.misses, ds.mMisses)
-		return nil, false
+		return zero, false
 	}
-	ck, err := decodeDiskEntry(data)
+	v, err := k.open(data)
 	if err != nil {
 		ds.quarantineLocked(path, int64(len(data)))
 		count(&ds.misses, &ds.exported.misses, ds.mMisses)
-		return nil, false
+		return zero, false
 	}
 	// Touch the entry: GC evicts oldest-accessed first, and mtime is the
 	// access record that survives restarts.
 	now := time.Now()
 	os.Chtimes(path, now, now) //nolint:errcheck // best-effort recency hint
 	count(&ds.hits, &ds.exported.hits, ds.mHits)
-	return ck, true
+	return v, true
 }
 
-// Store persists ck under key with an atomic CreateTemp+Rename write,
+// store persists v under key with an atomic CreateTemp+Rename write,
 // then applies the byte budget. Storing an already-present key is a
 // cheap no-op — entries are content-addressed, so same key means same
 // bytes. Failures are returned but never poison the store: the worst
 // outcome of a failed write is a missing entry.
-func (ds *DiskStore) Store(key string, ck *SynthCheckpoint) error {
-	if key == "" || ck == nil {
-		return fmt.Errorf("vivado: disk store: empty key or nil checkpoint")
+func (k diskKind[T]) store(ds *DiskStore, key string, v T) error {
+	if key == "" {
+		return fmt.Errorf("vivado: disk store: empty key")
 	}
 	start := time.Now()
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	defer func() { ds.hStore.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	path := ds.path(key)
+	path := filepath.Join(ds.dir, key+k.ext)
 	if _, err := os.Stat(path); err == nil {
 		return nil // content-addressed: the entry is already durable
 	}
-	data, err := encodeDiskEntry(ck)
+	body, err := k.encode(v)
 	if err != nil {
 		return fmt.Errorf("vivado: disk store: %w", err)
 	}
-	return ds.writeEntryLocked(path, data)
+	return ds.writeEntryLocked(path, sealDiskPayload(body))
+}
+
+// open verifies one entry file's CRC trailer and checks its body.
+func (k diskKind[T]) open(data []byte) (T, error) {
+	body, err := openDiskPayload(data)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return k.decode(body)
 }
 
 // writeEntryLocked persists one sealed entry with an atomic
@@ -331,18 +348,18 @@ func (ds *DiskStore) writeEntryLocked(path string, data []byte) error {
 	return nil
 }
 
-// sealDiskPayload renders the on-disk form shared by checkpoint and
-// artifact entries: the JSON body as one line followed by the CRC-32
-// (IEEE) trailer of everything before it.
+// sealDiskPayload renders the on-disk form shared by both entry kinds:
+// the JSON body as one line followed by the CRC-32 (IEEE) trailer of
+// everything before it.
 func sealDiskPayload(body []byte) []byte {
 	body = append(append([]byte(nil), body...), '\n')
 	return append(body, fmt.Sprintf("crc32:%08x\n", crc32.ChecksumIEEE(body))...)
 }
 
 // openDiskPayload verifies the CRC trailer of one entry file and
-// returns the body (including its terminating newline): trailer
-// present, byte-exact, CRC matching. Any failure means the file cannot
-// be trusted and must be quarantined by the caller.
+// returns the body without its terminating newline: trailer present,
+// byte-exact, CRC matching. Any failure means the file cannot be
+// trusted and must be quarantined by the caller.
 func openDiskPayload(data []byte) ([]byte, error) {
 	if len(data) < diskTrailerLen {
 		return nil, fmt.Errorf("short entry (%d bytes)", len(data))
@@ -370,26 +387,19 @@ func openDiskPayload(data []byte) ([]byte, error) {
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("CRC mismatch (got %08x, want %08x)", got, want)
 	}
-	return body, nil
+	return bytes.TrimSuffix(body, []byte("\n")), nil
 }
 
-// encodeDiskEntry renders a checkpoint's on-disk form.
-func encodeDiskEntry(ck *SynthCheckpoint) ([]byte, error) {
-	body, err := json.Marshal(ck)
-	if err != nil {
-		return nil, err
+func encodeCheckpoint(ck *SynthCheckpoint) ([]byte, error) {
+	if ck == nil {
+		return nil, fmt.Errorf("nil checkpoint")
 	}
-	return sealDiskPayload(body), nil
+	return json.Marshal(ck)
 }
 
-// decodeDiskEntry verifies and decodes one checkpoint entry file:
-// trailer present, CRC matching, body decodable. Any failure means the
-// file cannot be trusted and must be quarantined by the caller.
-func decodeDiskEntry(data []byte) (*SynthCheckpoint, error) {
-	body, err := openDiskPayload(data)
-	if err != nil {
-		return nil, err
-	}
+// decodeCheckpoint decodes a checkpoint body strictly: unknown fields
+// and a missing module name both reject the entry.
+func decodeCheckpoint(body []byte) (*SynthCheckpoint, error) {
 	ck := &SynthCheckpoint{}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -402,70 +412,14 @@ func decodeDiskEntry(data []byte) (*SynthCheckpoint, error) {
 	return ck, nil
 }
 
-// decodeDiskArtifact verifies one stage-artifact entry file and returns
-// its JSON body (without the body's terminating newline). Artifacts are
-// opaque to the store beyond being valid JSON — the flow layer owns
-// their schema — but the same CRC discipline applies: a damaged file is
-// quarantined, never served.
-func decodeDiskArtifact(data []byte) ([]byte, error) {
-	body, err := openDiskPayload(data)
-	if err != nil {
-		return nil, err
-	}
-	body = bytes.TrimSuffix(body, []byte("\n"))
-	if !json.Valid(body) {
+// checkArtifact is both directions of the artifact codec: a body must
+// be valid JSON to be written or served. Artifacts are otherwise opaque
+// to the store — the flow layer owns their schema.
+func checkArtifact(body []byte) ([]byte, error) {
+	if len(body) == 0 || !json.Valid(body) {
 		return nil, fmt.Errorf("artifact body is not valid JSON")
 	}
 	return body, nil
-}
-
-// LoadArtifact fetches the stage-artifact JSON stored under key, with
-// the same verify/touch/quarantine semantics as Load.
-func (ds *DiskStore) LoadArtifact(key string) ([]byte, bool) {
-	if key == "" {
-		return nil, false
-	}
-	start := time.Now()
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	defer func() { ds.hLoad.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	path := ds.artifactPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		count(&ds.misses, &ds.exported.misses, ds.mMisses)
-		return nil, false
-	}
-	body, err := decodeDiskArtifact(data)
-	if err != nil {
-		ds.quarantineLocked(path, int64(len(data)))
-		count(&ds.misses, &ds.exported.misses, ds.mMisses)
-		return nil, false
-	}
-	now := time.Now()
-	os.Chtimes(path, now, now) //nolint:errcheck // best-effort recency hint
-	count(&ds.hits, &ds.exported.hits, ds.mHits)
-	return body, true
-}
-
-// StoreArtifact persists a stage-artifact JSON body under key with the
-// same atomic-write and byte-budget semantics as Store. Keys are
-// content addresses, so an already-present key is a no-op.
-func (ds *DiskStore) StoreArtifact(key string, body []byte) error {
-	if key == "" || len(body) == 0 {
-		return fmt.Errorf("vivado: disk store: empty artifact key or body")
-	}
-	if !json.Valid(body) {
-		return fmt.Errorf("vivado: disk store: artifact body is not valid JSON")
-	}
-	start := time.Now()
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	defer func() { ds.hStore.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	path := ds.artifactPath(key)
-	if _, err := os.Stat(path); err == nil {
-		return nil // content-addressed: the entry is already durable
-	}
-	return ds.writeEntryLocked(path, sealDiskPayload(body))
 }
 
 // quarantineLocked moves a corrupt entry aside as <name>.bad (deleting
@@ -515,10 +469,10 @@ func (ds *DiskStore) verifyAll() error {
 			continue // vanished between ReadDir and read; nothing to count
 		}
 		var decodeErr error
-		if filepath.Ext(name) == diskArtifactExt {
-			_, decodeErr = decodeDiskArtifact(data)
+		if filepath.Ext(name) == artifactEntries.ext {
+			_, decodeErr = artifactEntries.open(data)
 		} else {
-			_, decodeErr = decodeDiskEntry(data)
+			_, decodeErr = checkpointEntries.open(data)
 		}
 		if decodeErr != nil {
 			ds.quarantineLocked(path, 0)
@@ -542,7 +496,7 @@ type diskFile struct {
 // filepath.Ext is ".bad" and the two predicates are disjoint.
 func isLiveEntry(name string) bool {
 	ext := filepath.Ext(name)
-	return ext == diskEntryExt || ext == diskArtifactExt
+	return ext == checkpointEntries.ext || ext == artifactEntries.ext
 }
 func isQuarantined(name string) bool { return strings.HasSuffix(name, diskQuarantineExt) }
 

@@ -38,10 +38,10 @@ func openTestStore(t *testing.T) *DiskStore {
 func TestDiskStoreRoundTrip(t *testing.T) {
 	ds := openTestStore(t)
 	ck := testCheckpoint("acc")
-	if err := ds.Store("k1", ck); err != nil {
+	if err := checkpointEntries.store(ds, "k1", ck); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := ds.Load("k1")
+	got, ok := checkpointEntries.load(ds, "k1")
 	if !ok {
 		t.Fatal("stored entry did not load")
 	}
@@ -51,11 +51,11 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	// Loads hand out independent copies: mutating one must not leak into
 	// the next.
 	got.BlackBoxes[0] = "mutated"
-	again, _ := ds.Load("k1")
+	again, _ := checkpointEntries.load(ds, "k1")
 	if again.BlackBoxes[0] != "u_rp0" {
 		t.Fatal("disk loads alias each other")
 	}
-	if err := ds.Store("k1", testCheckpoint("other")); err != nil {
+	if err := checkpointEntries.store(ds, "k1", testCheckpoint("other")); err != nil {
 		t.Fatal(err)
 	}
 	st := ds.Stats()
@@ -65,7 +65,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if st.Hits != 2 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 2 hits / 1 entry", st)
 	}
-	if _, ok := ds.Load("absent"); ok {
+	if _, ok := checkpointEntries.load(ds, "absent"); ok {
 		t.Fatal("missing key loaded")
 	}
 	if st := ds.Stats(); st.Misses != 1 {
@@ -80,13 +80,13 @@ func TestDiskStoreRejectsBadInput(t *testing.T) {
 		t.Fatal("empty directory accepted")
 	}
 	ds := openTestStore(t)
-	if err := ds.Store("", testCheckpoint("x")); err == nil {
+	if err := checkpointEntries.store(ds, "", testCheckpoint("x")); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	if err := ds.Store("k", nil); err == nil {
+	if err := checkpointEntries.store(ds, "k", nil); err == nil {
 		t.Fatal("nil checkpoint accepted")
 	}
-	if _, ok := ds.Load(""); ok {
+	if _, ok := checkpointEntries.load(ds, ""); ok {
 		t.Fatal("empty key loaded")
 	}
 }
@@ -94,7 +94,7 @@ func TestDiskStoreRejectsBadInput(t *testing.T) {
 // corruptEntry flips one byte in the on-disk file for key.
 func corruptEntry(t *testing.T, ds *DiskStore, key string, offset int) {
 	t.Helper()
-	path := filepath.Join(ds.Dir(), key+diskEntryExt)
+	path := filepath.Join(ds.Dir(), key+checkpointEntries.ext)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -110,28 +110,28 @@ func corruptEntry(t *testing.T, ds *DiskStore, key string, offset int) {
 // recomputed and stored again.
 func TestDiskStoreQuarantineCorrupt(t *testing.T) {
 	ds := openTestStore(t)
-	if err := ds.Store("k1", testCheckpoint("acc")); err != nil {
+	if err := checkpointEntries.store(ds, "k1", testCheckpoint("acc")); err != nil {
 		t.Fatal(err)
 	}
 	corruptEntry(t, ds, "k1", 3)
-	if _, ok := ds.Load("k1"); ok {
+	if _, ok := checkpointEntries.load(ds, "k1"); ok {
 		t.Fatal("corrupt entry loaded")
 	}
 	st := ds.Stats()
 	if st.Corrupt != 1 || st.Misses != 1 || st.Entries != 0 {
 		t.Fatalf("stats after corruption = %+v, want 1 corrupt / 1 miss / 0 entries", st)
 	}
-	if _, err := os.Stat(filepath.Join(ds.Dir(), "k1"+diskEntryExt+diskQuarantineExt)); err != nil {
+	if _, err := os.Stat(filepath.Join(ds.Dir(), "k1"+checkpointEntries.ext+diskQuarantineExt)); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(ds.Dir(), "k1"+diskEntryExt)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(ds.Dir(), "k1"+checkpointEntries.ext)); !os.IsNotExist(err) {
 		t.Fatal("corrupt entry still present under its live name")
 	}
 	// The key is recomputable: a fresh store makes it loadable again.
-	if err := ds.Store("k1", testCheckpoint("acc")); err != nil {
+	if err := checkpointEntries.store(ds, "k1", testCheckpoint("acc")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ds.Load("k1"); !ok {
+	if _, ok := checkpointEntries.load(ds, "k1"); !ok {
 		t.Fatal("recomputed entry did not load")
 	}
 }
@@ -140,14 +140,14 @@ func TestDiskStoreQuarantineCorrupt(t *testing.T) {
 // is quarantined, not trusted.
 func TestDiskStoreTruncatedEntry(t *testing.T) {
 	ds := openTestStore(t)
-	if err := ds.Store("k1", testCheckpoint("acc")); err != nil {
+	if err := checkpointEntries.store(ds, "k1", testCheckpoint("acc")); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(ds.Dir(), "k1"+diskEntryExt)
+	path := filepath.Join(ds.Dir(), "k1"+checkpointEntries.ext)
 	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ds.Load("k1"); ok {
+	if _, ok := checkpointEntries.load(ds, "k1"); ok {
 		t.Fatal("truncated entry loaded")
 	}
 	if st := ds.Stats(); st.Corrupt != 1 {
@@ -164,14 +164,14 @@ func TestDiskStoreVerifyAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Store("good", testCheckpoint("acc")); err != nil {
+	if err := checkpointEntries.store(ds, "good", testCheckpoint("acc")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Store("bad", testCheckpoint("acc2")); err != nil {
+	if err := checkpointEntries.store(ds, "bad", testCheckpoint("acc2")); err != nil {
 		t.Fatal(err)
 	}
 	corruptEntry(t, ds, "bad", 5)
-	if err := os.WriteFile(filepath.Join(dir, "garbage"+diskEntryExt), []byte("not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "garbage"+checkpointEntries.ext), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,10 +183,10 @@ func TestDiskStoreVerifyAtOpen(t *testing.T) {
 	if st.Entries != 1 || st.Corrupt != 2 {
 		t.Fatalf("stats after reopen = %+v, want 1 entry / 2 corrupt", st)
 	}
-	if _, ok := ds2.Load("good"); !ok {
+	if _, ok := checkpointEntries.load(ds2, "good"); !ok {
 		t.Fatal("good entry lost across reopen")
 	}
-	if _, ok := ds2.Load("bad"); ok {
+	if _, ok := checkpointEntries.load(ds2, "bad"); ok {
 		t.Fatal("corrupt entry loaded after reopen")
 	}
 }
@@ -198,7 +198,7 @@ func TestDiskStoreGCOldestFirst(t *testing.T) {
 	ds := openTestStore(t)
 	var size int64
 	for _, k := range []string{"k1", "k2", "k3"} {
-		if err := ds.Store(k, testCheckpoint("m_"+k)); err != nil {
+		if err := checkpointEntries.store(ds, k, testCheckpoint("m_"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func TestDiskStoreGCOldestFirst(t *testing.T) {
 	base := time.Now().Add(-time.Hour)
 	for i, k := range []string{"k1", "k2", "k3"} {
 		ts := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(filepath.Join(ds.Dir(), k+diskEntryExt), ts, ts); err != nil {
+		if err := os.Chtimes(filepath.Join(ds.Dir(), k+checkpointEntries.ext), ts, ts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,21 +217,21 @@ func TestDiskStoreGCOldestFirst(t *testing.T) {
 	if st.Entries != 2 || st.GCEvictions != 1 {
 		t.Fatalf("stats after GC = %+v, want 2 entries / 1 eviction", st)
 	}
-	if _, ok := ds.Load("k1"); ok {
+	if _, ok := checkpointEntries.load(ds, "k1"); ok {
 		t.Fatal("oldest entry survived the byte budget")
 	}
 	// That Load was a miss; k2 is now the oldest — but touching it via a
 	// successful Load must protect it, so adding a new entry evicts k3.
-	if _, ok := ds.Load("k2"); !ok {
+	if _, ok := checkpointEntries.load(ds, "k2"); !ok {
 		t.Fatal("k2 missing")
 	}
-	if err := ds.Store("k4", testCheckpoint("m_k4")); err != nil {
+	if err := checkpointEntries.store(ds, "k4", testCheckpoint("m_k4")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ds.Load("k2"); !ok {
+	if _, ok := checkpointEntries.load(ds, "k2"); !ok {
 		t.Fatal("recently-loaded entry was GC'd ahead of older ones")
 	}
-	if _, ok := ds.Load("k3"); ok {
+	if _, ok := checkpointEntries.load(ds, "k3"); ok {
 		t.Fatal("stale entry survived while a fresher one was evicted")
 	}
 }
@@ -242,17 +242,17 @@ func TestDiskStoreObserver(t *testing.T) {
 	ds := openTestStore(t)
 	o := obs.New()
 	ds.SetObserver(o)
-	if err := ds.Store("k1", testCheckpoint("acc")); err != nil {
+	if err := checkpointEntries.store(ds, "k1", testCheckpoint("acc")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ds.Load("k1"); !ok {
+	if _, ok := checkpointEntries.load(ds, "k1"); !ok {
 		t.Fatal("load failed")
 	}
-	if _, ok := ds.Load("absent"); ok {
+	if _, ok := checkpointEntries.load(ds, "absent"); ok {
 		t.Fatal("phantom hit")
 	}
 	corruptEntry(t, ds, "k1", 2)
-	if _, ok := ds.Load("k1"); ok {
+	if _, ok := checkpointEntries.load(ds, "k1"); ok {
 		t.Fatal("corrupt load succeeded")
 	}
 	snap := o.Metrics().Snapshot()
@@ -336,7 +336,7 @@ func TestCacheDiskWriteThroughAndWarmRestart(t *testing.T) {
 // flight, and everyone shares the promoted checkpoint.
 func TestCacheDiskPromotionSingleFlight(t *testing.T) {
 	ds := openTestStore(t)
-	if err := ds.Store("k", testCheckpoint("acc")); err != nil {
+	if err := checkpointEntries.store(ds, "k", testCheckpoint("acc")); err != nil {
 		t.Fatal(err)
 	}
 	cache := NewCheckpointCache()
@@ -379,9 +379,9 @@ func TestCacheDiskPromotionSingleFlight(t *testing.T) {
 // the key is later served back from disk as a hit.
 func TestCacheEvictionDemotesToDisk(t *testing.T) {
 	cache := NewCheckpointCache()
-	// Preload while memory-only, so nothing is on disk yet.
-	cache.Preload("a", testCheckpoint("ma"))
-	cache.Preload("b", testCheckpoint("mb"))
+	// Insert while memory-only, so nothing is on disk yet.
+	insert(t, cache, "a", "ma")
+	insert(t, cache, "b", "mb")
 	ds := openTestStore(t)
 	cache.SetDiskStore(ds)
 	if ds.Len() != 0 {
@@ -404,55 +404,79 @@ func TestCacheEvictionDemotesToDisk(t *testing.T) {
 	}
 }
 
-// FuzzDiskEntry mutates a valid on-disk entry — truncation plus a byte
-// flip at an arbitrary offset — and asserts the decoder never trusts a
-// damaged file: any real mutation must fail decoding, and the unmutated
-// entry must decode to exactly the original checkpoint.
+// FuzzDiskEntry mutates a valid on-disk entry of each kind — truncation
+// plus a byte flip at an arbitrary offset — and loads it through the
+// shared read path of a real store: a damaged file must never be
+// trusted (miss, quarantined), and the unmutated entry must load back
+// exactly the original value.
 func FuzzDiskEntry(f *testing.F) {
 	ck := testCheckpoint("fuzz_mod")
-	valid, err := encodeDiskEntry(ck)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(0, byte(0), len(valid))
-	f.Add(3, byte(1), len(valid))
+	n := len(sealDiskPayload(mustEncode(f, checkpointEntries, ck)))
+	f.Add(0, byte(0), n)
+	f.Add(3, byte(1), n)
 	f.Add(0, byte(0), 0)
-	f.Add(len(valid)-1, byte(0x80), len(valid))
+	f.Add(n-1, byte(0x80), n)
 	f.Add(0, byte(0xff), diskTrailerLen)
+	art := []byte(`{"plan":{"rt_1_rp":[0,4,12,20]},"minutes":41.5}`)
 	f.Fuzz(func(t *testing.T, off int, flip byte, keep int) {
-		data := append([]byte(nil), valid...)
-		if keep < 0 {
-			keep = -keep
-		}
-		if keep > len(data) {
-			keep = len(data)
-		}
-		data = data[:keep]
-		mutated := keep < len(valid)
-		if len(data) > 0 {
-			i := off % len(data)
-			if i < 0 {
-				i += len(data)
-			}
-			data[i] ^= flip
-			if flip != 0 {
-				mutated = true
-			}
-		}
-		got, err := decodeDiskEntry(data)
-		if !mutated {
-			if err != nil {
-				t.Fatalf("pristine entry rejected: %v", err)
-			}
-			if !reflect.DeepEqual(got, ck) {
-				t.Fatalf("pristine entry decoded to %+v, want %+v", got, ck)
-			}
-			return
-		}
-		if err == nil {
-			t.Fatalf("mutated entry (keep=%d flip=%#x off=%d) decoded to %+v", keep, flip, off, got)
-		}
+		fuzzDiskKind(t, checkpointEntries, ck, off, flip, keep)
+		fuzzDiskKind(t, artifactEntries, art, off, flip, keep)
 	})
+}
+
+func mustEncode[T any](tb testing.TB, k diskKind[T], v T) []byte {
+	tb.Helper()
+	body, err := k.encode(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// fuzzDiskKind is one FuzzDiskEntry leg: seal want as a kind-k entry,
+// mutate it, write it into a fresh store and load it back.
+func fuzzDiskKind[T any](t *testing.T, k diskKind[T], want T, off int, flip byte, keep int) {
+	t.Helper()
+	valid := sealDiskPayload(mustEncode(t, k, want))
+	data := append([]byte(nil), valid...)
+	if keep < 0 {
+		keep = -keep
+	}
+	if keep > len(data) {
+		keep = len(data)
+	}
+	data = data[:keep]
+	mutated := keep < len(valid)
+	if len(data) > 0 {
+		i := off % len(data)
+		if i < 0 {
+			i += len(data)
+		}
+		data[i] ^= flip
+		if flip != 0 {
+			mutated = true
+		}
+	}
+	ds := openTestStore(t)
+	if err := os.WriteFile(filepath.Join(ds.Dir(), "k"+k.ext), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := k.load(ds, "k")
+	if !mutated {
+		if !ok {
+			t.Fatalf("%s: pristine entry rejected", k.ext)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: pristine entry loaded as %+v, want %+v", k.ext, got, want)
+		}
+		return
+	}
+	if ok {
+		t.Fatalf("%s: mutated entry (keep=%d flip=%#x off=%d) loaded as %+v", k.ext, keep, flip, off, got)
+	}
+	if st := ds.Stats(); st.Corrupt != 1 || st.Entries != 0 {
+		t.Fatalf("%s: mutated entry not quarantined: %+v", k.ext, st)
+	}
 }
 
 // TestDiskStoreQuarantineAgeOut: a quarantined *.bad file is kept for
@@ -462,11 +486,11 @@ func TestDiskStoreQuarantineAgeOut(t *testing.T) {
 	ds := openTestStore(t)
 	o := obs.New()
 	ds.SetObserver(o)
-	if err := ds.Store("k1", testCheckpoint("acc")); err != nil {
+	if err := checkpointEntries.store(ds, "k1", testCheckpoint("acc")); err != nil {
 		t.Fatal(err)
 	}
 	corruptEntry(t, ds, "k1", 3)
-	if _, ok := ds.Load("k1"); ok {
+	if _, ok := checkpointEntries.load(ds, "k1"); ok {
 		t.Fatal("corrupt entry loaded")
 	}
 	st := ds.Stats()
@@ -475,7 +499,7 @@ func TestDiskStoreQuarantineAgeOut(t *testing.T) {
 	}
 
 	// A fresh quarantine survives a GC pass...
-	if err := ds.Store("k2", testCheckpoint("acc2")); err != nil {
+	if err := checkpointEntries.store(ds, "k2", testCheckpoint("acc2")); err != nil {
 		t.Fatal(err)
 	}
 	if st := ds.Stats(); st.Quarantined != 1 || st.QuarantineEvictions != 0 {
@@ -483,12 +507,12 @@ func TestDiskStoreQuarantineAgeOut(t *testing.T) {
 	}
 
 	// ...but once older than quarantineMaxAge the next pass removes it.
-	bad := filepath.Join(ds.Dir(), "k1"+diskEntryExt+diskQuarantineExt)
+	bad := filepath.Join(ds.Dir(), "k1"+checkpointEntries.ext+diskQuarantineExt)
 	old := time.Now().Add(-quarantineMaxAge - time.Hour)
 	if err := os.Chtimes(bad, old, old); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Store("k3", testCheckpoint("acc3")); err != nil {
+	if err := checkpointEntries.store(ds, "k3", testCheckpoint("acc3")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
@@ -511,13 +535,13 @@ func TestDiskStoreQuarantineAgeOut(t *testing.T) {
 func TestDiskStoreQuarantineCountsAgainstBudget(t *testing.T) {
 	ds := openTestStore(t)
 	for _, k := range []string{"k1", "k2", "k3"} {
-		if err := ds.Store(k, testCheckpoint("m_"+k)); err != nil {
+		if err := checkpointEntries.store(ds, k, testCheckpoint("m_"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	size := ds.Stats().Bytes / 3
 	corruptEntry(t, ds, "k2", 3)
-	if _, ok := ds.Load("k2"); ok {
+	if _, ok := checkpointEntries.load(ds, "k2"); ok {
 		t.Fatal("corrupt entry loaded")
 	}
 	// Live: k1 + k3 (2*size). Quarantined: k2's corpse (size). A budget
@@ -532,7 +556,7 @@ func TestDiskStoreQuarantineCountsAgainstBudget(t *testing.T) {
 		t.Fatalf("stats = %+v, want both live entries untouched", st)
 	}
 	for _, k := range []string{"k1", "k3"} {
-		if _, ok := ds.Load(k); !ok {
+		if _, ok := checkpointEntries.load(ds, k); !ok {
 			t.Fatalf("live entry %s lost to a quarantine corpse", k)
 		}
 	}
@@ -555,7 +579,7 @@ func TestDiskStoreGCRacesConcurrentLoads(t *testing.T) {
 		keys = append(keys, fmt.Sprintf("k%02d", i))
 	}
 	for _, k := range keys {
-		if err := ds.Store(k, testCheckpoint("m_"+k)); err != nil {
+		if err := checkpointEntries.store(ds, k, testCheckpoint("m_"+k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -574,7 +598,7 @@ func TestDiskStoreGCRacesConcurrentLoads(t *testing.T) {
 				ds.SetMaxBytes(0)
 			}
 			k := keys[i%len(keys)]
-			ds.Store(k, testCheckpoint("m_"+k)) //nolint:errcheck // churn; misses are fine
+			checkpointEntries.store(ds, k, testCheckpoint("m_"+k)) //nolint:errcheck // churn; misses are fine
 		}
 	}()
 	// Promoting readers: materialize through the cache; the compute
@@ -607,7 +631,7 @@ func TestDiskStoreGCRacesConcurrentLoads(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := keys[(g*5+i)%len(keys)]
-				if ck, ok := ds.Load(k); ok && ck.Name != "m_"+k {
+				if ck, ok := checkpointEntries.load(ds, k); ok && ck.Name != "m_"+k {
 					t.Errorf("Load %s returned %q", k, ck.Name)
 					return
 				}
@@ -620,10 +644,10 @@ func TestDiskStoreGCRacesConcurrentLoads(t *testing.T) {
 	// recomputable and loadable.
 	ds.SetMaxBytes(0)
 	for _, k := range keys {
-		if err := ds.Store(k, testCheckpoint("m_"+k)); err != nil {
+		if err := checkpointEntries.store(ds, k, testCheckpoint("m_"+k)); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := ds.Load(k); !ok {
+		if _, ok := checkpointEntries.load(ds, k); !ok {
 			t.Fatalf("key %s unloadable after the churn", k)
 		}
 	}

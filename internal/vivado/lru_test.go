@@ -44,12 +44,22 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// insert lands a checkpoint named name under key through a flight.
+func insert(t *testing.T, cache *CheckpointCache, key, name string) {
+	t.Helper()
+	if _, _, err := cache.materialize(key, func() (*SynthCheckpoint, error) {
+		return &SynthCheckpoint{Name: name, Runtime: 1}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCacheSetMaxEntriesShrinks: lowering the bound on a full cache
 // evicts immediately; zero removes the bound.
 func TestCacheSetMaxEntriesShrinks(t *testing.T) {
 	cache := NewCheckpointCache()
 	for i := 0; i < 5; i++ {
-		cache.Preload(fmt.Sprintf("k%d", i), &SynthCheckpoint{Name: fmt.Sprintf("m%d", i), Runtime: 1})
+		insert(t, cache, fmt.Sprintf("k%d", i), fmt.Sprintf("m%d", i))
 	}
 	if cache.Len() != 5 || cache.Evictions() != 0 {
 		t.Fatalf("unbounded cache evicted: len=%d evictions=%d", cache.Len(), cache.Evictions())
@@ -61,7 +71,7 @@ func TestCacheSetMaxEntriesShrinks(t *testing.T) {
 	if cache.Evictions() != 3 {
 		t.Fatalf("Evictions after shrink = %d, want 3", cache.Evictions())
 	}
-	// The two most recently preloaded entries survive.
+	// The two most recently inserted entries survive.
 	for _, k := range []string{"k3", "k4"} {
 		if _, ok := cache.lookup(k); !ok {
 			t.Fatalf("recent entry %s was evicted", k)
@@ -69,7 +79,7 @@ func TestCacheSetMaxEntriesShrinks(t *testing.T) {
 	}
 	cache.SetMaxEntries(0)
 	for i := 5; i < 20; i++ {
-		cache.Preload(fmt.Sprintf("k%d", i), &SynthCheckpoint{Name: "m", Runtime: 1})
+		insert(t, cache, fmt.Sprintf("k%d", i), "m")
 	}
 	if cache.Len() != 17 {
 		t.Fatalf("unbounding failed: len=%d, want 17", cache.Len())
@@ -107,8 +117,7 @@ func TestFollowerHitRefreshesLRURecency(t *testing.T) {
 		// Land the flight the way a leader would, and age "hot" behind
 		// "cold" before the follower can observe anything.
 		cache.mu.Lock()
-		stored, _ := cache.storeLocked("hot", &SynthCheckpoint{Name: "hot", Runtime: 1})
-		fl.ck = stored
+		fl.ck = cache.storeLocked("hot", &SynthCheckpoint{Name: "hot", Runtime: 1})
 		delete(cache.inflight, "hot")
 		cache.storeLocked("cold", &SynthCheckpoint{Name: "cold", Runtime: 1})
 		close(fl.done)
@@ -134,31 +143,4 @@ func TestFollowerHitRefreshesLRURecency(t *testing.T) {
 		return
 	}
 	t.Skip("could not park a follower in 50 attempts")
-}
-
-// TestCachePreloadSemantics: preloading counts as neither hit nor miss,
-// ignores nil/empty input, and the preloaded checkpoint round-trips.
-func TestCachePreloadSemantics(t *testing.T) {
-	cache := NewCheckpointCache()
-	cache.Preload("", &SynthCheckpoint{Name: "x"})
-	cache.Preload("k", nil)
-	if cache.Len() != 0 {
-		t.Fatal("empty-key or nil-checkpoint preload stored something")
-	}
-	ck := &SynthCheckpoint{Name: "acc", Runtime: 12.5, BlackBoxes: []string{"bb"}}
-	cache.Preload("k", ck)
-	if h, m := cache.Stats(); h != 0 || m != 0 {
-		t.Fatalf("preload counted as hit/miss: %d/%d", h, m)
-	}
-	got, ok := cache.lookup("k")
-	if !ok || got.Name != "acc" || got.Runtime != 12.5 {
-		t.Fatalf("preloaded checkpoint did not round-trip: %+v", got)
-	}
-	// Deep copy: mutating the retrieved checkpoint must not corrupt the
-	// cached entry.
-	got.BlackBoxes[0] = "mutated"
-	again, _ := cache.lookup("k")
-	if again.BlackBoxes[0] != "bb" {
-		t.Fatal("cache aliases stored checkpoint slices")
-	}
 }

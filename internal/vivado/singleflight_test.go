@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"presp/internal/fpga"
 )
@@ -64,7 +67,10 @@ func TestMaterializeSingleFlight(t *testing.T) {
 // TestMaterializeLeaderErrorPropagates holds a flight open with a
 // blocking compute, parks followers on it, then fails the leader: every
 // follower must observe the leader's error, the key must not stay
-// wedged, and the next caller must start a fresh flight.
+// wedged, and the next caller must start a fresh flight. The leader is
+// released only once every follower is parked on the flight; a follower
+// that arrived after the flight closed would lead a second flight
+// instead.
 func TestMaterializeLeaderErrorPropagates(t *testing.T) {
 	cache := NewCheckpointCache()
 	boom := errors.New("synthesis crashed")
@@ -100,19 +106,17 @@ func TestMaterializeLeaderErrorPropagates(t *testing.T) {
 			})
 		}()
 	}
+	waitParked(t, followers)
 	close(release)
 	wg.Wait()
 	if err := <-leaderDone; !errors.Is(err, boom) {
 		t.Fatalf("leader error = %v, want %v", err, boom)
 	}
 	for i := 0; i < followers; i++ {
-		// A follower that arrived after the flight closed becomes a new
-		// leader and fails on its own compute; either way no goroutine
-		// may hang and no one may see a checkpoint.
-		if ferrs[i] == nil {
-			t.Fatalf("follower %d got nil error", i)
+		if froles[i] != roleFollower {
+			t.Fatalf("follower %d got role %v, want roleFollower", i, froles[i])
 		}
-		if froles[i] == roleFollower && !errors.Is(ferrs[i], boom) {
+		if !errors.Is(ferrs[i], boom) {
 			t.Fatalf("follower %d error = %v, want leader's %v", i, ferrs[i], boom)
 		}
 	}
@@ -123,6 +127,34 @@ func TestMaterializeLeaderErrorPropagates(t *testing.T) {
 	})
 	if err != nil || role != roleLeader || ck == nil || ck.Name != "fresh" {
 		t.Fatalf("post-failure materialize = (%+v, %v, %v), want fresh leader success", ck, role, err)
+	}
+}
+
+// waitParked blocks until n goroutines are parked on a flight's done
+// channel inside materialize, read from the goroutine stack dump: the
+// top frame of a parked follower is materialize itself, while a leader
+// blocked in its compute callback has the callback on top.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		parked := 0
+		dump := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(dump, "\n\n") {
+			lines := strings.SplitN(g, "\n", 3)
+			if len(lines) >= 2 && strings.Contains(lines[0], "[chan receive") &&
+				strings.HasPrefix(lines[1], "presp/internal/vivado.(*CheckpointCache).materialize(") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d followers parked on the flight after 10s", parked, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -171,57 +203,6 @@ func TestMaterializeNoAliasing(t *testing.T) {
 	}
 	if cached.Name != "acc" || cached.BlackBoxes[0] != "u_rp0" {
 		t.Fatalf("cache was corrupted through an aliased result: %+v", cached)
-	}
-}
-
-// TestPreloadWinsOverOpenFlight: a Preload landing while a flight for
-// the same key is still computing takes the key — the flight's own
-// result is discarded on landing, and the leader plus every follower are
-// served the preloaded checkpoint. This pins the first-store-wins
-// precedence for the journal-rehydration race.
-func TestPreloadWinsOverOpenFlight(t *testing.T) {
-	cache := NewCheckpointCache()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	leaderCk := make(chan *SynthCheckpoint, 1)
-	go func() {
-		ck, role, err := cache.materialize("k", func() (*SynthCheckpoint, error) {
-			close(started)
-			<-release
-			return &SynthCheckpoint{Name: "computed", Runtime: 9}, nil
-		})
-		if err != nil || role != roleLeader {
-			t.Errorf("leader = role %v, err %v", role, err)
-		}
-		leaderCk <- ck
-	}()
-	<-started
-
-	follower := make(chan *SynthCheckpoint, 1)
-	go func() {
-		ck, _, err := cache.materialize("k", func() (*SynthCheckpoint, error) {
-			return nil, fmt.Errorf("must not compute")
-		})
-		if err != nil {
-			t.Errorf("follower: %v", err)
-		}
-		follower <- ck
-	}()
-
-	// The journal-rehydration path lands while the flight is computing.
-	preloaded := &SynthCheckpoint{Name: "preloaded", Runtime: 3, BlackBoxes: []string{"u_rp0"}}
-	cache.Preload("k", preloaded)
-	close(release)
-
-	if ck := <-leaderCk; ck == nil || ck.Name != "preloaded" {
-		t.Fatalf("leader got %+v, want the preloaded checkpoint", ck)
-	}
-	if ck := <-follower; ck == nil || ck.Name != "preloaded" {
-		t.Fatalf("follower got %+v, want the preloaded checkpoint", ck)
-	}
-	cached, ok := cache.lookup("k")
-	if !ok || cached.Name != "preloaded" || cached.Runtime != 3 {
-		t.Fatalf("cache holds %+v, want the preloaded checkpoint (first store wins)", cached)
 	}
 }
 

@@ -72,7 +72,7 @@ func (sc *StageCache) Lookup(key string) ([]byte, bool) {
 	// Disk I/O happens outside sc.mu: the store serializes internally,
 	// and a concurrent Store of the same key is benign (same bytes).
 	if disk != nil {
-		if body, ok := disk.LoadArtifact(key); ok {
+		if body, ok := artifactEntries.load(disk, key); ok {
 			sc.mu.Lock()
 			if _, present := sc.entries[key]; !present {
 				sc.entries[key] = body
@@ -105,7 +105,7 @@ func (sc *StageCache) Store(key string, body []byte) error {
 	disk := sc.disk
 	sc.mu.Unlock()
 	if disk != nil {
-		return disk.StoreArtifact(key, body)
+		return artifactEntries.store(disk, key, body)
 	}
 	return nil
 }

@@ -59,7 +59,7 @@ func TestStageCacheDiskWriteThroughAndReadThrough(t *testing.T) {
 	if err := sc.Store("feedbeef", body); err != nil {
 		t.Fatalf("store: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "feedbeef"+diskArtifactExt)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "feedbeef"+artifactEntries.ext)); err != nil {
 		t.Fatalf("artifact not written through: %v", err)
 	}
 
@@ -79,7 +79,7 @@ func TestStageCacheDiskWriteThroughAndReadThrough(t *testing.T) {
 		t.Fatalf("disk hit not promoted: len = %d", sc2.Len())
 	}
 	// Promoted: the second lookup is a memory hit even if the file goes.
-	os.Remove(filepath.Join(dir, "feedbeef"+diskArtifactExt))
+	os.Remove(filepath.Join(dir, "feedbeef"+artifactEntries.ext))
 	if _, ok := sc2.Lookup("feedbeef"); !ok {
 		t.Fatal("promoted entry lost")
 	}
@@ -96,7 +96,7 @@ func TestStageCacheCorruptArtifactQuarantined(t *testing.T) {
 	if err := sc.Store("cafef00d", []byte(`{"v":1}`)); err != nil {
 		t.Fatalf("store: %v", err)
 	}
-	path := filepath.Join(dir, "cafef00d"+diskArtifactExt)
+	path := filepath.Join(dir, "cafef00d"+artifactEntries.ext)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
@@ -125,12 +125,12 @@ func TestDiskStoreVerifyAllChecksArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := ds.StoreArtifact("aa11", []byte(`{"ok":true}`)); err != nil {
+	if err := artifactEntries.store(ds, "aa11", []byte(`{"ok":true}`)); err != nil {
 		t.Fatalf("store artifact: %v", err)
 	}
 	// Plant a torn artifact next to the good one; reopen must quarantine
 	// it while keeping the verified entry.
-	bad := filepath.Join(dir, "bb22"+diskArtifactExt)
+	bad := filepath.Join(dir, "bb22"+artifactEntries.ext)
 	if err := os.WriteFile(bad, []byte("torn"), 0o644); err != nil {
 		t.Fatalf("plant: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestDiskStoreVerifyAllChecksArtifacts(t *testing.T) {
 	if st.Entries != 1 || st.Corrupt != 1 || st.Quarantined != 1 {
 		t.Fatalf("stats after reopen = %+v; want 1 live, 1 corrupt, 1 quarantined", st)
 	}
-	if _, ok := ds2.LoadArtifact("aa11"); !ok {
+	if _, ok := artifactEntries.load(ds2, "aa11"); !ok {
 		t.Fatal("verified artifact not loadable")
 	}
 }
@@ -152,10 +152,10 @@ func TestStoreArtifactRejectsInvalidJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := ds.StoreArtifact("k1", []byte("not json")); err == nil {
+	if err := artifactEntries.store(ds, "k1", []byte("not json")); err == nil {
 		t.Fatal("invalid JSON body accepted")
 	}
-	if err := ds.StoreArtifact("", []byte(`{}`)); err == nil {
+	if err := artifactEntries.store(ds, "", []byte(`{}`)); err == nil {
 		t.Fatal("empty key accepted")
 	}
 }

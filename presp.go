@@ -93,8 +93,9 @@ func (p *Platform) StageCacheStats() (hits, misses int64) {
 // DiskCache is a crash-safe persistent tier for synthesis checkpoints:
 // one CRC-verified file per cache key, written atomically, with corrupt
 // entries quarantined rather than loaded. Attach one to a platform (or
-// a flow run via FlowOptions.CacheDir) and later processes warm-start
-// from it. See DESIGN.md §14.
+// a flow run via FlowOptions.CacheDir) and later processes — including
+// the rerun of an interrupted flow — warm-start from it. See DESIGN.md
+// §14.
 type DiskCache = vivado.DiskStore
 
 // OpenDiskCache opens (creating if needed) a persistent checkpoint
@@ -207,7 +208,7 @@ type FlowResult = flow.Result
 // strategy choice, orchestrated P&R and bitstream generation.
 // Cancelling ctx (or FlowOptions.Timeout) stops the run at the next
 // job boundary, drains the worker pool and leaves the checkpoint cache
-// and journal consistent for a later resume.
+// consistent; with a disk cache attached, rerunning resumes the run.
 func (p *Platform) RunFlow(ctx context.Context, s *SoC, opt FlowOptions) (*FlowResult, error) {
 	return flow.RunPRESP(ctx, s.Design, p.flowOptions(opt))
 }
@@ -266,8 +267,8 @@ func (p *Platform) UtilizationReport(s *SoC) (string, error) {
 // of identical submissions and graceful drain. With a StateDir it is
 // also crash-durable: every admission is logged to a write-ahead log
 // before the client sees 202, and Recover replays the log on the next
-// boot — re-enqueueing lost jobs and resuming interrupted runs from
-// their journals. Serve its Handler over HTTP, or drive
+// boot — re-enqueueing lost jobs, whose reruns reuse finished synthesis
+// from the checkpoint disk tier. Serve its Handler over HTTP, or drive
 // Submit/SubmitIdempotent/Get/Cancel in process. See DESIGN.md §13/§15.
 type FlowService = server.Server
 

@@ -71,8 +71,8 @@ type (
 	ConfigHealth = reconfig.ConfigHealth
 	// Minutes is the cost model's modelled-runtime unit.
 	Minutes = vivado.Minutes
-	// Journal records a flow run's completed jobs (JSON lines) so an
-	// interrupted run can be resumed (FlowOptions.Journal / .Resume).
+	// Journal records a flow run's completed jobs (JSON lines) as an
+	// audit log (FlowOptions.Journal).
 	Journal = flow.Journal
 	// JournalEntry is one journaled job completion.
 	JournalEntry = flow.JournalEntry
@@ -91,10 +91,6 @@ type (
 // NewJournal starts a journal that appends one JSON line per completed
 // flow job to w.
 func NewJournal(w io.Writer) *Journal { return flow.NewJournal(w) }
-
-// LoadJournal reads a journal written by a previous (possibly killed)
-// run; a truncated trailing line is tolerated.
-func LoadJournal(r io.Reader) (*Journal, error) { return flow.LoadJournal(r) }
 
 // Fault-injection operations, re-exported for building FaultRules. The
 // runtime operations are injected by presp-sim's simulation engine;
