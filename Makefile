@@ -11,7 +11,7 @@ GO ?= go
 # must fail the suite, not hang CI.
 TEST_TIMEOUT ?= 5m
 
-.PHONY: ci vet staticcheck build test race bench bench-smoke fuzz fuzz-smoke serve-smoke chaos-smoke
+.PHONY: ci vet staticcheck build test race bench bench-smoke fuzz fuzz-smoke serve-smoke chaos-smoke loc
 
 ci: vet staticcheck build test race fuzz-smoke chaos-smoke bench-smoke serve-smoke
 
@@ -104,3 +104,10 @@ chaos-smoke:
 		./internal/server/
 	$(GO) test -race -count=1 -timeout $(TEST_TIMEOUT) \
 		-run 'TestScrubSoak' ./internal/reconfig/
+
+# The two design-quality numbers the ROADMAP tracks: production LOC
+# (non-test .go files outside perfbench/) and the line count of the
+# exported-API listing. Not part of `make ci`.
+loc:
+	@echo "production LOC: $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)"
+	@echo "api surface lines: $$(wc -l < testdata/api_surface.golden)"

@@ -8,7 +8,7 @@
 //	presp-flow -preset SOC_2                 # a built-in configuration
 //	presp-flow -config my_soc.json           # a JSON tile-grid config
 //	presp-flow -preset SoC_A -strategy serial -baseline both
-//	presp-flow -preset SOC_2 -journal run.jsonl -timeout 30s
+//	presp-flow -preset SOC_2 -timeout 30s
 //	presp-flow -preset SOC_2 -cache-dir ~/.cache/presp  # persistent warm starts
 //	presp-flow -preset SOC_2 -faults 'seed=7,synth=0.2' -retries 2
 //
@@ -19,7 +19,6 @@
 // the next job boundary. With -cache-dir, every finished synthesis is
 // already on disk, so rerunning the same command resumes the run:
 // finished work is served from the cache instead of recomputed.
-// -journal records the completed jobs as an audit log.
 package main
 
 import (
@@ -57,10 +56,8 @@ type cliOptions struct {
 	workers     int
 	timeout     time.Duration
 	retries     int
-	incremental bool
 	errorPolicy flow.ErrorPolicy
 	faultPlan   *faultinject.Plan
-	journalPath string
 	cacheDir    string
 	tracePath   string
 	metricsPath string
@@ -82,9 +79,7 @@ func parseCLI(args []string) (*cliOptions, error) {
 	fs.StringVar(&o.baseline, "baseline", "", "also run a baseline: mono, dfx or both")
 	fs.BoolVar(&o.scripts, "scripts", false, "print the auto-generated CAD scripts")
 	fs.IntVar(&o.retries, "retries", 0, "retry failed jobs up to N times with capped virtual-time backoff")
-	fs.BoolVar(&o.incremental, "incremental", true, "cache stage artifacts (floorplan, per-partition impl, bitstreams) so edited re-runs skip unchanged stages")
 	fs.StringVar(&policy, "error-policy", "fail-fast", "job-failure policy: fail-fast or collect")
-	fs.StringVar(&o.journalPath, "journal", "", "record completed jobs to this JSON-lines audit log")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cu.RegisterWorkers(fs, "workers")
 	cu.RegisterTimeout(fs)
@@ -159,15 +154,11 @@ func run(ctx context.Context, o *cliOptions) error {
 		observer = obs.New()
 	}
 	cache := vivado.NewCheckpointCache()
-	var stage *vivado.StageCache
-	if o.incremental {
-		stage = vivado.NewStageCache()
-	}
 	opt := flow.Options{
 		Compress:      o.compress,
 		Workers:       o.workers,
 		Cache:         cache,
-		StageCache:    stage,
+		StageCache:    vivado.NewStageCache(),
 		CacheDir:      o.cacheDir,
 		Timeout:       o.timeout,
 		MaxJobRetries: o.retries,
@@ -186,15 +177,6 @@ func run(ctx context.Context, o *cliOptions) error {
 		}
 		opt.Strategy = strat
 	}
-	if o.journalPath != "" {
-		f, err := os.Create(o.journalPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		opt.Journal = flow.NewJournal(f)
-	}
-
 	res, err := flow.RunPRESP(ctx, d, opt)
 	if err != nil {
 		return err
@@ -216,7 +198,7 @@ func run(ctx context.Context, o *cliOptions) error {
 	// Baselines run unobserved: the exported trace describes exactly
 	// the main flow, so its span count matches res.Jobs.
 	baseOpt := opt
-	baseOpt.Journal, baseOpt.Observer = nil, nil
+	baseOpt.Observer = nil
 	switch o.baseline {
 	case "":
 	case "mono":

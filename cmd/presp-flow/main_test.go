@@ -48,7 +48,6 @@ func TestParseCLIRobustnessFlags(t *testing.T) {
 		"-retries", "2",
 		"-error-policy", "collect",
 		"-faults", "seed=7,synth@rt_1_rp:count=1,impl=0.3",
-		"-journal", "run.jsonl",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +55,7 @@ func TestParseCLIRobustnessFlags(t *testing.T) {
 	if o.timeout != 90*time.Second {
 		t.Fatalf("timeout = %v", o.timeout)
 	}
-	if o.retries != 2 || o.errorPolicy != flow.Collect || o.journalPath != "run.jsonl" {
+	if o.retries != 2 || o.errorPolicy != flow.Collect {
 		t.Fatalf("parsed: %+v", o)
 	}
 	if o.faultPlan == nil || o.faultPlan.Seed != 7 || len(o.faultPlan.Rules) != 2 {
@@ -74,6 +73,8 @@ func TestParseCLIRejects(t *testing.T) {
 		{"-faults", "synth:count=notanumber"},
 		{"-retries", "-1"},
 		{"-resume", "run.jsonl"},
+		{"-journal", "run.jsonl"},
+		{"-incremental=false"},
 		{"-preset", "SOC_1", "stray-arg"},
 		{"-no-such-flag"},
 	}
@@ -146,26 +147,19 @@ func TestRunMissingConfig(t *testing.T) {
 	}
 }
 
-// TestRunJournalAndResume drives the whole binary logic end to end: a
-// run with -journal and -cache-dir, then the same command again — the
-// way an interrupted run resumes — which finds every synthesis the
-// first run finished in the cache directory and persists nothing new.
-func TestRunJournalAndResume(t *testing.T) {
+// TestRunResumeFromCacheDir drives the whole binary logic end to end:
+// a run with -cache-dir, then the same command again — the way an
+// interrupted run resumes — which finds every synthesis the first run
+// finished in the cache directory and persists nothing new.
+func TestRunResumeFromCacheDir(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-preset", "SOC_1", "-journal", dir + "/run.jsonl", "-cache-dir", dir + "/cache"}
+	args := []string{"-preset", "SOC_1", "-cache-dir", dir + "/cache"}
 	o, err := parseCLI(args)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), o); err != nil {
-		t.Fatalf("journaled run failed: %v", err)
-	}
-	data, err := os.ReadFile(dir + "/run.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"stage":"synth"`) {
-		t.Fatalf("journal records no synthesis:\n%s", data)
+		t.Fatalf("first run failed: %v", err)
 	}
 	ckpts, err := filepath.Glob(dir + "/cache/*.ckpt")
 	if err != nil || len(ckpts) == 0 {

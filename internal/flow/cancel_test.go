@@ -5,7 +5,6 @@
 package flow
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -15,6 +14,7 @@ import (
 	"presp/internal/accel"
 	"presp/internal/faultinject"
 	"presp/internal/leakcheck"
+	"presp/internal/obs"
 	"presp/internal/socgen"
 	"presp/internal/vivado"
 )
@@ -61,22 +61,27 @@ func TestSchedulerRandomCancelPoints(t *testing.T) {
 	leakcheck.VerifyNone(t)
 }
 
-// cancellingWriter counts journal lines and fires cancel once the
-// configured number has been written — a deterministic stand-in for
-// kill -9 at an arbitrary point of the run.
-type cancellingWriter struct {
-	buf    bytes.Buffer
-	cancel context.CancelFunc
-	after  int
-	writes int
+// cancelAfter returns a heartbeat that fires cancel once k jobs have
+// completed — a deterministic stand-in for kill -9 at an arbitrary
+// point of the run.
+func cancelAfter(k int, cancel context.CancelFunc) func(int, vivado.Minutes) {
+	return func(completed int, _ vivado.Minutes) {
+		if completed == k {
+			cancel()
+		}
+	}
 }
 
-func (w *cancellingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	if w.writes == w.after {
-		w.cancel()
+// synthCompleted counts the synthesis jobs a traced run finished: its
+// "job" spans of stage synth that carry no error.
+func synthCompleted(tr *obs.Tracer) int {
+	n := 0
+	for _, ev := range tr.Events() {
+		if ev.Phase == "X" && ev.Cat == "job" && ev.Args["stage"] == StageSynth.String() && ev.Args["error"] == nil {
+			n++
+		}
 	}
-	return w.buf.Write(p)
+	return n
 }
 
 // TestFlowKillAndResume: interrupt a PR-ESP run after every possible
@@ -114,10 +119,10 @@ func TestFlowKillAndResume(t *testing.T) {
 		for k := 1; k <= totalJobs+1; k++ {
 			dir := t.TempDir()
 			ctx, cancel := context.WithCancel(context.Background())
-			w := &cancellingWriter{cancel: cancel, after: 1 + k} // +1: header line
 			opt := leg.opt
 			opt.CacheDir = dir
-			opt.Journal = NewJournal(w)
+			opt.Heartbeat = cancelAfter(k, cancel)
+			opt.Observer = obs.New()
 			_, runErr := RunPRESP(ctx, elaborate(t, cfg), opt)
 			cancel()
 			if runErr == nil {
@@ -127,12 +132,7 @@ func TestFlowKillAndResume(t *testing.T) {
 			if !errors.Is(runErr, context.Canceled) {
 				t.Fatalf("%s k=%d: interrupted run failed with %v, want context.Canceled", leg.name, k, runErr)
 			}
-			synthDone := 0
-			for _, e := range opt.Journal.Entries() {
-				if e.Kind == "job" && e.Stage == StageSynth.String() {
-					synthDone++
-				}
-			}
+			synthDone := synthCompleted(opt.Observer.Tracer())
 
 			opt = leg.opt
 			opt.CacheDir = dir
@@ -167,10 +167,8 @@ func TestFlowCancelLeavesCacheConsistent(t *testing.T) {
 	cache := vivado.NewCheckpointCache()
 	for k := 1; k <= 4; k++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		// Cancel mid-run by journaling to a writer that pulls the plug.
-		w := &cancellingWriter{cancel: cancel, after: 1 + k}
 		_, runErr := RunPRESP(ctx, elaborate(t, cfg), Options{
-			Compress: true, Cache: cache, Journal: NewJournal(w), Workers: runtime.NumCPU(),
+			Compress: true, Cache: cache, Heartbeat: cancelAfter(k, cancel), Workers: runtime.NumCPU(),
 		})
 		cancel()
 		if runErr == nil {

@@ -17,10 +17,9 @@
 // Runs are fault-tolerant, cancellable and resumable: a context (plus
 // Options.Timeout) stops the graph at the next job boundary, failed
 // jobs are retried with capped virtual-time backoff, seeded CAD faults
-// can be injected from a faultinject plan, every completion can be
-// journaled for audit, and a rerun of a killed run over the same
-// Options.CacheDir reuses every synthesis it finished. See DESIGN.md
-// §11 for the failure semantics.
+// can be injected from a faultinject plan, and a rerun of a killed run
+// over the same Options.CacheDir reuses every synthesis it finished.
+// See DESIGN.md §11 for the failure semantics.
 package flow
 
 import (
@@ -139,9 +138,6 @@ type Options struct {
 	// fault hook. Injection is order-independent, so results under
 	// faults stay byte-identical for every worker count.
 	FaultPlan *faultinject.Plan
-	// Journal, when set, records every completed job (JSON lines) as
-	// an audit log of the run.
-	Journal *Journal
 	// Heartbeat, when set, is called from the scheduler coordinator
 	// after every completed job with the cumulative count of completed
 	// jobs and the run's virtual-time position (sum of modelled job
@@ -223,7 +219,7 @@ const (
 	modeStandardDFX
 )
 
-// name labels the mode in journals, matching the presp-flow CLI.
+// name labels the mode in stage keys, matching the presp-flow CLI.
 func (m flowMode) name() string {
 	if m == modeStandardDFX {
 		return "standard-dfx"
@@ -260,8 +256,8 @@ func FlowNames() []string {
 	return []string{"presp", "standard-dfx", "monolithic"}
 }
 
-// RunFlow dispatches a flow run by name — the journal/CLI naming shared
-// by presp-flow and the flow service. Unknown names are rejected before
+// RunFlow dispatches a flow run by name — the naming shared by
+// presp-flow and the flow service. Unknown names are rejected before
 // any work starts.
 func RunFlow(ctx context.Context, flowName string, d *socgen.Design, opt Options) (*Result, error) {
 	switch flowName {
@@ -313,8 +309,8 @@ func flowCtx(ctx context.Context, opt Options) (context.Context, context.CancelF
 
 // setupRun prepares the tool for one flow execution: fault injection
 // from the plan, the checkpoint cache (private when only CacheDir is
-// given) with its disk tier, and the journal's header.
-func setupRun(d *socgen.Design, opt Options, flowName string) (*vivado.Tool, error) {
+// given) with its disk tier.
+func setupRun(d *socgen.Design, opt Options) (*vivado.Tool, error) {
 	tool, err := vivado.New(d.Dev, opt.Model)
 	if err != nil {
 		return nil, err
@@ -348,21 +344,13 @@ func setupRun(d *socgen.Design, opt Options, flowName string) (*vivado.Tool, err
 	}
 	tool.SetCache(cache)
 	tool.SetObserver(opt.Observer)
-	if opt.Journal != nil {
-		opt.Journal.Begin(DesignDigest(d), flowName)
-	}
 	return tool, nil
 }
 
-// coordinatorTID is the trace lane for coordinator-side events
-// (journal writes), kept clear of the worker lanes 0..workers-1.
-const coordinatorTID = 1 << 20
-
-// execGraph runs the built graph under the options' retry, journal and
-// error policy, filling res.Jobs, res.Partial and res.JobErrors. It
-// returns the run-fatal error: execution-level failures (cancellation,
-// bad graph), journal write errors, or — under fail-fast — the first
-// job failure.
+// execGraph runs the built graph under the options' retry and error
+// policy, filling res.Jobs, res.Partial and res.JobErrors. It returns
+// the run-fatal error: execution-level failures (cancellation, bad
+// graph) or — under fail-fast — the first job failure.
 func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, res *Result) error {
 	execOpt := ExecOptions{
 		Workers:     opt.Workers,
@@ -372,50 +360,28 @@ func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, re
 		FailFast:    opt.ErrorPolicy == FailFast,
 		Observer:    opt.Observer,
 	}
-	reg := opt.Observer.Metrics()
-	if opt.Journal != nil || opt.Heartbeat != nil {
-		journalWrites := reg.Counter("flow_journal_writes_total")
-		tr := opt.Observer.Tracer()
-		if tr != nil {
-			tr.SetThreadName(coordinatorTID, "coordinator")
-		}
+	if opt.Heartbeat != nil {
 		// OnJobDone runs on the coordinator, serially, so the heartbeat
 		// accumulators need no extra synchronization.
 		completed := 0
 		var virtual vivado.Minutes
-		execOpt.OnJobDone = func(j *Job, out JobOutcome) {
+		execOpt.OnJobDone = func(_ *Job, out JobOutcome) {
 			if out.Err != nil {
 				return
 			}
 			completed++
 			virtual += out.Minutes
-			if opt.Journal != nil {
-				if out.Skipped {
-					opt.Journal.Skip(j.ID, j.Stage, out.Minutes)
-				} else {
-					opt.Journal.Completed(j.ID, j.Stage, out.Minutes, out.Attempts)
-				}
-				journalWrites.Inc()
-				if tr != nil {
-					tr.Instant("journal", "journal/"+j.ID, coordinatorTID, nil)
-				}
-			}
-			if opt.Heartbeat != nil {
-				opt.Heartbeat(completed, virtual)
-			}
+			opt.Heartbeat(completed, virtual)
 		}
 	}
 	stats, jobErrs, execErr := g.ExecuteCtx(ctx, execOpt)
 	res.Jobs = stats
 	res.Jobs.CacheHits, res.Jobs.CacheMisses = cacheCounts(tool)
 	if c := tool.Cache(); c != nil {
-		reg.Gauge("vivado_cache_evictions").Set(float64(c.Evictions()))
+		opt.Observer.Metrics().Gauge("vivado_cache_evictions").Set(float64(c.Evictions()))
 	}
 	if execErr != nil {
 		return execErr
-	}
-	if err := opt.Journal.Err(); err != nil {
-		return fmt.Errorf("flow: journal write failed: %w", err)
 	}
 	if len(jobErrs) > 0 {
 		res.JobErrors = jobErrs
@@ -439,7 +405,7 @@ func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, re
 func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flowMode) (*Result, error) {
 	ctx, cancel := flowCtx(ctx, opt)
 	defer cancel()
-	tool, err := setupRun(d, opt, mode.name())
+	tool, err := setupRun(d, opt)
 	if err != nil {
 		return nil, err
 	}

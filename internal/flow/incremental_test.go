@@ -56,13 +56,12 @@ func editKernel(t *testing.T, d *socgen.Design, idx int) string {
 func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 	cache := vivado.NewCheckpointCache()
 	stage := vivado.NewStageCache()
-	base := func(d *socgen.Design, j *Journal) Options {
+	base := func(d *socgen.Design) Options {
 		return Options{
 			Compress:   true,
 			Cache:      cache,
 			StageCache: stage,
 			Strategy:   forceFully(t, d),
-			Journal:    j,
 		}
 	}
 
@@ -71,7 +70,7 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		t.Fatalf("SOC_2 has %d partitions, the property needs >= 4", len(d1.RPs))
 	}
 
-	cold, err := RunPRESP(context.Background(), d1, base(d1, nil))
+	cold, err := RunPRESP(context.Background(), d1, base(d1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +88,7 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 
 	// Warm identical resubmission: every post-synthesis job skips.
 	d2 := elaborate(t, socgen.SOC2())
-	warmJournal := NewJournal(nil)
-	warm, err := RunPRESP(context.Background(), d2, base(d2, warmJournal))
+	warm, err := RunPRESP(context.Background(), d2, base(d2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +100,6 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		t.Fatalf("warm run diverged from cold run:\n--- warm ---\n%s--- cold ---\n%s",
 			resultSignature(warm), resultSignature(cold))
 	}
-	warmSkips := 0
-	for _, e := range warmJournal.Entries() {
-		if e.Kind == "job" && e.Skipped {
-			warmSkips++
-		}
-	}
-	if warmSkips != postSynth {
-		t.Fatalf("warm journal records %d skips, want %d", warmSkips, postSynth)
-	}
 
 	// One-kernel edit: re-cost partition 1, keep the envelope.
 	d3 := elaborate(t, socgen.SOC2())
@@ -118,8 +107,7 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 	if DesignDigest(d3) != DesignDigest(d1) {
 		t.Fatal("re-costing a kernel changed the design digest; the edit is not envelope-preserving")
 	}
-	editJournal := NewJournal(nil)
-	editOpt := base(d3, editJournal)
+	editOpt := base(d3)
 	editOpt.Observer = obs.New()
 	edit, err := RunPRESP(context.Background(), d3, editOpt)
 	if err != nil {
@@ -137,8 +125,9 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		t.Fatalf("one-kernel edit paid %d synthesis misses, want 1 (the edited module)", edit.Jobs.CacheMisses)
 	}
 
-	// The journal must name exactly the edited partition's impl group
-	// and partial bitstream as the non-skipped post-synthesis jobs.
+	// The trace must name exactly the edited partition's impl group and
+	// partial bitstream as the executed post-synthesis jobs ("job"
+	// spans); every other one is a "stage-skip" instant.
 	gi := -1
 	for i, group := range editOpt.Strategy.Groups {
 		for _, name := range group {
@@ -154,13 +143,24 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		"impl/group_" + padGroup(gi): true,
 		"bitgen/" + edited:           true,
 	}
-	for _, e := range editJournal.Entries() {
-		if e.Kind != "job" || e.Stage == StageSynth.String() {
-			continue
+	ran, skipped := 0, 0
+	for _, ev := range editOpt.Observer.Tracer().Events() {
+		switch {
+		case ev.Phase == "X" && ev.Cat == "job" && ev.Args["stage"] != StageSynth.String():
+			ran++
+			if !wantRan[ev.Name] {
+				t.Errorf("trace: job %s ran, want skipped", ev.Name)
+			}
+		case ev.Phase == "i" && ev.Cat == "stage-skip":
+			skipped++
+			if wantRan[ev.Name] {
+				t.Errorf("trace: job %s skipped, want ran", ev.Name)
+			}
 		}
-		if e.Skipped == wantRan[e.Job] {
-			t.Errorf("journal: job %s skipped=%v, want ran=%v", e.Job, e.Skipped, wantRan[e.Job])
-		}
+	}
+	if ran != len(wantRan) || skipped != postSynth-len(wantRan) {
+		t.Errorf("trace: %d post-synthesis jobs ran and %d skipped, want %d and %d",
+			ran, skipped, len(wantRan), postSynth-len(wantRan))
 	}
 
 	// The incremental result must be byte-identical to a from-scratch
@@ -197,7 +197,9 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 	}
 }
 
-func padGroup(gi int) string { return string([]byte{'0' + byte(gi/100%10), '0' + byte(gi/10%10), '0' + byte(gi%10)}) }
+func padGroup(gi int) string {
+	return string([]byte{'0' + byte(gi/100%10), '0' + byte(gi/10%10), '0' + byte(gi%10)})
+}
 
 // TestIncrementalWarmWorkerCountInvariance pins the determinism rule of
 // DESIGN.md §16: a run assembled entirely from cached artifacts is

@@ -20,12 +20,12 @@ import (
 // The run goes through the same job scheduler as the partitioned flows
 // — a three-job chain (synth → impl → bitgen), so Result.Jobs accounts
 // for it uniformly. It is bounded by ctx (and Options.Timeout), with
-// the same retry, fault-injection, journal and error-policy semantics
-// as the partitioned flows.
+// the same retry, fault-injection and error-policy semantics as the
+// partitioned flows.
 func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result, error) {
 	ctx, cancel := flowCtx(ctx, opt)
 	defer cancel()
-	tool, err := setupRun(d, opt, "monolithic")
+	tool, err := setupRun(d, opt)
 	if err != nil {
 		return nil, err
 	}

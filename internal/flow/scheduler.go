@@ -240,14 +240,10 @@ func (e JobError) Unwrap() error { return e.Err }
 
 // JobOutcome reports one finished job to the OnJobDone observer.
 type JobOutcome struct {
-	// Minutes is the job's accounted simulated time (all attempts plus
-	// virtual backoff).
+	// Minutes is the job's accounted simulated time: all attempts plus
+	// virtual backoff, or the cached duration when a stage-artifact
+	// probe skipped the job.
 	Minutes vivado.Minutes
-	// Attempts is how many times the job ran (0 when Skipped).
-	Attempts int
-	// Skipped reports that the job's stage-artifact probe hit and Run
-	// never executed; Minutes is the cached modelled duration.
-	Skipped bool
 	// Err is nil when the job ultimately succeeded.
 	Err error
 }
@@ -290,7 +286,7 @@ type ExecOptions struct {
 	FailFast bool
 	// OnJobDone, when set, observes every finished job (success or
 	// final failure) from the coordinator goroutine, in completion
-	// order. The flow journals completed jobs through it.
+	// order. The flow feeds Options.Heartbeat through it.
 	OnJobDone func(j *Job, out JobOutcome)
 	// Observer, when set, records job spans, retry instants, worker
 	// occupancy and per-stage runtime histograms. Nil disables all
@@ -483,8 +479,8 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 		if d.skipped {
 			// A cache skip is reuse, not execution: it stays out of the
 			// per-stage executed counts, SimMinutes and flow_jobs_total so
-			// every executed-jobs invariant (span counts, journal replays)
-			// holds; only the skip-side books move.
+			// every executed-jobs invariant (job span counts) holds; only
+			// the skip-side books move.
 			stats.Skipped++
 			if stats.SkippedByStage == nil {
 				stats.SkippedByStage = make(map[Stage]int)
@@ -492,7 +488,7 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 			stats.SkippedByStage[d.job.Stage]++
 			stageCacheHits.Inc()
 			if opt.OnJobDone != nil {
-				opt.OnJobDone(d.job, JobOutcome{Minutes: d.runtime, Skipped: true})
+				opt.OnJobDone(d.job, JobOutcome{Minutes: d.runtime})
 			}
 			return
 		}
@@ -511,7 +507,7 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 			jobsFailed.Inc()
 		}
 		if opt.OnJobDone != nil {
-			opt.OnJobDone(d.job, JobOutcome{Minutes: d.runtime, Attempts: d.attempts, Err: d.err})
+			opt.OnJobDone(d.job, JobOutcome{Minutes: d.runtime, Err: d.err})
 		}
 	}
 

@@ -13,57 +13,42 @@ package flow
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"hash"
-	"hash/fnv"
 
 	"presp/internal/core"
-	"presp/internal/fpga"
 	"presp/internal/socgen"
 	"presp/internal/vivado"
 )
 
-// artifactDigest accumulates one stage key. The framing matches the
-// package's other digests: strings are 0xff-terminated so ("ab","c")
-// and ("a","bc") differ, numbers are fixed-width little-endian.
-type artifactDigest struct {
-	h   hash.Hash64
-	buf [8]byte
+// DesignDigest fingerprints the parts of a design a run's cached
+// results depend on: configuration name, device identity and capacity,
+// the static module set and every partition's name, content and
+// resource envelope.
+func DesignDigest(d *socgen.Design) string {
+	h := vivado.NewDigest()
+	h.Str(d.Cfg.Name)
+	h.Str(d.Dev.Name)
+	h.Res(d.Dev.Total)
+	for _, m := range d.StaticModules {
+		h.Str(m.Name)
+		h.Res(m.TotalCost())
+	}
+	for _, rp := range d.RPs {
+		h.Str(rp.Name)
+		if rp.Content != nil {
+			h.Str(rp.Content.Name)
+		}
+		h.Res(rp.Resources)
+	}
+	return h.Sum()
 }
 
-func newArtifactDigest(kind string) *artifactDigest {
-	d := &artifactDigest{h: fnv.New64a()}
-	d.str(kind)
+// newArtifactDigest starts one stage key, framed by its kind.
+func newArtifactDigest(kind string) *vivado.Digest {
+	d := vivado.NewDigest()
+	d.Str(kind)
 	return d
 }
-
-func (d *artifactDigest) str(s string) {
-	d.h.Write([]byte(s))
-	d.h.Write([]byte{0xff})
-}
-
-func (d *artifactDigest) u64(v uint64) {
-	binary.LittleEndian.PutUint64(d.buf[:], v)
-	d.h.Write(d.buf[:])
-}
-
-func (d *artifactDigest) flag(v bool) {
-	if v {
-		d.u64(1)
-	} else {
-		d.u64(0)
-	}
-}
-
-func (d *artifactDigest) res(r fpga.Resources) {
-	for _, n := range r {
-		d.u64(uint64(n))
-	}
-}
-
-func (d *artifactDigest) sum() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
 
 // stageKeys holds the derived artifact keys of one partitioned run.
 // Empty keys (nil receiver, or a partition without content) disable
@@ -74,7 +59,7 @@ type stageKeys struct {
 	scripts    string
 	implStatic string
 	serial     string
-	groups     []string          // one per strategy group
+	groups     []string // one per strategy group
 	bitgenFull string
 	partials   map[string]string // partition name -> partial-bitgen key
 }
@@ -102,15 +87,15 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 
 	// Strategy digest: kind, degree and the exact group assignment.
 	sd := newArtifactDigest("strategy/v1")
-	sd.str(strat.Kind.String())
-	sd.u64(uint64(strat.Tau))
+	sd.Str(strat.Kind.String())
+	sd.U64(uint64(strat.Tau))
 	for _, group := range strat.Groups {
 		for _, name := range group {
-			sd.str(name)
+			sd.Str(name)
 		}
-		sd.str("|")
+		sd.Str("|")
 	}
-	strategyDigest := sd.sum()
+	strategyDigest := sd.Sum()
 
 	sk := &stageKeys{cache: opt.StageCache, partials: make(map[string]string, len(d.RPs))}
 
@@ -121,27 +106,27 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 	// cost vector, so re-costing a kernel keeps the floorplan hit while
 	// anything DRC-visible invalidates it.
 	fp := newArtifactDigest("floorplan/v1")
-	fp.str(mode.name())
-	fp.str(d.Cfg.Name)
-	fp.str(d.Dev.Name)
-	fp.res(d.Dev.Total)
-	fp.str(modelDigest)
-	fp.res(d.StaticResources)
+	fp.Str(mode.name())
+	fp.Str(d.Cfg.Name)
+	fp.Str(d.Dev.Name)
+	fp.Res(d.Dev.Total)
+	fp.Str(modelDigest)
+	fp.Res(d.StaticResources)
 	for _, rp := range d.RPs {
-		fp.str(rp.Name)
-		fp.res(rp.Resources)
-		fp.str(rp.Content.Name)
-		fp.flag(rp.Content.ContainsClockModifying())
-		fp.flag(rp.Content.DrivesClockOut())
+		fp.Str(rp.Name)
+		fp.Res(rp.Resources)
+		fp.Str(rp.Content.Name)
+		fp.Flag(rp.Content.ContainsClockModifying())
+		fp.Flag(rp.Content.DrivesClockOut())
 	}
-	sk.floorplan = fp.sum()
+	sk.floorplan = fp.Sum()
 
 	// Scripts render the floorplan under the chosen strategy; both are
 	// already digests.
 	sc := newArtifactDigest("scripts/v1")
-	sc.str(sk.floorplan)
-	sc.str(strategyDigest)
-	sk.scripts = sc.sum()
+	sc.Str(sk.floorplan)
+	sc.Str(strategyDigest)
+	sk.scripts = sc.Sum()
 
 	// Synthesis keys are the upstream addresses of the implementation
 	// stage: the checkpoint cache's own content digests.
@@ -156,36 +141,36 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 		// The serial run implements everything in one instance, so every
 		// partition's content is an input.
 		se := newArtifactDigest("impl/serial/v1")
-		se.str(sk.floorplan)
-		se.str(strategyDigest)
-		se.res(d.StaticResources.Add(d.ReconfigurableResources()))
-		se.u64(uint64(len(d.RPs)))
-		se.str(staticSynthKey)
+		se.Str(sk.floorplan)
+		se.Str(strategyDigest)
+		se.Res(d.StaticResources.Add(d.ReconfigurableResources()))
+		se.U64(uint64(len(d.RPs)))
+		se.Str(staticSynthKey)
 		for _, rp := range d.RPs {
-			se.str(synthKey[rp.Name])
+			se.Str(synthKey[rp.Name])
 		}
-		sk.serial = se.sum()
+		sk.serial = se.Sum()
 	default:
 		// Static pre-route: floorplan plus the static checkpoint and the
 		// reconfigurable envelope — no partition content, so kernel edits
 		// never invalidate it.
 		st := newArtifactDigest("impl/static/v1")
-		st.str(sk.floorplan)
-		st.str(staticSynthKey)
-		st.res(d.ReconfigurableResources())
-		sk.implStatic = st.sum()
+		st.Str(sk.floorplan)
+		st.Str(staticSynthKey)
+		st.Res(d.ReconfigurableResources())
+		sk.implStatic = st.Sum()
 
 		sk.groups = make([]string, len(strat.Groups))
 		for gi, group := range strat.Groups {
 			gr := newArtifactDigest("impl/group/v1")
-			gr.str(sk.implStatic)
-			gr.str(strategyDigest)
-			gr.u64(uint64(gi))
+			gr.Str(sk.implStatic)
+			gr.Str(strategyDigest)
+			gr.U64(uint64(gi))
 			for _, name := range group {
-				gr.str(name)
-				gr.str(synthKey[name])
+				gr.Str(name)
+				gr.Str(synthKey[name])
 			}
-			sk.groups[gi] = gr.sum()
+			sk.groups[gi] = gr.Sum()
 		}
 	}
 
@@ -193,16 +178,16 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 	// hangs off the static implementation (or the serial run), never a
 	// partition's content.
 	bf := newArtifactDigest("bitgen/full/v1")
-	bf.str(d.Cfg.Name)
-	bf.res(d.StaticResources.Add(d.ReconfigurableResources()))
-	bf.res(d.Dev.Total)
-	bf.flag(opt.Compress)
+	bf.Str(d.Cfg.Name)
+	bf.Res(d.StaticResources.Add(d.ReconfigurableResources()))
+	bf.Res(d.Dev.Total)
+	bf.Flag(opt.Compress)
 	if strat.Kind == core.Serial {
-		bf.str(sk.serial)
+		bf.Str(sk.serial)
 	} else {
-		bf.str(sk.implStatic)
+		bf.Str(sk.implStatic)
 	}
-	sk.bitgenFull = bf.sum()
+	sk.bitgenFull = bf.Sum()
 
 	// Partial bitstreams hang off the implementation run that produced
 	// their partition — the unit of incremental invalidation.
@@ -275,16 +260,16 @@ func (sk *stageKeys) partialKeyFor(rpName string) string {
 // implementation run's key and the envelope the bitstream spans.
 func partialKey(implKey, rpName string, d *socgen.Design, compress bool) string {
 	bp := newArtifactDigest("bitgen/partial/v1")
-	bp.str(implKey)
-	bp.str(rpName)
-	bp.str(d.Cfg.Name)
+	bp.Str(implKey)
+	bp.Str(rpName)
+	bp.Str(d.Cfg.Name)
 	for _, rp := range d.RPs {
 		if rp.Name == rpName {
-			bp.res(rp.Resources)
+			bp.Res(rp.Resources)
 		}
 	}
-	bp.flag(compress)
-	return bp.sum()
+	bp.Flag(compress)
+	return bp.Sum()
 }
 
 // stageEnvelope is the JSON body a stage artifact persists: the job's

@@ -1,0 +1,93 @@
+package flow
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"presp/internal/core"
+	"presp/internal/socgen"
+	"presp/internal/vivado"
+)
+
+func TestDesignDigestDistinguishesDesigns(t *testing.T) {
+	d1 := elaborate(t, socgen.SOC1())
+	d2 := elaborate(t, socgen.SOC2())
+	if DesignDigest(d1) != DesignDigest(elaborate(t, socgen.SOC1())) {
+		t.Fatal("digest is not deterministic for the same design")
+	}
+	if DesignDigest(d1) == DesignDigest(d2) {
+		t.Fatal("different designs share a digest")
+	}
+}
+
+// TestContentAddressesPinned pins the exact hex of SOC_2's content
+// addresses: the design digest, the synthesis-checkpoint keys and every
+// stage-artifact key. Persisted cache entries are named by these keys,
+// so any change to the hashing or its framing would silently orphan
+// every existing -cache-dir and <state-dir>/cache entry.
+func TestContentAddressesPinned(t *testing.T) {
+	d := elaborate(t, socgen.SOC2())
+	tool, err := vivado.New(d.Dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := chooseStrategy(d, Options{}, modePRESP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := buildStageKeys(d, tool, strat, Options{Compress: true, StageCache: vivado.NewStageCache()}, modePRESP)
+	if sk == nil {
+		t.Fatal("SOC_2 run is not keyable")
+	}
+	keys := map[string]string{
+		"design":       DesignDigest(d),
+		"synth/static": tool.CheckpointKey(BuildStaticTop(d), false),
+		"floorplan":    sk.floorplan,
+		"scripts":      sk.scripts,
+		"impl/static":  sk.implStatic,
+		"impl/serial":  sk.serial,
+		"bitgen/full":  sk.bitgenFull,
+	}
+	for _, rp := range d.RPs {
+		keys["synth/"+rp.Name] = tool.CheckpointKey(rp.Content, true)
+		keys["bitgen/"+rp.Name] = sk.partials[rp.Name]
+	}
+	for gi, k := range sk.groups {
+		keys[fmt.Sprintf("impl/group/%d", gi)] = k
+	}
+	serial, err := core.ForceStrategy(d, core.Serial, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys["impl/serial"] = buildStageKeys(d, tool, serial, Options{StageCache: vivado.NewStageCache()}, modeStandardDFX).serial
+	var lines []string
+	for name, k := range keys {
+		lines = append(lines, name+"="+k)
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n")
+	const want = `bitgen/full=1793a10c47f9a93f
+bitgen/rt_1_rp=13ab389c5d1f4317
+bitgen/rt_2_rp=b125117e2a489877
+bitgen/rt_3_rp=12991690abc62409
+bitgen/rt_4_rp=8ebdf4d421ffea4b
+design=4346a796eea727e8
+floorplan=d05af0be14f6b6b3
+impl/group/0=5d57a69dad129f8c
+impl/group/1=0ad6d20e3cf31759
+impl/group/2=b8fe859ddd931304
+impl/group/3=44fc57e3c50a24d6
+impl/serial=cbde4a9d0bfe80e9
+impl/static=fe92d24fc0603c40
+scripts=52cbf18a1d3db660
+synth/rt_1_rp=71a6480d3bc0e5ac
+synth/rt_2_rp=66775138cbf8e50f
+synth/rt_3_rp=40e772abf893ca0a
+synth/rt_4_rp=2eb4845c80a7d85e
+synth/static=f7e2dd98a368f8bf`
+	if got != want {
+		t.Fatalf("SOC_2 content addresses moved:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"time"
 
@@ -13,6 +11,7 @@ import (
 	"presp/internal/faultinject"
 	"presp/internal/flow"
 	"presp/internal/socgen"
+	"presp/internal/vivado"
 )
 
 // Spec is the client-facing description of one flow job — the JSON body
@@ -142,30 +141,21 @@ func parseStrategyKind(s string) (core.StrategyKind, error) {
 // byte-identical results, so the service runs the flow once and shares
 // it.
 func specKey(cs *compiledSpec) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	ws := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0xff}) // separator: ("ab","c") != ("a","bc")
-	}
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	ws(flow.DesignDigest(cs.design))
-	ws(cs.spec.Flow)
-	ws(cs.spec.Strategy)
-	wu(uint64(cs.spec.Tau))
+	h := vivado.NewDigest()
+	h.Str(flow.DesignDigest(cs.design))
+	h.Str(cs.spec.Flow)
+	h.Str(cs.spec.Strategy)
+	h.U64(uint64(cs.spec.Tau))
 	if cs.spec.Compress {
-		ws("compress")
+		h.Str("compress")
 	}
 	if cs.spec.SkipBitstreams {
-		ws("skip-bitstreams")
+		h.Str("skip-bitstreams")
 	}
-	wu(uint64(cs.spec.Retries))
-	ws(cs.spec.ErrorPolicy)
-	ws(cs.spec.Faults)
-	return fmt.Sprintf("%016x", h.Sum64())
+	h.U64(uint64(cs.spec.Retries))
+	h.Str(cs.spec.ErrorPolicy)
+	h.Str(cs.spec.Faults)
+	return h.Sum()
 }
 
 // JobState is a job's lifecycle state.
@@ -228,21 +218,21 @@ type Job struct {
 }
 
 // ResultView is the JSON summary of a completed flow run: the modelled
-// wall times, the scheduler's execution counters and the journal size.
+// wall times and the scheduler's execution counters.
 // Everything in it is deterministic for a given spec, which is what
 // makes the golden-file API tests and the single-flight result-equality
 // guarantee possible.
 type ResultView struct {
-	Flow           string  `json:"flow"`
-	Strategy       string  `json:"strategy"`
-	Tau            int     `json:"tau"`
-	SynthWallMin   float64 `json:"synth_wall_min"`
-	PRWallMin      float64 `json:"pr_wall_min"`
-	BitgenWallMin  float64 `json:"bitgen_wall_min"`
-	TotalMin       float64 `json:"total_min"`
-	JobsExecuted   int     `json:"jobs_executed"`
-	CacheHits      int     `json:"cache_hits"`
-	CacheMisses    int     `json:"cache_misses"`
+	Flow          string  `json:"flow"`
+	Strategy      string  `json:"strategy"`
+	Tau           int     `json:"tau"`
+	SynthWallMin  float64 `json:"synth_wall_min"`
+	PRWallMin     float64 `json:"pr_wall_min"`
+	BitgenWallMin float64 `json:"bitgen_wall_min"`
+	TotalMin      float64 `json:"total_min"`
+	JobsExecuted  int     `json:"jobs_executed"`
+	CacheHits     int     `json:"cache_hits"`
+	CacheMisses   int     `json:"cache_misses"`
 	// JobsSkipped counts stage jobs satisfied from the stage-artifact
 	// cache instead of executing; SkippedByStage breaks the count down
 	// per stage and StageCacheMisses counts probes that found nothing.
@@ -253,9 +243,14 @@ type ResultView struct {
 	SkippedByStage   map[string]int `json:"skipped_by_stage,omitempty"`
 	StageCacheMisses int            `json:"stage_cache_misses,omitempty"`
 	Retries          int            `json:"retries,omitempty"`
-	Partial        bool    `json:"partial,omitempty"`
-	Partitions     int     `json:"partitions"`
-	JournalEntries int     `json:"journal_entries"`
+	Partial          bool           `json:"partial,omitempty"`
+	Partitions       int            `json:"partitions"`
+	// JournalEntries is retired and never set. WAL replay decodes with
+	// DisallowUnknownFields, and every succeeded "done" record written
+	// before the flow audit journal was removed carries this field;
+	// dropping it would end replay at the first such record and
+	// truncate the rest of the log.
+	JournalEntries int `json:"journal_entries,omitempty"`
 	// BitstreamCRCs fingerprints every generated image as
 	// "name:crc32" (IEEE, hex), sorted by name. Deterministic for a
 	// given spec, so a client — or the restart smoke test — can assert
@@ -265,21 +260,20 @@ type ResultView struct {
 }
 
 // summarizeResult converts a flow result to its wire form.
-func summarizeResult(spec Spec, res *flow.Result, journalEntries int) *ResultView {
+func summarizeResult(spec Spec, res *flow.Result) *ResultView {
 	rv := &ResultView{
-		Flow:           spec.Flow,
-		SynthWallMin:   float64(res.SynthWall),
-		PRWallMin:      float64(res.PRWall),
-		BitgenWallMin:  float64(res.BitgenWall),
-		TotalMin:       float64(res.Total),
+		Flow:             spec.Flow,
+		SynthWallMin:     float64(res.SynthWall),
+		PRWallMin:        float64(res.PRWall),
+		BitgenWallMin:    float64(res.BitgenWall),
+		TotalMin:         float64(res.Total),
 		JobsExecuted:     res.Jobs.Executed(),
 		CacheHits:        res.Jobs.CacheHits,
 		CacheMisses:      res.Jobs.CacheMisses,
 		JobsSkipped:      res.Jobs.Skipped,
 		StageCacheMisses: res.Jobs.StageCacheMisses,
 		Retries:          res.Jobs.Retries,
-		Partial:        res.Partial,
-		JournalEntries: journalEntries,
+		Partial:          res.Partial,
 	}
 	if len(res.Jobs.SkippedByStage) > 0 {
 		rv.SkippedByStage = make(map[string]int, len(res.Jobs.SkippedByStage))
@@ -310,11 +304,11 @@ func summarizeResult(spec Spec, res *flow.Result, journalEntries int) *ResultVie
 
 // JobView is the wire form of a job.
 type JobView struct {
-	ID           string      `json:"id"`
-	Tenant       string      `json:"tenant"`
-	State        JobState    `json:"state"`
-	Spec         Spec        `json:"spec"`
-	Deduplicated bool        `json:"deduplicated,omitempty"`
+	ID           string   `json:"id"`
+	Tenant       string   `json:"tenant"`
+	State        JobState `json:"state"`
+	Spec         Spec     `json:"spec"`
+	Deduplicated bool     `json:"deduplicated,omitempty"`
 	// IdempotencyKey echoes the client's Idempotency-Key header.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 	// Recovered marks a job replayed from the WAL after a restart.

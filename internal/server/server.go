@@ -18,8 +18,8 @@
 //     leader propagates its error to every follower;
 //   - graceful drain: shutdown stops admitting, rejects
 //     queued-but-unadmitted jobs with a clean "server draining" error,
-//     lets in-flight runs finish (journaled, via the engine's
-//     drain-on-cancel semantics) and only then returns.
+//     lets in-flight runs finish (via the engine's drain-on-cancel
+//     semantics) and only then returns.
 //
 // Everything is wired into internal/obs: server_* counters, gauges and
 // histograms, per-job trace spans, and the /metrics + /debug/pprof
@@ -29,8 +29,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -68,10 +66,6 @@ type Config struct {
 	// Observer records server_* metrics and per-job trace spans, and
 	// backs the /metrics endpoint (nil = no observation).
 	Observer *obs.Observer
-	// JournalDir, when set, writes each job's flow journal to
-	// <dir>/<job-id>.jsonl as an audit log; in-flight jobs that complete
-	// during a drain are journaled there.
-	JournalDir string
 	// StateDir, when set, makes accepted jobs crash-durable: every job
 	// state transition is appended to <dir>/jobs.wal (CRC-trailered,
 	// fsynced) before it is acknowledged, and Recover replays the log
@@ -132,8 +126,6 @@ type group struct {
 	// often this flight was put back on the queue.
 	stalled  bool
 	requeues int
-
-	journalFile *os.File // non-nil when a journal directory is set
 }
 
 // breakerState tracks one (tenant, spec key)'s consecutive failures.
@@ -204,7 +196,7 @@ type Server struct {
 }
 
 // serverTIDBase is the trace lane block for server worker slots, kept
-// clear of the flow scheduler's worker lanes and coordinator lane.
+// clear of the flow scheduler's worker lanes.
 const serverTIDBase = 1 << 21
 
 // New builds and starts a server: worker goroutines spin up immediately
@@ -533,7 +525,6 @@ func (s *Server) worker(slot int) {
 // requeued (within its budget) instead of published; past the budget
 // its jobs are quarantined as poisoned.
 func (s *Server) execute(slot int, g *group) {
-	journal, journalErr := s.openJournal(g)
 	opt := flow.Options{
 		Strategy:       g.cs.strategy,
 		SemiTau:        g.cs.spec.Tau,
@@ -544,7 +535,6 @@ func (s *Server) execute(slot int, g *group) {
 		StageCache:     s.stage,
 		MaxJobRetries:  g.cs.spec.Retries,
 		FaultPlan:      g.cs.faults,
-		Journal:        journal,
 		Observer:       s.cfg.Observer,
 	}
 	if g.cs.spec.ErrorPolicy == "collect" {
@@ -563,14 +553,7 @@ func (s *Server) execute(slot int, g *group) {
 	tr := s.cfg.Observer.Tracer()
 	spanStart := tr.Now()
 
-	var res *flow.Result
-	err := journalErr
-	if err == nil {
-		res, err = s.runFlow(g.ctx, g.cs, opt)
-	}
-	if g.journalFile != nil {
-		g.journalFile.Close() //nolint:errcheck // line-buffered writes already flushed per entry
-	}
+	res, err := s.runFlow(g.ctx, g.cs, opt)
 
 	s.mu.Lock()
 	s.running--
@@ -612,7 +595,7 @@ func (s *Server) execute(slot int, g *group) {
 	poisoned := err != nil && g.stalled && !s.draining && len(g.jobs) > 0
 	var rv *ResultView
 	if err == nil {
-		rv = summarizeResult(g.cs.spec, res, len(journal.Entries()))
+		rv = summarizeResult(g.cs.spec, res)
 	}
 	for _, j := range g.jobs {
 		if j.State.terminal() {
@@ -735,29 +718,6 @@ func (s *Server) watchdog(quit chan struct{}) {
 	}
 }
 
-// openJournal creates the group's journal: in-memory always, backed by
-// a <JournalDir>/<leader-job>.jsonl file when configured.
-func (s *Server) openJournal(g *group) (*flow.Journal, error) {
-	if s.cfg.JournalDir == "" {
-		return flow.NewJournal(nil), nil
-	}
-	s.mu.Lock()
-	leader := ""
-	if len(g.jobs) > 0 {
-		leader = g.jobs[0].ID
-	}
-	s.mu.Unlock()
-	if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: journal: %w", err)
-	}
-	f, err := os.Create(filepath.Join(s.cfg.JournalDir, leader+".jsonl"))
-	if err != nil {
-		return nil, fmt.Errorf("server: journal: %w", err)
-	}
-	g.journalFile = f // closed by execute after the run's entries are final
-	return flow.NewJournal(f), nil
-}
-
 // Get returns tenant's job by ID. A job owned by another tenant is
 // ErrNotFound — existence is not leaked across tenants.
 func (s *Server) Get(tenant, id string) (JobView, error) {
@@ -853,7 +813,7 @@ func (s *Server) Snapshot() Stats {
 // Shutdown drains the server: admission stops (submissions get
 // ErrDraining), every queued-but-unadmitted job is rejected with a
 // clean "server draining" error, and in-flight runs are left to finish
-// and journal through the engine's drain-on-cancel semantics. If ctx
+// through the engine's drain-on-cancel semantics. If ctx
 // expires first, the remaining runs are cancelled at the next job
 // boundary and Shutdown still waits for the workers to exit before
 // returning ctx's error. Safe to call more than once.

@@ -83,6 +83,44 @@ func TestWALTornTailEveryLength(t *testing.T) {
 // TestWALCorruptMidRecord: a flipped bit anywhere inside a record ends
 // the replay at that record — the prefix before it is still recovered,
 // nothing after it is trusted.
+// TestWALReplaysParentFormat: testdata/wal_parent_format.wal was
+// written by a daemon whose succeeded results still carried the retired
+// "journal_entries" field, followed by a second admission that never
+// started. Replay is strict (unknown fields end it), so the field must
+// stay decodable: every record replays, nothing is truncated, the
+// finished job comes back succeeded with its recorded result, and the
+// live one reruns to the same bitstream CRCs.
+func TestWALReplaysParentFormat(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "wal_parent_format.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, clean := decodeWALPrefix(data)
+	if len(recs) != 4 || clean != len(data) {
+		t.Fatalf("replayed %d records over %d of %d bytes, want 4 over all", len(recs), clean, len(data))
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, stats := bootWALServer(t, dir, nil, Config{})
+	if stats != (RecoveryStats{Records: 4, Jobs: 2, Requeued: 1, Terminal: 1}) {
+		t.Fatalf("recovery stats = %+v", stats)
+	}
+	done, err := s.Get("acme", "j000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != StateSucceeded || !done.Recovered || done.Result == nil ||
+		done.Result.JobsExecuted != 37 || len(done.Result.BitstreamCRCs) != 17 {
+		t.Fatalf("recovered job = %+v", done)
+	}
+	rerun := waitState(t, s, "acme", "j000002", StateSucceeded)
+	if !reflect.DeepEqual(rerun.Result.BitstreamCRCs, done.Result.BitstreamCRCs) {
+		t.Fatalf("rerun CRCs %v differ from the recorded %v", rerun.Result.BitstreamCRCs, done.Result.BitstreamCRCs)
+	}
+}
+
 func TestWALCorruptMidRecord(t *testing.T) {
 	recs := walFixture()
 	data := encodeAll(t, recs)

@@ -339,67 +339,97 @@ func (ck *SynthCheckpoint) clone() *SynthCheckpoint {
 // the OoC flag and the full module hierarchy with per-module interfaces
 // and resource signatures.
 func checkpointKey(dev *fpga.Device, model *CostModel, m *rtl.Module, ooc bool) string {
-	h := newFNV()
-	h.str(dev.Name)
-	for _, n := range dev.Total {
-		h.u64(uint64(n))
-	}
-	h.f64(model.SynthBase)
-	h.f64(model.SynthPerK)
-	h.f64(model.SynthExp)
-	h.f64(model.SynthOoCFactor)
-	h.f64(model.JitterFrac)
-	h.u64(model.JitterSeed)
+	h := checkpointBasis
+	h.Str(dev.Name)
+	h.Res(dev.Total)
+	h.F64(model.SynthBase)
+	h.F64(model.SynthPerK)
+	h.F64(model.SynthExp)
+	h.F64(model.SynthOoCFactor)
+	h.F64(model.JitterFrac)
+	h.U64(model.JitterSeed)
 	if ooc {
-		h.str("ooc")
+		h.Str("ooc")
 	}
 	m.Walk(func(path string, mod *rtl.Module) {
-		h.str(path)
-		h.str(mod.Name)
+		h.Str(path)
+		h.Str(mod.Name)
 		if mod.BlackBox {
-			h.str("bb")
+			h.Str("bb")
 		}
 		if mod.ClockModifying {
-			h.str("ckmod")
+			h.Str("ckmod")
 		}
 		for _, p := range mod.Ports {
-			h.str(p.Name)
-			h.u64(uint64(p.Dir))
-			h.u64(uint64(p.Width))
-			h.u64(uint64(p.Class))
+			h.Str(p.Name)
+			h.U64(uint64(p.Dir))
+			h.U64(uint64(p.Width))
+			h.U64(uint64(p.Class))
 		}
-		for _, r := range mod.Cost {
-			h.u64(uint64(r))
-		}
+		h.Res(mod.Cost)
 	})
-	return fmt.Sprintf("%016x", uint64(*h))
+	return h.Sum()
 }
 
-// fnv is an incremental FNV-1a 64-bit hasher with field separators.
-type fnv uint64
+// Digest is the incremental FNV-1a 64-bit hasher behind every content
+// address in the repository: synthesis-checkpoint keys, the flow's
+// design digest and stage-artifact keys, and the server's single-flight
+// spec keys. Strings are 0xff-terminated so ("ab","c") and ("a","bc")
+// differ; numbers are written as 8-byte little-endian. Persisted cache
+// entries are named by these sums, so the framing must never change.
+type Digest uint64
 
-func newFNV() *fnv {
-	h := fnv(1469598103934665603)
+// NewDigest returns a digest at the FNV-1a offset basis.
+func NewDigest() *Digest {
+	h := Digest(14695981039346656037)
 	return &h
 }
 
-func (h *fnv) byte(b byte) {
-	*h = (*h ^ fnv(b)) * 1099511628211
+// checkpointBasis seeds checkpoint keys instead of the offset basis:
+// it is the basis with its last digit dropped, a slip of the original
+// checkpoint hasher that stays because every persisted checkpoint is
+// named by a key derived from it.
+const checkpointBasis Digest = 1469598103934665603
+
+func (h *Digest) byte(b byte) {
+	*h = (*h ^ Digest(b)) * 1099511628211
 }
 
-func (h *fnv) str(s string) {
+// Str writes s followed by the 0xff separator.
+func (h *Digest) Str(s string) {
 	for i := 0; i < len(s); i++ {
 		h.byte(s[i])
 	}
-	h.byte(0xff) // separator: ("ab","c") != ("a","bc")
+	h.byte(0xff)
 }
 
-func (h *fnv) u64(v uint64) {
+// U64 writes v as 8 little-endian bytes.
+func (h *Digest) U64(v uint64) {
 	for i := 0; i < 8; i++ {
 		h.byte(byte(v >> (8 * i)))
 	}
 }
 
-func (h *fnv) f64(v float64) {
-	h.u64(math.Float64bits(v))
+// F64 writes v's IEEE-754 bits.
+func (h *Digest) F64(v float64) {
+	h.U64(math.Float64bits(v))
 }
+
+// Flag writes v as the number 1 or 0.
+func (h *Digest) Flag(v bool) {
+	if v {
+		h.U64(1)
+	} else {
+		h.U64(0)
+	}
+}
+
+// Res writes every component of a resource vector.
+func (h *Digest) Res(r fpga.Resources) {
+	for _, n := range r {
+		h.U64(uint64(n))
+	}
+}
+
+// Sum returns the digest as 16 lower-case hex digits.
+func (h *Digest) Sum() string { return fmt.Sprintf("%016x", uint64(*h)) }

@@ -178,7 +178,7 @@ func (p *Platform) BuildSoC(cfg *socgen.Config) (*SoC, error) {
 
 // FlowOptions tunes a flow run. It is the flow engine's option struct
 // verbatim — one definition, so every engine knob (Observer, FaultPlan,
-// Journal, ErrorPolicy, ...) is available here without facade
+// Heartbeat, ErrorPolicy, ...) is available here without facade
 // mirroring. The platform fills Model and Cache with its own when the
 // caller leaves them nil.
 type FlowOptions = flow.Options
