@@ -48,14 +48,21 @@ bench:
 # the cold/warm evaluator sweeps, the observed/nil-observer flow pair
 # (the check that instrumentation costs nothing when disabled) and the
 # incremental cold/warm/edit legs (the stage-artifact cache's win on
-# unchanged and one-kernel-edit reruns). The parsed results land in
-# BENCH_flow.json for diffing across changes; -benchtime=1x numbers
-# are smoke-level, not statistics.
+# unchanged and one-kernel-edit reruns). The bitstream layer's own
+# benchmarks (partial and full-device generation on the VC707 and VCU118
+# geometries) follow at 10 iterations, so the first call's encoder
+# scratch allocation does not stand for the steady state. The parsed
+# results land in BENCH_flow.json and BENCH_bitstream.json for diffing
+# across changes; these numbers are smoke-level, not statistics.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^Benchmark(EvaluateStrategy(Cold|Warm)|RunPRESP(NilObserver|Observed|Incremental(Cold|Warm|Edit)))$$' \
 		-benchtime=1x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_flow.json
 	@cat BENCH_flow.json
+	$(GO) test -run='^$$' -bench='^BenchmarkGenerate(Partial|Full)$$' \
+		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/bitstream/ \
+		| $(GO) run ./cmd/presp-benchjson > BENCH_bitstream.json
+	@cat BENCH_bitstream.json
 
 # Boot check for the flow-as-a-service daemon, part of `make ci`: build
 # presp-served, bind an ephemeral port, push one real job through the
@@ -79,16 +86,20 @@ fuzz:
 # scheduler executor, the reconfiguration fault-plan harness (any plan
 # must leave the tile un-wedged and two runs byte-identical), the CAD
 # fault-plan parser/injector (arbitrary plans parse or reject cleanly,
-# and the injected fault set is interleaving-independent), and the
+# and the injected fault set is interleaving-independent), the
 # disk-tier read path (any mutation of a persisted checkpoint or stage
 # artifact must fail the CRC check — corruption is quarantined, never
-# decoded).
+# decoded), and the bitstream codec (the reference RLE round trip, the
+# bounded decoder on arbitrary streams, and the fused generator against
+# the reference encoding).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerExecute -fuzztime=5s ./internal/flow/
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/reconfig/
 	$(GO) test -run=^$$ -fuzz=FuzzCADFaultPlan -fuzztime=5s ./internal/faultinject/
 	$(GO) test -run=^$$ -fuzz=FuzzDiskEntry -fuzztime=5s ./internal/vivado/
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=5s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzRLE -fuzztime=5s ./internal/bitstream/
+	$(GO) test -run=^$$ -fuzz=FuzzFusedEncoder -fuzztime=5s ./internal/bitstream/
 
 # Crash battery for the durable job layer, part of `make ci`: replay the
 # job WAL truncated at every record boundary (plus a torn tail), kill -9

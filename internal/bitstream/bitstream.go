@@ -120,13 +120,7 @@ func NewGenerator(d *fpga.Device) *Generator {
 // leaves most configuration words at their defaults (routing frames are
 // sparse), which is why Vivado's compression is so effective.
 func densityFor(fill float64) float64 {
-	if fill < 0 {
-		fill = 0
-	}
-	if fill > 1 {
-		fill = 1
-	}
-	return 0.015 + 0.095*fill
+	return 0.015 + 0.095*min(max(fill, 0), 1)
 }
 
 // Partial generates the compressed partial bitstream for a partition
@@ -136,26 +130,11 @@ func (g *Generator) Partial(name string, pb fpga.Pblock, usedLUTs int, compress 
 	if frames <= 0 {
 		return nil, fmt.Errorf("bitstream: pblock %s covers no frames", pb.Name)
 	}
-	areaLUTs := pb.ResourcesOn(g.dev)[fpga.LUT]
 	fill := 0.0
-	if areaLUTs > 0 {
+	if areaLUTs := pb.ResourcesOn(g.dev)[fpga.LUT]; areaLUTs > 0 {
 		fill = float64(usedLUTs) / float64(areaLUTs)
 	}
-	raw := g.frames(name, frames, densityFor(fill))
-	bs := &Bitstream{
-		Name:     name,
-		Kind:     Partial,
-		Frames:   frames,
-		RawBytes: len(raw),
-	}
-	if compress {
-		bs.Data = CompressRLE(raw)
-		bs.Compressed = true
-	} else {
-		bs.Data = raw
-	}
-	bs.Checksum = bs.CRC()
-	return bs, nil
+	return g.image(name, Partial, frames, fill, compress), nil
 }
 
 // FullDevice generates the full-device bitstream for a design using
@@ -163,53 +142,53 @@ func (g *Generator) Partial(name string, pb fpga.Pblock, usedLUTs int, compress 
 func (g *Generator) FullDevice(name string, usedLUTs int, compress bool) (*Bitstream, error) {
 	// Approximate the device frame count from grid geometry.
 	pb := fpga.Pblock{Name: name, X0: 0, Y0: 0, X1: g.dev.GridCols() - 1, Y1: g.dev.GridRows() - 1}
-	frames := pb.Frames(g.dev)
 	fill := float64(usedLUTs) / float64(g.dev.Total[fpga.LUT])
-	raw := g.frames(name, frames, densityFor(fill))
-	bs := &Bitstream{Name: name, Kind: Full, Frames: frames, RawBytes: len(raw)}
-	if compress {
-		bs.Data = CompressRLE(raw)
-		bs.Compressed = true
-	} else {
-		bs.Data = raw
-	}
-	bs.Checksum = bs.CRC()
-	return bs, nil
+	return g.image(name, Full, pb.Frames(g.dev), fill, compress), nil
 }
 
-// frames renders the raw frame payload: per frame, a deterministic
-// pseudo-random subset of words is configured (non-zero).
-func (g *Generator) frames(seedName string, frames int, density float64) []byte {
-	words := frames * g.dev.FrameWords
-	out := make([]byte, words*4)
-	rng := splitmix64(hashString(seedName))
-	threshold := uint64(density * float64(1<<32))
-	for w := 0; w < words; w++ {
-		r := rng.next()
-		if uint64(uint32(r)) < threshold {
-			binary.LittleEndian.PutUint32(out[w*4:], uint32(r>>32)|1)
+// image renders one bitstream of frames frames at fabric fill fill. A
+// compressed image is encoded as its words are drawn, so the raw payload
+// is only materialised when compression is off.
+func (g *Generator) image(name string, kind Kind, frames int, fill float64, compress bool) *Bitstream {
+	words, density := frames*g.dev.FrameWords, densityFor(fill)
+	bs := &Bitstream{Name: name, Kind: kind, Frames: frames, RawBytes: words * 4, Compressed: compress}
+	if compress {
+		bs.Data = compressedFrames(name, words, density)
+	} else {
+		bs.Data = make([]byte, words*4)
+		state, cut := hashString(name), uint64(density*(1<<32))
+		for w := 0; w < words; w++ {
+			state += splitmixGamma
+			binary.LittleEndian.PutUint32(bs.Data[w*4:], configWord(state, cut))
 		}
 	}
-	return out
+	bs.Checksum = bs.CRC()
+	return bs
 }
 
-// splitmix64 is a tiny deterministic PRNG (no math/rand dependency so
-// generation is reproducible across Go versions).
-type splitmix64 uint64
+// Words come from splitmix64 seeded by hashString of the image name (no
+// math/rand, so generation is reproducible across Go versions). Each draw
+// adds splitmixGamma to a state callers keep in a register-resident local.
+const splitmixGamma = 0x9e3779b97f4a7c15
 
-func (s *splitmix64) next() uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+// configWord mixes splitmix64 state into its draw and maps the draw to a
+// configuration word: per frame, a deterministic pseudo-random subset of
+// words is configured (non-zero), those whose low half falls below cut.
+func configWord(state, cut uint64) uint32 {
+	z := (state ^ (state >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z ^= z >> 31
+	if uint64(uint32(z)) < cut {
+		return uint32(z>>32) | 1
+	}
+	return 0
 }
 
-func hashString(s string) splitmix64 {
+func hashString(s string) uint64 {
 	var h uint64 = 1469598103934665603 // FNV offset basis
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return splitmix64(h)
+	return h
 }

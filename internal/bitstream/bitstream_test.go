@@ -2,96 +2,12 @@ package bitstream
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
-	"testing/quick"
 
 	"presp/internal/fpga"
 )
-
-func TestRLERoundtripKnown(t *testing.T) {
-	raw := make([]byte, 4096)
-	for i := 100; i < 140; i++ {
-		raw[i] = byte(i)
-	}
-	comp := CompressRLE(raw)
-	back, err := DecompressRLE(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, back) {
-		t.Fatal("roundtrip corrupted data")
-	}
-	if len(comp) >= len(raw) {
-		t.Fatalf("sparse data did not compress: %d -> %d", len(raw), len(comp))
-	}
-}
-
-func TestRLERoundtripProperty(t *testing.T) {
-	f := func(data []byte) bool {
-		comp := CompressRLE(data)
-		back, err := DecompressRLE(comp)
-		if err != nil {
-			return false
-		}
-		// Compression pads to a word boundary; the prefix must match
-		// and the padding must be zeros.
-		if len(back) < len(data) {
-			return false
-		}
-		if !bytes.Equal(back[:len(data)], data) {
-			return false
-		}
-		for _, b := range back[len(data):] {
-			if b != 0 {
-				return false
-			}
-		}
-		return len(back)-len(data) < 4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRLEAllZeros(t *testing.T) {
-	raw := make([]byte, 1<<16)
-	comp := CompressRLE(raw)
-	if len(comp) > 16 {
-		t.Fatalf("64KB of zeros should compress to a few bytes, got %d", len(comp))
-	}
-}
-
-func TestRLEIncompressible(t *testing.T) {
-	raw := make([]byte, 4096)
-	for i := range raw {
-		raw[i] = byte(i*7 + i/13) // no runs
-	}
-	comp := CompressRLE(raw)
-	back, err := DecompressRLE(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, back) {
-		t.Fatal("roundtrip corrupted data")
-	}
-	// Overhead must stay small (one literal header).
-	if len(comp) > len(raw)+16 {
-		t.Fatalf("literal overhead too big: %d -> %d", len(raw), len(comp))
-	}
-}
-
-func TestDecompressRejectsCorrupt(t *testing.T) {
-	cases := [][]byte{
-		{0x05, 0x01},             // unknown tag
-		{0x00, 0x04},             // run without word
-		{0x01, 0x10, 0x01, 0x02}, // literal count beyond data
-	}
-	for i, c := range cases {
-		if _, err := DecompressRLE(c); err == nil {
-			t.Errorf("case %d: corrupt stream decompressed", i)
-		}
-	}
-}
 
 func TestGeneratorDeterministic(t *testing.T) {
 	g := NewGenerator(fpga.VC707())
@@ -252,4 +168,36 @@ func TestCorruptedCopyFailsVerification(t *testing.T) {
 	if err := plain.Verify(); err != nil {
 		t.Fatalf("unchecksummed image rejected: %v", err)
 	}
+}
+
+// TestConcurrentGeneration shares one Generator across goroutines, as
+// the flow's bitgen jobs do: each image must match its serial twin, so
+// no two calls may share an encoder's scratch output.
+func TestConcurrentGeneration(t *testing.T) {
+	g := NewGenerator(fpga.VC707())
+	pb := fpga.Pblock{Name: "p", X0: 0, Y0: 0, X1: 1, Y1: 0}
+	const n = 8
+	want := make([]*Bitstream, n)
+	for i := range want {
+		bs, err := g.Partial(fmt.Sprintf("m%d", i), pb, 2000*(i+1), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = bs
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				bs, err := g.Partial(fmt.Sprintf("m%d", i), pb, 2000*(i+1), true)
+				if err != nil || !bytes.Equal(bs.Data, want[i].Data) {
+					t.Errorf("image %d differs under concurrent generation (err %v)", i, err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }

@@ -3,95 +3,114 @@ package bitstream
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 )
 
-// CompressRLE compresses a raw frame payload with the word-oriented
-// run-length scheme Vivado's compression mode uses in spirit: runs of
-// identical 32-bit words become (marker, count, word) triples; literal
-// stretches are copied with a (literal, count) header.
-//
-// Layout: the stream is a sequence of records.
+// Compressed payloads use a word-oriented run-length code in the spirit
+// of Vivado's compression mode. The stream is a sequence of records:
 //
 //	0x00 <uvarint n> <word>    — the word repeats n times (n >= 4)
 //	0x01 <uvarint n> <n words> — n literal words
-func CompressRLE(raw []byte) []byte {
-	if len(raw)%4 != 0 {
-		// Pad to a word boundary; real bitstreams are word aligned.
-		pad := 4 - len(raw)%4
-		raw = append(append([]byte(nil), raw...), make([]byte, pad)...)
-	}
-	n := len(raw) / 4
-	words := make([]uint32, n)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint32(raw[i*4:])
-	}
+//
+// Shorter runs join the pending literal stretch, which is flushed before
+// each run record and at the end of the stream.
 
-	var out []byte
-	var lit []uint32
-	flushLit := func() {
-		if len(lit) == 0 {
-			return
+// rleScratch recycles encoders across images. Concurrent bitgen jobs
+// share one Generator; each call takes an encoder of its own.
+var rleScratch = sync.Pool{New: func() any { return new(rleEncoder) }}
+
+// compressedFrames encodes words configuration words as they are drawn,
+// so the raw payload never exists, and returns an exact-size copy: the
+// reconfiguration manager keeps every registered image alive.
+func compressedFrames(seedName string, words int, density float64) []byte {
+	e := rleScratch.Get().(*rleEncoder)
+	defer rleScratch.Put(e)
+	// 16 bytes per configured word covers the ~12 an image needs.
+	e.out = slices.Grow(e.out[:0], int(16*density*float64(words))+16)
+	state, cut := hashString(seedName), uint64(density*(1<<32))
+	cur, run := uint32(0), 0 // a first zero word extends this empty run
+	for i := 0; i < words; i++ {
+		state += splitmixGamma
+		if w := configWord(state, cut); w != cur {
+			e.emit(cur, run)
+			cur, run = w, 0
 		}
-		out = append(out, 0x01)
-		out = binary.AppendUvarint(out, uint64(len(lit)))
-		for _, w := range lit {
-			out = binary.LittleEndian.AppendUint32(out, w)
-		}
-		lit = lit[:0]
+		run++
 	}
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && words[j] == words[i] {
-			j++
-		}
-		run := j - i
-		if run >= 4 {
-			flushLit()
-			out = append(out, 0x00)
-			out = binary.AppendUvarint(out, uint64(run))
-			out = binary.LittleEndian.AppendUint32(out, words[i])
-		} else {
-			for k := 0; k < run; k++ {
-				lit = append(lit, words[i])
-			}
-		}
-		i = j
-	}
-	flushLit()
-	return out
+	e.emit(cur, run)
+	e.flushLit()
+	return append(make([]byte, 0, len(e.out)), e.out...)
 }
 
-// DecompressRLE inverts CompressRLE.
-func DecompressRLE(data []byte) ([]byte, error) {
-	var out []byte
+// rleEncoder appends records to out, one finished run at a time.
+type rleEncoder struct {
+	out  []byte
+	lits []uint32 // the pending literal stretch
+}
+
+// emit encodes a run of n copies of w.
+func (e *rleEncoder) emit(w uint32, n int) {
+	if n < 4 {
+		for ; n > 0; n-- {
+			e.lits = append(e.lits, w)
+		}
+		return
+	}
+	e.flushLit()
+	e.out = binary.AppendUvarint(append(e.out, 0x00), uint64(n))
+	e.out = binary.LittleEndian.AppendUint32(e.out, w)
+}
+
+func (e *rleEncoder) flushLit() {
+	if len(e.lits) == 0 {
+		return
+	}
+	e.out = binary.AppendUvarint(append(e.out, 0x01), uint64(len(e.lits)))
+	for _, w := range e.lits {
+		e.out = binary.LittleEndian.AppendUint32(e.out, w)
+	}
+	e.lits = e.lits[:0]
+}
+
+// DecompressRLE decodes an RLE payload that must expand to exactly
+// rawBytes bytes (Bitstream.RawBytes). Each count is checked against the
+// input left and the output still owed before it is used, so a corrupt
+// stream fails with an error and never allocates past rawBytes.
+func DecompressRLE(data []byte, rawBytes int) ([]byte, error) {
+	if rawBytes < 0 || rawBytes%4 != 0 {
+		return nil, fmt.Errorf("bitstream: raw size %d is not a whole number of words", rawBytes)
+	}
+	out, at := make([]byte, rawBytes), 0
 	for pos := 0; pos < len(data); {
-		tag := data[pos]
-		pos++
-		count, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("bitstream: corrupt RLE count at offset %d", pos)
+		tag, start := data[pos], pos
+		count, n := binary.Uvarint(data[pos+1:])
+		pos += 1 + n
+		bodyWords := uint64(1) // a run record carries its word
+		if tag == 0x01 {
+			bodyWords = count
 		}
-		pos += n
-		switch tag {
-		case 0x00:
-			if pos+4 > len(data) {
-				return nil, fmt.Errorf("bitstream: truncated run record at offset %d", pos)
-			}
-			w := data[pos : pos+4]
-			pos += 4
-			for i := uint64(0); i < count; i++ {
-				out = append(out, w...)
-			}
-		case 0x01:
-			need := int(count) * 4
-			if pos+need > len(data) {
-				return nil, fmt.Errorf("bitstream: truncated literal record at offset %d", pos)
-			}
-			out = append(out, data[pos:pos+need]...)
-			pos += need
-		default:
-			return nil, fmt.Errorf("bitstream: unknown RLE tag 0x%02x at offset %d", tag, pos-1)
+		switch {
+		case tag > 0x01:
+			return nil, fmt.Errorf("bitstream: unknown RLE tag 0x%02x at offset %d", tag, start)
+		case n <= 0 || count == 0:
+			return nil, fmt.Errorf("bitstream: corrupt RLE count at offset %d", start)
+		case count > uint64(rawBytes-at)/4:
+			return nil, fmt.Errorf("bitstream: RLE record at offset %d expands past %d raw bytes", start, rawBytes)
+		case bodyWords > uint64(len(data)-pos)/4:
+			return nil, fmt.Errorf("bitstream: truncated RLE record at offset %d", start)
 		}
+		if tag == 0x00 {
+			for end := at + 4*int(count); at < end; at += 4 {
+				copy(out[at:], data[pos:pos+4])
+			}
+		} else {
+			at += copy(out[at:], data[pos:pos+4*int(count)])
+		}
+		pos += 4 * int(bodyWords)
+	}
+	if at != rawBytes {
+		return nil, fmt.Errorf("bitstream: RLE stream ends at %d of %d raw bytes", at, rawBytes)
 	}
 	return out, nil
 }
