@@ -14,21 +14,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+
+	"presp"
 )
 
 func main() {
-	only := flag.String("only", "", "run one experiment: 1..6, fig3, fig4 (default: all)")
+	only := flag.String("only", "", "run one experiment: 1..6, fig3, fig4, map or stability (default: all)")
 	flag.Parse()
 
-	targets := []string{"1", "2", "3", "4", "5", "6", "fig3", "fig4", "map", "stability"}
+	targets := presp.ExperimentNames()
 	if *only != "" {
-		targets = []string{strings.ToLower(strings.TrimPrefix(strings.ToLower(*only), "table"))}
+		targets = []string{*only}
 	}
 	for _, t := range targets {
-		if err := runOne(t); err != nil {
+		out, err := presp.RunExperiment(t)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "presp-bench:", err)
 			os.Exit(1)
 		}
+		fmt.Println(out)
 	}
 }

@@ -8,15 +8,16 @@
 //	presp-flow -preset SOC_2                 # a built-in configuration
 //	presp-flow -config my_soc.json           # a JSON tile-grid config
 //	presp-flow -preset SoC_A -strategy serial -baseline both
-//	presp-flow -preset SOC_2 -timeout 30s
+//	presp-flow -preset SOC_2 -timeout 30s   # bounds the whole command
 //	presp-flow -preset SOC_2 -cache-dir ~/.cache/presp  # persistent warm starts
 //	presp-flow -preset SOC_2 -faults 'seed=7,synth=0.2' -retries 2
 //
 // Presets: SOC_1..SOC_4 (characterization), SoC_A..SoC_D (WAMI flow
 // evaluation), SoC_X/SoC_Y/SoC_Z (WAMI runtime systems).
 //
-// The run is interruptible: SIGINT/SIGTERM (or -timeout) stop it at
-// the next job boundary. With -cache-dir, every finished synthesis is
+// The run is interruptible: SIGINT/SIGTERM, or -timeout — one deadline
+// for the main run and any -baseline runs together — stop it at the
+// next job boundary. With -cache-dir, every finished synthesis is
 // already on disk, so rerunning the same command resumes the run:
 // finished work is served from the cache instead of recomputed.
 package main
@@ -133,6 +134,13 @@ func main() {
 }
 
 func run(ctx context.Context, o *cliOptions) error {
+	if o.timeout > 0 {
+		// One bound for the whole command: the main run and every
+		// baseline share it.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
+		defer cancel()
+	}
 	cfg, err := loadConfig(o.preset, o.configPath)
 	if err != nil {
 		return err
@@ -160,7 +168,6 @@ func run(ctx context.Context, o *cliOptions) error {
 		Cache:         cache,
 		StageCache:    vivado.NewStageCache(),
 		CacheDir:      o.cacheDir,
-		Timeout:       o.timeout,
 		MaxJobRetries: o.retries,
 		ErrorPolicy:   o.errorPolicy,
 		FaultPlan:     o.faultPlan,

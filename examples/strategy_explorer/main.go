@@ -128,10 +128,12 @@ func runWith(ctx context.Context, p *presp.Platform, soc *presp.SoC, kind presp.
 	if err != nil {
 		return 0, false, nil
 	}
+	// A one-minute safety net per run; modelled time is unaffected.
+	ctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
 	res, err := p.RunFlow(ctx, soc, presp.FlowOptions{
 		Strategy:       strat,
 		SkipBitstreams: true,
-		Timeout:        time.Minute, // safety net per run; modelled time is unaffected
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -23,8 +23,9 @@ import (
 // the tile's largest module. Tiles and accelerators are validated in
 // sorted order — error selection and bitstream naming never depend on
 // map iteration order — and the generation jobs fan out on the shared
-// worker-pool scheduler, bounded by workers (<= 0 selects NumCPU) and
-// by ctx: cancellation stops generation at the next job boundary and
+// worker-pool scheduler, bounded by workers (0 selects GOMAXPROCS; a
+// negative count is rejected by NormalizeWorkers before any job runs)
+// and by ctx: cancellation stops generation at the next job boundary and
 // drains the pool. The outputs are identical for every worker count —
 // the fault-injection determinism suite runs the same seeded plan
 // against bitstream sets generated at different widths to prove it.
@@ -75,12 +76,12 @@ func GenerateRuntimeBitstreams(ctx context.Context, d *socgen.Design, plan *floo
 	}
 
 	// Fan the independent generation jobs out on the worker pool.
-	g := NewGraph()
+	g := newGraph()
 	generated := make([]*bitstream.Bitstream, len(tasks))
 	for i, tk := range tasks {
 		i, tk := i, tk
 		id := fmt.Sprintf("bitgen/%03d/%s.%s", i, tk.tile, tk.acc)
-		must(g.Add(id, StageBitgen, nil, func(ctx context.Context) (vivado.Minutes, error) {
+		must(g.add(id, StageBitgen, nil, nil, func(ctx context.Context) (vivado.Minutes, error) {
 			bs, t, err := tool.WritePartialBitstream(ctx, tk.name, tk.pb, tk.res, compress)
 			if err != nil {
 				return 0, err
@@ -89,7 +90,7 @@ func GenerateRuntimeBitstreams(ctx context.Context, d *socgen.Design, plan *floo
 			return t, nil
 		}))
 	}
-	if _, errs, err := g.ExecuteCtx(ctx, ExecOptions{Workers: workers}); err != nil {
+	if _, errs, err := g.execute(ctx, Options{Workers: workers}); err != nil {
 		return nil, err
 	} else if len(errs) > 0 {
 		return nil, errs[0]

@@ -28,19 +28,10 @@ func TestSchedulerRandomCancelPoints(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(30)
 		g, rec, _, _ := randomDAG(rng, n, 0.1)
-		k := rng.Intn(n + 1) // cancel after the k-th completion
+		k := rng.Intn(n + 1) // cancel after the k-th successful job
 
 		ctx, cancel := context.WithCancel(context.Background())
-		done := 0
-		stats, _, err := g.ExecuteCtx(ctx, ExecOptions{
-			Workers: 1 + rng.Intn(8),
-			OnJobDone: func(*Job, JobOutcome) {
-				done++
-				if done == k {
-					cancel()
-				}
-			},
-		})
+		stats, _, err := collect(ctx, g, 1+rng.Intn(8), cancelAfter(k, cancel))
 		cancel()
 
 		if rec.violation != "" {
@@ -185,9 +176,9 @@ func TestFlowCancelLeavesCacheConsistent(t *testing.T) {
 	leakcheck.VerifyNone(t)
 }
 
-// TestFlowTimeout: an expired whole-flow timeout surfaces as
-// context.DeadlineExceeded before (or during) execution, for every
-// entry point.
+// TestFlowTimeout: an expired context deadline — the one run bound —
+// surfaces as context.DeadlineExceeded before (or during) execution, for
+// every entry point.
 func TestFlowTimeout(t *testing.T) {
 	runs := []struct {
 		name string
@@ -198,7 +189,9 @@ func TestFlowTimeout(t *testing.T) {
 		{"monolithic", RunMonolithic},
 	}
 	for _, r := range runs {
-		_, err := r.run(context.Background(), elaborate(t, socgen.SOC1()), Options{Timeout: 1})
+		ctx, cancel := context.WithTimeout(context.Background(), 1)
+		_, err := r.run(ctx, elaborate(t, socgen.SOC1()), Options{})
+		cancel()
 		if err == nil {
 			t.Fatalf("%s: 1ns timeout did not abort the flow", r.name)
 		}
@@ -230,12 +223,12 @@ func TestGenerateRuntimeBitstreamsCancel(t *testing.T) {
 	}
 	alloc := map[string][]string{}
 	for _, rp := range d.RPs {
-		alloc[rp.Name] = []string{"mac"}
+		alloc[rp.Tile.Name] = []string{"mac"}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := GenerateRuntimeBitstreams(ctx, d, plan, alloc, accel.Default(), true, 2); err == nil {
-		t.Fatal("cancelled context did not abort bitstream generation")
+	if _, err := GenerateRuntimeBitstreams(ctx, d, plan, alloc, accel.Default(), true, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context did not abort bitstream generation: %v", err)
 	}
 	leakcheck.VerifyNone(t)
 }
@@ -254,7 +247,46 @@ func TestNormalizeWorkers(t *testing.T) {
 	if err != nil || n != 7 {
 		t.Fatalf("NormalizeWorkers(7) = %d, %v", n, err)
 	}
-	if _, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC1()), Options{Workers: -3}); err == nil {
-		t.Fatal("flow accepted a negative worker count")
+}
+
+// TestNegativeWorkersRejected: every scheduler entry point returns the
+// NormalizeWorkers error for a negative worker count before any job
+// runs.
+func TestNegativeWorkersRejected(t *testing.T) {
+	_, want := NormalizeWorkers(-1)
+	d := elaborate(t, socgen.SOC2())
+	plan, err := FloorplanDesign(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := map[string][]string{}
+	for _, rp := range d.RPs {
+		alloc[rp.Tile.Name] = []string{"mac"}
+	}
+	observer := obs.New()
+	beats := 0
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"RunPRESP", func() error {
+			_, err := RunPRESP(context.Background(), d, Options{
+				Workers:   -1,
+				Observer:  observer,
+				Heartbeat: func(int, vivado.Minutes) { beats++ },
+			})
+			return err
+		}},
+		{"GenerateRuntimeBitstreams", func() error {
+			_, err := GenerateRuntimeBitstreams(context.Background(), d, plan, alloc, accel.Default(), true, -1)
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, want)
+		}
+	}
+	if n := observer.Tracer().Len(); n != 0 || beats != 0 {
+		t.Fatalf("rejected run still did work: %d trace events, %d heartbeats", n, beats)
 	}
 }

@@ -19,7 +19,8 @@ import (
 type Evaluator struct {
 	// Model overrides the CAD cost model (nil = calibrated default).
 	Model *vivado.CostModel
-	// Workers bounds the scheduler worker pool per run (0 = NumCPU).
+	// Workers bounds the scheduler worker pool per run (0 = GOMAXPROCS,
+	// negative is rejected; see NormalizeWorkers).
 	Workers int
 	// Context, when non-nil, bounds every evaluation probe — the
 	// core.CostEvaluator interface is fixed, so cancellation rides on

@@ -172,42 +172,6 @@ func TestFlowCollectKeepsIndependentPartitions(t *testing.T) {
 	}
 }
 
-// TestFlowJobDeadline: a virtual per-job deadline fails oversized jobs
-// deterministically — same outcome for every worker count, no retries
-// wasted on a deterministic overrun.
-func TestFlowJobDeadline(t *testing.T) {
-	var baseline string
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		res, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC2()), Options{
-			Compress:      true,
-			Workers:       workers,
-			JobDeadline:   1, // one modelled minute: every synth/impl job overruns
-			MaxJobRetries: 3,
-			ErrorPolicy:   Collect,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Partial || len(res.JobErrors) == 0 {
-			t.Fatal("deadline overruns did not surface as job errors")
-		}
-		for _, je := range res.JobErrors {
-			if !errors.Is(je.Err, ErrJobDeadline) {
-				t.Fatalf("job %s failed with %v, want ErrJobDeadline", je.ID, je.Err)
-			}
-			if je.Attempts != 1 {
-				t.Fatalf("job %s retried %d times on a deterministic deadline overrun", je.ID, je.Attempts-1)
-			}
-		}
-		sig := resultSignature(res)
-		if baseline == "" {
-			baseline = sig
-		} else if sig != baseline {
-			t.Fatalf("deadline outcome differs across worker counts:\n%s\nvs\n%s", sig, baseline)
-		}
-	}
-}
-
 // TestMonolithicFaults: the monolithic baseline shares the injection
 // discipline — its single synthesis is a fault site like any other.
 func TestMonolithicFaults(t *testing.T) {

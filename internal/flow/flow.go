@@ -14,8 +14,8 @@
 // the pool parallelizes the *simulation*, not the modelled clock — and
 // results are byte-identical for every worker count.
 //
-// Runs are fault-tolerant, cancellable and resumable: a context (plus
-// Options.Timeout) stops the graph at the next job boundary, failed
+// Runs are fault-tolerant, cancellable and resumable: the caller's
+// context stops the graph at the next job boundary, failed
 // jobs are retried with capped virtual-time backoff, seeded CAD faults
 // can be injected from a faultinject plan, and a rerun of a killed run
 // over the same Options.CacheDir reuses every synthesis it finished.
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"presp/internal/bitstream"
 	"presp/internal/core"
@@ -115,21 +114,11 @@ type Options struct {
 	// the cold run that populated the cache.
 	StageCache *vivado.StageCache
 
-	// Timeout bounds the whole flow in real wall-clock time (0 = none).
-	// On expiry the run drains in-flight jobs and returns a
-	// context.DeadlineExceeded-wrapped error.
-	Timeout time.Duration
-	// JobDeadline fails any single job whose *modelled* runtime exceeds
-	// it (0 = none). Virtual time keeps the check deterministic for
-	// every worker count.
-	JobDeadline vivado.Minutes
 	// MaxJobRetries re-runs a failed job up to this many extra times
-	// with doubling, capped virtual-time backoff (default 0 = no
-	// retries).
+	// with virtual-time backoff — 15 modelled minutes, doubling per
+	// attempt up to 120 (default 0 = no retries). Cancellation is never
+	// retried.
 	MaxJobRetries int
-	// RetryBackoff overrides the first retry's virtual-time penalty
-	// (0 = DefaultRetryBackoff).
-	RetryBackoff vivado.Minutes
 	// ErrorPolicy selects fail-fast (default) or collect semantics for
 	// job failures.
 	ErrorPolicy ErrorPolicy
@@ -139,8 +128,9 @@ type Options struct {
 	// faults stay byte-identical for every worker count.
 	FaultPlan *faultinject.Plan
 	// Heartbeat, when set, is called from the scheduler coordinator
-	// after every completed job with the cumulative count of completed
-	// jobs and the run's virtual-time position (sum of modelled job
+	// after every job that succeeded or was skipped by the stage cache
+	// (never after a failed one) with the cumulative count of such jobs
+	// and the run's virtual-time position (sum of their modelled
 	// minutes). Service layers use it as a liveness signal: progress is
 	// measured in virtual minutes, staleness in real ones, so a stall
 	// watchdog can tell "slow but moving" from "wedged". Calls are
@@ -227,8 +217,8 @@ func (m flowMode) name() string {
 	return "presp"
 }
 
-// RunPRESP executes the PR-ESP flow on design d, bounded by ctx (and
-// Options.Timeout): cancellation stops the run at the next job
+// RunPRESP executes the PR-ESP flow on design d, bounded by ctx:
+// cancellation (or an expired deadline) stops the run at the next job
 // boundary, drains the worker pool and leaves the checkpoint cache
 // (and its disk tier) consistent for a later rerun. Designs without
 // reconfigurable tiles (plain ESP SoCs with native accelerator tiles)
@@ -295,18 +285,6 @@ func chooseStrategy(d *socgen.Design, opt Options, mode flowMode) (*core.Strateg
 	return s, nil
 }
 
-// flowCtx applies the whole-flow timeout on top of the caller's
-// context. The returned cancel func must always be called.
-func flowCtx(ctx context.Context, opt Options) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.Timeout > 0 {
-		return context.WithTimeout(ctx, opt.Timeout)
-	}
-	return context.WithCancel(ctx)
-}
-
 // setupRun prepares the tool for one flow execution: fault injection
 // from the plan, the checkpoint cache (private when only CacheDir is
 // given) with its disk tier.
@@ -351,30 +329,8 @@ func setupRun(d *socgen.Design, opt Options) (*vivado.Tool, error) {
 // policy, filling res.Jobs, res.Partial and res.JobErrors. It returns
 // the run-fatal error: execution-level failures (cancellation, bad
 // graph) or — under fail-fast — the first job failure.
-func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, res *Result) error {
-	execOpt := ExecOptions{
-		Workers:     opt.Workers,
-		MaxRetries:  opt.MaxJobRetries,
-		Backoff:     opt.RetryBackoff,
-		JobDeadline: opt.JobDeadline,
-		FailFast:    opt.ErrorPolicy == FailFast,
-		Observer:    opt.Observer,
-	}
-	if opt.Heartbeat != nil {
-		// OnJobDone runs on the coordinator, serially, so the heartbeat
-		// accumulators need no extra synchronization.
-		completed := 0
-		var virtual vivado.Minutes
-		execOpt.OnJobDone = func(_ *Job, out JobOutcome) {
-			if out.Err != nil {
-				return
-			}
-			completed++
-			virtual += out.Minutes
-			opt.Heartbeat(completed, virtual)
-		}
-	}
-	stats, jobErrs, execErr := g.ExecuteCtx(ctx, execOpt)
+func execGraph(ctx context.Context, g *graph, tool *vivado.Tool, opt Options, res *Result) error {
+	stats, jobErrs, execErr := g.execute(ctx, opt)
 	res.Jobs = stats
 	res.Jobs.CacheHits, res.Jobs.CacheMisses = cacheCounts(tool)
 	if c := tool.Cache(); c != nil {
@@ -403,8 +359,6 @@ func execGraph(ctx context.Context, g *Graph, tool *vivado.Tool, opt Options, re
 // their partition, so under the Collect policy a failed group does not
 // block the others' bitstreams.
 func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flowMode) (*Result, error) {
-	ctx, cancel := flowCtx(ctx, opt)
-	defer cancel()
 	tool, err := setupRun(d, opt)
 	if err != nil {
 		return nil, err
@@ -421,7 +375,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	// cache is configured (or the run is un-keyable; see buildStageKeys).
 	sk := buildStageKeys(d, tool, res.Strategy, opt, mode)
 
-	g := NewGraph()
+	g := newGraph()
 	var mu sync.Mutex // guards rpCks and SynthRuns across parallel synth jobs
 
 	// --- Parse & split, then OoC synthesis (Fig 1): one job per
@@ -434,7 +388,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	var staticCk *vivado.SynthCheckpoint
 	rpCks := make(map[string]*vivado.SynthCheckpoint, len(d.RPs))
 	synthIDs := []string{"synth/static"}
-	must(g.Add("synth/static", StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
+	must(g.add("synth/static", StageSynth, nil, nil, func(ctx context.Context) (vivado.Minutes, error) {
 		ck, err := tool.Synthesize(ctx, staticMod, false, "static")
 		if err != nil {
 			return 0, fmt.Errorf("flow: static synthesis: %w", err)
@@ -453,7 +407,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 		rp := rp
 		id := "synth/" + rp.Name
 		synthIDs = append(synthIDs, id)
-		must(g.Add(id, StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
+		must(g.add(id, StageSynth, nil, nil, func(ctx context.Context) (vivado.Minutes, error) {
 			if rp.Content == nil {
 				return 0, fmt.Errorf("flow: partition %s has no initial content to synthesize", rp.Name)
 			}
@@ -499,7 +453,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			return plan, 0, nil
 		},
 		func(plan *floorplan.Plan, _ vivado.Minutes) { res.Plan = plan })
-	must(g.AddCached("floorplan", StagePlan, []string{"synth/static"}, fpProbe, fpRun))
+	must(g.add("floorplan", StagePlan, []string{"synth/static"}, fpProbe, fpRun))
 
 	// --- Script generation (documents every decision made so far). ---
 	implGate := "floorplan"
@@ -514,7 +468,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 				return s, 0, nil
 			},
 			func(s *Scripts, _ vivado.Minutes) { res.Scripts = s })
-		must(g.AddCached("scripts", StagePlan, []string{"floorplan"}, scProbe, scRun))
+		must(g.add("scripts", StagePlan, []string{"floorplan"}, scProbe, scRun))
 	}
 
 	// --- Orchestrated P&R per the chosen strategy. ---
@@ -539,7 +493,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 				return sr, sr.Runtime, nil
 			},
 			func(sr *vivado.SerialResult, _ vivado.Minutes) { res.PRWall = sr.Runtime })
-		must(g.AddCached("impl/serial", StageImpl, deps, seProbe, seRun))
+		must(g.add("impl/serial", StageImpl, deps, seProbe, seRun))
 	case core.SemiParallel, core.FullyParallel:
 		stProbe, stRun := cachedStage(sk, sk.implStaticKey(),
 			func(ctx context.Context) (*vivado.RoutedStatic, vivado.Minutes, error) {
@@ -556,7 +510,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 				rs = r
 				res.TStatic = r.Runtime
 			})
-		must(g.AddCached("impl/static", StageImpl, []string{"synth/static", implGate}, stProbe, stRun))
+		must(g.add("impl/static", StageImpl, []string{"synth/static", implGate}, stProbe, stRun))
 		for gi, group := range res.Strategy.Groups {
 			gi, group := gi, group
 			id := fmt.Sprintf("impl/group_%03d", gi)
@@ -583,7 +537,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 					return cr, cr.Runtime, nil
 				},
 				func(cr *vivado.ContextResult, _ vivado.Minutes) { ctxResults[gi] = cr })
-			must(g.AddCached(id, StageImpl, deps, grProbe, grRun))
+			must(g.add(id, StageImpl, deps, grProbe, grRun))
 		}
 	default:
 		return nil, fmt.Errorf("flow: unknown strategy %v", res.Strategy.Kind)
@@ -609,7 +563,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 				res.FullBitstream = full
 				fullT = t
 			})
-		must(g.AddCached("bitgen/full", StageBitgen, implIDs, bfProbe, bfRun))
+		must(g.add("bitgen/full", StageBitgen, implIDs, bfProbe, bfRun))
 		for i, rp := range d.RPs {
 			i, rp := i, rp
 			deps := implIDs
@@ -633,7 +587,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 					partials[i] = bs
 					partialT[i] = t
 				})
-			must(g.AddCached("bitgen/"+rp.Name, StageBitgen, deps, bpProbe, bpRun))
+			must(g.add("bitgen/"+rp.Name, StageBitgen, deps, bpProbe, bpRun))
 		}
 	}
 

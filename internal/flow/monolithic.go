@@ -19,12 +19,9 @@ import (
 //
 // The run goes through the same job scheduler as the partitioned flows
 // — a three-job chain (synth → impl → bitgen), so Result.Jobs accounts
-// for it uniformly. It is bounded by ctx (and Options.Timeout), with
-// the same retry, fault-injection and error-policy semantics as the
+// for it uniformly. It is bounded by ctx, with the same retry, fault-injection and error-policy semantics as the
 // partitioned flows.
 func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result, error) {
-	ctx, cancel := flowCtx(ctx, opt)
-	defer cancel()
 	tool, err := setupRun(d, opt)
 	if err != nil {
 		return nil, err
@@ -32,11 +29,11 @@ func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result,
 	res := &Result{Design: d, SynthRuns: make(map[string]vivado.Minutes)}
 	total := d.StaticResources.Add(d.ReconfigurableResources())
 
-	g := NewGraph()
+	g := newGraph()
 	// Single-instance synthesis of the full hierarchy. The time is
 	// computed from the aggregate size directly, so the fault gate the
 	// tool's Synthesize would apply is invoked explicitly.
-	must(g.Add("synth/full", StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
+	must(g.add("synth/full", StageSynth, nil, nil, func(ctx context.Context) (vivado.Minutes, error) {
 		if err := tool.CheckFault(ctx, faultinject.OpCADSynth, "full", d.Cfg.Name); err != nil {
 			return 0, fmt.Errorf("flow: monolithic synthesis: %w", err)
 		}
@@ -46,7 +43,7 @@ func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result,
 		return t, nil
 	}))
 	// Flat implementation: no partitions (nRP = 0), no reserved area.
-	must(g.Add("impl/flat", StageImpl, []string{"synth/full"}, func(ctx context.Context) (vivado.Minutes, error) {
+	must(g.add("impl/flat", StageImpl, []string{"synth/full"}, nil, func(ctx context.Context) (vivado.Minutes, error) {
 		sr, err := tool.ImplementSerial(ctx, d.Cfg.Name+"_mono", total, 0, 0)
 		if err != nil {
 			return 0, err
@@ -55,7 +52,7 @@ func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result,
 		return sr.Runtime, nil
 	}))
 	if !opt.SkipBitstreams {
-		must(g.Add("bitgen/full", StageBitgen, []string{"impl/flat"}, func(ctx context.Context) (vivado.Minutes, error) {
+		must(g.add("bitgen/full", StageBitgen, []string{"impl/flat"}, nil, func(ctx context.Context) (vivado.Minutes, error) {
 			full, t, err := tool.WriteFullBitstream(ctx, d.Cfg.Name+"_mono.bit", total, opt.Compress)
 			if err != nil {
 				return 0, err

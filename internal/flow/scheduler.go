@@ -6,15 +6,15 @@
 // of the cost model whatever the worker count; only the real CPU time
 // spent simulating shrinks on multicore hosts.
 //
-// The scheduler is fault-tolerant and cancellable: failed jobs are
+// The scheduler is an unexported detail of the flow, configured only by
+// Options. It is fault-tolerant and cancellable: failed jobs are
 // retried up to a cap with exponential *virtual-time* backoff (the
 // penalty is accounted in modelled minutes, never slept for, so
 // published cost-model numbers stay byte-identical for any worker
-// count), a per-job deadline in modelled minutes fails oversized jobs
-// deterministically, and a cancelled context drains the pool at the
-// next job boundary without leaking goroutines. Reported errors are
-// selected deterministically (earliest job in graph-insertion order),
-// so results are observationally identical for any worker count.
+// count), and a cancelled context drains the pool at the next job
+// boundary without leaking goroutines. Reported errors are selected
+// deterministically (earliest job in graph-insertion order), so results
+// are observationally identical for any worker count.
 package flow
 
 import (
@@ -76,45 +76,45 @@ func NormalizeWorkers(n int) (int, error) {
 	return n, nil
 }
 
-// Job is one unit of CAD work in the dependency graph. Run returns the
+// job is one unit of CAD work in the dependency graph. run returns the
 // job's simulated duration; the scheduler only accumulates it — wall-time
 // aggregation (max over parallel instances, contention scaling) stays
 // with the flow, which knows the paper's timing model.
-type Job struct {
-	// ID names the job uniquely within its graph.
-	ID string
-	// Stage classifies the job for Result accounting.
-	Stage Stage
-	// Deps lists job IDs that must complete successfully first.
-	Deps []string
-	// Run performs the work. It must honour ctx promptly: the scheduler
-	// passes the execution context so cancelled flows stop mid-graph.
-	Run func(ctx context.Context) (vivado.Minutes, error)
-	// Probe, when set, asks the stage-artifact cache before Run: a hit
+type job struct {
+	// id names the job uniquely within its graph.
+	id string
+	// stage classifies the job for Result accounting.
+	stage Stage
+	// deps lists job IDs that must complete successfully first.
+	deps []string
+	// probe, when set, asks the stage-artifact cache before run: a hit
 	// returns the cached job's modelled minutes (the probe is expected to
 	// publish the cached result as a side effect) and the scheduler skips
-	// Run entirely, counting the job as Skipped rather than executed. A
-	// miss falls through to Run. Probes run on worker goroutines and must
+	// run entirely, counting the job as Skipped rather than executed. A
+	// miss falls through to run. Probes run on worker goroutines and must
 	// be safe to call concurrently with other jobs' probes.
-	Probe func() (vivado.Minutes, bool)
+	probe func() (vivado.Minutes, bool)
+	// run performs the work. It must honour ctx promptly: the scheduler
+	// passes the execution context so cancelled flows stop mid-graph.
+	run func(ctx context.Context) (vivado.Minutes, error)
 	// order is the insertion index, the deterministic error-priority key.
 	order int
 }
 
-// Graph is a job dependency DAG under construction.
-type Graph struct {
-	jobs map[string]*Job
-	seq  []*Job
+// graph is a job dependency DAG under construction.
+type graph struct {
+	jobs map[string]*job
+	seq  []*job
 }
 
-// NewGraph returns an empty job graph.
-func NewGraph() *Graph {
-	return &Graph{jobs: make(map[string]*Job)}
+func newGraph() *graph {
+	return &graph{jobs: make(map[string]*job)}
 }
 
-// Add registers a job. Duplicate IDs are an error; dependencies are
-// validated at Execute time so jobs can be added in any order.
-func (g *Graph) Add(id string, stage Stage, deps []string, run func(ctx context.Context) (vivado.Minutes, error)) error {
+// add registers a job; probe is nil for jobs the stage-artifact cache
+// does not cover. Duplicate IDs are an error; dependencies are
+// validated at execute time so jobs can be added in any order.
+func (g *graph) add(id string, stage Stage, deps []string, probe func() (vivado.Minutes, bool), run func(ctx context.Context) (vivado.Minutes, error)) error {
 	if id == "" {
 		return fmt.Errorf("flow: job with empty ID")
 	}
@@ -124,31 +124,18 @@ func (g *Graph) Add(id string, stage Stage, deps []string, run func(ctx context.
 	if _, dup := g.jobs[id]; dup {
 		return fmt.Errorf("flow: duplicate job %q", id)
 	}
-	j := &Job{
-		ID:    id,
-		Stage: stage,
-		Deps:  append([]string(nil), deps...),
-		Run:   run,
+	j := &job{
+		id:    id,
+		stage: stage,
+		deps:  append([]string(nil), deps...),
+		probe: probe,
+		run:   run,
 		order: len(g.seq),
 	}
 	g.jobs[id] = j
 	g.seq = append(g.seq, j)
 	return nil
 }
-
-// AddCached registers a job with a stage-artifact cache probe: before
-// Run is dispatched, probe is consulted, and a hit skips the job (see
-// Job.Probe). A nil probe makes AddCached equivalent to Add.
-func (g *Graph) AddCached(id string, stage Stage, deps []string, probe func() (vivado.Minutes, bool), run func(ctx context.Context) (vivado.Minutes, error)) error {
-	if err := g.Add(id, stage, deps, run); err != nil {
-		return err
-	}
-	g.jobs[id].Probe = probe
-	return nil
-}
-
-// Len returns the number of registered jobs.
-func (g *Graph) Len() int { return len(g.seq) }
 
 // JobStats summarizes one scheduler execution: how many jobs of each
 // stage ran, how many were cancelled by an upstream failure or an
@@ -238,103 +225,47 @@ func (e JobError) Error() string {
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e JobError) Unwrap() error { return e.Err }
 
-// JobOutcome reports one finished job to the OnJobDone observer.
-type JobOutcome struct {
-	// Minutes is the job's accounted simulated time: all attempts plus
-	// virtual backoff, or the cached duration when a stage-artifact
-	// probe skipped the job.
-	Minutes vivado.Minutes
-	// Err is nil when the job ultimately succeeded.
-	Err error
-}
-
-// ErrJobDeadline is wrapped by failures of jobs whose modelled runtime
-// exceeded ExecOptions.JobDeadline.
-var ErrJobDeadline = errors.New("job exceeded per-job deadline")
-
-// DefaultRetryBackoff is the virtual-time penalty charged to a job's
-// first retry when no explicit backoff is configured; it doubles per
-// subsequent attempt up to DefaultBackoffCap. Fifteen modelled minutes
-// approximates a license-server reconnect plus tool restart.
-const DefaultRetryBackoff = vivado.Minutes(15)
-
-// DefaultBackoffCap bounds the doubling virtual backoff.
-const DefaultBackoffCap = vivado.Minutes(120)
-
-// ExecOptions tunes one graph execution.
-type ExecOptions struct {
-	// Workers bounds the worker pool (0 = GOMAXPROCS, negative is an
-	// error; see NormalizeWorkers).
-	Workers int
-	// MaxRetries re-runs a failed job up to this many extra attempts.
-	// Context errors and deadline failures are never retried: the
-	// former mean the flow is shutting down, the latter are
-	// deterministic.
-	MaxRetries int
-	// Backoff is the virtual-time penalty of the first retry (0 =
-	// DefaultRetryBackoff when MaxRetries > 0); it doubles per attempt.
-	Backoff vivado.Minutes
-	// BackoffCap bounds the doubled backoff (0 = DefaultBackoffCap).
-	BackoffCap vivado.Minutes
-	// JobDeadline fails any job whose modelled runtime exceeds it
-	// (0 = no deadline). The check is in virtual time, so it is
-	// deterministic for every worker count.
-	JobDeadline vivado.Minutes
-	// FailFast stops dispatching new jobs after the first failure
-	// (in-flight jobs are still drained); the default keeps independent
-	// subgraphs running so partial results survive.
-	FailFast bool
-	// OnJobDone, when set, observes every finished job (success or
-	// final failure) from the coordinator goroutine, in completion
-	// order. The flow feeds Options.Heartbeat through it.
-	OnJobDone func(j *Job, out JobOutcome)
-	// Observer, when set, records job spans, retry instants, worker
-	// occupancy and per-stage runtime histograms. Nil disables all
-	// observation at no cost; recorded spans carry wall timestamps but
-	// nothing observed feeds back into scheduling, so results stay
-	// byte-identical with or without it.
-	Observer *obs.Observer
-}
+// retryBackoff is the virtual-time penalty charged to a job's first
+// retry; it doubles per subsequent attempt up to backoffCap. Fifteen
+// modelled minutes approximates a license-server reconnect plus tool
+// restart.
+const (
+	retryBackoff = vivado.Minutes(15)
+	backoffCap   = vivado.Minutes(120)
+)
 
 // jobDone carries one completion from a worker to the coordinator.
 type jobDone struct {
-	job      *Job
+	job      *job
 	runtime  vivado.Minutes
 	attempts int
-	skipped  bool // stage-artifact probe hit; Run never executed
+	skipped  bool // stage-artifact probe hit; run never executed
 	probed   bool // job had a probe (skipped or missed)
 	err      error
 }
 
-// Execute runs the graph with background context and default retry
-// policy — the pre-cancellation API, kept for callers that need
-// neither.
-func (g *Graph) Execute(workers int) (JobStats, error) {
-	stats, errs, err := g.ExecuteCtx(context.Background(), ExecOptions{Workers: workers})
-	if err != nil {
-		return stats, err
-	}
-	if len(errs) > 0 {
-		return stats, errs[0].Err
-	}
-	return stats, nil
-}
-
-// ExecuteCtx runs the graph on a pool of worker goroutines. Every job
+// execute runs the graph on a pool of opt.Workers goroutines. Every job
 // runs after all its dependencies succeeded; a failed job (after
-// retries) cancels its transitive dependents without stopping
-// independent work. Job failures are returned as a list sorted by
-// graph-insertion order — the same order a sequential execution would
-// have surfaced them — so the outcome does not depend on goroutine
-// scheduling; the caller picks fail-fast (errs[0]) or collect
-// semantics.
+// opt.MaxJobRetries retries) cancels its transitive dependents. Under
+// the FailFast policy no new job is dispatched after the first failure
+// (in-flight jobs still drain); Collect keeps independent subgraphs
+// running so partial results survive. Job failures are returned as a
+// list sorted by graph-insertion order — the same order a sequential
+// execution would have surfaced them — so the outcome does not depend
+// on goroutine scheduling.
+//
+// opt.Heartbeat fires from the coordinator goroutine once per job that
+// succeeded or was skipped by its probe, never for a failed one.
+// opt.Observer records job spans, retry instants, worker occupancy and
+// per-stage runtime histograms; nothing observed feeds back into
+// scheduling, so results stay byte-identical with or without it.
 //
 // The returned error is reserved for execution-level problems: an
-// invalid worker count, an unknown dependency, a dependency cycle, or
-// a cancelled/expired context. On cancellation the scheduler stops
-// dispatching, drains every in-flight job, and shuts the pool down —
-// no goroutine outlives the call.
-func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []JobError, error) {
+// invalid worker or retry count, an unknown dependency, a dependency
+// cycle, or a cancelled/expired context. On cancellation the scheduler
+// stops dispatching, drains every in-flight job, and shuts the pool
+// down — no goroutine outlives the call.
+func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -348,14 +279,8 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 	if workers < 1 {
 		workers = 1
 	}
-	if opt.MaxRetries < 0 {
-		return JobStats{}, nil, fmt.Errorf("flow: negative retry count %d", opt.MaxRetries)
-	}
-	if opt.Backoff <= 0 {
-		opt.Backoff = DefaultRetryBackoff
-	}
-	if opt.BackoffCap <= 0 {
-		opt.BackoffCap = DefaultBackoffCap
+	if opt.MaxJobRetries < 0 {
+		return JobStats{}, nil, fmt.Errorf("flow: negative retry count %d", opt.MaxJobRetries)
 	}
 	stats := JobStats{Workers: workers}
 	if len(g.seq) == 0 {
@@ -366,13 +291,13 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 	}
 
 	indeg := make(map[string]int, len(g.seq))
-	dependents := make(map[string][]*Job)
+	dependents := make(map[string][]*job)
 	for _, j := range g.seq {
-		for _, dep := range j.Deps {
+		for _, dep := range j.deps {
 			if _, ok := g.jobs[dep]; !ok {
-				return stats, nil, fmt.Errorf("flow: job %q depends on unknown job %q", j.ID, dep)
+				return stats, nil, fmt.Errorf("flow: job %q depends on unknown job %q", j.id, dep)
 			}
-			indeg[j.ID]++
+			indeg[j.id]++
 			dependents[dep] = append(dependents[dep], j)
 		}
 	}
@@ -403,7 +328,7 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 	// Buffers sized to the job count: dispatch and completion never
 	// block, so the coordinator cannot deadlock against the pool and a
 	// cancelled coordinator can always drain in-flight results.
-	work := make(chan *Job, len(g.seq))
+	work := make(chan *job, len(g.seq))
 	results := make(chan jobDone, len(g.seq))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -415,11 +340,11 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 				// A probe hit skips the job: no "job" span is recorded (the
 				// observed-span == executed-jobs invariant holds), just a
 				// stage-skip instant on the worker's lane.
-				if j.Probe != nil {
-					if m, ok := j.Probe(); ok {
+				if j.probe != nil {
+					if m, ok := j.probe(); ok {
 						if tr != nil {
-							tr.Instant("stage-skip", j.ID, tid, map[string]any{
-								"stage":       j.Stage.String(),
+							tr.Instant("stage-skip", j.id, tid, map[string]any{
+								"stage":       j.stage.String(),
 								"sim_minutes": float64(m),
 							})
 						}
@@ -429,18 +354,18 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 					}
 				}
 				start := tr.Now()
-				d := runWithRetry(ctx, j, opt, tr, tid)
-				d.probed = j.Probe != nil
+				d := runWithRetry(ctx, j, opt.MaxJobRetries, tr, tid)
+				d.probed = j.probe != nil
 				if tr != nil {
 					args := map[string]any{
-						"stage":       j.Stage.String(),
+						"stage":       j.stage.String(),
 						"sim_minutes": float64(d.runtime),
 						"attempts":    d.attempts,
 					}
 					if d.err != nil {
 						args["error"] = d.err.Error()
 					}
-					tr.Complete("job", j.ID, tid, start, tr.Now()-start, args)
+					tr.Complete("job", j.id, tid, start, tr.Now()-start, args)
 				}
 				busy.Add(-1)
 				results <- d
@@ -454,28 +379,40 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 	running := 0
 	completed := make(map[string]bool)
 
-	dispatch := func(j *Job) {
+	dispatch := func(j *job) {
 		running++
 		work <- j
 	}
 	// cancelJob removes j and its transitive dependents from the pending
 	// set; none of them has been dispatched (they still wait on the
 	// failed dependency).
-	var cancelJob func(j *Job)
-	cancelJob = func(j *Job) {
-		if cancelled[j.ID] {
+	var cancelJob func(j *job)
+	cancelJob = func(j *job) {
+		if cancelled[j.id] {
 			return
 		}
-		cancelled[j.ID] = true
+		cancelled[j.id] = true
 		stats.Cancelled++
 		jobsCancelled.Inc()
 		pending--
-		for _, dep := range dependents[j.ID] {
+		for _, dep := range dependents[j.id] {
 			cancelJob(dep)
 		}
 	}
+	// beat feeds opt.Heartbeat; it runs on the coordinator, serially, so
+	// its accumulators need no synchronization.
+	beats := 0
+	var virtual vivado.Minutes
+	beat := func(m vivado.Minutes) {
+		if opt.Heartbeat == nil {
+			return
+		}
+		beats++
+		virtual += m
+		opt.Heartbeat(beats, virtual)
+	}
 	account := func(d jobDone) {
-		completed[d.job.ID] = true
+		completed[d.job.id] = true
 		if d.skipped {
 			// A cache skip is reuse, not execution: it stays out of the
 			// per-stage executed counts, SimMinutes and flow_jobs_total so
@@ -485,34 +422,31 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 			if stats.SkippedByStage == nil {
 				stats.SkippedByStage = make(map[Stage]int)
 			}
-			stats.SkippedByStage[d.job.Stage]++
+			stats.SkippedByStage[d.job.stage]++
 			stageCacheHits.Inc()
-			if opt.OnJobDone != nil {
-				opt.OnJobDone(d.job, JobOutcome{Minutes: d.runtime})
-			}
+			beat(d.runtime)
 			return
 		}
 		if d.probed {
 			stats.StageCacheMisses++
 			stageCacheMisses.Inc()
 		}
-		stats.count(d.job.Stage)
+		stats.count(d.job.stage)
 		stats.SimMinutes += d.runtime
 		stats.Retries += d.attempts - 1
 		jobsTotal.Inc()
 		jobRetries.Add(int64(d.attempts - 1))
-		stageMinutes[d.job.Stage].Observe(float64(d.runtime))
+		stageMinutes[d.job.stage].Observe(float64(d.runtime))
 		if d.err != nil {
 			stats.FailedJobs++
 			jobsFailed.Inc()
+			return
 		}
-		if opt.OnJobDone != nil {
-			opt.OnJobDone(d.job, JobOutcome{Minutes: d.runtime, Err: d.err})
-		}
+		beat(d.runtime)
 	}
 
 	for _, j := range g.seq {
-		if indeg[j.ID] == 0 {
+		if indeg[j.id] == 0 {
 			dispatch(j)
 		}
 	}
@@ -524,9 +458,9 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 		account(d)
 		if d.err != nil {
 			failures = append(failures, JobError{
-				ID: d.job.ID, Stage: d.job.Stage, Attempts: d.attempts, Err: d.err, order: d.job.order,
+				ID: d.job.id, Stage: d.job.stage, Attempts: d.attempts, Err: d.err, order: d.job.order,
 			})
-			for _, dep := range dependents[d.job.ID] {
+			for _, dep := range dependents[d.job.id] {
 				cancelJob(dep)
 			}
 			return
@@ -534,12 +468,12 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 		if !release {
 			return
 		}
-		for _, dep := range dependents[d.job.ID] {
-			if cancelled[dep.ID] {
+		for _, dep := range dependents[d.job.id] {
+			if cancelled[dep.id] {
 				continue
 			}
-			indeg[dep.ID]--
-			if indeg[dep.ID] == 0 {
+			indeg[dep.id]--
+			if indeg[dep.id] == 0 {
 				dispatch(dep)
 			}
 		}
@@ -555,8 +489,8 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 			wg.Wait()
 			var stuck []string
 			for _, j := range g.seq {
-				if !cancelled[j.ID] && !completed[j.ID] && indeg[j.ID] > 0 {
-					stuck = append(stuck, j.ID)
+				if !cancelled[j.id] && !completed[j.id] && indeg[j.id] > 0 {
+					stuck = append(stuck, j.id)
 				}
 			}
 			sort.Strings(stuck)
@@ -567,7 +501,7 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 			aborted = true
 		case d := <-results:
 			handle(d, true)
-			if len(failures) > 0 && opt.FailFast {
+			if len(failures) > 0 && opt.ErrorPolicy == FailFast {
 				stopped = true
 			}
 		}
@@ -585,8 +519,8 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 		// Never-dispatched jobs count as cancelled so Executed + Skipped
 		// + Cancelled always sums to the graph size.
 		for _, j := range g.seq {
-			if !completed[j.ID] && !cancelled[j.ID] {
-				cancelled[j.ID] = true
+			if !completed[j.id] && !cancelled[j.id] {
+				cancelled[j.id] = true
 				stats.Cancelled++
 				jobsCancelled.Inc()
 			}
@@ -598,49 +532,43 @@ func (g *Graph) ExecuteCtx(ctx context.Context, opt ExecOptions) (JobStats, []Jo
 	return stats, sortJobErrors(failures), nil
 }
 
-// runWithRetry executes one job up to 1+MaxRetries times, charging the
-// doubling virtual backoff to each retry. Context errors and deadline
-// overruns stop the attempt loop immediately: retrying a cancelled
-// flow is pointless and a deadline overrun is deterministic. Each
-// retry emits a trace instant on the worker's lane (tr may be nil).
-func runWithRetry(ctx context.Context, j *Job, opt ExecOptions, tr *obs.Tracer, tid int) jobDone {
+// runWithRetry executes one job up to 1+maxRetries times, charging the
+// doubling virtual backoff to each retry. Context errors stop the
+// attempt loop immediately: retrying a cancelled flow is pointless.
+// Each retry emits a trace instant on the worker's lane (tr may be nil).
+func runWithRetry(ctx context.Context, j *job, maxRetries int, tr *obs.Tracer, tid int) jobDone {
 	var total vivado.Minutes
-	backoff := opt.Backoff
+	backoff := retryBackoff
 	attempts := 0
 	for {
 		attempts++
-		t, err := j.Run(ctx)
-		if err == nil && opt.JobDeadline > 0 && t > opt.JobDeadline {
-			err = fmt.Errorf("flow: job %s ran %v, over the %v deadline: %w",
-				j.ID, t, opt.JobDeadline, ErrJobDeadline)
-		}
+		t, err := j.run(ctx)
 		total += t
 		if err == nil {
 			return jobDone{job: j, runtime: total, attempts: attempts, err: nil}
 		}
-		if attempts > opt.MaxRetries || !retryable(err) || ctx.Err() != nil {
+		if attempts > maxRetries || !retryable(err) || ctx.Err() != nil {
 			return jobDone{job: j, runtime: total, attempts: attempts, err: err}
 		}
 		if tr != nil {
-			tr.Instant("retry", j.ID, tid, map[string]any{
+			tr.Instant("retry", j.id, tid, map[string]any{
 				"attempt":         attempts,
 				"backoff_minutes": float64(backoff),
 				"error":           err.Error(),
 			})
 		}
 		total += backoff
-		if backoff *= 2; backoff > opt.BackoffCap {
-			backoff = opt.BackoffCap
+		if backoff *= 2; backoff > backoffCap {
+			backoff = backoffCap
 		}
 	}
 }
 
 // retryable reports whether a failed attempt is worth re-running:
-// everything except cancellation and deterministic deadline overruns.
+// everything except cancellation.
 func retryable(err error) bool {
 	return !errors.Is(err, context.Canceled) &&
-		!errors.Is(err, context.DeadlineExceeded) &&
-		!errors.Is(err, ErrJobDeadline)
+		!errors.Is(err, context.DeadlineExceeded)
 }
 
 // sortJobErrors orders failures by graph-insertion order — the

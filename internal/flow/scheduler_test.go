@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"presp/internal/socgen"
 	"presp/internal/vivado"
 )
 
@@ -53,8 +54,8 @@ func (r *recorder) instrument(id string, deps []string, fail bool) func(ctx cont
 // subset of earlier jobs (acyclic by construction) and each job fails
 // with probability pFail. It returns the graph, the recorder, the
 // dependency lists and the set of fail-designated jobs.
-func randomDAG(rng *rand.Rand, n int, pFail float64) (*Graph, *recorder, map[string][]string, map[string]bool) {
-	g := NewGraph()
+func randomDAG(rng *rand.Rand, n int, pFail float64) (*graph, *recorder, map[string][]string, map[string]bool) {
+	g := newGraph()
 	rec := newRecorder()
 	deps := make(map[string][]string, n)
 	fails := make(map[string]bool)
@@ -72,11 +73,18 @@ func randomDAG(rng *rand.Rand, n int, pFail float64) (*Graph, *recorder, map[str
 		fail := rng.Float64() < pFail
 		fails[id] = fail
 		stage := Stage(rng.Intn(4))
-		if err := g.Add(id, stage, d, rec.instrument(id, d, fail)); err != nil {
+		if err := g.add(id, stage, d, nil, rec.instrument(id, d, fail)); err != nil {
 			panic(err)
 		}
 	}
 	return g, rec, deps, fails
+}
+
+// collect executes g under the Collect error policy — the semantics
+// predictOutcome models: a failure cancels only its transitive
+// dependents and independent jobs keep running.
+func collect(ctx context.Context, g *graph, workers int, heartbeat func(int, vivado.Minutes)) (JobStats, []JobError, error) {
+	return g.execute(ctx, Options{Workers: workers, ErrorPolicy: Collect, Heartbeat: heartbeat})
 }
 
 // predictOutcome walks the DAG in insertion order (dependencies always
@@ -113,7 +121,10 @@ func checkExecution(t *testing.T, rng *rand.Rand, n int, pFail float64, workers 
 	g, rec, deps, fails := randomDAG(rng, n, pFail)
 	wantRan, wantCancelled, wantErr := predictOutcome(n, deps, fails)
 
-	stats, err := g.Execute(workers)
+	stats, errs, err := collect(context.Background(), g, workers, nil)
+	if err == nil && len(errs) > 0 {
+		err = errs[0].Err
+	}
 
 	if rec.violation != "" {
 		t.Fatalf("workers=%d: dependency violation: %s", workers, rec.violation)
@@ -189,18 +200,18 @@ func FuzzSchedulerExecute(f *testing.F) {
 // TestSchedulerDetectsCycles: a cyclic graph must error out instead of
 // deadlocking the pool.
 func TestSchedulerDetectsCycles(t *testing.T) {
-	g := NewGraph()
+	g := newGraph()
 	noop := func(_ context.Context) (vivado.Minutes, error) { return 0, nil }
-	if err := g.Add("a", StageSynth, []string{"b"}, noop); err != nil {
+	if err := g.add("a", StageSynth, []string{"b"}, nil, noop); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Add("b", StageSynth, []string{"a"}, noop); err != nil {
+	if err := g.add("b", StageSynth, []string{"a"}, nil, noop); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Add("c", StageSynth, nil, noop); err != nil {
+	if err := g.add("c", StageSynth, nil, nil, noop); err != nil {
 		t.Fatal(err)
 	}
-	_, err := g.Execute(4)
+	_, _, err := collect(context.Background(), g, 4, nil)
 	if err == nil {
 		t.Fatal("cycle not detected")
 	}
@@ -209,34 +220,94 @@ func TestSchedulerDetectsCycles(t *testing.T) {
 // TestSchedulerRejectsBadGraphs covers the construction-time contract.
 func TestSchedulerRejectsBadGraphs(t *testing.T) {
 	noop := func(_ context.Context) (vivado.Minutes, error) { return 0, nil }
-	g := NewGraph()
-	if err := g.Add("a", StageSynth, nil, noop); err != nil {
+	g := newGraph()
+	if err := g.add("a", StageSynth, nil, nil, noop); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Add("a", StageSynth, nil, noop); err == nil {
+	if err := g.add("a", StageSynth, nil, nil, noop); err == nil {
 		t.Fatal("duplicate job accepted")
 	}
-	if err := g.Add("", StageSynth, nil, noop); err == nil {
+	if err := g.add("", StageSynth, nil, nil, noop); err == nil {
 		t.Fatal("empty job ID accepted")
 	}
-	if err := g.Add("b", StageSynth, nil, nil); err == nil {
+	if err := g.add("b", StageSynth, nil, nil, nil); err == nil {
 		t.Fatal("nil work function accepted")
 	}
-	if err := g.Add("c", StageSynth, []string{"ghost"}, noop); err != nil {
-		t.Fatal(err) // unknown deps surface at Execute, not Add
+	if err := g.add("c", StageSynth, []string{"ghost"}, nil, noop); err != nil {
+		t.Fatal(err) // unknown deps surface at execute, not add
 	}
-	if _, err := g.Execute(2); err == nil {
+	if _, _, err := collect(context.Background(), g, 2, nil); err == nil {
 		t.Fatal("unknown dependency not detected")
 	}
 }
 
 // TestSchedulerEmptyGraph: executing nothing succeeds with zero stats.
 func TestSchedulerEmptyGraph(t *testing.T) {
-	stats, err := NewGraph().Execute(8)
+	stats, _, err := collect(context.Background(), newGraph(), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Executed() != 0 || stats.Cancelled != 0 {
 		t.Fatalf("empty graph reported work: %+v", stats)
+	}
+}
+
+// heartbeats records every Heartbeat call of a run, failing the test
+// unless completed counts 1, 2, 3, ... with no gap or repeat.
+type heartbeats struct {
+	t       *testing.T
+	n       int
+	virtual vivado.Minutes
+}
+
+func (h *heartbeats) beat(completed int, virtual vivado.Minutes) {
+	h.n++
+	if completed != h.n {
+		h.t.Fatalf("heartbeat %d reported completed=%d", h.n, completed)
+	}
+	h.virtual = virtual
+}
+
+// TestHeartbeatContract pins Options.Heartbeat as the scheduler drives
+// it: one beat per job that succeeded or was skipped by the stage
+// cache, none for a failed job, completed counting 1..N, and — on a
+// cold run — a final virtual position equal to Jobs.SimMinutes.
+func TestHeartbeatContract(t *testing.T) {
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		sc := vivado.NewStageCache()
+		run := func(opt Options) (*Result, *heartbeats) {
+			t.Helper()
+			hb := &heartbeats{t: t}
+			opt.Workers, opt.Compress, opt.Heartbeat = workers, true, hb.beat
+			res, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC2()), opt)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			return res, hb
+		}
+
+		cold, hb := run(Options{StageCache: sc})
+		if cold.Jobs.Skipped != 0 || hb.n != cold.Jobs.Executed() {
+			t.Fatalf("workers=%d cold: %d beats for %d executed, %d skipped jobs",
+				workers, hb.n, cold.Jobs.Executed(), cold.Jobs.Skipped)
+		}
+		if hb.virtual != cold.Jobs.SimMinutes {
+			t.Fatalf("workers=%d cold: final virtual %v, want SimMinutes %v", workers, hb.virtual, cold.Jobs.SimMinutes)
+		}
+
+		warm, hb := run(Options{StageCache: sc})
+		if warm.Jobs.Skipped == 0 || hb.n != warm.Jobs.Executed()+warm.Jobs.Skipped {
+			t.Fatalf("workers=%d warm: %d beats for %d executed + %d skipped jobs",
+				workers, hb.n, warm.Jobs.Executed(), warm.Jobs.Skipped)
+		}
+
+		faulted, hb := run(Options{ErrorPolicy: Collect, FaultPlan: parsePlan(t, "synth@rt_1_rp:count=-1")})
+		if faulted.Jobs.FailedJobs == 0 {
+			t.Fatalf("workers=%d: synth fault plan failed no job", workers)
+		}
+		if want := faulted.Jobs.Executed() - faulted.Jobs.FailedJobs; hb.n != want {
+			t.Fatalf("workers=%d collect: %d beats, want %d (executed %d - failed %d)",
+				workers, hb.n, want, faulted.Jobs.Executed(), faulted.Jobs.FailedJobs)
+		}
 	}
 }

@@ -93,14 +93,6 @@ func NewCheckpointCache() *CheckpointCache {
 	}
 }
 
-// NewCheckpointCacheWithLimit returns an empty cache holding at most
-// max checkpoints (max <= 0 means unbounded).
-func NewCheckpointCacheWithLimit(max int) *CheckpointCache {
-	c := NewCheckpointCache()
-	c.SetMaxEntries(max)
-	return c
-}
-
 // SetMaxEntries bounds the cache to max checkpoints, evicting the
 // least-recently-used entries immediately if it is already over the
 // limit. max <= 0 removes the bound.
@@ -132,13 +124,6 @@ func (c *CheckpointCache) Disk() *DiskStore {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.disk
-}
-
-// MaxEntries returns the configured bound (0 = unbounded).
-func (c *CheckpointCache) MaxEntries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.max
 }
 
 // Stats returns the cumulative hit and miss counts.

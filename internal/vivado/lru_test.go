@@ -10,10 +10,8 @@ import (
 // TestCacheLRUEviction: a bounded cache drops the least-recently-used
 // checkpoint first and counts the evictions.
 func TestCacheLRUEviction(t *testing.T) {
-	cache := NewCheckpointCacheWithLimit(2)
-	if got := cache.MaxEntries(); got != 2 {
-		t.Fatalf("MaxEntries = %d, want 2", got)
-	}
+	cache := NewCheckpointCache()
+	cache.SetMaxEntries(2)
 	tool := newTool(t)
 	tool.SetCache(cache)
 	synth := func(luts int) {
@@ -99,7 +97,8 @@ func TestCacheSetMaxEntriesShrinks(t *testing.T) {
 // attempt retries — assertions only run on a genuine follower.
 func TestFollowerHitRefreshesLRURecency(t *testing.T) {
 	for try := 0; try < 50; try++ {
-		cache := NewCheckpointCacheWithLimit(2)
+		cache := NewCheckpointCache()
+		cache.SetMaxEntries(2)
 		fl := &flight{done: make(chan struct{})}
 		cache.mu.Lock()
 		cache.inflight["hot"] = fl

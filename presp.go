@@ -206,9 +206,10 @@ type FlowResult = flow.Result
 // RunFlow executes the PR-ESP FPGA flow (Fig 1 of the paper): parallel
 // out-of-context synthesis, FLORA-style floorplanning, the size-driven
 // strategy choice, orchestrated P&R and bitstream generation.
-// Cancelling ctx (or FlowOptions.Timeout) stops the run at the next
-// job boundary, drains the worker pool and leaves the checkpoint cache
-// consistent; with a disk cache attached, rerunning resumes the run.
+// Cancelling ctx (or letting its deadline expire) stops the run at the
+// next job boundary, drains the worker pool and leaves the checkpoint
+// cache consistent; with a disk cache attached, rerunning resumes the
+// run.
 func (p *Platform) RunFlow(ctx context.Context, s *SoC, opt FlowOptions) (*FlowResult, error) {
 	return flow.RunPRESP(ctx, s.Design, p.flowOptions(opt))
 }
