@@ -54,11 +54,30 @@ bench:
 # scratch allocation does not stand for the steady state. The parsed
 # results land in BENCH_flow.json and BENCH_bitstream.json for diffing
 # across changes; these numbers are smoke-level, not statistics.
+#
+# The one relational gate closes the target: a fully cached rerun must
+# cost at most a fifth of the cold run that populates the cache. It
+# compares the medians of five 10-iteration runs of the incremental
+# cold and warm benchmarks, so it holds on any host speed.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^Benchmark(EvaluateStrategy(Cold|Warm)|RunPRESP(NilObserver|Observed|Incremental(Cold|Warm|Edit)))$$' \
 		-benchtime=1x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_flow.json
 	@cat BENCH_flow.json
+	$(GO) test -run='^$$' -bench='^BenchmarkRunPRESPIncremental(Cold|Warm)$$' \
+		-benchtime=10x -count=5 -timeout $(TEST_TIMEOUT) ./internal/flow/ \
+		| awk '$$1 ~ /^BenchmarkRunPRESPIncremental(Cold|Warm)(-[0-9]+)?$$/ { \
+			k = ($$1 ~ /Cold/) ? "cold" : "warm"; v[k, ++n[k]] = $$3 } \
+		function median(k,   i, j, t, a) { \
+			for (i = 1; i <= n[k]; i++) a[i] = v[k, i]; \
+			for (i = 2; i <= n[k]; i++) { t = a[i]; \
+				for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
+			return n[k] % 2 ? a[(n[k] + 1) / 2] : (a[n[k] / 2] + a[n[k] / 2 + 1]) / 2 } \
+		END { \
+			if (n["cold"] != 5 || n["warm"] != 5) { print "cache-inversion gate: benchmarks did not run"; exit 1 } \
+			c = median("cold"); w = median("warm"); \
+			printf "cache-inversion gate: warm median %.0f ns/op, cold median %.0f ns/op, ratio %.4f (limit 0.2)\n", w, c, w / c; \
+			if (w * 5 > c) { print "cache-inversion gate: FAIL"; exit 1 } }'
 	$(GO) test -run='^$$' -bench='^BenchmarkGenerate(Partial|Full)$$' \
 		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/bitstream/ \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_bitstream.json

@@ -348,8 +348,8 @@ func smoke(base, idem string, out io.Writer) ([]string, error) {
 // warmRestartSmoke is the persistence leg of the self-test: after the
 // first daemon drained, boot a fresh one over the same -cache-dir or
 // -state-dir, run the identical spec, and require that it was served
-// from the disk tier (cache_disk_hits >= 1, zero synthesis misses) with
-// the same bitstream CRCs the cold run produced. The spec is submitted
+// from the disk tier (cache_disk_hits >= 1, zero synthesis misses, every
+// stage job skipped) with the same bitstream CRCs the cold run produced. The spec is submitted
 // under a fresh Idempotency-Key: with -state-dir the recovered WAL
 // would otherwise replay the first daemon's job instead of running it.
 func warmRestartSmoke(o *cliOptions, coldCRCs []string, out io.Writer) error {
@@ -408,8 +408,14 @@ func warmRestartSmoke(o *cliOptions, coldCRCs []string, out io.Writer) error {
 	if misses, ok := metrics["vivado_cache_misses_total"].(float64); ok && misses > 0 {
 		return fmt.Errorf("warm restart paid %v synthesis misses, want 0", misses)
 	}
-	fmt.Fprintf(out, "presp-served: smoke warm restart ok (%d bitstream CRCs match, %d disk hits)\n",
-		len(warmCRCs), int(hits))
+	// The stage-artifact tier rides the same disk, so every
+	// post-synthesis job of the identical spec is skipped.
+	skips, _ := metrics["flow_stage_cache_hits"].(float64)
+	if stageMisses, _ := metrics["flow_stage_cache_misses"].(float64); skips < 1 || stageMisses > 0 {
+		return fmt.Errorf("warm restart: %v stage-cache hits, %v misses, want >= 1 and 0 (the stage tier did not share the disk)", skips, stageMisses)
+	}
+	fmt.Fprintf(out, "presp-served: smoke warm restart ok (%d bitstream CRCs match, %d disk hits, %d stage jobs skipped)\n",
+		len(warmCRCs), int(hits), int(skips))
 	return nil
 }
 

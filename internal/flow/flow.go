@@ -111,7 +111,9 @@ type Options struct {
 	// cache has a disk tier and the stage cache has none, the tier is
 	// shared so incremental hits survive restarts. Skips preserve the
 	// determinism contract: a warm run's results are byte-identical to
-	// the cold run that populated the cache.
+	// the cold run that populated the cache — they are the very values
+	// (plans, images) that run published, shared rather than copied, so
+	// every Result produced with a stage cache is read-only.
 	StageCache *vivado.StageCache
 
 	// MaxJobRetries re-runs a failed job up to this many extra times

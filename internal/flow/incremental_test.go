@@ -6,10 +6,16 @@ package flow
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"presp/internal/bitstream"
 	"presp/internal/core"
+	"presp/internal/floorplan"
 	"presp/internal/fpga"
 	"presp/internal/obs"
 	"presp/internal/socgen"
@@ -65,6 +71,20 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		}
 	}
 
+	// Stage-cache accounting must agree with the scheduler's: every
+	// StageCache hit is a skipped job and every miss a probed job that
+	// ran, run by run.
+	var seenHits, seenMisses int64
+	checkStageStats := func(run string, res *Result) {
+		t.Helper()
+		hits, misses := stage.Stats()
+		if hits-seenHits != int64(res.Jobs.Skipped) || misses-seenMisses != int64(res.Jobs.StageCacheMisses) {
+			t.Fatalf("%s run: StageCache moved by %d hits / %d misses, want %d / %d (Jobs.Skipped / Jobs.StageCacheMisses)",
+				run, hits-seenHits, misses-seenMisses, res.Jobs.Skipped, res.Jobs.StageCacheMisses)
+		}
+		seenHits, seenMisses = hits, misses
+	}
+
 	d1 := elaborate(t, socgen.SOC2())
 	if len(d1.RPs) < 4 {
 		t.Fatalf("SOC_2 has %d partitions, the property needs >= 4", len(d1.RPs))
@@ -85,6 +105,7 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		t.Fatalf("cold run: %d stage-cache misses, want %d (every post-synthesis job)",
 			cold.Jobs.StageCacheMisses, postSynth)
 	}
+	checkStageStats("cold", cold)
 
 	// Warm identical resubmission: every post-synthesis job skips.
 	d2 := elaborate(t, socgen.SOC2())
@@ -96,6 +117,7 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		warm.Jobs.ImplJobs != 0 || warm.Jobs.BitgenJobs != 0 {
 		t.Fatalf("warm run executed work it should have skipped: %+v", warm.Jobs)
 	}
+	checkStageStats("warm", warm)
 	if resultSignature(warm) != resultSignature(cold) {
 		t.Fatalf("warm run diverged from cold run:\n--- warm ---\n%s--- cold ---\n%s",
 			resultSignature(warm), resultSignature(cold))
@@ -124,6 +146,7 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 	if edit.Jobs.CacheMisses != 1 {
 		t.Fatalf("one-kernel edit paid %d synthesis misses, want 1 (the edited module)", edit.Jobs.CacheMisses)
 	}
+	checkStageStats("one-kernel edit", edit)
 
 	// The trace must name exactly the edited partition's impl group and
 	// partial bitstream as the executed post-synthesis jobs ("job"
@@ -239,6 +262,82 @@ func TestIncrementalWarmWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestWarmRunsShareCachedImage pins the sharing contract of the stage
+// cache's memory tier: a hit serves the value the populating run
+// published — the same pointer, never a decoded copy — to every
+// concurrent reader, and nothing a caller does with a copy of it can
+// reach the cache. Run under -race, the concurrent leg also proves the
+// shared image is only ever read.
+func TestWarmRunsShareCachedImage(t *testing.T) {
+	cache := vivado.NewCheckpointCache()
+	stage := vivado.NewStageCache()
+	run := func(d *socgen.Design) (*Result, error) {
+		return RunPRESP(context.Background(), d, Options{
+			Compress: true, Workers: 2, Cache: cache, StageCache: stage, Strategy: forceFully(t, d),
+		})
+	}
+	cold, err := run(elaborate(t, socgen.SOC2()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCRC := cold.FullBitstream.CRC()
+
+	// Eight concurrent warm runs read the one cached full image.
+	const flights = 8
+	designs := make([]*socgen.Design, flights)
+	for i := range designs {
+		designs[i] = elaborate(t, socgen.SOC2())
+	}
+	results := make([]*Result, flights)
+	errs := make([]error, flights)
+	var wg sync.WaitGroup
+	for i := range designs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = run(designs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("warm run %d: %v", i, errs[i])
+		}
+		if res.Jobs.SkippedByStage[StageBitgen] != len(res.Design.RPs)+1 {
+			t.Fatalf("warm run %d regenerated bitstreams: %+v", i, res.Jobs)
+		}
+		if got := res.FullBitstream.CRC(); got != wantCRC {
+			t.Fatalf("warm run %d: full-image CRC %08x, want %08x", i, got, wantCRC)
+		}
+		// A memory hit serves the published value, not a decode of it.
+		if res.FullBitstream != cold.FullBitstream {
+			t.Fatalf("warm run %d: full image is a copy, want the cold run's pointer", i)
+		}
+		for j, bs := range res.PartialBitstreams {
+			if bs != cold.PartialBitstreams[j] {
+				t.Fatalf("warm run %d: partial %s is a copy, want the cold run's pointer", i, bs.Name)
+			}
+		}
+	}
+
+	// Scribbling over a corrupted copy of a warm image leaves the cached
+	// image, and the next warm run's, untouched.
+	bad := results[0].FullBitstream.CorruptedCopy(17)
+	for i := range bad.Data {
+		bad.Data[i] ^= 0x5a
+	}
+	next, err := run(elaborate(t, socgen.SOC2()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := next.FullBitstream.CRC(); got != wantCRC {
+		t.Fatalf("next warm run: full-image CRC %08x, want %08x", got, wantCRC)
+	}
+	if err := next.FullBitstream.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestIncrementalWarmRestartFromDisk: with a CacheDir, the stage cache
 // rides the checkpoint cache's disk tier, so a fresh process (fresh
 // in-memory caches over the same directory) skips every post-synthesis
@@ -299,4 +398,127 @@ func TestStageCacheDisabledUnderFaults(t *testing.T) {
 	if res.Jobs.Skipped != 0 || res.Jobs.StageCacheMisses != 0 {
 		t.Fatalf("faulted run used the stage cache: %+v", res.Jobs)
 	}
+}
+
+// TestStageArtifactsParentFormat: testdata/parent_art holds two .art
+// entries written by the previous stage cache, which kept JSON bodies
+// in memory — the SOC_1 floorplan and the compressed rt_11_rp partial
+// image of a fully-parallel run. The {minutes, payload} body is
+// unchanged, so a store over them serves both as hits whose values
+// equal a cold run's, image CRC included, and a damaged copy is still
+// quarantined, never decoded.
+func TestStageArtifactsParentFormat(t *testing.T) {
+	const (
+		floorplanKey = "1349ee9cff9b1f0a"
+		partialKey   = "75d5757e931a1101"
+		partition    = "rt_11_rp"
+	)
+	d := elaborate(t, socgen.SOC1())
+	opt := Options{Compress: true, Strategy: forceFully(t, d)}
+	cold, err := RunPRESP(context.Background(), d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool, err := vivado.New(d.Dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := opt
+	probe.StageCache = vivado.NewStageCache()
+	sk := buildStageKeys(d, tool, opt.Strategy, probe, modePRESP)
+	if sk.floorplan != floorplanKey || sk.partials[partition] != partialKey {
+		t.Fatalf("stage keys moved: floorplan %s, %s partial %s", sk.floorplan, partition, sk.partials[partition])
+	}
+
+	fixture := func(t *testing.T, key string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join("testdata", "parent_art", key+".art"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	var coldPartial *bitstream.Bitstream
+	for _, bs := range cold.PartialBitstreams {
+		if bs.Name == "SOC_1."+partition+".pbs" {
+			coldPartial = bs
+		}
+	}
+	if coldPartial == nil || !coldPartial.Compressed {
+		t.Fatalf("cold run has no compressed %s image", partition)
+	}
+
+	t.Run("hits", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, key := range []string{floorplanKey, partialKey} {
+			if err := os.WriteFile(filepath.Join(dir, key+".art"), fixture(t, key), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds, err := vivado.OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ds.Stats(); st.Entries != 2 || st.Corrupt != 0 {
+			t.Fatalf("parent entries failed verify-at-open: %+v", st)
+		}
+		sc := vivado.NewStageCache()
+		sc.SetDiskStore(ds)
+		plan, _, ok := vivado.LookupStage[*floorplan.Plan](sc, floorplanKey)
+		if !ok || !reflect.DeepEqual(plan, cold.Plan) {
+			t.Fatalf("parent floorplan = %+v, %v; want the cold plan %+v", plan, ok, cold.Plan)
+		}
+		img, minutes, ok := vivado.LookupStage[*bitstream.Bitstream](sc, partialKey)
+		if !ok || !reflect.DeepEqual(img, coldPartial) || img.CRC() != coldPartial.CRC() || minutes <= 0 {
+			t.Fatalf("parent partial image: ok=%v minutes=%v, want the cold image (CRC %08x)", ok, minutes, coldPartial.CRC())
+		}
+		if err := img.Verify(); err != nil {
+			t.Fatal(err)
+		}
+
+		// A warm run over the same store skips both jobs and assembles
+		// the cold result.
+		warmOpt := opt
+		warmOpt.StageCache = sc
+		d2 := elaborate(t, socgen.SOC1())
+		warmOpt.Strategy = forceFully(t, d2)
+		warm, err := RunPRESP(context.Background(), d2, warmOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Jobs.SkippedByStage[StagePlan] != 1 || warm.Jobs.SkippedByStage[StageBitgen] != 1 {
+			t.Fatalf("warm run skipped %v, want the floorplan and one partial", warm.Jobs.SkippedByStage)
+		}
+		if resultSignature(warm) != resultSignature(cold) {
+			t.Fatalf("run over parent artifacts diverged:\n--- warm ---\n%s--- cold ---\n%s",
+				resultSignature(warm), resultSignature(cold))
+		}
+	})
+
+	t.Run("damaged", func(t *testing.T) {
+		dir := t.TempDir()
+		ds, err := vivado.OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Plant the damaged copy after open, so the read path — not the
+		// verify-at-open scan — has to catch it.
+		data := fixture(t, partialKey)
+		data[len(data)/2] ^= 0x20
+		path := filepath.Join(dir, partialKey+".art")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc := vivado.NewStageCache()
+		sc.SetDiskStore(ds)
+		if img, _, ok := vivado.LookupStage[*bitstream.Bitstream](sc, partialKey); ok {
+			t.Fatalf("damaged parent entry decoded as %s", img.Name)
+		}
+		if _, err := os.Stat(path + ".bad"); err != nil {
+			t.Fatalf("damaged entry not quarantined: %v", err)
+		}
+		if st := ds.Stats(); st.Corrupt != 1 || st.Entries != 0 {
+			t.Fatalf("disk stats after damaged read: %+v", st)
+		}
+	})
 }

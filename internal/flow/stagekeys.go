@@ -272,23 +272,16 @@ func partialKey(implKey, rpName string, d *socgen.Design, compress bool) string 
 	return bp.Sum()
 }
 
-// stageEnvelope is the JSON body a stage artifact persists: the job's
-// modelled duration plus its stage-specific payload.
-type stageEnvelope struct {
-	Minutes vivado.Minutes  `json:"minutes"`
-	Payload json.RawMessage `json:"payload"`
-}
-
 // cachedStage wraps one job's work function with its stage-artifact
 // probe/store pair. run produces the stage value and its modelled
 // minutes; apply publishes the value into the run's result exactly as a
 // live execution would (it is called from worker goroutines under the
 // scheduler's happens-before, like the run body itself). On a probe hit
-// the scheduler skips run entirely; on a miss (or with no cache/key)
-// the wrapped run executes, publishes, and stores the artifact
-// write-through. A cached body that fails to decode reports a miss —
-// the disk tier already quarantines corrupt files, and an in-memory
-// decode failure just re-runs the job.
+// the scheduler skips run entirely and apply publishes the cached value
+// itself — the very value the populating run published, shared and
+// never mutated; on a miss (or with no cache/key) the wrapped run
+// executes, publishes, and stores the value write-through. Only the
+// disk tier encodes: memory hits and stores never touch JSON.
 func cachedStage[T any](sk *stageKeys, key string, run func(ctx context.Context) (T, vivado.Minutes, error), apply func(T, vivado.Minutes)) (probe func() (vivado.Minutes, bool), wrapped func(ctx context.Context) (vivado.Minutes, error)) {
 	wrapped = func(ctx context.Context) (vivado.Minutes, error) {
 		v, t, err := run(ctx)
@@ -297,14 +290,9 @@ func cachedStage[T any](sk *stageKeys, key string, run func(ctx context.Context)
 		}
 		apply(v, t)
 		if sk != nil && key != "" {
-			if payload, err := json.Marshal(v); err == nil {
-				body, err := json.Marshal(stageEnvelope{Minutes: t, Payload: payload})
-				if err == nil {
-					// Best-effort write-through: a full disk loses the
-					// artifact, never the run.
-					sk.cache.Store(key, body) //nolint:errcheck
-				}
-			}
+			// Best-effort write-through: a full disk loses the artifact,
+			// never the run.
+			sk.cache.Store(key, v, t) //nolint:errcheck
 		}
 		return t, nil
 	}
@@ -312,20 +300,12 @@ func cachedStage[T any](sk *stageKeys, key string, run func(ctx context.Context)
 		return nil, wrapped
 	}
 	probe = func() (vivado.Minutes, bool) {
-		body, ok := sk.cache.Lookup(key)
+		v, t, ok := vivado.LookupStage[T](sk.cache, key)
 		if !ok {
 			return 0, false
 		}
-		var env stageEnvelope
-		if err := json.Unmarshal(body, &env); err != nil {
-			return 0, false
-		}
-		var v T
-		if err := json.Unmarshal(env.Payload, &v); err != nil {
-			return 0, false
-		}
-		apply(v, env.Minutes)
-		return env.Minutes, true
+		apply(v, t)
+		return t, true
 	}
 	return probe, wrapped
 }

@@ -275,9 +275,10 @@ func TestCrashEveryWALPrefix(t *testing.T) {
 }
 
 // TestRecoverAttachesStateDirCache: with no disk tier configured,
-// Recover roots one at <StateDir>/cache and shares it with the stage
-// cache, so a restarted daemon reuses the previous process's synthesis
-// with no -cache-dir; a cache that already has a tier keeps it.
+// Recover roots one at <StateDir>/cache, which the first flow run
+// shares with the stage cache, so a restarted daemon reuses the
+// previous process's synthesis with no -cache-dir; a cache that already
+// has a tier keeps it.
 func TestRecoverAttachesStateDirCache(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{Preset: "SOC_1", Compress: true}
@@ -286,12 +287,12 @@ func TestRecoverAttachesStateDirCache(t *testing.T) {
 	if ds := s1.cache.Disk(); ds == nil || ds.Dir() != filepath.Join(dir, "cache") {
 		t.Fatalf("Recover attached %v, want a disk tier at %s", ds, filepath.Join(dir, "cache"))
 	}
-	if s1.stage.Disk() != s1.cache.Disk() {
-		t.Fatal("stage cache does not share the state-dir disk tier")
-	}
 	cold := runJob(t, s1, spec)
 	if cold.CacheMisses == 0 {
 		t.Fatal("cold run paid no synthesis")
+	}
+	if s1.stage.Disk() != s1.cache.Disk() {
+		t.Fatal("stage cache does not share the state-dir disk tier")
 	}
 	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

@@ -42,10 +42,10 @@ type replayJob struct {
 // recorded outcomes (so idempotent resubmits and GETs keep working
 // across the crash), and live jobs — admitted or interrupted
 // mid-run — are re-enqueued. When the configured cache has no disk
-// tier, Recover attaches one at <StateDir>/cache and shares it with the
-// stage cache: every synthesis checkpoint reaches disk before its job
-// completes, so an interrupted run's rerun reuses all the synthesis it
-// finished. It must be called once, before the server takes traffic;
+// tier, Recover attaches one at <StateDir>/cache (every flow run shares
+// it with the stage cache): every synthesis checkpoint reaches disk
+// before its job completes, so an interrupted run's rerun reuses all
+// the synthesis it finished. It must be called once, before the server takes traffic;
 // with no StateDir it is a durability-off no-op. Calling it twice, or
 // after jobs were already admitted, is an error.
 func (s *Server) Recover() (RecoveryStats, error) {
@@ -71,9 +71,6 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		}
 		ds.SetObserver(s.cfg.Observer)
 		s.cache.SetDiskStore(ds)
-	}
-	if s.stage != nil && s.stage.Disk() == nil {
-		s.stage.SetDiskStore(s.cache.Disk())
 	}
 	w, recs, err := openWAL(filepath.Join(s.cfg.StateDir, "jobs.wal"))
 	if err != nil {

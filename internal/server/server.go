@@ -57,8 +57,9 @@ type Config struct {
 	// re-flow: floorplan solutions, per-partition implementation runs and
 	// bitstream images are content-addressed, so resubmitting an edited
 	// spec re-runs only the stages whose inputs changed and ResultView
-	// reports the reuse. Nil creates a fresh one (sharing Cache's disk
-	// tier when present) unless NoStageCache is set.
+	// reports the reuse. Nil creates a fresh one unless NoStageCache is
+	// set. Every flow run shares Cache's disk tier with it (see
+	// flow.Options.StageCache).
 	StageCache *vivado.StageCache
 	// NoStageCache disables stage-artifact caching entirely: every
 	// submission runs every stage cold, as before incremental re-flow.
@@ -238,9 +239,6 @@ func New(cfg Config) *Server {
 		s.stage = nil
 	} else if s.stage == nil {
 		s.stage = vivado.NewStageCache()
-	}
-	if s.stage != nil && s.stage.Disk() == nil && s.cache.Disk() != nil {
-		s.stage.SetDiskStore(s.cache.Disk())
 	}
 	s.runFlow = func(ctx context.Context, cs *compiledSpec, opt flow.Options) (*flow.Result, error) {
 		return flow.RunFlow(ctx, cs.spec.Flow, cs.design, opt)

@@ -20,6 +20,19 @@ func testModule(name string, luts int) *rtl.Module {
 	return m
 }
 
+// lookup fetches a copy of the checkpoint under key without computing
+// it, counting the access as a hit or miss.
+func (c *CheckpointCache) lookup(key string) (*SynthCheckpoint, bool) {
+	ck, _, err := c.fetch(key, decodeCheckpoint, nil)
+	return ck, err == nil
+}
+
+// materialize is Tool.Synthesize's path through the cache: fetch with
+// the checkpoint codec and a compute callback.
+func (c *CheckpointCache) materialize(key string, compute func() (*SynthCheckpoint, error)) (*SynthCheckpoint, flightRole, error) {
+	return c.fetch(key, decodeCheckpoint, compute)
+}
+
 func cachedTool(t *testing.T, board string) (*Tool, *CheckpointCache) {
 	t.Helper()
 	dev, err := fpga.ByBoard(board)

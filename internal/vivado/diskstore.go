@@ -16,12 +16,15 @@ import (
 )
 
 // DiskStore is the persistent tier under CheckpointCache and StageCache:
-// one file per cache key holding a JSON body plus a CRC-32 trailer. The
-// two entry kinds (checkpointEntries, artifactEntries) share one read
-// path and one write path and differ only in file extension and body
-// check. The store is what lets a restarted daemon — or a rerun of an
-// interrupted flow — warm-start from the previous process's synthesis
-// corpus instead of re-paying every modelled run.
+// one file per cache key holding a JSON body plus a CRC-32 trailer. It
+// is the only place the artifact store (store.go) encodes: the memory
+// tier above it holds decoded values, entries are encoded once on
+// write-through or demotion and decoded once on promotion. The two
+// entry kinds (checkpointEntries, artifactEntries) share one read path
+// and one write path and differ only in file extension and codec. The
+// store is what lets a restarted daemon — or a rerun of an interrupted
+// flow — warm-start from the previous process's synthesis corpus
+// instead of re-paying every modelled run.
 //
 // Durability discipline:
 //
@@ -88,8 +91,9 @@ const diskQuarantineExt = ".bad"
 // diskKind is one kind of live store entry. Both kinds go through the
 // same verified read path (load) and atomic write path (store); they
 // differ only in file extension and in how a body is encoded and
-// checked. The extensions must stay distinct: checkpoint entries are
-// decoded strictly as SynthCheckpoint, artifact entries as opaque JSON.
+// decoded. The extensions must stay distinct: checkpoint entries are
+// decoded strictly as SynthCheckpoint, artifact entries into the
+// reader's payload type.
 // Keys are the caches' hex digests, so "<key><ext>" is always a safe
 // file name.
 type diskKind[T any] struct {
@@ -103,9 +107,10 @@ type diskKind[T any] struct {
 var (
 	// checkpointEntries are synthesis checkpoints (CheckpointCache).
 	checkpointEntries = diskKind[*SynthCheckpoint]{ext: ".ckpt", encode: encodeCheckpoint, decode: decodeCheckpoint}
-	// artifactEntries are stage-artifact JSON bodies — floorplan
-	// solutions, implementation results, bitstream images (StageCache).
-	artifactEntries = diskKind[[]byte]{ext: ".art", encode: checkArtifact, decode: checkArtifact}
+	// artifactEntries are stage artifacts — floorplan solutions,
+	// implementation results, bitstream images (StageCache) — stored as
+	// {minutes, payload} bodies.
+	artifactEntries = diskKind[stageArtifact]{ext: ".art", encode: encodeArtifact, decode: checkArtifact}
 )
 
 // quarantineMaxAge bounds how long a quarantined *.bad file is kept
@@ -412,14 +417,43 @@ func decodeCheckpoint(body []byte) (*SynthCheckpoint, error) {
 	return ck, nil
 }
 
-// checkArtifact is both directions of the artifact codec: a body must
-// be valid JSON to be written or served. Artifacts are otherwise opaque
-// to the store — the flow layer owns their schema.
-func checkArtifact(body []byte) ([]byte, error) {
-	if len(body) == 0 || !json.Valid(body) {
-		return nil, fmt.Errorf("artifact body is not valid JSON")
+// stageArtifact is one StageCache entry: a published stage value and
+// its modelled minutes.
+type stageArtifact struct {
+	value   any
+	minutes Minutes
+}
+
+// artifactBody is the on-disk form of a stage artifact. The flow layer
+// owns the payload schema; the store only needs it to round-trip
+// losslessly through encoding/json.
+type artifactBody[T any] struct {
+	Minutes Minutes `json:"minutes"`
+	Payload T       `json:"payload"`
+}
+
+func encodeArtifact(a stageArtifact) ([]byte, error) {
+	return json.Marshal(artifactBody[any]{Minutes: a.minutes, Payload: a.value})
+}
+
+// decodeArtifact decodes a stage body straight into the reader's
+// payload type, in one parse pass.
+func decodeArtifact[T any](body []byte) (stageArtifact, error) {
+	var b artifactBody[T]
+	if err := json.Unmarshal(body, &b); err != nil {
+		return stageArtifact{}, fmt.Errorf("decoding body: %w", err)
 	}
-	return body, nil
+	return stageArtifact{value: b.Payload, minutes: b.Minutes}, nil
+}
+
+// checkArtifact is the verify-at-open check of a stage body, whose
+// payload type only a reader knows: it must be valid JSON. Reads decode
+// with decodeArtifact instead.
+func checkArtifact(body []byte) (stageArtifact, error) {
+	if !json.Valid(body) {
+		return stageArtifact{}, fmt.Errorf("artifact body is not valid JSON")
+	}
+	return stageArtifact{}, nil
 }
 
 // quarantineLocked moves a corrupt entry aside as <name>.bad (deleting

@@ -417,10 +417,12 @@ func FuzzDiskEntry(f *testing.F) {
 	f.Add(0, byte(0), 0)
 	f.Add(n-1, byte(0x80), n)
 	f.Add(0, byte(0xff), diskTrailerLen)
-	art := []byte(`{"plan":{"rt_1_rp":[0,4,12,20]},"minutes":41.5}`)
+	art := stageArtifact{value: map[string][]int{"rt_1_rp": {0, 4, 12, 20}}, minutes: 41.5}
+	artifacts := artifactEntries
+	artifacts.decode = decodeArtifact[map[string][]int]
 	f.Fuzz(func(t *testing.T, off int, flip byte, keep int) {
 		fuzzDiskKind(t, checkpointEntries, ck, off, flip, keep)
-		fuzzDiskKind(t, artifactEntries, art, off, flip, keep)
+		fuzzDiskKind(t, artifacts, art, off, flip, keep)
 	})
 }
 

@@ -99,7 +99,7 @@ func TestFollowerHitRefreshesLRURecency(t *testing.T) {
 	for try := 0; try < 50; try++ {
 		cache := NewCheckpointCache()
 		cache.SetMaxEntries(2)
-		fl := &flight{done: make(chan struct{})}
+		fl := &flight[*SynthCheckpoint]{done: make(chan struct{})}
 		cache.mu.Lock()
 		cache.inflight["hot"] = fl
 		cache.mu.Unlock()
@@ -116,9 +116,9 @@ func TestFollowerHitRefreshesLRURecency(t *testing.T) {
 		// Land the flight the way a leader would, and age "hot" behind
 		// "cold" before the follower can observe anything.
 		cache.mu.Lock()
-		fl.ck = cache.storeLocked("hot", &SynthCheckpoint{Name: "hot", Runtime: 1})
+		fl.v, _ = cache.insertLocked("hot", &SynthCheckpoint{Name: "hot", Runtime: 1})
 		delete(cache.inflight, "hot")
-		cache.storeLocked("cold", &SynthCheckpoint{Name: "cold", Runtime: 1})
+		cache.insertLocked("cold", &SynthCheckpoint{Name: "cold", Runtime: 1})
 		close(fl.done)
 		cache.mu.Unlock()
 
@@ -129,7 +129,7 @@ func TestFollowerHitRefreshesLRURecency(t *testing.T) {
 		// The follower's hit refreshed "hot", so the next eviction must
 		// take "cold".
 		cache.mu.Lock()
-		cache.storeLocked("new", &SynthCheckpoint{Name: "new", Runtime: 1})
+		cache.insertLocked("new", &SynthCheckpoint{Name: "new", Runtime: 1})
 		_, hotThere := cache.entries["hot"]
 		_, coldThere := cache.entries["cold"]
 		cache.mu.Unlock()

@@ -131,8 +131,8 @@ func TestMaterializeLeaderErrorPropagates(t *testing.T) {
 }
 
 // waitParked blocks until n goroutines are parked on a flight's done
-// channel inside materialize, read from the goroutine stack dump: the
-// top frame of a parked follower is materialize itself, while a leader
+// channel inside the store's fetch, read from the goroutine stack dump:
+// the top frame of a parked follower is fetch itself, while a leader
 // blocked in its compute callback has the callback on top.
 func waitParked(t *testing.T, n int) {
 	t.Helper()
@@ -144,7 +144,7 @@ func waitParked(t *testing.T, n int) {
 		for _, g := range strings.Split(dump, "\n\n") {
 			lines := strings.SplitN(g, "\n", 3)
 			if len(lines) >= 2 && strings.Contains(lines[0], "[chan receive") &&
-				strings.HasPrefix(lines[1], "presp/internal/vivado.(*CheckpointCache).materialize(") {
+				strings.HasPrefix(lines[1], "presp/internal/vivado.(*store[...]).fetch(") {
 				parked++
 			}
 		}

@@ -1,32 +1,38 @@
 package vivado
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
+// testStage is a stand-in stage payload: a pointer type, like every
+// value the flow layer stores.
+type testStage struct {
+	Name  string
+	Words []int
+}
+
 func TestStageCacheMemoryRoundTrip(t *testing.T) {
 	sc := NewStageCache()
-	if _, ok := sc.Lookup("abc"); ok {
+	if _, _, ok := LookupStage[*testStage](sc, "abc"); ok {
 		t.Fatal("lookup on empty cache hit")
 	}
-	body := []byte(`{"minutes":12.5,"payload":{"x":1}}`)
-	if err := sc.Store("abc", body); err != nil {
+	v := &testStage{Name: "plan", Words: []int{1, 2}}
+	if err := sc.Store("abc", v, 12.5); err != nil {
 		t.Fatalf("store: %v", err)
 	}
-	got, ok := sc.Lookup("abc")
-	if !ok || !bytes.Equal(got, body) {
-		t.Fatalf("lookup = %q, %v; want stored body", got, ok)
+	// A memory hit serves the stored value itself, minutes included.
+	got, minutes, ok := LookupStage[*testStage](sc, "abc")
+	if !ok || got != v || minutes != 12.5 {
+		t.Fatalf("lookup = %p, %v, %v; want the stored %p at 12.5", got, minutes, ok, v)
 	}
 	// First store wins: a second store of the same key keeps the original.
-	if err := sc.Store("abc", []byte(`{"other":true}`)); err != nil {
+	if err := sc.Store("abc", &testStage{Name: "other"}, 1); err != nil {
 		t.Fatalf("re-store: %v", err)
 	}
-	got, _ = sc.Lookup("abc")
-	if !bytes.Equal(got, body) {
-		t.Fatalf("re-store replaced entry: %q", got)
+	if got, minutes, _ = LookupStage[*testStage](sc, "abc"); got != v || minutes != 12.5 {
+		t.Fatalf("re-store replaced entry: %+v at %v", got, minutes)
 	}
 	hits, misses := sc.Stats()
 	if hits != 2 || misses != 1 {
@@ -39,11 +45,14 @@ func TestStageCacheMemoryRoundTrip(t *testing.T) {
 
 func TestStageCacheRejectsEmpty(t *testing.T) {
 	sc := NewStageCache()
-	if err := sc.Store("", []byte(`{}`)); err == nil {
+	if err := sc.Store("", &testStage{}, 0); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	if err := sc.Store("k", nil); err == nil {
-		t.Fatal("empty body accepted")
+	if err := sc.Store("k", nil, 0); err == nil {
+		t.Fatal("nil value accepted")
+	}
+	if _, _, ok := LookupStage[*testStage](sc, ""); ok {
+		t.Fatal("empty key hit")
 	}
 }
 
@@ -55,12 +64,16 @@ func TestStageCacheDiskWriteThroughAndReadThrough(t *testing.T) {
 	}
 	sc := NewStageCache()
 	sc.SetDiskStore(ds)
-	body := []byte(`{"minutes":3,"payload":"x"}`)
-	if err := sc.Store("feedbeef", body); err != nil {
+	v := &testStage{Name: "x", Words: []int{7}}
+	if err := sc.Store("feedbeef", v, 3); err != nil {
 		t.Fatalf("store: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "feedbeef"+artifactEntries.ext)); err != nil {
+	body, err := os.ReadFile(filepath.Join(dir, "feedbeef"+artifactEntries.ext))
+	if err != nil {
 		t.Fatalf("artifact not written through: %v", err)
+	}
+	if want := `{"minutes":3,"payload":{"Name":"x","Words":[7]}}`; string(body[:len(want)]) != want {
+		t.Fatalf("on-disk body %q, want prefix %q", body, want)
 	}
 
 	// A fresh cache over the same store must read the artifact back —
@@ -71,17 +84,21 @@ func TestStageCacheDiskWriteThroughAndReadThrough(t *testing.T) {
 	}
 	sc2 := NewStageCache()
 	sc2.SetDiskStore(ds2)
-	got, ok := sc2.Lookup("feedbeef")
-	if !ok || !bytes.Equal(got, body) {
-		t.Fatalf("read-through = %q, %v; want stored body", got, ok)
+	got, minutes, ok := LookupStage[*testStage](sc2, "feedbeef")
+	if !ok || got.Name != "x" || len(got.Words) != 1 || got.Words[0] != 7 || minutes != 3 {
+		t.Fatalf("read-through = %+v, %v, %v; want the stored value", got, minutes, ok)
 	}
 	if sc2.Len() != 1 {
 		t.Fatalf("disk hit not promoted: len = %d", sc2.Len())
 	}
-	// Promoted: the second lookup is a memory hit even if the file goes.
+	// Promoted: the second lookup is a memory hit — the same decoded
+	// value — even if the file goes.
 	os.Remove(filepath.Join(dir, "feedbeef"+artifactEntries.ext))
-	if _, ok := sc2.Lookup("feedbeef"); !ok {
-		t.Fatal("promoted entry lost")
+	if again, _, ok := LookupStage[*testStage](sc2, "feedbeef"); !ok || again != got {
+		t.Fatal("promoted entry lost or decoded again")
+	}
+	if st := ds2.Stats(); st.Hits != 1 {
+		t.Fatalf("disk hits = %d; want 1 (one promotion)", st.Hits)
 	}
 }
 
@@ -93,7 +110,7 @@ func TestStageCacheCorruptArtifactQuarantined(t *testing.T) {
 	}
 	sc := NewStageCache()
 	sc.SetDiskStore(ds)
-	if err := sc.Store("cafef00d", []byte(`{"v":1}`)); err != nil {
+	if err := sc.Store("cafef00d", &testStage{Name: "v"}, 1); err != nil {
 		t.Fatalf("store: %v", err)
 	}
 	path := filepath.Join(dir, "cafef00d"+artifactEntries.ext)
@@ -108,7 +125,7 @@ func TestStageCacheCorruptArtifactQuarantined(t *testing.T) {
 
 	fresh := NewStageCache()
 	fresh.SetDiskStore(ds)
-	if _, ok := fresh.Lookup("cafef00d"); ok {
+	if _, _, ok := LookupStage[*testStage](fresh, "cafef00d"); ok {
 		t.Fatal("corrupt artifact served")
 	}
 	if _, err := os.Stat(path + diskQuarantineExt); err != nil {
@@ -116,6 +133,30 @@ func TestStageCacheCorruptArtifactQuarantined(t *testing.T) {
 	}
 	if st := ds.Stats(); st.Corrupt != 1 {
 		t.Fatalf("corrupt counter = %d; want 1", st.Corrupt)
+	}
+	if hits, misses := fresh.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("stats = %d hits, %d misses; want 0, 1", hits, misses)
+	}
+}
+
+// TestStageCacheUndecodableIsMiss: a CRC-valid body whose payload does
+// not decode into the reader's type is quarantined and counted as one
+// miss — never as a hit that the reader then discards.
+func TestStageCacheUndecodableIsMiss(t *testing.T) {
+	ds := openTestStore(t)
+	if err := artifactEntries.store(ds, "beef", stageArtifact{value: []int{1, 2}, minutes: 4}); err != nil {
+		t.Fatal(err)
+	}
+	sc := NewStageCache()
+	sc.SetDiskStore(ds)
+	if _, _, ok := LookupStage[*testStage](sc, "beef"); ok {
+		t.Fatal("mistyped artifact served")
+	}
+	if hits, misses := sc.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("stats = %d hits, %d misses; want 0, 1", hits, misses)
+	}
+	if st := ds.Stats(); st.Corrupt != 1 || st.Entries != 0 {
+		t.Fatalf("undecodable artifact not quarantined: %+v", st)
 	}
 }
 
@@ -125,7 +166,7 @@ func TestDiskStoreVerifyAllChecksArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := artifactEntries.store(ds, "aa11", []byte(`{"ok":true}`)); err != nil {
+	if err := artifactEntries.store(ds, "aa11", stageArtifact{value: map[string]bool{"ok": true}}); err != nil {
 		t.Fatalf("store artifact: %v", err)
 	}
 	// Plant a torn artifact next to the good one; reopen must quarantine
@@ -142,20 +183,27 @@ func TestDiskStoreVerifyAllChecksArtifacts(t *testing.T) {
 	if st.Entries != 1 || st.Corrupt != 1 || st.Quarantined != 1 {
 		t.Fatalf("stats after reopen = %+v; want 1 live, 1 corrupt, 1 quarantined", st)
 	}
-	if _, ok := artifactEntries.load(ds2, "aa11"); !ok {
+	read := artifactEntries
+	read.decode = decodeArtifact[map[string]bool]
+	if a, ok := read.load(ds2, "aa11"); !ok || !a.value.(map[string]bool)["ok"] {
 		t.Fatal("verified artifact not loadable")
 	}
 }
 
+// TestStoreArtifactRejectsInvalidJSON: a value encoding/json cannot
+// encode never reaches disk, and neither does an empty key.
 func TestStoreArtifactRejectsInvalidJSON(t *testing.T) {
 	ds, err := OpenDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := artifactEntries.store(ds, "k1", []byte("not json")); err == nil {
-		t.Fatal("invalid JSON body accepted")
+	if err := artifactEntries.store(ds, "k1", stageArtifact{value: make(chan int)}); err == nil {
+		t.Fatal("unencodable value accepted")
 	}
-	if err := artifactEntries.store(ds, "", []byte(`{}`)); err == nil {
+	if err := artifactEntries.store(ds, "", stageArtifact{value: 1}); err == nil {
 		t.Fatal("empty key accepted")
+	}
+	if st := ds.Stats(); st.Entries != 0 {
+		t.Fatalf("rejected artifacts reached disk: %+v", st)
 	}
 }

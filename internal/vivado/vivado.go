@@ -170,7 +170,7 @@ func (t *Tool) Synthesize(ctx context.Context, m *rtl.Module, ooc bool, sites ..
 	// content collapse to one leader synthesis; followers share the
 	// leader's checkpoint (or its error) and count as hits.
 	key := checkpointKey(t.dev, t.model, m, ooc)
-	ck, role, err := t.cache.materialize(key, func() (*SynthCheckpoint, error) {
+	ck, role, err := t.cache.fetch(key, decodeCheckpoint, func() (*SynthCheckpoint, error) {
 		return t.synthesize(m, ooc)
 	})
 	switch role {
@@ -187,7 +187,7 @@ func (t *Tool) Synthesize(ctx context.Context, m *rtl.Module, ooc bool, sites ..
 }
 
 // synthesize is the cache-free synthesis body: the modelled cost of one
-// run, shared by the direct path and the materialize leader.
+// run, shared by the direct path and the cache's flight leader.
 func (t *Tool) synthesize(m *rtl.Module, ooc bool) (*SynthCheckpoint, error) {
 	ck := &SynthCheckpoint{Name: m.Name, OoC: ooc}
 	m.Walk(func(path string, mod *rtl.Module) {

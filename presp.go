@@ -107,17 +107,15 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 // AttachDiskCache backs the platform's shared checkpoint cache with a
 // persistent tier at dir: every synthesis result is written through to
 // disk, and cache misses are served from disk before any synthesis
-// runs. A platform in a later process pointed at the same directory
-// warm-starts.
+// runs. Every flow run shares the tier with the platform's stage-artifact
+// cache, so incremental re-flow hits survive restarts too. A platform in
+// a later process pointed at the same directory warm-starts.
 func (p *Platform) AttachDiskCache(dir string) error {
 	store, err := vivado.OpenDiskStore(dir)
 	if err != nil {
 		return err
 	}
 	p.cache.SetDiskStore(store)
-	// The stage-artifact cache shares the tier (distinct file
-	// extensions), so incremental re-flow hits survive restarts too.
-	p.stage.SetDiskStore(store)
 	return nil
 }
 

@@ -144,6 +144,16 @@ func TestDiskCacheThroughFacade(t *testing.T) {
 	if warm.Jobs.CacheMisses != 0 {
 		t.Fatalf("warm platform paid %d synthesis misses, want 0", warm.Jobs.CacheMisses)
 	}
+	// The stage-artifact cache rides the same tier: the fresh platform
+	// skips every post-synthesis stage too.
+	postSynth := cold.Jobs.PlanJobs + cold.Jobs.ImplJobs + cold.Jobs.BitgenJobs
+	if warm.Jobs.Skipped != postSynth || warm.Jobs.StageCacheMisses != 0 {
+		t.Fatalf("warm platform skipped %d stage jobs with %d misses, want %d and 0",
+			warm.Jobs.Skipped, warm.Jobs.StageCacheMisses, postSynth)
+	}
+	if hits, misses := p2.StageCacheStats(); hits != int64(postSynth) || misses != 0 {
+		t.Fatalf("warm platform stage cache: %d hits / %d misses, want %d / 0", hits, misses, postSynth)
+	}
 	if warm.Total != cold.Total {
 		t.Fatalf("modelled total diverged: cold %v warm %v", cold.Total, warm.Total)
 	}
