@@ -36,8 +36,14 @@ func BenchmarkGeneratePartial(b *testing.B) {
 	}
 }
 
+// benchChunks is the number of chunks the flow splits a full-device
+// image into.
+const benchChunks = 4
+
 // BenchmarkGenerateFull measures one compressed full-device bitstream
-// at 40% LUT fill.
+// at 40% LUT fill, whole (every chunk encoded in turn, then stitched)
+// and by layer: encoding one chunk of benchChunks, and stitching the
+// encoded chunks alone.
 func BenchmarkGenerateFull(b *testing.B) {
 	for _, board := range benchBoards {
 		b.Run(board, func(b *testing.B) {
@@ -45,16 +51,36 @@ func BenchmarkGenerateFull(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			g := NewGenerator(dev)
-			used := dev.Total[fpga.LUT] * 2 / 5
-			full := fpga.Pblock{Name: "full", X1: dev.GridCols() - 1, Y1: dev.GridRows() - 1}
-			b.SetBytes(int64(full.Frames(dev) * dev.FrameWords * 4))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if sinkBitstream, err = g.FullDevice("bench.bit", used, true); err != nil {
-					b.Fatal(err)
+			im := NewGenerator(dev).FullImage("bench.bit", dev.Total[fpga.LUT]*2/5, true)
+			rawBytes := int64(im.words * 4)
+			b.Run("image", func(b *testing.B) {
+				b.SetBytes(rawBytes)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sinkBitstream = im.Assemble(make([]Chunk, benchChunks))
 				}
-			}
+			})
+			b.Run("chunk", func(b *testing.B) {
+				b.SetBytes(rawBytes / benchChunks)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c := im.Chunk(i%benchChunks, benchChunks)
+					rleScratch.Put(c.enc)
+				}
+			})
+			b.Run("stitch", func(b *testing.B) {
+				chunks := make([]Chunk, benchChunks)
+				b.SetBytes(rawBytes)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					for c := range chunks {
+						chunks[c] = im.Chunk(c, benchChunks)
+					}
+					b.StartTimer()
+					sinkBitstream = im.Assemble(chunks)
+				}
+			})
 		})
 	}
 }

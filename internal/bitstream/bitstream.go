@@ -7,7 +7,6 @@
 package bitstream
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -124,7 +123,8 @@ func densityFor(fill float64) float64 {
 }
 
 // Partial generates the compressed partial bitstream for a partition
-// occupying pblock pb with usedLUTs of logic, on behalf of module name.
+// occupying pblock pb with usedLUTs of logic, on behalf of module name,
+// in one pass.
 func (g *Generator) Partial(name string, pb fpga.Pblock, usedLUTs int, compress bool) (*Bitstream, error) {
 	frames := pb.Frames(g.dev)
 	if frames <= 0 {
@@ -134,36 +134,29 @@ func (g *Generator) Partial(name string, pb fpga.Pblock, usedLUTs int, compress 
 	if areaLUTs := pb.ResourcesOn(g.dev)[fpga.LUT]; areaLUTs > 0 {
 		fill = float64(usedLUTs) / float64(areaLUTs)
 	}
-	return g.image(name, Partial, frames, fill, compress), nil
+	var whole [1]Chunk
+	return g.image(name, Partial, frames, fill, compress).Assemble(whole[:]), nil
 }
 
-// FullDevice generates the full-device bitstream for a design using
-// usedLUTs of the fabric.
-func (g *Generator) FullDevice(name string, usedLUTs int, compress bool) (*Bitstream, error) {
+// FullImage describes the full-device bitstream for a design using
+// usedLUTs of the fabric. The image is multi-MB, so callers encode it
+// in chunks on their own workers (Image.Chunk) and stitch it with
+// Image.Assemble.
+func (g *Generator) FullImage(name string, usedLUTs int, compress bool) Image {
 	// Approximate the device frame count from grid geometry.
 	pb := fpga.Pblock{Name: name, X0: 0, Y0: 0, X1: g.dev.GridCols() - 1, Y1: g.dev.GridRows() - 1}
 	fill := float64(usedLUTs) / float64(g.dev.Total[fpga.LUT])
-	return g.image(name, Full, pb.Frames(g.dev), fill, compress), nil
+	return g.image(name, Full, pb.Frames(g.dev), fill, compress)
 }
 
-// image renders one bitstream of frames frames at fabric fill fill. A
-// compressed image is encoded as its words are drawn, so the raw payload
-// is only materialised when compression is off.
-func (g *Generator) image(name string, kind Kind, frames int, fill float64, compress bool) *Bitstream {
-	words, density := frames*g.dev.FrameWords, densityFor(fill)
-	bs := &Bitstream{Name: name, Kind: kind, Frames: frames, RawBytes: words * 4, Compressed: compress}
-	if compress {
-		bs.Data = compressedFrames(name, words, density)
-	} else {
-		bs.Data = make([]byte, words*4)
-		state, cut := hashString(name), uint64(density*(1<<32))
-		for w := 0; w < words; w++ {
-			state += splitmixGamma
-			binary.LittleEndian.PutUint32(bs.Data[w*4:], configWord(state, cut))
-		}
+// image describes one bitstream of frames frames at fabric fill fill.
+func (g *Generator) image(name string, kind Kind, frames int, fill float64, compress bool) Image {
+	density := densityFor(fill)
+	return Image{
+		name: name, kind: kind, frames: frames, words: frames * g.dev.FrameWords,
+		seed: hashString(name), cut: uint64(density * (1 << 32)), density: density,
+		compress: compress,
 	}
-	bs.Checksum = bs.CRC()
-	return bs
 }
 
 // Words come from splitmix64 seeded by hashString of the image name (no

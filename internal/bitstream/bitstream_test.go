@@ -83,10 +83,7 @@ func TestUncompressedPartial(t *testing.T) {
 
 func TestFullDeviceBitstream(t *testing.T) {
 	g := NewGenerator(fpga.VC707())
-	full, err := g.FullDevice("soc.bit", 150000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := g.FullImage("soc.bit", 150000, false).Assemble(make([]Chunk, 4))
 	if full.Kind != Full {
 		t.Fatal("wrong kind")
 	}
@@ -133,10 +130,7 @@ func TestChecksumRecordedAndVerifies(t *testing.T) {
 			t.Fatalf("compress=%v: pristine image fails verification: %v", compress, err)
 		}
 	}
-	full, err := g.FullDevice("tb.bit", 10000, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := g.FullImage("tb.bit", 10000, true).Assemble(make([]Chunk, 4))
 	if full.Checksum == 0 || full.Verify() != nil {
 		t.Fatal("full-device bitstream not checksummed")
 	}

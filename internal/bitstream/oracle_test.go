@@ -2,6 +2,7 @@ package bitstream
 
 import (
 	"encoding/binary"
+	"testing"
 )
 
 // CompressRLE is the reference codec: the three-pass encoder the
@@ -55,11 +56,11 @@ func CompressRLE(raw []byte) []byte {
 	return out
 }
 
-// oracleImage builds the bitstream Generator.image builds, by the
-// reference path: materialise the raw payload (the uncompressed image),
-// then compress it with CompressRLE.
+// oracleImage builds the bitstream Generator.image describes, by the
+// reference path: materialise the raw payload (the uncompressed image)
+// word by word, then compress it with CompressRLE.
 func oracleImage(g *Generator, name string, kind Kind, frames int, fill float64, compress bool) *Bitstream {
-	raw := g.image(name, kind, frames, fill, false).Data
+	raw := rawImage(g.image(name, kind, frames, fill, compress))
 	bs := &Bitstream{Name: name, Kind: kind, Frames: frames, RawBytes: len(raw), Data: raw}
 	if compress {
 		bs.Data = CompressRLE(raw)
@@ -67,4 +68,38 @@ func oracleImage(g *Generator, name string, kind Kind, frames int, fill float64,
 	}
 	bs.Checksum = bs.CRC()
 	return bs
+}
+
+// rawImage draws every word of im in one loop, as the generator did
+// before it encoded images in chunks.
+func rawImage(im Image) []byte {
+	raw := make([]byte, im.words*4)
+	state := im.seed
+	for w := 0; w < im.words; w++ {
+		state += splitmixGamma
+		binary.LittleEndian.PutUint32(raw[w*4:], configWord(state, im.cut))
+	}
+	return raw
+}
+
+// stitchAt encodes im as the chunks between the given word offsets
+// (ascending, within [0, im.words]) and stitches them: the split
+// Assemble never makes, for boundaries placed anywhere. It also checks
+// that the sizing pass measures the stream exactly.
+func stitchAt(t testing.TB, im Image, cuts []int) []byte {
+	t.Helper()
+	bounds := append(append([]int{0}, cuts...), im.words)
+	var chunks []Chunk
+	for i := 0; i+1 < len(bounds); i++ {
+		e := new(rleEncoder)
+		e.encode(im.seed, im.cut, bounds[i], bounds[i+1])
+		chunks = append(chunks, Chunk{lo: bounds[i], hi: bounds[i+1], enc: e})
+	}
+	var sizing, s rleEncoder
+	copied := sizing.stitch(chunks, false)
+	s.stitch(chunks, true)
+	if len(sizing.out)+copied != len(s.out) {
+		t.Fatalf("cuts %v: sizing pass measured %d bytes, stitch wrote %d", cuts, len(sizing.out)+copied, len(s.out))
+	}
+	return s.out
 }

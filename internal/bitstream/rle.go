@@ -3,7 +3,6 @@ package bitstream
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -16,37 +15,72 @@ import (
 // Shorter runs join the pending literal stretch, which is flushed before
 // each run record and at the end of the stream.
 
-// rleScratch recycles encoders across images. Concurrent bitgen jobs
-// share one Generator; each call takes an encoder of its own.
+// rleScratch recycles encoders across images and chunks. Concurrent
+// bitgen jobs share one Generator; each chunk, and each stitch, takes
+// an encoder of its own.
 var rleScratch = sync.Pool{New: func() any { return new(rleEncoder) }}
 
-// compressedFrames encodes words configuration words as they are drawn,
-// so the raw payload never exists, and returns an exact-size copy: the
-// reconfiguration manager keeps every registered image alive.
-func compressedFrames(seedName string, words int, density float64) []byte {
-	e := rleScratch.Get().(*rleEncoder)
-	defer rleScratch.Put(e)
-	// 16 bytes per configured word covers the ~12 an image needs.
-	e.out = slices.Grow(e.out[:0], int(16*density*float64(words))+16)
-	state, cut := hashString(seedName), uint64(density*(1<<32))
-	cur, run := uint32(0), 0 // a first zero word extends this empty run
-	for i := 0; i < words; i++ {
-		state += splitmixGamma
-		if w := configWord(state, cut); w != cur {
-			e.emit(cur, run)
-			cur, run = w, 0
-		}
-		run++
-	}
-	e.emit(cur, run)
-	e.flushLit()
-	return append(make([]byte, 0, len(e.out)), e.out...)
-}
-
-// rleEncoder appends records to out, one finished run at a time.
+// rleEncoder appends records to out, one finished run at a time. The
+// zero value encodes a whole stream. An encoder that encodes one chunk
+// of an image also keeps the chunk's boundary state, the parts that may
+// continue across its edges and are left for stitch to write:
+//
+//	lead   the first run, which may extend the previous chunk's trail
+//	head   the literal stretch between lead and out's first record,
+//	       which may extend the previous chunk's open stretch
+//	out    every record that starts and ends inside the chunk
+//	lits   the literal stretch after out's last record, still open
+//	trail  the last run, still open
+//
+// A chunk with no record past its lead keeps every literal in lits
+// (headOpen stays set), and a chunk that is one run has only a trail
+// (lead.n == 0).
 type rleEncoder struct {
 	out  []byte
 	lits []uint32 // the pending literal stretch
+
+	head        []uint32
+	headOpen    bool // no record written yet: lits may continue backwards
+	lead, trail run
+}
+
+// run is n copies of word w.
+type run struct {
+	w uint32
+	n int
+}
+
+// encode draws words [lo, hi) of the image seeded by seed as they are
+// needed, so the raw payload never exists, and keeps the range's
+// boundary state. Word i is configWord(seed+(i+1)·splitmixGamma, cut),
+// so any range encodes independently of the others.
+func (e *rleEncoder) encode(seed, cut uint64, lo, hi int) {
+	e.out, e.lits, e.head = e.out[:0], e.lits[:0], e.head[:0]
+	e.headOpen, e.lead = true, run{}
+	state := seed + uint64(lo)*splitmixGamma
+	cur, n, i := uint32(0), 0, lo
+	// The lead ends at the first word that differs from it. Finding it
+	// in a loop of its own keeps the per-word loop below branch-light.
+	for ; i < hi; i++ {
+		state += splitmixGamma
+		w := configWord(state, cut)
+		if n > 0 && w != cur {
+			e.lead = run{cur, n}
+			cur, n = w, 1
+			i++
+			break
+		}
+		cur, n = w, n+1
+	}
+	for ; i < hi; i++ {
+		state += splitmixGamma
+		if w := configWord(state, cut); w != cur {
+			e.emit(cur, n)
+			cur, n = w, 0
+		}
+		n++
+	}
+	e.trail = run{cur, n}
 }
 
 // emit encodes a run of n copies of w.
@@ -62,7 +96,14 @@ func (e *rleEncoder) emit(w uint32, n int) {
 	e.out = binary.LittleEndian.AppendUint32(e.out, w)
 }
 
+// flushLit closes the pending literal stretch with a record — except a
+// chunk's first stretch, which becomes its head.
 func (e *rleEncoder) flushLit() {
+	if e.headOpen {
+		e.head, e.lits = e.lits, e.head[:0]
+		e.headOpen = false
+		return
+	}
 	if len(e.lits) == 0 {
 		return
 	}
@@ -71,6 +112,47 @@ func (e *rleEncoder) flushLit() {
 		e.out = binary.LittleEndian.AppendUint32(e.out, w)
 	}
 	e.lits = e.lits[:0]
+}
+
+// stitch writes the stream of chunks, which cover an image in order,
+// to e: exactly the records one encoder drawing the whole image writes.
+// Runs and literal stretches that cross a chunk edge are joined here;
+// the records inside a chunk are copied as they are. Without bodies,
+// stitch writes only the joined records — the sizing pass — and
+// returns the byte count of the copies it left out.
+func (e *rleEncoder) stitch(chunks []Chunk, bodies bool) (skipped int) {
+	var open run // the run still open at the previous chunk's end
+	join := func(r run) {
+		if r.w == open.w || r.n == 0 {
+			open.n += r.n
+		} else {
+			e.emit(open.w, open.n)
+			open = r
+		}
+	}
+	for _, c := range chunks {
+		ce := c.enc
+		if ce.lead.n == 0 { // the chunk is one run, or empty
+			join(ce.trail)
+			continue
+		}
+		join(ce.lead)
+		e.emit(open.w, open.n)
+		if !ce.headOpen {
+			e.lits = append(e.lits, ce.head...)
+			e.flushLit()
+			if bodies {
+				e.out = append(e.out, ce.out...)
+			} else {
+				skipped += len(ce.out)
+			}
+		}
+		e.lits = append(e.lits, ce.lits...)
+		open = ce.trail
+	}
+	e.emit(open.w, open.n)
+	e.flushLit()
+	return skipped
 }
 
 // DecompressRLE decodes an RLE payload that must expand to exactly

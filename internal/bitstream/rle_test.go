@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +21,7 @@ func padWords(data []byte) []byte {
 }
 
 // streamRLE encodes raw with the streaming encoder, splitting it into
-// runs the way compressedFrames does. Generated images hold only zero
+// runs the way rleEncoder.encode does. Generated images hold only zero
 // runs and isolated configured words; arbitrary input also reaches
 // repeated non-zero words and literal stretches of any length.
 func streamRLE(raw []byte) []byte {
@@ -195,32 +196,92 @@ func FuzzRLE(f *testing.F) {
 	})
 }
 
-// FuzzFusedEncoder checks that the fused generator's compressed image
-// is the reference codec's encoding of the materialised frames, for
-// any seed name, frame count, fill and frame width.
+// FuzzFusedEncoder checks that the generator's compressed image is the
+// reference codec's encoding of the materialised frames, for any seed
+// name, frame count, fill and frame width — assembled from any number
+// of equal chunks, and stitched from chunks cut at any word offsets
+// (each little-endian uint16 of cuts, modulo the word count plus one;
+// repeats make empty chunks).
 func FuzzFusedEncoder(f *testing.F) {
-	f.Add("SoC_Y.rt_2.fft.pbs", uint16(36), 0.3, uint8(101))
-	f.Add("soc.bit", uint16(300), 1.0, uint8(93))
-	f.Add("", uint16(0), 0.0, uint8(93))
-	f.Add("x", uint16(1), -1.0, uint8(1))
-	f.Fuzz(func(t *testing.T, name string, frames uint16, fill float64, frameWords uint8) {
+	f.Add("SoC_Y.rt_2.fft.pbs", uint16(36), 0.3, uint8(101), uint8(3), []byte{0x10, 0x00, 0x20, 0x00})
+	f.Add("soc.bit", uint16(300), 1.0, uint8(93), uint8(6), []byte{})
+	f.Add("", uint16(0), 0.0, uint8(93), uint8(1), []byte{1, 0})
+	f.Add("x", uint16(1), -1.0, uint8(1), uint8(0), []byte{0, 0, 0, 0, 1, 0})
+	f.Add("dense", uint16(4), 1.0, uint8(7), uint8(7), []byte{1, 0, 2, 0, 3, 0, 3, 0, 9, 0})
+	f.Fuzz(func(t *testing.T, name string, frames uint16, fill float64, frameWords uint8, k uint8, cutBytes []byte) {
 		g := NewGenerator(&fpga.Device{FrameWords: int(frameWords)})
 		n := int(frames % 512)
-		got := g.image(name, Partial, n, fill, true)
 		want := oracleImage(g, name, Partial, n, fill, true)
+		im := g.image(name, Partial, n, fill, true)
+		got := im.Assemble(make([]Chunk, 1+int(k%8)))
 		if !bytes.Equal(got.Data, want.Data) {
-			t.Fatalf("fused encoding differs from the reference (%d vs %d bytes)", len(got.Data), len(want.Data))
+			t.Fatalf("%d-chunk encoding differs from the reference (%d vs %d bytes)", 1+k%8, len(got.Data), len(want.Data))
 		}
 		if got.RawBytes != want.RawBytes || got.Checksum != want.Checksum || cap(got.Data) != len(got.Data) {
-			t.Fatalf("fused image %+v differs from reference %+v, or keeps spare capacity", got, want)
+			t.Fatalf("image %+v differs from reference %+v, or keeps spare capacity", got, want)
+		}
+		var cuts []int
+		for i := 0; i+1 < len(cutBytes); i += 2 {
+			cuts = append(cuts, int(binary.LittleEndian.Uint16(cutBytes[i:]))%(im.words+1))
+		}
+		sort.Ints(cuts)
+		if !bytes.Equal(stitchAt(t, im, cuts), want.Data) {
+			t.Fatalf("stitch at %v differs from the reference", cuts)
 		}
 	})
 }
 
+// boundaryCuts returns word offsets of raw that place chunk edges where
+// stitching has work to do: inside a long run, inside a literal
+// stretch, around a one-word chunk holding a configured word, around a
+// chunk that is exactly one run and around a chunk inside a run. Each
+// case is its own split, and the last split makes every cut at once.
+func boundaryCuts(t *testing.T, raw []byte) [][]int {
+	t.Helper()
+	words := len(raw) / 4
+	word := func(i int) uint32 { return binary.LittleEndian.Uint32(raw[4*i:]) }
+	inRun, inLit, oneWord, runLo, runHi := -1, -1, -1, -1, -1
+	prevShort := false
+	for i := 0; i < words; {
+		j := i + 1
+		for j < words && word(j) == word(i) {
+			j++
+		}
+		switch n := j - i; {
+		case n >= 8 && runLo < 0:
+			inRun, runLo, runHi = i+n/2, i, j
+		case n > 1 && n < 4 && prevShort && inLit < 0:
+			inLit = i + 1
+		case n == 1 && word(i) != 0 && oneWord < 0:
+			oneWord = i
+		}
+		prevShort = j-i < 4
+		i = j
+	}
+	if inRun < 0 || inLit < 0 || oneWord < 0 {
+		t.Fatalf("image lacks a boundary case: long run at %d, literal stretch at %d, configured word at %d", inRun, inLit, oneWord)
+	}
+	splits := [][]int{{inRun}, {inLit}, {oneWord, oneWord + 1}, {runLo, runHi}, {runLo + 1, runHi - 1}}
+	all := map[int]bool{}
+	for _, s := range splits {
+		for _, c := range s {
+			all[c] = true
+		}
+	}
+	var every []int
+	for c := range all {
+		every = append(every, c)
+	}
+	sort.Ints(every)
+	return append(splits, every)
+}
+
 // TestFusedMatchesOracle is the differential test of the generator
-// against the reference path on every supported geometry. The pinned
-// checksums (raw, compressed) were captured from the three-pass
-// generator, so neither path can drift with the other.
+// against the reference path on every supported geometry, assembled
+// from 1, 2, 3 and 7 equal chunks and — compressed partial images —
+// stitched at the boundary cases of boundaryCuts. The pinned checksums
+// (raw, compressed) were captured from the three-pass generator, so
+// neither path can drift with the other.
 func TestFusedMatchesOracle(t *testing.T) {
 	pinned := map[string][2]uint32{
 		"VC707/partial/sparse":  {0x072f8a2b, 0x8f534800},
@@ -260,34 +321,48 @@ func TestFusedMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: no pinned checksums", name)
 				}
 				for i, compress := range []bool{false, true} {
-					var got *Bitstream
+					fill := float64(used) / float64(area)
+					im := g.image(name, kind, frames, fill, compress)
+					ref := oracleImage(g, name, kind, frames, fill, compress)
+					if kind == Full && g.FullImage(name, used, compress) != im {
+						t.Fatalf("%s compress=%v: FullImage describes another image", name, compress)
+					}
 					if kind == Partial {
-						got, err = g.Partial(name, pb, used, compress)
-					} else {
-						got, err = g.FullDevice(name, used, compress)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref := oracleImage(g, name, kind, frames, float64(used)/float64(area), compress)
-					if !bytes.Equal(got.Data, ref.Data) || got.RawBytes != ref.RawBytes ||
-						got.Checksum != ref.Checksum || got.Frames != ref.Frames ||
-						got.Kind != ref.Kind || got.Compressed != ref.Compressed {
-						t.Fatalf("%s compress=%v: image differs from the reference path", name, compress)
-					}
-					if cap(got.Data) != len(got.Data) {
-						t.Fatalf("%s compress=%v: Data keeps %d bytes of spare capacity", name, compress, cap(got.Data)-len(got.Data))
-					}
-					if got.Checksum != want[i] {
-						t.Fatalf("%s compress=%v: checksum %08x, pinned %08x", name, compress, got.Checksum, want[i])
-					}
-					if compress {
-						back, err := DecompressRLE(got.Data, got.RawBytes)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+						one, err := g.Partial(name, pb, used, compress)
+						if err != nil || !bytes.Equal(one.Data, ref.Data) || one.Checksum != ref.Checksum {
+							t.Fatalf("%s compress=%v: Partial differs from the reference path (err %v)", name, compress, err)
 						}
-						if crc32.ChecksumIEEE(back) != want[0] {
-							t.Fatalf("%s: compressed image does not decode to the raw image", name)
+					}
+					for _, k := range []int{1, 2, 3, 7} {
+						got := im.Assemble(make([]Chunk, k))
+						if !bytes.Equal(got.Data, ref.Data) || got.RawBytes != ref.RawBytes ||
+							got.Checksum != ref.Checksum || got.Frames != ref.Frames ||
+							got.Kind != ref.Kind || got.Compressed != ref.Compressed || got.Name != ref.Name {
+							t.Fatalf("%s compress=%v k=%d: image differs from the reference path", name, compress, k)
+						}
+						if cap(got.Data) != len(got.Data) {
+							t.Fatalf("%s compress=%v k=%d: Data keeps %d bytes of spare capacity", name, compress, k, cap(got.Data)-len(got.Data))
+						}
+						if got.Checksum != want[i] {
+							t.Fatalf("%s compress=%v k=%d: checksum %08x, pinned %08x", name, compress, k, got.Checksum, want[i])
+						}
+					}
+					if !compress {
+						continue
+					}
+					back, err := DecompressRLE(ref.Data, ref.RawBytes)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if crc32.ChecksumIEEE(back) != want[0] {
+						t.Fatalf("%s: compressed image does not decode to the raw image", name)
+					}
+					if kind == Full {
+						continue // the partial images hold every boundary case at a fraction of the size
+					}
+					for _, cuts := range boundaryCuts(t, back) {
+						if !bytes.Equal(stitchAt(t, im, cuts), ref.Data) {
+							t.Fatalf("%s: stitch at %v differs from the reference path", name, cuts)
 						}
 					}
 				}

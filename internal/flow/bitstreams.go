@@ -107,3 +107,50 @@ func GenerateRuntimeBitstreams(ctx context.Context, d *socgen.Design, plan *floo
 	}
 	return out, nil
 }
+
+// fullChunks is the number of chunk jobs the full-device image is split
+// into. It is fixed rather than derived from Options.Workers, so the
+// job graph, and with it Result.Jobs, is the same at every worker
+// count. Four chunks keep two workers busy at the graph's tail, where
+// the image would otherwise run alone, while the per-chunk costs —
+// boundary stitching, a pooled encoder, a stage probe — stay small.
+const fullChunks = 4
+
+// addFullBitgen adds the full-device bitstream name to g, after deps:
+// fullChunks chunk jobs ("bitgen/full/<i>"), each encoding one word
+// range of the image on the worker pool, then the "bitgen/full" job,
+// which stitches them byte-identically to a one-pass encoding. The
+// assembly is the bitgen operation: it alone passes the fault gate,
+// carries the modelled minutes (chunks carry 0), probes and fills the
+// stage cache under sk's full-image key and publishes through apply. A
+// chunk's probe asks the cache for that same key, so a warm run skips
+// every chunk as well.
+func addFullBitgen(g *graph, tool *vivado.Tool, sk *stageKeys, deps []string, name string, used fpga.Resources, compress bool, apply func(*bitstream.Bitstream, vivado.Minutes)) {
+	im := tool.FullImage(name, used, compress)
+	key := sk.bitgenFullKey()
+	var chunkProbe func() (vivado.Minutes, bool)
+	if sk != nil && key != "" {
+		chunkProbe = func() (vivado.Minutes, bool) {
+			_, _, ok := vivado.LookupStage[*bitstream.Bitstream](sk.cache, key)
+			return 0, ok
+		}
+	}
+	chunks := make([]bitstream.Chunk, fullChunks)
+	ids := make([]string, fullChunks)
+	for i := range chunks {
+		i := i
+		ids[i] = fmt.Sprintf("bitgen/full/%d", i)
+		must(g.add(ids[i], StageBitgen, deps, chunkProbe, func(ctx context.Context) (vivado.Minutes, error) {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			chunks[i] = im.Chunk(i, fullChunks)
+			return 0, nil
+		}))
+	}
+	probe, run := cachedStage(sk, key,
+		func(ctx context.Context) (*bitstream.Bitstream, vivado.Minutes, error) {
+			return tool.AssembleFullBitstream(ctx, im, chunks)
+		}, apply)
+	must(g.add("bitgen/full", StageBitgen, ids, probe, run))
+}

@@ -354,12 +354,14 @@ func execGraph(ctx context.Context, g *graph, tool *vivado.Tool, opt Options, re
 // runPartitioned builds and executes the partitioned-design job graph:
 //
 //	synth/static ─┐                        ┌─ impl/group_i ─┬─ bitgen/<rp ∈ group_i>
-//	synth/<rp>  ──┼─ floorplan ─ scripts ──┼─ ...           ├─ bitgen/full
+//	synth/<rp>  ──┼─ floorplan ─ scripts ──┼─ ...           ├─ bitgen/full/0..3 ─ bitgen/full
 //	...         ──┘                        └─ impl/serial  ─┘
 //
 // Partial bitstreams depend only on the implementation run that covers
 // their partition, so under the Collect policy a failed group does not
-// block the others' bitstreams.
+// block the others' bitstreams. The full-device image is encoded as
+// fullChunks chunk jobs that bitgen/full stitches (see addFullBitgen),
+// so the graph's tail keeps every worker busy.
 func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flowMode) (*Result, error) {
 	tool, err := setupRun(d, opt)
 	if err != nil {
@@ -545,27 +547,18 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 		return nil, fmt.Errorf("flow: unknown strategy %v", res.Strategy.Kind)
 	}
 
-	// --- Bitstream generation: one full-device job joining all of P&R,
-	// plus one partial per partition depending only on the run that
-	// implemented it. ---
+	// --- Bitstream generation: the full-device image joining all of
+	// P&R (chunk jobs plus their assembly), plus one partial per
+	// partition depending only on the run that implemented it. ---
 	var fullT vivado.Minutes
 	partials := make([]*bitstream.Bitstream, len(d.RPs))
 	partialT := make([]vivado.Minutes, len(d.RPs))
 	if !opt.SkipBitstreams {
-		bfProbe, bfRun := cachedStage(sk, sk.bitgenFullKey(),
-			func(ctx context.Context) (*bitstream.Bitstream, vivado.Minutes, error) {
-				total := d.StaticResources.Add(d.ReconfigurableResources())
-				full, t, err := tool.WriteFullBitstream(ctx, d.Cfg.Name+".bit", total, opt.Compress)
-				if err != nil {
-					return nil, 0, err
-				}
-				return full, t, nil
-			},
+		addFullBitgen(g, tool, sk, implIDs, d.Cfg.Name+".bit", d.StaticResources.Add(d.ReconfigurableResources()), opt.Compress,
 			func(full *bitstream.Bitstream, t vivado.Minutes) {
 				res.FullBitstream = full
 				fullT = t
 			})
-		must(g.add("bitgen/full", StageBitgen, implIDs, bfProbe, bfRun))
 		for i, rp := range d.RPs {
 			i, rp := i, rp
 			deps := implIDs

@@ -303,7 +303,7 @@ func TestWarmRunsShareCachedImage(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("warm run %d: %v", i, errs[i])
 		}
-		if res.Jobs.SkippedByStage[StageBitgen] != len(res.Design.RPs)+1 {
+		if res.Jobs.SkippedByStage[StageBitgen] != len(res.Design.RPs)+1+fullChunks {
 			t.Fatalf("warm run %d regenerated bitstreams: %+v", i, res.Jobs)
 		}
 		if got := res.FullBitstream.CRC(); got != wantCRC {

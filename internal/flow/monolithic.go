@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"presp/internal/bitstream"
 	"presp/internal/core"
 	"presp/internal/faultinject"
 	"presp/internal/fpga"
@@ -18,8 +19,9 @@ import (
 // monolithic design" the paper compares compile times against.
 //
 // The run goes through the same job scheduler as the partitioned flows
-// — a three-job chain (synth → impl → bitgen), so Result.Jobs accounts
-// for it uniformly. It is bounded by ctx, with the same retry, fault-injection and error-policy semantics as the
+// — a chain (synth → impl → the full image's chunk jobs → bitgen/full),
+// so Result.Jobs accounts for it uniformly. It is bounded by ctx, with
+// the same retry, fault-injection and error-policy semantics as the
 // partitioned flows.
 func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result, error) {
 	tool, err := setupRun(d, opt)
@@ -52,15 +54,11 @@ func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result,
 		return sr.Runtime, nil
 	}))
 	if !opt.SkipBitstreams {
-		must(g.add("bitgen/full", StageBitgen, []string{"impl/flat"}, nil, func(ctx context.Context) (vivado.Minutes, error) {
-			full, t, err := tool.WriteFullBitstream(ctx, d.Cfg.Name+"_mono.bit", total, opt.Compress)
-			if err != nil {
-				return 0, err
-			}
-			res.FullBitstream = full
-			res.BitgenWall = t
-			return t, nil
-		}))
+		addFullBitgen(g, tool, nil, []string{"impl/flat"}, d.Cfg.Name+"_mono.bit", total, opt.Compress,
+			func(full *bitstream.Bitstream, t vivado.Minutes) {
+				res.FullBitstream = full
+				res.BitgenWall = t
+			})
 	}
 	if err := execGraph(ctx, g, tool, opt, res); err != nil {
 		return nil, err

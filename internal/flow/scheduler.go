@@ -501,7 +501,14 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 			aborted = true
 		case d := <-results:
 			handle(d, true)
-			if len(failures) > 0 && opt.ErrorPolicy == FailFast {
+			// A cancellation that landed before this completion was
+			// handled — from the heartbeat, say — decides the outcome:
+			// a job whose retry it cut short must not surface as the
+			// run's failure.
+			switch {
+			case ctx.Err() != nil:
+				aborted = true
+			case len(failures) > 0 && opt.ErrorPolicy == FailFast:
 				stopped = true
 			}
 		}

@@ -34,6 +34,11 @@ func GenerateScripts(d *socgen.Design, strat *core.Strategy, plan *floorplan.Pla
 	if d == nil || strat == nil || plan == nil {
 		return nil, fmt.Errorf("flow: nil inputs to script generation")
 	}
+	for _, rp := range d.RPs {
+		if rp.Content == nil {
+			return nil, fmt.Errorf("flow: partition %s has no content to script", rp.Name)
+		}
+	}
 	s := &Scripts{
 		Synthesis:      make(map[string]string),
 		Implementation: make(map[string]string),

@@ -104,4 +104,15 @@ func TestGenerateScriptsValidation(t *testing.T) {
 	if _, err := GenerateScripts(d, &core.Strategy{Kind: core.StrategyKind(42)}, plan); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
+	// A contentless partition is an error, not a nil dereference: the
+	// scripts job can run before the partition's failed synthesis stops
+	// the graph.
+	strat, err := core.ForceStrategy(d, core.Serial, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.RPs[1].Content = nil
+	if _, err := GenerateScripts(d, strat, plan); err == nil {
+		t.Fatal("partition without content accepted")
+	}
 }

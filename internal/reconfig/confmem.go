@@ -60,7 +60,13 @@ func newConfigMem() *configMem {
 // heals a corrupted tile.
 func (m *configMem) program(bs *bitstream.Bitstream) {
 	m.golden = bs
-	m.goldenCRC = bs.CRC()
+	// Every image reaches the ICAP verified against its recorded
+	// checksum (at fetch, or at registration for a boot image), so the
+	// checksum is the payload's CRC; only an image without one is hashed.
+	m.goldenCRC = bs.Checksum
+	if m.goldenCRC == 0 {
+		m.goldenCRC = bs.CRC()
+	}
 	m.upsets = make(map[int]struct{})
 }
 

@@ -3,11 +3,13 @@ package reconfig
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
 
 	"presp/internal/accel"
+	"presp/internal/bitstream"
 	"presp/internal/faultinject"
 	"presp/internal/flow"
 	"presp/internal/noc"
@@ -180,6 +182,49 @@ func TestScrubDetectsAndRepairsSingleUpset(t *testing.T) {
 		if obs.CountInstants(evs, "scrub", name) != 1 {
 			t.Errorf("trace instant %q missing", name)
 		}
+	}
+}
+
+// TestGoldenCRCIsImageCRC: the golden CRC the scrubber compares
+// readback against is the CRC of the programmed payload — after the
+// boot-time program, a demand swap and a scrub repair, which take it
+// from the image's verified checksum, and for an image that records no
+// checksum, which is hashed when programmed.
+func TestGoldenCRCIsImageCRC(t *testing.T) {
+	plan := &faultinject.Plan{Rules: []faultinject.Rule{
+		{Op: faultinject.OpSEU, Site: "rt_1", Count: 1},
+	}}
+	tb := newFaultTestbed(t, scrubCfg(plan, 1, 0), 0)
+	check := func(after string) {
+		t.Helper()
+		mem := tb.rt.tiles["rt_1"].mem
+		if mem == nil || mem.goldenCRC != crc32.ChecksumIEEE(mem.golden.Data) {
+			t.Fatalf("after %s: golden CRC does not match the programmed image", after)
+		}
+	}
+	check("boot")
+	swapped := false
+	tb.rt.RequestReconfig("rt_1", "gemm", func(err error) {
+		if err != nil {
+			t.Errorf("swap: %v", err)
+		}
+		swapped = true
+	})
+	tb.drain()
+	if !swapped {
+		t.Fatal("swap never completed")
+	}
+	check("swap")
+	stormFor(t, tb, "rt_1", time.Millisecond)
+	if st := tb.rt.Stats().Scrub; st.Repaired != 1 {
+		t.Fatalf("scrub stats: %+v, want one repair", st)
+	}
+	check("repair")
+
+	m := newConfigMem()
+	m.program(&bitstream.Bitstream{Name: "hand-built", Kind: bitstream.Partial, Frames: 1, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}})
+	if m.goldenCRC != crc32.ChecksumIEEE(m.golden.Data) {
+		t.Fatal("image without a checksum: golden CRC does not match its payload")
 	}
 }
 

@@ -297,23 +297,38 @@ func (k diskKind[T]) load(ds *DiskStore, key string) (T, bool) {
 // cheap no-op — entries are content-addressed, so same key means same
 // bytes. Failures are returned but never poison the store: the worst
 // outcome of a failed write is a missing entry.
+//
+// The entry is encoded and sealed before ds.mu is taken: encoding a
+// multi-MB bitstream takes milliseconds, and every read-through waits
+// on ds.mu. Two concurrent stores of one key may both encode; the
+// second finds the entry present under the lock and writes nothing.
 func (k diskKind[T]) store(ds *DiskStore, key string, v T) error {
 	if key == "" {
 		return fmt.Errorf("vivado: disk store: empty key")
 	}
 	start := time.Now()
+	path := filepath.Join(ds.dir, key+k.ext)
+	var data []byte
+	var err error
+	if _, statErr := os.Stat(path); statErr != nil {
+		var body []byte
+		if body, err = k.encode(v); err == nil {
+			data = sealDiskPayload(body)
+		}
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	defer func() { ds.hStore.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	path := filepath.Join(ds.dir, key+k.ext)
-	if _, err := os.Stat(path); err == nil {
-		return nil // content-addressed: the entry is already durable
-	}
-	body, err := k.encode(v)
 	if err != nil {
 		return fmt.Errorf("vivado: disk store: %w", err)
 	}
-	return ds.writeEntryLocked(path, sealDiskPayload(body))
+	if data == nil {
+		return nil // content-addressed: the entry is already durable
+	}
+	if _, err := os.Stat(path); err == nil {
+		return nil // a concurrent store wrote it first
+	}
+	return ds.writeEntryLocked(path, data)
 }
 
 // open verifies one entry file's CRC trailer and checks its body.

@@ -657,3 +657,40 @@ func TestDiskStoreGCRacesConcurrentLoads(t *testing.T) {
 		t.Fatalf("churn corrupted entries: %+v", st)
 	}
 }
+
+// TestDiskStoreConcurrentStoresWriteOnce: stores encode outside the
+// store's lock, so concurrent stores of one key may all encode it —
+// but exactly one writes it, and the byte budget counts it once.
+func TestDiskStoreConcurrentStoresWriteOnce(t *testing.T) {
+	ds := openTestStore(t)
+	const writers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, key := range []string{"shared", fmt.Sprintf("own%d", g)} {
+				if err := checkpointEntries.store(ds, key, testCheckpoint("m_"+key)); err != nil {
+					t.Errorf("store %s: %v", key, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := ds.Stats()
+	if st.Writes != writers+1 || st.Entries != writers+1 {
+		t.Fatalf("stats %+v, want %d writes of %d entries", st, writers+1, writers+1)
+	}
+	var onDisk int64
+	ds.mu.Lock()
+	for _, f := range ds.scanLocked(isLiveEntry) {
+		onDisk += f.size
+	}
+	ds.mu.Unlock()
+	if st.Bytes != onDisk {
+		t.Fatalf("byte budget counts %d bytes, the entries hold %d", st.Bytes, onDisk)
+	}
+	if ck, ok := checkpointEntries.load(ds, "shared"); !ok || ck.Name != "m_shared" {
+		t.Fatalf("shared entry = %+v, %v", ck, ok)
+	}
+}

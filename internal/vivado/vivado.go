@@ -406,15 +406,23 @@ func (t *Tool) WritePartialBitstream(ctx context.Context, name string, pb fpga.P
 	return bs, mins, nil
 }
 
-// WriteFullBitstream generates the full-device bitstream.
-func (t *Tool) WriteFullBitstream(ctx context.Context, name string, used fpga.Resources, compress bool) (*bitstream.Bitstream, Minutes, error) {
-	if err := t.CheckFault(ctx, faultinject.OpCADBitgen, "full", name); err != nil {
+// FullImage describes the full-device bitstream of a design using used
+// resources. The flow encodes its chunks (bitstream.Image.Chunk) as
+// jobs of their own; AssembleFullBitstream is the bitgen step proper.
+func (t *Tool) FullImage(name string, used fpga.Resources, compress bool) bitstream.Image {
+	return t.gen.FullImage(name, used[fpga.LUT], compress)
+}
+
+// AssembleFullBitstream generates the full-device bitstream im from its
+// encoded chunks (see bitstream.Image.Assemble; zero slots are encoded
+// here) and charges the whole modelled bitgen time: the chunks are a
+// host-side split of one CAD operation, so the fault gate and the cost
+// model see this call alone.
+func (t *Tool) AssembleFullBitstream(ctx context.Context, im bitstream.Image, chunks []bitstream.Chunk) (*bitstream.Bitstream, Minutes, error) {
+	if err := t.CheckFault(ctx, faultinject.OpCADBitgen, "full", im.Name()); err != nil {
 		return nil, 0, err
 	}
-	bs, err := t.gen.FullDevice(name, used[fpga.LUT], compress)
-	if err != nil {
-		return nil, 0, err
-	}
+	bs := im.Assemble(chunks)
 	mins := t.model.BitgenTime(kluts(t.dev.Total))
 	t.mBitgen.Observe(float64(mins))
 	return bs, mins, nil

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"presp/internal/bitstream"
 	"presp/internal/fpga"
 	"presp/internal/rtl"
 	"presp/internal/tile"
@@ -199,7 +200,8 @@ func TestBitstreams(t *testing.T) {
 	if bs.CompressionRatio() < 2 {
 		t.Fatalf("compression ineffective: %.2fx", bs.CompressionRatio())
 	}
-	full, _, err := tool.WriteFullBitstream(context.Background(), "x.bit", fpga.NewResources(150000, 0, 0, 0), true)
+	im := tool.FullImage("x.bit", fpga.NewResources(150000, 0, 0, 0), true)
+	full, _, err := tool.AssembleFullBitstream(context.Background(), im, make([]bitstream.Chunk, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
