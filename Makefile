@@ -1,7 +1,8 @@
 # PR-ESP build/test targets.
 #
-# `make ci` is the gate every change must pass: vet, static analysis
-# (when staticcheck is installed), build, the tier-1 unit suite, and the
+# `make ci` is the gate every change must pass: vet (of the root module
+# and of the nested perfbench module), static analysis (when staticcheck
+# is installed), build, the tier-1 unit suite, and the
 # same suite under the race detector — the flow engine executes its job
 # graphs on a goroutine worker pool, so the race run is a permanent part
 # of the check, not an optional extra.
@@ -11,12 +12,18 @@ GO ?= go
 # must fail the suite, not hang CI.
 TEST_TIMEOUT ?= 5m
 
-.PHONY: ci vet staticcheck build test race bench bench-smoke fuzz fuzz-smoke serve-smoke chaos-smoke loc
+.PHONY: ci vet perfbench-vet staticcheck build test race bench bench-smoke fuzz fuzz-smoke serve-smoke chaos-smoke loc
 
-ci: vet staticcheck build test race fuzz-smoke chaos-smoke bench-smoke serve-smoke
+ci: vet perfbench-vet staticcheck build test race fuzz-smoke chaos-smoke bench-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own module, so `./...` at the root neither builds
+# nor vets it; this step catches a root API change that breaks the
+# benchmark harness.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # staticcheck runs when the binary is on PATH; the sandbox image has no
 # network access to install it, so its absence is a skip, not a failure.
@@ -45,10 +52,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One-iteration smoke pass over the flow benchmarks, part of `make ci`:
-# the cold/warm evaluator sweeps, the observed/nil-observer flow pair
-# (the check that instrumentation costs nothing when disabled) and the
-# incremental cold/warm/edit legs (the stage-artifact cache's win on
-# unchanged and one-kernel-edit reruns). The bitstream layer's own
+# the cold/warm strategy sweeps over a fresh or shared checkpoint cache,
+# the observed/nil-observer flow pair (the check that instrumentation
+# costs nothing when disabled) and the incremental cold/warm/edit legs
+# (the stage-artifact cache's win on unchanged and one-kernel-edit
+# reruns). The bitstream layer's own
 # benchmarks (partial and full-device generation on the VC707 and VCU118
 # geometries) follow at 10 iterations, so the first call's encoder
 # scratch allocation does not stand for the steady state. The parsed

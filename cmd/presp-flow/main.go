@@ -167,7 +167,6 @@ func run(ctx context.Context, o *cliOptions) error {
 		Workers:       o.workers,
 		Cache:         cache,
 		StageCache:    vivado.NewStageCache(),
-		CacheDir:      o.cacheDir,
 		MaxJobRetries: o.retries,
 		ErrorPolicy:   o.errorPolicy,
 		FaultPlan:     o.faultPlan,
@@ -184,11 +183,22 @@ func run(ctx context.Context, o *cliOptions) error {
 		}
 		opt.Strategy = strat
 	}
+	if o.cacheDir != "" {
+		// The persistent tier: every synthesis reaches disk before its
+		// job completes, and the flow shares the tier with the stage
+		// cache, so a rerun over the same directory resumes.
+		store, err := vivado.OpenDiskStore(o.cacheDir)
+		if err != nil {
+			return err
+		}
+		store.SetObserver(observer)
+		cache.SetDiskStore(store)
+	}
 	res, err := flow.RunPRESP(ctx, d, opt)
 	if err != nil {
 		return err
 	}
-	printResult(res, cache)
+	printResult(res)
 	if ds := cache.Disk(); ds != nil {
 		st := ds.Stats()
 		fmt.Printf("disk cache %s: %d entries (%d KB), %d hits / %d misses / %d writes",
@@ -292,7 +302,7 @@ func parseStrategy(s string) (core.StrategyKind, error) {
 	}
 }
 
-func printResult(res *flow.Result, cache *vivado.CheckpointCache) {
+func printResult(res *flow.Result) {
 	d := res.Design
 	m := res.Strategy.Metrics
 	fmt.Printf("SoC %s on %s (%s)\n", d.Cfg.Name, d.Dev.Board, d.Dev.Name)
@@ -320,9 +330,6 @@ func printResult(res *flow.Result, cache *vivado.CheckpointCache) {
 	}
 	if j.CacheHits+j.CacheMisses > 0 {
 		fmt.Printf(", checkpoint cache %d hits / %d misses", j.CacheHits, j.CacheMisses)
-		if ev := cache.Evictions(); ev > 0 {
-			fmt.Printf(" / %d evictions", ev)
-		}
 	}
 	fmt.Println()
 	if j.Skipped > 0 || j.StageCacheMisses > 0 {

@@ -88,8 +88,8 @@ func TestParseCLIRejects(t *testing.T) {
 	}
 }
 
-// TestParseCLICacheDir: -cache-dir threads through to the flow options
-// untouched.
+// TestParseCLICacheDir checks that -cache-dir threads through to the
+// parsed options untouched.
 func TestParseCLICacheDir(t *testing.T) {
 	o, err := parseCLI([]string{"-preset", "SOC_1", "-cache-dir", "/tmp/ckpt"})
 	if err != nil {

@@ -292,47 +292,3 @@ func TestStrategyKindStrings(t *testing.T) {
 		}
 	}
 }
-
-// fixedEvaluator scores strategies by a canned table for testing the
-// model-based chooser.
-type fixedEvaluator struct {
-	times map[StrategyKind]float64
-}
-
-func (f *fixedEvaluator) EvaluateStrategy(_ *socgen.Design, s *Strategy) (float64, error) {
-	t, ok := f.times[s.Kind]
-	if !ok {
-		return 1e9, nil
-	}
-	// Make higher τ slightly cheaper within a kind so the chooser must
-	// visit every candidate.
-	return t - float64(s.Tau)*0.01, nil
-}
-
-func TestChooseWithModel(t *testing.T) {
-	d := design(t, socgen.SOC2())
-	eval := &fixedEvaluator{times: map[StrategyKind]float64{
-		Serial:        100,
-		SemiParallel:  80,
-		FullyParallel: 90,
-	}}
-	s, err := ChooseWithModel(d, eval, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind != SemiParallel {
-		t.Fatalf("model chooser picked %s", s.Kind)
-	}
-	if _, err := ChooseWithModel(d, nil, 4); err == nil {
-		t.Fatal("nil evaluator accepted")
-	}
-	// Single-partition design: only serial applies.
-	single := design(t, socgen.Profiling2x2("fft"))
-	s, err = ChooseWithModel(single, eval, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind != Serial {
-		t.Fatalf("single-RP design: picked %s", s.Kind)
-	}
-}

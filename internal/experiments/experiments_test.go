@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"presp/internal/core"
+	"presp/internal/flow"
+	"presp/internal/socgen"
 )
 
 // TestTable1MatchesPaper: the regenerated strategy matrix must equal
@@ -129,6 +132,32 @@ func TestTable3ShapeHolds(t *testing.T) {
 			} else if e.TStatic != ref {
 				t.Errorf("%s: t_static varies across τ", s.Name)
 			}
+		}
+	}
+
+	// The paper's O(1) rule lands within 5% of the exhaustive sweep: the
+	// plan core.Choose picks costs at most 5% more P&R time than the
+	// best Table III entry of its SoC.
+	for _, cfg := range socgen.CharacterizationSoCs() {
+		d, err := elaborate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ruled, err := core.Choose(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := flow.RunPRESP(context.Background(), d, flow.Options{Strategy: ruled, SkipBitstreams: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := r.SoC(cfg.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best := s.Best(); float64(res.PRWall) > best.Total*1.05 {
+			t.Errorf("%s: rule (%s τ=%d, %.0f) more than 5%% behind the best Table III entry (τ=%d, %.0f)",
+				cfg.Name, ruled.Kind, ruled.Tau, float64(res.PRWall), best.Tau, best.Total)
 		}
 	}
 }

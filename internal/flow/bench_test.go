@@ -14,8 +14,8 @@ import (
 	"presp/internal/vivado"
 )
 
-// strategySweep returns the three strategies the evaluator probes on
-// SOC_2 (serial, semi-parallel τ=2, fully parallel).
+// strategySweep returns the three strategies a sweep probes on SOC_2
+// (serial, semi-parallel τ=2, fully parallel).
 func strategySweep(t testing.TB, d *socgen.Design) []*core.Strategy {
 	t.Helper()
 	var out []*core.Strategy
@@ -32,23 +32,31 @@ func strategySweep(t testing.TB, d *socgen.Design) []*core.Strategy {
 	return out
 }
 
+// sweep runs the timing-only flow of d once per strategy over one
+// checkpoint cache, the way the Table III characterization probes
+// parallelism degrees.
+func sweep(t testing.TB, d *socgen.Design, strategies []*core.Strategy, cache *vivado.CheckpointCache) {
+	t.Helper()
+	for _, s := range strategies {
+		if _, err := RunPRESP(context.Background(), d, Options{Strategy: s, SkipBitstreams: true, Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestEvaluatorCacheCutsSynthesisJobs is the acceptance check: with a
-// warm cache, a strategy sweep performs at least 2x fewer cold synthesis
-// jobs than the cache-less engine would, and flow.Result reports the
-// hits.
+// shared cache, a strategy sweep performs at least 2x fewer cold
+// synthesis jobs than the cache-less engine would, and flow.Result
+// reports the hits.
 func TestEvaluatorCacheCutsSynthesisJobs(t *testing.T) {
 	d, err := socgen.Elaborate(socgen.SOC2(), accel.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	strategies := strategySweep(t, d)
-	eval := &Evaluator{}
-	for _, s := range strategies {
-		if _, err := eval.EvaluateStrategy(d, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses := eval.Cache().Stats()
+	cache := vivado.NewCheckpointCache()
+	sweep(t, d, strategies, cache)
+	hits, misses := cache.Stats()
 	perRun := int64(len(d.RPs) + 1) // static + one OoC job per partition
 	if misses != perRun {
 		t.Fatalf("cold synthesis jobs: %d, want %d (one full design)", misses, perRun)
@@ -63,7 +71,7 @@ func TestEvaluatorCacheCutsSynthesisJobs(t *testing.T) {
 
 	// The per-run accounting surfaces on flow.Result too: a warm run
 	// reports all-hit synthesis.
-	res, err := RunPRESP(context.Background(), d, Options{Strategy: strategies[0], SkipBitstreams: true, Cache: eval.Cache()})
+	res, err := RunPRESP(context.Background(), d, Options{Strategy: strategies[0], SkipBitstreams: true, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +84,8 @@ func TestEvaluatorCacheCutsSynthesisJobs(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluateStrategyCold re-evaluates with a fresh cache each
-// sweep: every strategy pays full synthesis.
+// BenchmarkEvaluateStrategyCold sweeps the strategies over a fresh
+// cache each iteration: the first strategy pays full synthesis.
 func BenchmarkEvaluateStrategyCold(b *testing.B) {
 	d, err := socgen.Elaborate(socgen.SOC2(), accel.Default())
 	if err != nil {
@@ -86,36 +94,23 @@ func BenchmarkEvaluateStrategyCold(b *testing.B) {
 	strategies := strategySweep(b, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eval := &Evaluator{}
-		for _, s := range strategies {
-			if _, err := eval.EvaluateStrategy(d, s); err != nil {
-				b.Fatal(err)
-			}
-		}
+		sweep(b, d, strategies, vivado.NewCheckpointCache())
 	}
 }
 
-// BenchmarkEvaluateStrategyWarm shares one evaluator (and cache) across
-// all iterations: after the first sweep every synthesis is a hit.
+// BenchmarkEvaluateStrategyWarm shares one cache across all
+// iterations: after the first sweep every synthesis is a hit.
 func BenchmarkEvaluateStrategyWarm(b *testing.B) {
 	d, err := socgen.Elaborate(socgen.SOC2(), accel.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
 	strategies := strategySweep(b, d)
-	eval := &Evaluator{}
-	for _, s := range strategies {
-		if _, err := eval.EvaluateStrategy(d, s); err != nil {
-			b.Fatal(err)
-		}
-	}
+	cache := vivado.NewCheckpointCache()
+	sweep(b, d, strategies, cache)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range strategies {
-			if _, err := eval.EvaluateStrategy(d, s); err != nil {
-				b.Fatal(err)
-			}
-		}
+		sweep(b, d, strategies, cache)
 	}
 }
 

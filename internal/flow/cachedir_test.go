@@ -6,16 +6,33 @@ import (
 
 	"presp/internal/obs"
 	"presp/internal/socgen"
+	"presp/internal/vivado"
 )
 
+// diskCache returns a fresh checkpoint cache over a persistent tier at
+// dir, wired the way presp-flow -cache-dir wires one: each call stands
+// for a new process, empty in memory, over the same directory. o, when
+// non-nil, receives the tier's cache_disk_* metrics.
+func diskCache(t testing.TB, dir string, o *obs.Observer) *vivado.CheckpointCache {
+	t.Helper()
+	ds, err := vivado.OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.SetObserver(o)
+	cache := vivado.NewCheckpointCache()
+	cache.SetDiskStore(ds)
+	return cache
+}
+
 // TestRunPRESPCacheDirWarmStart: two independent runs — separate caches,
-// as two processes would have — sharing one -cache-dir: the first pays
-// every synthesis, the second warm-starts entirely from the disk tier
-// with identical results and visible cache_disk_* traffic.
+// as two processes would have — over one cache directory: the first
+// pays every synthesis, the second warm-starts entirely from the disk
+// tier with identical results and visible cache_disk_* traffic.
 func TestRunPRESPCacheDirWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	cold, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC1()),
-		Options{SkipBitstreams: true, CacheDir: dir})
+		Options{SkipBitstreams: true, Cache: diskCache(t, dir, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +45,10 @@ func TestRunPRESPCacheDirWarmStart(t *testing.T) {
 			cold.Jobs.CacheHits, cold.Jobs.CacheMisses, cold.Jobs.SynthJobs)
 	}
 
-	// Second "process": a fresh private cache, same directory.
+	// Second "process": a fresh cache, same directory.
 	o := obs.New()
 	warm, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC1()),
-		Options{SkipBitstreams: true, CacheDir: dir, Observer: o})
+		Options{SkipBitstreams: true, Cache: diskCache(t, dir, o), Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}

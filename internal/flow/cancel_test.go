@@ -77,7 +77,7 @@ func synthCompleted(tr *obs.Tracer) int {
 
 // TestFlowKillAndResume: interrupt a PR-ESP run after every possible
 // number of completed jobs, then rerun it with a fresh in-memory cache
-// over the same CacheDir. The rerun must complete byte-identical to an
+// over the same disk tier. The rerun must complete byte-identical to an
 // uninterrupted run and hit the cache at least once per synthesis that
 // completed before the kill: each checkpoint reaches the disk tier
 // before its job completes. The second leg runs under a seeded synth
@@ -111,9 +111,9 @@ func TestFlowKillAndResume(t *testing.T) {
 			dir := t.TempDir()
 			ctx, cancel := context.WithCancel(context.Background())
 			opt := leg.opt
-			opt.CacheDir = dir
 			opt.Heartbeat = cancelAfter(k, cancel)
 			opt.Observer = obs.New()
+			opt.Cache = diskCache(t, dir, opt.Observer)
 			_, runErr := RunPRESP(ctx, elaborate(t, cfg), opt)
 			cancel()
 			if runErr == nil {
@@ -126,8 +126,7 @@ func TestFlowKillAndResume(t *testing.T) {
 			synthDone := synthCompleted(opt.Observer.Tracer())
 
 			opt = leg.opt
-			opt.CacheDir = dir
-			opt.Cache = vivado.NewCheckpointCache()
+			opt.Cache = diskCache(t, dir, nil)
 			res, err := RunPRESP(context.Background(), elaborate(t, cfg), opt)
 			if err != nil {
 				t.Fatalf("%s k=%d: rerun failed: %v", leg.name, k, err)

@@ -18,8 +18,9 @@
 // context stops the graph at the next job boundary, failed
 // jobs are retried with capped virtual-time backoff, seeded CAD faults
 // can be injected from a faultinject plan, and a rerun of a killed run
-// over the same Options.CacheDir reuses every synthesis it finished.
-// See DESIGN.md §11 for the failure semantics.
+// over a checkpoint cache with the same disk tier (Options.Cache; see
+// vivado.CheckpointCache.SetDiskStore) reuses every synthesis it
+// finished. See DESIGN.md §11 for the failure semantics.
 package flow
 
 import (
@@ -86,21 +87,13 @@ type Options struct {
 	// value.
 	Workers int
 	// Cache is a shared synthesis-checkpoint cache; runs with a warm
-	// cache skip re-synthesizing unchanged modules (nil = no cache,
-	// except that CacheDir creates a private one).
+	// cache skip re-synthesizing unchanged modules (nil = no cache).
+	// The caller owns it and may attach a persistent disk tier
+	// (SetDiskStore): each checkpoint then reaches disk before its
+	// synthesis job completes, so a later run — or the rerun of an
+	// interrupted one — over a cache on the same directory warm-starts
+	// instead of re-synthesizing.
 	Cache *vivado.CheckpointCache
-	// CacheDir, when set, backs the checkpoint cache with a persistent
-	// disk tier rooted at the directory (created if absent): inserts
-	// write through, memory misses read through, and LRU evictions
-	// demote to disk, so a later run — or a restarted daemon — against
-	// the same directory warm-starts instead of re-synthesizing. Each
-	// checkpoint reaches disk before its synthesis job completes, so
-	// this is also how an interrupted run resumes: rerun it over the
-	// same directory and every finished synthesis is a hit. When
-	// Cache is nil a private cache is created to carry the tier; when
-	// the caller's Cache already has a disk store attached, CacheDir is
-	// ignored in favour of it.
-	CacheDir string
 	// StageCache is a shared stage-artifact cache enabling incremental
 	// re-flow: floorplan solutions, implementation results and bitstream
 	// images are content-addressed (see stagekeys.go), so a re-run — or
@@ -288,8 +281,8 @@ func chooseStrategy(d *socgen.Design, opt Options, mode flowMode) (*core.Strateg
 }
 
 // setupRun prepares the tool for one flow execution: fault injection
-// from the plan, the checkpoint cache (private when only CacheDir is
-// given) with its disk tier.
+// from the plan and the checkpoint cache, whose disk tier the stage
+// cache shares.
 func setupRun(d *socgen.Design, opt Options) (*vivado.Tool, error) {
 	tool, err := vivado.New(d.Dev, opt.Model)
 	if err != nil {
@@ -302,27 +295,13 @@ func setupRun(d *socgen.Design, opt Options) (*vivado.Tool, error) {
 		}
 		tool.SetFaultHook(inj.Check)
 	}
-	cache := opt.Cache
-	if cache == nil && opt.CacheDir != "" {
-		// The disk tier needs a cache to sit under, so a private one
-		// serves when the caller brought none.
-		cache = vivado.NewCheckpointCache()
-	}
-	if opt.CacheDir != "" && cache.Disk() == nil {
-		store, err := vivado.OpenDiskStore(opt.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		store.SetObserver(opt.Observer)
-		cache.SetDiskStore(store)
-	}
-	if opt.StageCache != nil && opt.StageCache.Disk() == nil && cache != nil && cache.Disk() != nil {
+	if opt.StageCache != nil && opt.StageCache.Disk() == nil && opt.Cache != nil && opt.Cache.Disk() != nil {
 		// Share the checkpoint tier's disk store: artifact entries use
 		// their own file extension, so the two caches never collide, and
 		// incremental hits survive restarts alongside the checkpoints.
-		opt.StageCache.SetDiskStore(cache.Disk())
+		opt.StageCache.SetDiskStore(opt.Cache.Disk())
 	}
-	tool.SetCache(cache)
+	tool.SetCache(opt.Cache)
 	tool.SetObserver(opt.Observer)
 	return tool, nil
 }
@@ -335,9 +314,6 @@ func execGraph(ctx context.Context, g *graph, tool *vivado.Tool, opt Options, re
 	stats, jobErrs, execErr := g.execute(ctx, opt)
 	res.Jobs = stats
 	res.Jobs.CacheHits, res.Jobs.CacheMisses = cacheCounts(tool)
-	if c := tool.Cache(); c != nil {
-		opt.Observer.Metrics().Gauge("vivado_cache_evictions").Set(float64(c.Evictions()))
-	}
 	if execErr != nil {
 		return execErr
 	}

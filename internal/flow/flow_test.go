@@ -322,44 +322,6 @@ func TestMonolithicESPSoC(t *testing.T) {
 	}
 }
 
-// TestModelChooserAgreesWithRules: backed by the calibrated cost model,
-// the exhaustive model-based chooser and the paper's O(1) rule land on
-// plans within a few percent of each other on every characterization
-// SoC — the rule captures the model's structure.
-func TestModelChooserAgreesWithRules(t *testing.T) {
-	eval := &Evaluator{}
-	for _, cfg := range socgen.CharacterizationSoCs() {
-		d, err := socgen.Elaborate(cfg, accel.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ruled, err := core.Choose(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		modeled, err := core.ChooseWithModel(d, eval, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tRule, err := eval.EvaluateStrategy(d, ruled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tModel, err := eval.EvaluateStrategy(d, modeled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tModel > tRule {
-			t.Errorf("%s: model-based pick (%s, %.0f) worse than the rule (%s, %.0f)",
-				cfg.Name, modeled.Kind, tModel, ruled.Kind, tRule)
-		}
-		if tRule > tModel*1.05 {
-			t.Errorf("%s: rule (%s, %.0f) more than 5%% behind the model-based optimum (%s, %.0f)",
-				cfg.Name, ruled.Kind, tRule, modeled.Kind, tModel)
-		}
-	}
-}
-
 // TestThirdPartyNVDLAFlows: the third-party NVDLA integrates into a
 // reconfigurable tile structurally — the flow floorplans, implements
 // and generates a partial bitstream for it like any accelerator.

@@ -338,8 +338,8 @@ func TestWarmRunsShareCachedImage(t *testing.T) {
 	}
 }
 
-// TestIncrementalWarmRestartFromDisk: with a CacheDir, the stage cache
-// rides the checkpoint cache's disk tier, so a fresh process (fresh
+// TestIncrementalWarmRestartFromDisk: with a disk tier under the
+// checkpoint cache, the stage cache rides it, so a fresh process (fresh
 // in-memory caches over the same directory) skips every post-synthesis
 // job and pays no synthesis recompute either.
 func TestIncrementalWarmRestartFromDisk(t *testing.T) {
@@ -348,9 +348,8 @@ func TestIncrementalWarmRestartFromDisk(t *testing.T) {
 		d := elaborate(t, socgen.SOC2())
 		res, err := RunPRESP(context.Background(), d, Options{
 			Compress:   true,
-			Cache:      vivado.NewCheckpointCache(),
+			Cache:      diskCache(t, dir, nil),
 			StageCache: vivado.NewStageCache(),
-			CacheDir:   dir,
 			Strategy:   forceFully(t, d),
 		})
 		if err != nil {

@@ -17,17 +17,15 @@ import (
 // its hierarchy, the device or the model invalidates the entry.
 //
 // It is the checkpoint instantiation of the package's one artifact
-// store (store.go), which supplies the LRU bound (SetMaxEntries; the
-// default is unbounded), the single-flight that collapses concurrent
-// misses on one key into exactly one synthesis — every follower shares
-// the leader's checkpoint or its error — and the optional persistent
-// tier (SetDiskStore): inserts write through, a memory miss probes the
-// disk inside the flight before paying the compute, and LRU eviction
-// demotes an entry to disk-only instead of discarding it. Disk-served
-// lookups count as hits — the whole point of the tier is that a
-// restarted daemon's first submission costs file reads, not
-// re-synthesis. Evictions only cost future re-synthesis time — a
-// checkpoint is pure derived state.
+// store (store.go), which supplies the single-flight that collapses
+// concurrent misses on one key into exactly one synthesis — every
+// follower shares the leader's checkpoint or its error — and the
+// optional persistent tier: the cache's owner may attach a DiskStore
+// once (SetDiskStore); inserts then write through and a memory miss
+// probes the disk inside the flight before paying the compute. The memory tier keeps every checkpoint it is given.
+// Disk-served lookups count as hits — the whole point of the tier is
+// that a restarted daemon's first submission costs file reads, not
+// re-synthesis.
 //
 // The cache is safe for concurrent use by the flow's worker pool.
 // Checkpoints are deep-copied on both store and load, so callers can
@@ -36,27 +34,14 @@ type CheckpointCache struct {
 	*store[*SynthCheckpoint]
 }
 
-// NewCheckpointCache returns an empty, unbounded cache.
+// NewCheckpointCache returns an empty, memory-only cache.
 func NewCheckpointCache() *CheckpointCache {
 	return &CheckpointCache{newStore(checkpointEntries, (*SynthCheckpoint).clone)}
 }
 
-// SetMaxEntries bounds the cache to n checkpoints, evicting the
-// least-recently-used entries immediately if it is already over the
-// limit. n <= 0 removes the bound.
-func (c *CheckpointCache) SetMaxEntries(n int) {
-	c.mu.Lock()
-	c.max = max(n, 0)
-	c.evictLocked()
-	c.unlockAndFlush("", nil, false) //nolint:errcheck // best-effort demotion
-}
-
-// Evictions returns how many checkpoints the LRU policy has dropped.
-func (c *CheckpointCache) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
+// Evictions always returns 0: the cache keeps every entry. It remains
+// only for the benchmark harness, which still reports it.
+func (c *CheckpointCache) Evictions() int64 { return 0 }
 
 // clone deep-copies a checkpoint.
 func (ck *SynthCheckpoint) clone() *SynthCheckpoint {

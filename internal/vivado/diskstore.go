@@ -19,9 +19,9 @@ import (
 // one file per cache key holding a JSON body plus a CRC-32 trailer. It
 // is the only place the artifact store (store.go) encodes: the memory
 // tier above it holds decoded values, entries are encoded once on
-// write-through or demotion and decoded once on promotion. The two
-// entry kinds (checkpointEntries, artifactEntries) share one read path
-// and one write path and differ only in file extension and codec. The
+// write-through and decoded once on promotion. The two entry kinds
+// (checkpointEntries, artifactEntries) share one read path and one
+// write path and differ only in file extension and codec. The
 // store is what lets a restarted daemon — or a rerun of an interrupted
 // flow — warm-start from the previous process's synthesis corpus
 // instead of re-paying every modelled run.
@@ -159,13 +159,6 @@ func (ds *DiskStore) SetMaxBytes(max int64) {
 	}
 	ds.maxBytes = max
 	ds.gcLocked()
-}
-
-// MaxBytes returns the configured byte budget (0 = unbounded).
-func (ds *DiskStore) MaxBytes() int64 {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.maxBytes
 }
 
 // SetObserver attaches cache_disk_* counters and load/store latency

@@ -374,36 +374,6 @@ func TestCacheDiskPromotionSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionDemotesToDisk: with a disk tier attached, LRU
-// eviction demotes the victim to disk-only instead of discarding it, and
-// the key is later served back from disk as a hit.
-func TestCacheEvictionDemotesToDisk(t *testing.T) {
-	cache := NewCheckpointCache()
-	// Insert while memory-only, so nothing is on disk yet.
-	insert(t, cache, "a", "ma")
-	insert(t, cache, "b", "mb")
-	ds := openTestStore(t)
-	cache.SetDiskStore(ds)
-	if ds.Len() != 0 {
-		t.Fatal("attaching a store wrote entries")
-	}
-	// Shrinking evicts "a" (the LRU entry) — it must land on disk.
-	cache.SetMaxEntries(1)
-	if cache.Evictions() != 1 {
-		t.Fatalf("Evictions = %d, want 1", cache.Evictions())
-	}
-	if ds.Len() != 1 {
-		t.Fatalf("disk has %d entries after demotion, want 1", ds.Len())
-	}
-	ck, role, err := cache.materialize("a", func() (*SynthCheckpoint, error) {
-		t.Error("demoted key paid a compute")
-		return nil, nil
-	})
-	if err != nil || role != roleHit || ck.Name != "ma" {
-		t.Fatalf("demoted key materialize = (%+v, %v, %v), want disk-served ma", ck, role, err)
-	}
-}
-
 // FuzzDiskEntry mutates a valid on-disk entry of each kind — truncation
 // plus a byte flip at an arbitrary offset — and loads it through the
 // shared read path of a real store: a damaged file must never be
@@ -572,9 +542,6 @@ func TestDiskStoreQuarantineCountsAgainstBudget(t *testing.T) {
 // -race, this is the locking proof for the disk tier.
 func TestDiskStoreGCRacesConcurrentLoads(t *testing.T) {
 	ds := openTestStore(t)
-	cache := NewCheckpointCache()
-	cache.SetDiskStore(ds)
-	cache.SetMaxEntries(4) // force continuous demotion/promotion traffic
 
 	var keys []string
 	for i := 0; i < 16; i++ {
@@ -603,14 +570,17 @@ func TestDiskStoreGCRacesConcurrentLoads(t *testing.T) {
 			checkpointEntries.store(ds, k, testCheckpoint("m_"+k)) //nolint:errcheck // churn; misses are fine
 		}
 	}()
-	// Promoting readers: materialize through the cache; the compute
-	// fallback recomputes keys the GC stole mid-flight.
+	// Promoting readers: materialize through a fresh cache over the
+	// shared store, so every read probes the disk and promotes; the
+	// compute fallback recomputes keys the GC stole mid-flight.
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := keys[(g*7+i)%len(keys)]
+				cache := NewCheckpointCache()
+				cache.SetDiskStore(ds)
 				ck, _, err := cache.materialize(k, func() (*SynthCheckpoint, error) {
 					return testCheckpoint("m_" + k), nil
 				})

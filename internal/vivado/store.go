@@ -1,21 +1,21 @@
 package vivado
 
 import (
-	"container/list"
 	"errors"
 	"sync"
 )
 
 // store is the one content-addressed artifact store behind
-// CheckpointCache and StageCache: one mutex-guarded map, one LRU, one
-// single-flight, one hit/miss/eviction counter set, and one disk
-// read-through and write-through path over an optional DiskStore.
+// CheckpointCache and StageCache: one mutex-guarded map, one
+// single-flight, one hit/miss counter pair, and one disk read-through
+// and write-through path over an optional DiskStore. The memory tier
+// keeps every entry for the life of the store; the disk tier has its
+// own byte budget.
 //
 // The memory tier holds decoded values. Encoding happens only at the
-// disk boundary — on write-through of a fresh entry, on demotion of an
-// evicted one and on promotion from disk — one pass per direction.
-// Keys are content addresses, so the first value stored under a key
-// wins and a re-store is a no-op.
+// disk boundary — on write-through of a fresh entry and on promotion
+// from disk — one pass per direction. Keys are content addresses, so
+// the first value stored under a key wins and a re-store is a no-op.
 //
 // clone, when set, copies values on the way in and out of the store
 // (checkpoints are mutable structs handed to callers); without it the
@@ -25,23 +25,12 @@ type store[V any] struct {
 	kind  diskKind[V]
 	clone func(V) V
 
-	mu        sync.Mutex
-	max       int // LRU bound; 0 = unbounded
-	entries   map[string]*list.Element
-	lru       *list.List // front = most recently used
-	inflight  map[string]*flight[V]
-	disk      *DiskStore
-	demoted   []*lruEntry[V] // evicted entries pending a disk demotion write
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-// lruEntry is the list payload: the key rides along so eviction can
-// delete the map entry from the list element alone.
-type lruEntry[V any] struct {
-	key string
-	v   V
+	mu       sync.Mutex
+	entries  map[string]V
+	inflight map[string]*flight[V]
+	disk     *DiskStore
+	hits     int64
+	misses   int64
 }
 
 // flight is one in-progress fetch: the leader probes the disk tier and
@@ -74,16 +63,15 @@ func newStore[V any](kind diskKind[V], clone func(V) V) *store[V] {
 	return &store[V]{
 		kind:     kind,
 		clone:    clone,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
+		entries:  make(map[string]V),
 		inflight: make(map[string]*flight[V]),
 	}
 }
 
 // SetDiskStore attaches the persistent tier (nil detaches): inserts
-// write through to it, misses read through it, and evictions demote to
-// it. One DiskStore may back both caches — checkpoint and stage
-// entries use distinct file extensions. Attach before sharing the
+// write through to it and misses read through it. One DiskStore may
+// back both caches — checkpoint and stage entries use distinct file
+// extensions. The cache's owner attaches it once, before sharing the
 // cache across goroutines or runs; swapping stores mid-traffic is safe
 // but pointless.
 func (s *store[V]) SetDiskStore(ds *DiskStore) {
@@ -134,18 +122,15 @@ func (s *store[V]) copy(v V) V {
 // lookup whose two-tier miss ends the flight with errMiss.
 //
 // Callers that arrive while the flight is open (roleFollower) wait and
-// share its outcome: a stored value counts as a hit for each follower
-// (refreshing the entry's LRU recency, so heavily-followed keys stay
-// resident), errMiss as a miss, and a compute error propagates to all
-// of them without wedging the key — the next caller after a failure
-// starts a fresh flight.
+// share its outcome: a stored value counts as a hit for each follower,
+// errMiss as a miss, and a compute error propagates to all of them
+// without wedging the key — the next caller after a failure starts a
+// fresh flight.
 func (s *store[V]) fetch(key string, decode func([]byte) (V, error), compute func() (V, error)) (V, flightRole, error) {
 	var zero V
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
+	if v, ok := s.entries[key]; ok {
 		s.hits++
-		s.lru.MoveToFront(el)
-		v := el.Value.(*lruEntry[V]).v
 		s.mu.Unlock()
 		return s.copy(v), roleHit, nil
 	}
@@ -153,14 +138,11 @@ func (s *store[V]) fetch(key string, decode func([]byte) (V, error), compute fun
 		s.mu.Unlock()
 		<-fl.done
 		s.mu.Lock()
-		switch {
-		case fl.err == errMiss:
+		switch fl.err {
+		case errMiss:
 			s.misses++
-		case fl.err == nil:
+		case nil:
 			s.hits++
-			if el, ok := s.entries[key]; ok {
-				s.lru.MoveToFront(el)
-			}
 		}
 		s.mu.Unlock()
 		if fl.err != nil {
@@ -235,54 +217,24 @@ func (s *store[V]) put(key string, v V) error {
 // already present, and returns the stored value and whether it is new.
 // Callers hold s.mu.
 func (s *store[V]) insertLocked(key string, v V) (V, bool) {
-	if el, ok := s.entries[key]; ok {
-		return el.Value.(*lruEntry[V]).v, false
+	if stored, ok := s.entries[key]; ok {
+		return stored, false
 	}
 	stored := s.copy(v)
-	s.entries[key] = s.lru.PushFront(&lruEntry[V]{key: key, v: stored})
-	s.evictLocked()
+	s.entries[key] = stored
 	return stored, true
 }
 
-// evictLocked drops least-recently-used entries until the bound is
-// met. With a disk tier attached the dropped entries are queued for
-// demotion, flushed by unlockAndFlush — eviction never does file I/O
-// under s.mu. Callers hold s.mu.
-func (s *store[V]) evictLocked() {
-	if s.max <= 0 {
-		return
-	}
-	for len(s.entries) > s.max {
-		oldest := s.lru.Back()
-		ent := oldest.Value.(*lruEntry[V])
-		s.lru.Remove(oldest)
-		delete(s.entries, ent.key)
-		s.evictions++
-		if s.disk != nil {
-			s.demoted = append(s.demoted, ent)
-		}
-	}
-}
-
-// unlockAndFlush releases s.mu, then does the disk I/O queued under
-// it: the write-through of v under key when write is set, and the
-// demotion of evicted entries. Both are best-effort (content-addressed
-// keys make a lost write only a future recompute, never a correctness
-// problem) and usually a Stat no-op for demotions, since write-through
-// already persisted the key. Only the write-through error is returned.
+// unlockAndFlush releases s.mu, then writes v through to the disk tier
+// under key when write is set and a tier is attached. The write is
+// best-effort for callers that drop the error: content-addressed keys
+// make a lost write only a future recompute, never a correctness
+// problem.
 func (s *store[V]) unlockAndFlush(key string, v V, write bool) error {
-	disk, demoted := s.disk, s.demoted
-	s.demoted = nil
+	disk := s.disk
 	s.mu.Unlock()
-	if disk == nil {
+	if disk == nil || !write {
 		return nil
 	}
-	var err error
-	if write {
-		err = s.kind.store(disk, key, v)
-	}
-	for _, e := range demoted {
-		s.kind.store(disk, e.key, e.v) //nolint:errcheck // best-effort demotion
-	}
-	return err
+	return s.kind.store(disk, key, v)
 }

@@ -81,10 +81,6 @@ func (t *Tool) Model() *CostModel { return t.model }
 // synthesis cost and populate it on misses.
 func (t *Tool) SetCache(c *CheckpointCache) { t.cache = c }
 
-// Cache returns the attached synthesis-checkpoint cache (nil when none
-// is attached).
-func (t *Tool) Cache() *CheckpointCache { return t.cache }
-
 // SetFaultHook attaches a CAD fault-injection hook (nil detaches). Set
 // it before sharing the tool across goroutines.
 func (t *Tool) SetFaultHook(h FaultHook) { t.fault = h }

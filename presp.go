@@ -90,26 +90,16 @@ func (p *Platform) StageCacheStats() (hits, misses int64) {
 	return p.stage.Stats()
 }
 
-// DiskCache is a crash-safe persistent tier for synthesis checkpoints:
-// one CRC-verified file per cache key, written atomically, with corrupt
-// entries quarantined rather than loaded. Attach one to a platform (or
-// a flow run via FlowOptions.CacheDir) and later processes — including
-// the rerun of an interrupted flow — warm-start from it. See DESIGN.md
-// §14.
-type DiskCache = vivado.DiskStore
-
-// OpenDiskCache opens (creating if needed) a persistent checkpoint
-// store rooted at dir and verifies every entry already present.
-func OpenDiskCache(dir string) (*DiskCache, error) {
-	return vivado.OpenDiskStore(dir)
-}
-
 // AttachDiskCache backs the platform's shared checkpoint cache with a
-// persistent tier at dir: every synthesis result is written through to
-// disk, and cache misses are served from disk before any synthesis
-// runs. Every flow run shares the tier with the platform's stage-artifact
-// cache, so incremental re-flow hits survive restarts too. A platform in
-// a later process pointed at the same directory warm-starts.
+// crash-safe persistent tier at dir (created if absent): one
+// CRC-verified file per cache key, written atomically, with corrupt
+// entries quarantined rather than loaded. Every synthesis result is
+// written through to disk, and cache misses are served from disk before
+// any synthesis runs. Every flow run shares the tier with the platform's
+// stage-artifact cache, so incremental re-flow hits survive restarts
+// too. A platform in a later process pointed at the same directory —
+// including the rerun of an interrupted flow — warm-starts. See
+// DESIGN.md §14.
 func (p *Platform) AttachDiskCache(dir string) error {
 	store, err := vivado.OpenDiskStore(dir)
 	if err != nil {
@@ -206,8 +196,7 @@ type FlowResult = flow.Result
 // strategy choice, orchestrated P&R and bitstream generation.
 // Cancelling ctx (or letting its deadline expire) stops the run at the
 // next job boundary, drains the worker pool and leaves the checkpoint
-// cache consistent; with a disk cache attached, rerunning resumes the
-// run.
+// cache consistent; after AttachDiskCache, rerunning resumes the run.
 func (p *Platform) RunFlow(ctx context.Context, s *SoC, opt FlowOptions) (*FlowResult, error) {
 	return flow.RunPRESP(ctx, s.Design, p.flowOptions(opt))
 }

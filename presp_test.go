@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"presp"
+	"presp/internal/vivado"
 )
 
 func platform(t *testing.T) *presp.Platform {
@@ -120,7 +121,7 @@ func TestDiskCacheThroughFacade(t *testing.T) {
 		t.Fatal("cold run paid no synthesis")
 	}
 
-	store, err := presp.OpenDiskCache(dir)
+	store, err := vivado.OpenDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
