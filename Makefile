@@ -56,7 +56,8 @@ bench:
 # the observed/nil-observer flow pair (the check that instrumentation
 # costs nothing when disabled) and the incremental cold/warm/edit legs
 # (the stage-artifact cache's win on unchanged and one-kernel-edit
-# reruns). The bitstream layer's own
+# reruns) and the scheduler's own overhead on SOC_2's job graph with
+# no-op jobs, at 1 and 2 workers. The bitstream layer's own
 # benchmarks (partial and full-device generation on the VC707 and VCU118
 # geometries) follow at 10 iterations, so the first call's encoder
 # scratch allocation does not stand for the steady state. The parsed
@@ -68,7 +69,7 @@ bench:
 # compares the medians of five 10-iteration runs of the incremental
 # cold and warm benchmarks, so it holds on any host speed.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^Benchmark(EvaluateStrategy(Cold|Warm)|RunPRESP(NilObserver|Observed|Incremental(Cold|Warm|Edit)))$$' \
+	$(GO) test -run='^$$' -bench='^Benchmark(EvaluateStrategy(Cold|Warm)|RunPRESP(NilObserver|Observed|Incremental(Cold|Warm|Edit))|SchedulerNoop)$$' \
 		-benchtime=1x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_flow.json
 	@cat BENCH_flow.json

@@ -4,6 +4,7 @@ package flow
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"presp/internal/accel"
@@ -230,5 +231,58 @@ func BenchmarkRunPRESPIncrementalEdit(b *testing.B) {
 			b.Fatalf("edit run re-ran %d impl + %d bitgen jobs, want 1 + 1",
 				res.Jobs.ImplJobs, res.Jobs.BitgenJobs)
 		}
+	}
+}
+
+// soc2NoopGraph builds a graph shaped like SOC_2's fully-parallel
+// PR-ESP run — 21 jobs: five syntheses, floorplan, scripts, the static
+// pre-route, four group runs, the full image's four chunks and its
+// assembly, and four partial bitstreams — whose jobs do nothing, so
+// executing it measures the scheduler alone.
+func soc2NoopGraph() *graph {
+	noop := func(context.Context) (vivado.Minutes, error) { return 0, nil }
+	const rps = 4
+	g := &graph{}
+	synthStatic := g.add("synth/static", StageSynth, nil, noop)
+	var synth [rps]int
+	for i := range synth {
+		synth[i] = g.add(fmt.Sprintf("synth/rt_%d_rp", i+1), StageSynth, nil, noop)
+	}
+	fp := g.add("floorplan", StagePlan, []int{synthStatic}, noop)
+	scripts := g.add("scripts", StagePlan, []int{fp}, noop)
+	static := g.add("impl/static", StageImpl, []int{synthStatic, fp, scripts}, noop)
+	groups := make([]int, rps)
+	for i := range groups {
+		groups[i] = g.add(groupJobID(i), StageImpl, []int{static, synth[i]}, noop)
+	}
+	chunks := make([]int, fullChunks)
+	for i := range chunks {
+		chunks[i] = g.add(fmt.Sprintf("bitgen/full/%d", i), StageBitgen, groups, noop)
+	}
+	g.add("bitgen/full", StageBitgen, chunks, noop)
+	for i := range groups {
+		g.add(fmt.Sprintf("bitgen/rt_%d_rp", i+1), StageBitgen, []int{fp, groups[i]}, noop)
+	}
+	return g
+}
+
+// BenchmarkSchedulerNoop measures the scheduler's per-run overhead —
+// building the graph, dispatching each job to the pool and booking its
+// completion — on SOC_2's job graph with no-op jobs, at 1 and 2
+// workers.
+func BenchmarkSchedulerNoop(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stats, _, err := soc2NoopGraph().execute(context.Background(), Options{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if stats.Executed() != 21 {
+					b.Fatalf("executed %d jobs, want 21", stats.Executed())
+				}
+			}
+		})
 	}
 }

@@ -76,19 +76,19 @@ func GenerateRuntimeBitstreams(ctx context.Context, d *socgen.Design, plan *floo
 	}
 
 	// Fan the independent generation jobs out on the worker pool.
-	g := newGraph()
+	g := &graph{}
 	generated := make([]*bitstream.Bitstream, len(tasks))
 	for i, tk := range tasks {
 		i, tk := i, tk
 		id := fmt.Sprintf("bitgen/%03d/%s.%s", i, tk.tile, tk.acc)
-		must(g.add(id, StageBitgen, nil, nil, func(ctx context.Context) (vivado.Minutes, error) {
+		g.add(id, StageBitgen, nil, func(ctx context.Context) (vivado.Minutes, error) {
 			bs, t, err := tool.WritePartialBitstream(ctx, tk.name, tk.pb, tk.res, compress)
 			if err != nil {
 				return 0, err
 			}
 			generated[i] = bs
 			return t, nil
-		}))
+		})
 	}
 	if _, errs, err := g.execute(ctx, Options{Workers: workers}); err != nil {
 		return nil, err
@@ -113,7 +113,8 @@ func GenerateRuntimeBitstreams(ctx context.Context, d *socgen.Design, plan *floo
 // job graph, and with it Result.Jobs, is the same at every worker
 // count. Four chunks keep two workers busy at the graph's tail, where
 // the image would otherwise run alone, while the per-chunk costs —
-// boundary stitching, a pooled encoder, a stage probe — stay small.
+// boundary stitching, a pooled encoder, a scheduler round trip — stay
+// small.
 const fullChunks = 4
 
 // addFullBitgen adds the full-device bitstream name to g, after deps:
@@ -121,36 +122,29 @@ const fullChunks = 4
 // range of the image on the worker pool, then the "bitgen/full" job,
 // which stitches them byte-identically to a one-pass encoding. The
 // assembly is the bitgen operation: it alone passes the fault gate,
-// carries the modelled minutes (chunks carry 0), probes and fills the
-// stage cache under sk's full-image key and publishes through apply. A
-// chunk's probe asks the cache for that same key, so a warm run skips
-// every chunk as well.
-func addFullBitgen(g *graph, tool *vivado.Tool, sk *stageKeys, deps []string, name string, used fpga.Resources, compress bool, apply func(*bitstream.Bitstream, vivado.Minutes)) {
-	im := tool.FullImage(name, used, compress)
-	key := sk.bitgenFullKey()
-	var chunkProbe func() (vivado.Minutes, bool)
-	if sk != nil && key != "" {
-		chunkProbe = func() (vivado.Minutes, bool) {
-			_, _, ok := vivado.LookupStage[*bitstream.Bitstream](sk.cache, key)
-			return 0, ok
-		}
+// carries the modelled minutes (chunks carry 0), fills the stage cache
+// under sk's "bitgen/full" key and publishes through apply. When that
+// key hits, bitgen/full is settled and no chunk job is added.
+func addFullBitgen(g *graph, tool *vivado.Tool, sk *stageKeys, deps []int, name string, used fpga.Resources, compress bool, apply func(*bitstream.Bitstream, vivado.Minutes)) {
+	const id = "bitgen/full"
+	if _, ok := settleStage(g, sk, id, StageBitgen, apply); ok {
+		return
 	}
+	im := tool.FullImage(name, used, compress)
 	chunks := make([]bitstream.Chunk, fullChunks)
-	ids := make([]string, fullChunks)
+	hs := make([]int, fullChunks)
 	for i := range chunks {
 		i := i
-		ids[i] = fmt.Sprintf("bitgen/full/%d", i)
-		must(g.add(ids[i], StageBitgen, deps, chunkProbe, func(ctx context.Context) (vivado.Minutes, error) {
+		hs[i] = g.add(fmt.Sprintf("%s/%d", id, i), StageBitgen, deps, func(ctx context.Context) (vivado.Minutes, error) {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
 			chunks[i] = im.Chunk(i, fullChunks)
 			return 0, nil
-		}))
+		})
 	}
-	probe, run := cachedStage(sk, key,
+	g.add(id, StageBitgen, hs, stageRun(sk, id,
 		func(ctx context.Context) (*bitstream.Bitstream, vivado.Minutes, error) {
 			return tool.AssembleFullBitstream(ctx, im, chunks)
-		}, apply)
-	must(g.add("bitgen/full", StageBitgen, ids, probe, run))
+		}, apply))
 }

@@ -68,3 +68,28 @@ func TestRunPRESPCacheDirWarmStart(t *testing.T) {
 		t.Fatalf("cache_disk_misses = %d, want 0 on a warm start", snap.Counters["cache_disk_misses"])
 	}
 }
+
+// TestColdDiskMissesMatchJobStats: every cold run over a fresh disk
+// tier reads the disk exactly once per cache miss the run reports —
+// one per synthesis checkpoint and one per keyed stage job — at any
+// worker count and on every repetition. Stage lookups happen once each,
+// while the graph is built, so the disk-miss count cannot depend on how
+// the jobs interleave.
+func TestColdDiskMissesMatchJobStats(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for rep := 0; rep < 10; rep++ {
+			cache := diskCache(t, t.TempDir(), nil)
+			res, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC2()), Options{
+				Compress: true, Workers: workers, Cache: cache, StageCache: vivado.NewStageCache(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := cache.Disk().Stats()
+			if want := int64(res.Jobs.CacheMisses + res.Jobs.StageCacheMisses); st.Misses != want || st.Writes != want {
+				t.Fatalf("workers=%d rep=%d: disk %d misses / %d writes, want %d each (%d checkpoint + %d stage misses)",
+					workers, rep, st.Misses, st.Writes, want, res.Jobs.CacheMisses, res.Jobs.StageCacheMisses)
+			}
+		}
+	}
+}

@@ -123,8 +123,9 @@ type Options struct {
 	// faults stay byte-identical for every worker count.
 	FaultPlan *faultinject.Plan
 	// Heartbeat, when set, is called from the scheduler coordinator
-	// after every job that succeeded or was skipped by the stage cache
-	// (never after a failed one) with the cumulative count of such jobs
+	// once per job the stage cache settled (before any job runs) and
+	// after every job that succeeded (never after a failed one) with
+	// the cumulative count of such jobs
 	// and the run's virtual-time position (sum of their modelled
 	// minutes). Service layers use it as a liveness signal: progress is
 	// measured in virtual minutes, staleness in real ones, so a stall
@@ -334,10 +335,14 @@ func execGraph(ctx context.Context, g *graph, tool *vivado.Tool, opt Options, re
 //	...         ──┘                        └─ impl/serial  ─┘
 //
 // Partial bitstreams depend only on the implementation run that covers
-// their partition, so under the Collect policy a failed group does not
-// block the others' bitstreams. The full-device image is encoded as
-// fullChunks chunk jobs that bitgen/full stitches (see addFullBitgen),
-// so the graph's tail keeps every worker busy.
+// their partition (and on the floorplan, whose pblocks they read), so
+// under the Collect policy a failed group does not block the others'
+// bitstreams. The full-device image is encoded as fullChunks chunk jobs
+// that bitgen/full stitches (see addFullBitgen), so the graph's tail
+// keeps every worker busy. Every post-synthesis job whose artifact the
+// stage cache holds is settled while the graph is built: its cached
+// result is published before execution starts and the job never runs;
+// a settled bitgen/full brings no chunk jobs.
 func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flowMode) (*Result, error) {
 	tool, err := setupRun(d, opt)
 	if err != nil {
@@ -350,12 +355,13 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	}
 
 	// Stage-artifact keys for incremental re-flow: every post-synthesis
-	// job gets a content address derived from its inputs, so an
-	// unchanged job skips via its cached artifact. Nil when no stage
-	// cache is configured (or the run is un-keyable; see buildStageKeys).
+	// job gets a content address derived from its inputs, so a job whose
+	// artifact is cached is settled while the graph is built. Nil when no
+	// stage cache is configured (or the run is un-keyable; see
+	// buildStageKeys).
 	sk := buildStageKeys(d, tool, res.Strategy, opt, mode)
 
-	g := newGraph()
+	g := &graph{}
 	var mu sync.Mutex // guards rpCks and SynthRuns across parallel synth jobs
 
 	// --- Parse & split, then OoC synthesis (Fig 1): one job per
@@ -367,8 +373,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	staticMod := BuildStaticTop(d)
 	var staticCk *vivado.SynthCheckpoint
 	rpCks := make(map[string]*vivado.SynthCheckpoint, len(d.RPs))
-	synthIDs := []string{"synth/static"}
-	must(g.add("synth/static", StageSynth, nil, nil, func(ctx context.Context) (vivado.Minutes, error) {
+	synthStatic := g.add("synth/static", StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
 		ck, err := tool.Synthesize(ctx, staticMod, false, "static")
 		if err != nil {
 			return 0, fmt.Errorf("flow: static synthesis: %w", err)
@@ -382,12 +387,12 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 		res.SynthRuns["static"] = ck.Runtime
 		mu.Unlock()
 		return ck.Runtime, nil
-	}))
+	})
+	synthAll := []int{synthStatic}
+	synthOf := make(map[string]int, len(d.RPs)) // partition -> its synthesis job
 	for _, rp := range d.RPs {
 		rp := rp
-		id := "synth/" + rp.Name
-		synthIDs = append(synthIDs, id)
-		must(g.add(id, StageSynth, nil, nil, func(ctx context.Context) (vivado.Minutes, error) {
+		h := g.add("synth/"+rp.Name, StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
 			if rp.Content == nil {
 				return 0, fmt.Errorf("flow: partition %s has no initial content to synthesize", rp.Name)
 			}
@@ -400,7 +405,9 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			res.SynthRuns[rp.Name] = ck.Runtime
 			mu.Unlock()
 			return ck.Runtime, nil
-		}))
+		})
+		synthAll = append(synthAll, h)
+		synthOf[rp.Name] = h
 	}
 
 	// --- Floorplanning (FLORA-adapted), plus the DFX design rule
@@ -409,8 +416,10 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	// — so it joins only the static synthesis; each partition's
 	// synthesis joins at the implementation run that consumes its
 	// checkpoint. One wedged partition therefore cannot cancel the
-	// whole plan under the Collect policy. ---
-	fpProbe, fpRun := cachedStage(sk, sk.floorplanKey(),
+	// whole plan under the Collect policy. Every job that reads the plan
+	// depends on this job directly: a settled job in between orders
+	// nothing. ---
+	fp := addStage(g, sk, "floorplan", StagePlan, []int{synthStatic},
 		func(ctx context.Context) (*floorplan.Plan, vivado.Minutes, error) {
 			if err := tool.CheckFault(ctx, faultinject.OpCADFloorplan, d.Cfg.Name); err != nil {
 				return nil, 0, err
@@ -433,13 +442,11 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			return plan, 0, nil
 		},
 		func(plan *floorplan.Plan, _ vivado.Minutes) { res.Plan = plan })
-	must(g.add("floorplan", StagePlan, []string{"synth/static"}, fpProbe, fpRun))
 
 	// --- Script generation (documents every decision made so far). ---
-	implGate := "floorplan"
+	implGate := []int{fp}
 	if mode == modePRESP {
-		implGate = "scripts"
-		scProbe, scRun := cachedStage(sk, sk.scriptsKey(),
+		implGate = append(implGate, addStage(g, sk, "scripts", StagePlan, []int{fp},
 			func(_ context.Context) (*Scripts, vivado.Minutes, error) {
 				s, err := GenerateScripts(d, res.Strategy, res.Plan)
 				if err != nil {
@@ -447,23 +454,17 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 				}
 				return s, 0, nil
 			},
-			func(s *Scripts, _ vivado.Minutes) { res.Scripts = s })
-		must(g.add("scripts", StagePlan, []string{"floorplan"}, scProbe, scRun))
+			func(s *Scripts, _ vivado.Minutes) { res.Scripts = s }))
 	}
 
 	// --- Orchestrated P&R per the chosen strategy. ---
-	var implIDs []string
-	implFor := make(map[string]string, len(d.RPs)) // partition -> its impl job
+	var impls []int
+	implFor := make(map[string]int, len(d.RPs)) // partition -> its impl job
 	var rs *vivado.RoutedStatic
 	ctxResults := make([]*vivado.ContextResult, len(res.Strategy.Groups))
 	switch res.Strategy.Kind {
 	case core.Serial:
-		deps := append(append([]string(nil), synthIDs...), implGate)
-		implIDs = []string{"impl/serial"}
-		for _, rp := range d.RPs {
-			implFor[rp.Name] = "impl/serial"
-		}
-		seProbe, seRun := cachedStage(sk, sk.serialKey(),
+		h := addStage(g, sk, "impl/serial", StageImpl, append(append([]int(nil), synthAll...), implGate...),
 			func(ctx context.Context) (*vivado.SerialResult, vivado.Minutes, error) {
 				total := d.StaticResources.Add(d.ReconfigurableResources())
 				sr, err := tool.ImplementSerial(ctx, d.Cfg.Name, total, len(d.RPs), res.Plan.RPFraction)
@@ -473,9 +474,12 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 				return sr, sr.Runtime, nil
 			},
 			func(sr *vivado.SerialResult, _ vivado.Minutes) { res.PRWall = sr.Runtime })
-		must(g.add("impl/serial", StageImpl, deps, seProbe, seRun))
+		impls = []int{h}
+		for _, rp := range d.RPs {
+			implFor[rp.Name] = h
+		}
 	case core.SemiParallel, core.FullyParallel:
-		stProbe, stRun := cachedStage(sk, sk.implStaticKey(),
+		static := addStage(g, sk, "impl/static", StageImpl, append([]int{synthStatic}, implGate...),
 			func(ctx context.Context) (*vivado.RoutedStatic, vivado.Minutes, error) {
 				r, err := tool.PreRouteStatic(ctx, d.Cfg.Name, staticCk, res.Plan.Pblocks, d.ReconfigurableResources())
 				if err != nil {
@@ -484,23 +488,19 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 				return r, r.Runtime, nil
 			},
 			func(r *vivado.RoutedStatic, _ vivado.Minutes) {
-				// A skipped pre-route must still anchor the group runs that
-				// miss: rs is the decoded artifact, bit-for-bit the routed
+				// A settled pre-route must still anchor the group runs that
+				// miss: rs is the cached artifact, bit-for-bit the routed
 				// static a live run would have produced.
 				rs = r
 				res.TStatic = r.Runtime
 			})
-		must(g.add("impl/static", StageImpl, []string{"synth/static", implGate}, stProbe, stRun))
 		for gi, group := range res.Strategy.Groups {
 			gi, group := gi, group
-			id := fmt.Sprintf("impl/group_%03d", gi)
-			implIDs = append(implIDs, id)
-			deps := []string{"impl/static"}
+			deps := []int{static}
 			for _, name := range group {
-				deps = append(deps, "synth/"+name)
-				implFor[name] = id
+				deps = append(deps, synthOf[name])
 			}
-			grProbe, grRun := cachedStage(sk, sk.groupKey(gi),
+			h := addStage(g, sk, groupJobID(gi), StageImpl, deps,
 				func(ctx context.Context) (*vivado.ContextResult, vivado.Minutes, error) {
 					// Snapshot the group's checkpoints: other synthesis jobs
 					// may still be writing rpCks concurrently.
@@ -517,7 +517,10 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 					return cr, cr.Runtime, nil
 				},
 				func(cr *vivado.ContextResult, _ vivado.Minutes) { ctxResults[gi] = cr })
-			must(g.add(id, StageImpl, deps, grProbe, grRun))
+			impls = append(impls, h)
+			for _, name := range group {
+				implFor[name] = h
+			}
 		}
 	default:
 		return nil, fmt.Errorf("flow: unknown strategy %v", res.Strategy.Kind)
@@ -525,23 +528,24 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 
 	// --- Bitstream generation: the full-device image joining all of
 	// P&R (chunk jobs plus their assembly), plus one partial per
-	// partition depending only on the run that implemented it. ---
+	// partition depending only on the run that implemented it (and the
+	// floorplan, whose pblock it spans). ---
 	var fullT vivado.Minutes
 	partials := make([]*bitstream.Bitstream, len(d.RPs))
 	partialT := make([]vivado.Minutes, len(d.RPs))
 	if !opt.SkipBitstreams {
-		addFullBitgen(g, tool, sk, implIDs, d.Cfg.Name+".bit", d.StaticResources.Add(d.ReconfigurableResources()), opt.Compress,
+		addFullBitgen(g, tool, sk, impls, d.Cfg.Name+".bit", d.StaticResources.Add(d.ReconfigurableResources()), opt.Compress,
 			func(full *bitstream.Bitstream, t vivado.Minutes) {
 				res.FullBitstream = full
 				fullT = t
 			})
 		for i, rp := range d.RPs {
 			i, rp := i, rp
-			deps := implIDs
-			if id, ok := implFor[rp.Name]; ok {
-				deps = []string{id}
+			deps := append([]int{fp}, impls...)
+			if h, ok := implFor[rp.Name]; ok {
+				deps = []int{fp, h}
 			}
-			bpProbe, bpRun := cachedStage(sk, sk.partialKeyFor(rp.Name),
+			addStage(g, sk, "bitgen/"+rp.Name, StageBitgen, deps,
 				func(ctx context.Context) (*bitstream.Bitstream, vivado.Minutes, error) {
 					pb, ok := res.Plan.Pblocks[rp.Name]
 					if !ok {
@@ -558,7 +562,6 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 					partials[i] = bs
 					partialT[i] = t
 				})
-			must(g.add("bitgen/"+rp.Name, StageBitgen, deps, bpProbe, bpRun))
 		}
 	}
 
@@ -628,14 +631,6 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 func cacheCounts(tool *vivado.Tool) (hits, misses int) {
 	h, m := tool.CacheStats()
 	return int(h), int(m)
-}
-
-// must panics on graph-construction errors: job IDs and dependencies are
-// generated from validated designs, so a failure is a programming bug.
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
 }
 
 // BuildStaticTop assembles the static-part hierarchy: the static tile

@@ -72,8 +72,8 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 	}
 
 	// Stage-cache accounting must agree with the scheduler's: every
-	// StageCache hit is a skipped job and every miss a probed job that
-	// ran, run by run.
+	// StageCache hit is a settled job and every miss a keyed job the
+	// graph added to run, run by run.
 	var seenHits, seenMisses int64
 	checkStageStats := func(run string, res *Result) {
 		t.Helper()
@@ -100,20 +100,23 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 	if cold.Jobs.StageCacheMisses == 0 {
 		t.Fatal("cold run probed no stage keys: caching is not wired")
 	}
-	postSynth := cold.Jobs.PlanJobs + cold.Jobs.ImplJobs + cold.Jobs.BitgenJobs
-	if cold.Jobs.StageCacheMisses != postSynth {
-		t.Fatalf("cold run: %d stage-cache misses, want %d (every post-synthesis job)",
-			cold.Jobs.StageCacheMisses, postSynth)
+	// Every post-synthesis job but the full image's chunk jobs carries a
+	// stage key.
+	keyed := cold.Jobs.PlanJobs + cold.Jobs.ImplJobs + cold.Jobs.BitgenJobs - fullChunks
+	if cold.Jobs.StageCacheMisses != keyed {
+		t.Fatalf("cold run: %d stage-cache misses, want %d (every keyed post-synthesis job)",
+			cold.Jobs.StageCacheMisses, keyed)
 	}
 	checkStageStats("cold", cold)
 
-	// Warm identical resubmission: every post-synthesis job skips.
+	// Warm identical resubmission: every keyed job is settled, and the
+	// settled full image brings no chunk jobs.
 	d2 := elaborate(t, socgen.SOC2())
 	warm, err := RunPRESP(context.Background(), d2, base(d2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Jobs.Skipped != postSynth || warm.Jobs.PlanJobs != 0 ||
+	if warm.Jobs.Skipped != keyed || warm.Jobs.PlanJobs != 0 ||
 		warm.Jobs.ImplJobs != 0 || warm.Jobs.BitgenJobs != 0 {
 		t.Fatalf("warm run executed work it should have skipped: %+v", warm.Jobs)
 	}
@@ -139,9 +142,9 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 		t.Fatalf("one-kernel edit re-ran plan=%d impl=%d bitgen=%d jobs, want 0/1/1: %+v",
 			edit.Jobs.PlanJobs, edit.Jobs.ImplJobs, edit.Jobs.BitgenJobs, edit.Jobs)
 	}
-	if edit.Jobs.Skipped != postSynth-2 || edit.Jobs.StageCacheMisses != 2 {
+	if edit.Jobs.Skipped != keyed-2 || edit.Jobs.StageCacheMisses != 2 {
 		t.Fatalf("one-kernel edit: %d skips / %d misses, want %d / 2",
-			edit.Jobs.Skipped, edit.Jobs.StageCacheMisses, postSynth-2)
+			edit.Jobs.Skipped, edit.Jobs.StageCacheMisses, keyed-2)
 	}
 	if edit.Jobs.CacheMisses != 1 {
 		t.Fatalf("one-kernel edit paid %d synthesis misses, want 1 (the edited module)", edit.Jobs.CacheMisses)
@@ -181,9 +184,9 @@ func TestIncrementalEditReimplementsOnlyEditedPartition(t *testing.T) {
 			}
 		}
 	}
-	if ran != len(wantRan) || skipped != postSynth-len(wantRan) {
+	if ran != len(wantRan) || skipped != keyed-len(wantRan) {
 		t.Errorf("trace: %d post-synthesis jobs ran and %d skipped, want %d and %d",
-			ran, skipped, len(wantRan), postSynth-len(wantRan))
+			ran, skipped, len(wantRan), keyed-len(wantRan))
 	}
 
 	// The incremental result must be byte-identical to a from-scratch
@@ -245,15 +248,16 @@ func TestIncrementalWarmWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := resultSignature(cold)
-	postSynth := cold.Jobs.PlanJobs + cold.Jobs.ImplJobs + cold.Jobs.BitgenJobs
+	keyed := cold.Jobs.PlanJobs + cold.Jobs.ImplJobs + cold.Jobs.BitgenJobs - fullChunks
 	for _, workers := range []int{1, 4, runtime.NumCPU()} {
 		dw := elaborate(t, socgen.SOC2())
 		warm, err := RunPRESP(context.Background(), dw, opts(dw, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if warm.Jobs.Skipped != postSynth {
-			t.Fatalf("workers=%d: skipped %d jobs, want %d", workers, warm.Jobs.Skipped, postSynth)
+		if warm.Jobs.Skipped != keyed || warm.Jobs.Executed() != warm.Jobs.SynthJobs {
+			t.Fatalf("workers=%d: skipped %d jobs and executed %d, want %d and synthesis only",
+				workers, warm.Jobs.Skipped, warm.Jobs.Executed(), keyed)
 		}
 		if got := resultSignature(warm); got != want {
 			t.Fatalf("workers=%d: warm run diverged from cold run:\n--- warm ---\n%s--- cold ---\n%s",
@@ -303,7 +307,7 @@ func TestWarmRunsShareCachedImage(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("warm run %d: %v", i, errs[i])
 		}
-		if res.Jobs.SkippedByStage[StageBitgen] != len(res.Design.RPs)+1+fullChunks {
+		if res.Jobs.SkippedByStage[StageBitgen] != len(res.Design.RPs)+1 || res.Jobs.BitgenJobs != 0 {
 			t.Fatalf("warm run %d regenerated bitstreams: %+v", i, res.Jobs)
 		}
 		if got := res.FullBitstream.CRC(); got != wantCRC {
@@ -340,8 +344,8 @@ func TestWarmRunsShareCachedImage(t *testing.T) {
 
 // TestIncrementalWarmRestartFromDisk: with a disk tier under the
 // checkpoint cache, the stage cache rides it, so a fresh process (fresh
-// in-memory caches over the same directory) skips every post-synthesis
-// job and pays no synthesis recompute either.
+// in-memory caches over the same directory) settles every keyed
+// post-synthesis job and pays no synthesis recompute either.
 func TestIncrementalWarmRestartFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	run := func() *Result {
@@ -359,9 +363,9 @@ func TestIncrementalWarmRestartFromDisk(t *testing.T) {
 	}
 	cold := run()
 	warm := run()
-	postSynth := cold.Jobs.PlanJobs + cold.Jobs.ImplJobs + cold.Jobs.BitgenJobs
-	if warm.Jobs.Skipped != postSynth {
-		t.Fatalf("restarted run skipped %d jobs, want %d", warm.Jobs.Skipped, postSynth)
+	keyed := cold.Jobs.PlanJobs + cold.Jobs.ImplJobs + cold.Jobs.BitgenJobs - fullChunks
+	if warm.Jobs.Skipped != keyed {
+		t.Fatalf("restarted run skipped %d jobs, want %d", warm.Jobs.Skipped, keyed)
 	}
 	if warm.Jobs.CacheMisses != 0 {
 		t.Fatalf("restarted run paid %d synthesis misses, want 0", warm.Jobs.CacheMisses)
@@ -425,8 +429,8 @@ func TestStageArtifactsParentFormat(t *testing.T) {
 	probe := opt
 	probe.StageCache = vivado.NewStageCache()
 	sk := buildStageKeys(d, tool, opt.Strategy, probe, modePRESP)
-	if sk.floorplan != floorplanKey || sk.partials[partition] != partialKey {
-		t.Fatalf("stage keys moved: floorplan %s, %s partial %s", sk.floorplan, partition, sk.partials[partition])
+	if sk.keys["floorplan"] != floorplanKey || sk.keys["bitgen/"+partition] != partialKey {
+		t.Fatalf("stage keys moved: floorplan %s, %s partial %s", sk.keys["floorplan"], partition, sk.keys["bitgen/"+partition])
 	}
 
 	fixture := func(t *testing.T, key string) []byte {

@@ -31,11 +31,11 @@ func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result,
 	res := &Result{Design: d, SynthRuns: make(map[string]vivado.Minutes)}
 	total := d.StaticResources.Add(d.ReconfigurableResources())
 
-	g := newGraph()
+	g := &graph{}
 	// Single-instance synthesis of the full hierarchy. The time is
 	// computed from the aggregate size directly, so the fault gate the
 	// tool's Synthesize would apply is invoked explicitly.
-	must(g.add("synth/full", StageSynth, nil, nil, func(ctx context.Context) (vivado.Minutes, error) {
+	synth := g.add("synth/full", StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
 		if err := tool.CheckFault(ctx, faultinject.OpCADSynth, "full", d.Cfg.Name); err != nil {
 			return 0, fmt.Errorf("flow: monolithic synthesis: %w", err)
 		}
@@ -43,18 +43,18 @@ func RunMonolithic(ctx context.Context, d *socgen.Design, opt Options) (*Result,
 		res.SynthWall = t
 		res.SynthRuns["full"] = t
 		return t, nil
-	}))
+	})
 	// Flat implementation: no partitions (nRP = 0), no reserved area.
-	must(g.add("impl/flat", StageImpl, []string{"synth/full"}, nil, func(ctx context.Context) (vivado.Minutes, error) {
+	impl := g.add("impl/flat", StageImpl, []int{synth}, func(ctx context.Context) (vivado.Minutes, error) {
 		sr, err := tool.ImplementSerial(ctx, d.Cfg.Name+"_mono", total, 0, 0)
 		if err != nil {
 			return 0, err
 		}
 		res.PRWall = sr.Runtime
 		return sr.Runtime, nil
-	}))
+	})
 	if !opt.SkipBitstreams {
-		addFullBitgen(g, tool, nil, []string{"impl/flat"}, d.Cfg.Name+"_mono.bit", total, opt.Compress,
+		addFullBitgen(g, tool, nil, []int{impl}, d.Cfg.Name+"_mono.bit", total, opt.Compress,
 			func(full *bitstream.Bitstream, t vivado.Minutes) {
 				res.FullBitstream = full
 				res.BitgenWall = t

@@ -81,60 +81,59 @@ func NormalizeWorkers(n int) (int, error) {
 // aggregation (max over parallel instances, contention scaling) stays
 // with the flow, which knows the paper's timing model.
 type job struct {
-	// id names the job uniquely within its graph.
+	// id names the job in errors, trace events and fault sites.
 	id string
 	// stage classifies the job for Result accounting.
 	stage Stage
-	// deps lists job IDs that must complete successfully first.
-	deps []string
-	// probe, when set, asks the stage-artifact cache before run: a hit
-	// returns the cached job's modelled minutes (the probe is expected to
-	// publish the cached result as a side effect) and the scheduler skips
-	// run entirely, counting the job as Skipped rather than executed. A
-	// miss falls through to run. Probes run on worker goroutines and must
-	// be safe to call concurrently with other jobs' probes.
-	probe func() (vivado.Minutes, bool)
+	// deps holds the handles of the jobs that must complete successfully
+	// first; each was added before this job, so the graph is acyclic by
+	// construction.
+	deps []int
 	// run performs the work. It must honour ctx promptly: the scheduler
 	// passes the execution context so cancelled flows stop mid-graph.
+	// Nil for a settled job.
 	run func(ctx context.Context) (vivado.Minutes, error)
-	// order is the insertion index, the deterministic error-priority key.
-	order int
+	// settled marks a job the stage-artifact cache held when the graph
+	// was built: its cached result is already published, so it never
+	// runs and is never cancelled, and minutes are the cached job's
+	// modelled minutes.
+	settled bool
+	minutes vivado.Minutes
 }
 
-// graph is a job dependency DAG under construction.
+// graph is a job dependency DAG under construction. Jobs are identified
+// by handles — their insertion index, which is also the deterministic
+// error-priority key.
 type graph struct {
-	jobs map[string]*job
-	seq  []*job
+	jobs []job
+	// stageMisses counts keyed jobs whose artifact the stage cache did
+	// not hold when the graph was built.
+	stageMisses int
 }
 
-func newGraph() *graph {
-	return &graph{jobs: make(map[string]*job)}
+// add registers a job that runs after deps, all handles of jobs already
+// added, and returns its handle. Jobs are generated from validated
+// designs, so a malformed job is a programming bug and panics.
+func (g *graph) add(id string, stage Stage, deps []int, run func(ctx context.Context) (vivado.Minutes, error)) int {
+	if id == "" || run == nil {
+		panic(fmt.Sprintf("flow: job %q needs an ID and a work function", id))
+	}
+	for _, d := range deps {
+		if d < 0 || d >= len(g.jobs) {
+			panic(fmt.Sprintf("flow: job %q depends on handle %d, not a job added before it", id, d))
+		}
+	}
+	g.jobs = append(g.jobs, job{id: id, stage: stage, deps: deps, run: run})
+	return len(g.jobs) - 1
 }
 
-// add registers a job; probe is nil for jobs the stage-artifact cache
-// does not cover. Duplicate IDs are an error; dependencies are
-// validated at execute time so jobs can be added in any order.
-func (g *graph) add(id string, stage Stage, deps []string, probe func() (vivado.Minutes, bool), run func(ctx context.Context) (vivado.Minutes, error)) error {
-	if id == "" {
-		return fmt.Errorf("flow: job with empty ID")
-	}
-	if run == nil {
-		return fmt.Errorf("flow: job %q has no work function", id)
-	}
-	if _, dup := g.jobs[id]; dup {
-		return fmt.Errorf("flow: duplicate job %q", id)
-	}
-	j := &job{
-		id:    id,
-		stage: stage,
-		deps:  append([]string(nil), deps...),
-		probe: probe,
-		run:   run,
-		order: len(g.seq),
-	}
-	g.jobs[id] = j
-	g.seq = append(g.seq, j)
-	return nil
+// settle registers a job whose result the stage-artifact cache already
+// published, with its cached modelled minutes, and returns its handle.
+// The scheduler books it as skipped before the first dispatch; its
+// dependents wait only on their other dependencies.
+func (g *graph) settle(id string, stage Stage, minutes vivado.Minutes) int {
+	g.jobs = append(g.jobs, job{id: id, stage: stage, settled: true, minutes: minutes})
+	return len(g.jobs) - 1
 }
 
 // JobStats summarizes one scheduler execution: how many jobs of each
@@ -154,18 +153,19 @@ type JobStats struct {
 	// Cancelled counts jobs dropped because a dependency failed or the
 	// context was cancelled before they were dispatched.
 	Cancelled int
-	// Skipped counts jobs whose stage-artifact probe hit: their cached
-	// result was reused without running, so they appear in neither the
-	// per-stage executed counts nor SimMinutes. Executed + Skipped +
-	// Cancelled always sums to the graph size.
+	// Skipped counts jobs the stage-artifact cache settled while the
+	// graph was built: their cached result was reused without running,
+	// so they appear in neither the per-stage executed counts nor
+	// SimMinutes. Executed + Skipped + Cancelled always sums to the graph
+	// size.
 	Skipped int
 	// SkippedByStage breaks Skipped down per stage (nil when nothing was
 	// skipped).
 	SkippedByStage map[Stage]int
-	// StageCacheMisses counts probed jobs whose artifact key missed and
-	// that therefore executed normally. Jobs without a probe (synthesis,
-	// which the checkpoint cache covers) contribute to neither this nor
-	// Skipped.
+	// StageCacheMisses counts keyed jobs whose artifact the stage cache
+	// did not hold when the graph was built, so they were added to run.
+	// Unkeyed jobs (synthesis, which the checkpoint cache covers, and the
+	// full image's chunks) contribute to neither this nor Skipped.
 	StageCacheMisses int
 	// Retries counts re-runs of failed job attempts (a job that
 	// succeeds on its third attempt contributes two).
@@ -236,35 +236,44 @@ const (
 
 // jobDone carries one completion from a worker to the coordinator.
 type jobDone struct {
-	job      *job
+	h        int
 	runtime  vivado.Minutes
 	attempts int
-	skipped  bool // stage-artifact probe hit; run never executed
-	probed   bool // job had a probe (skipped or missed)
 	err      error
 }
 
+// jobState tracks one job through an execution.
+type jobState uint8
+
+const (
+	waiting   jobState = iota // not yet dispatched
+	finished                  // ran (successfully or not) or settled
+	cancelled                 // dropped: a dependency failed or the run stopped
+)
+
 // execute runs the graph on a pool of opt.Workers goroutines. Every job
-// runs after all its dependencies succeeded; a failed job (after
-// opt.MaxJobRetries retries) cancels its transitive dependents. Under
-// the FailFast policy no new job is dispatched after the first failure
-// (in-flight jobs still drain); Collect keeps independent subgraphs
-// running so partial results survive. Job failures are returned as a
-// list sorted by graph-insertion order — the same order a sequential
-// execution would have surfaced them — so the outcome does not depend
-// on goroutine scheduling.
+// runs after all its unsettled dependencies succeeded; a failed job
+// (after opt.MaxJobRetries retries) cancels its transitive dependents.
+// Under the FailFast policy no new job is dispatched after the first
+// failure (in-flight jobs still drain); Collect keeps independent
+// subgraphs running so partial results survive. Job failures are
+// returned as a list sorted by graph-insertion order — the same order a
+// sequential execution would have surfaced them — so the outcome does
+// not depend on goroutine scheduling.
 //
-// opt.Heartbeat fires from the coordinator goroutine once per job that
-// succeeded or was skipped by its probe, never for a failed one.
-// opt.Observer records job spans, retry instants, worker occupancy and
-// per-stage runtime histograms; nothing observed feeds back into
-// scheduling, so results stay byte-identical with or without it.
+// Settled jobs are booked once each, in insertion order, before the
+// first dispatch: Skipped and SkippedByStage, flow_stage_cache_hits,
+// one stage-skip trace instant and one heartbeat. opt.Heartbeat fires
+// from the coordinator goroutine once per job that was settled or
+// succeeded, never for a failed one. opt.Observer records job spans,
+// retry instants, worker occupancy and per-stage runtime histograms;
+// nothing observed feeds back into scheduling, so results stay
+// byte-identical with or without it.
 //
 // The returned error is reserved for execution-level problems: an
-// invalid worker or retry count, an unknown dependency, a dependency
-// cycle, or a cancelled/expired context. On cancellation the scheduler
-// stops dispatching, drains every in-flight job, and shuts the pool
-// down — no goroutine outlives the call.
+// invalid worker or retry count, or a cancelled/expired context. On
+// cancellation the scheduler stops dispatching, drains every in-flight
+// job, and shuts the pool down — no goroutine outlives the call.
 func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -273,8 +282,9 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 	if err != nil {
 		return JobStats{}, nil, err
 	}
-	if workers > len(g.seq) {
-		workers = len(g.seq)
+	n := len(g.jobs)
+	if workers > n {
+		workers = n
 	}
 	if workers < 1 {
 		workers = 1
@@ -283,22 +293,22 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 		return JobStats{}, nil, fmt.Errorf("flow: negative retry count %d", opt.MaxJobRetries)
 	}
 	stats := JobStats{Workers: workers}
-	if len(g.seq) == 0 {
+	if n == 0 {
 		return stats, nil, ctx.Err()
 	}
 	if err := ctx.Err(); err != nil {
 		return stats, nil, fmt.Errorf("flow: execution cancelled before any job ran: %w", err)
 	}
 
-	indeg := make(map[string]int, len(g.seq))
-	dependents := make(map[string][]*job)
-	for _, j := range g.seq {
-		for _, dep := range j.deps {
-			if _, ok := g.jobs[dep]; !ok {
-				return stats, nil, fmt.Errorf("flow: job %q depends on unknown job %q", j.id, dep)
+	// A settled dependency is already complete, so it adds no edge.
+	indeg := make([]int, n)
+	dependents := make([][]int, n)
+	for h := range g.jobs {
+		for _, dep := range g.jobs[h].deps {
+			if !g.jobs[dep].settled {
+				indeg[h]++
+				dependents[dep] = append(dependents[dep], h)
 			}
-			indeg[j.id]++
-			dependents[dep] = append(dependents[dep], j)
 		}
 	}
 
@@ -328,34 +338,18 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 	// Buffers sized to the job count: dispatch and completion never
 	// block, so the coordinator cannot deadlock against the pool and a
 	// cancelled coordinator can always drain in-flight results.
-	work := make(chan *job, len(g.seq))
-	results := make(chan jobDone, len(g.seq))
+	work := make(chan int, n)
+	results := make(chan jobDone, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			for j := range work {
+			for h := range work {
 				busy.Add(1)
-				// A probe hit skips the job: no "job" span is recorded (the
-				// observed-span == executed-jobs invariant holds), just a
-				// stage-skip instant on the worker's lane.
-				if j.probe != nil {
-					if m, ok := j.probe(); ok {
-						if tr != nil {
-							tr.Instant("stage-skip", j.id, tid, map[string]any{
-								"stage":       j.stage.String(),
-								"sim_minutes": float64(m),
-							})
-						}
-						busy.Add(-1)
-						results <- jobDone{job: j, runtime: m, skipped: true, probed: true}
-						continue
-					}
-				}
+				j := &g.jobs[h]
 				start := tr.Now()
-				d := runWithRetry(ctx, j, opt.MaxJobRetries, tr, tid)
-				d.probed = j.probe != nil
+				d := runWithRetry(ctx, h, j, opt.MaxJobRetries, tr, tid)
 				if tr != nil {
 					args := map[string]any{
 						"stage":       j.stage.String(),
@@ -373,29 +367,28 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 		}(w)
 	}
 
-	cancelled := make(map[string]bool)
+	state := make([]jobState, n)
 	var failures []JobError
-	pending := len(g.seq)
+	pending := n
 	running := 0
-	completed := make(map[string]bool)
 
-	dispatch := func(j *job) {
+	dispatch := func(h int) {
 		running++
-		work <- j
+		work <- h
 	}
-	// cancelJob removes j and its transitive dependents from the pending
+	// cancelJob removes h and its transitive dependents from the pending
 	// set; none of them has been dispatched (they still wait on the
 	// failed dependency).
-	var cancelJob func(j *job)
-	cancelJob = func(j *job) {
-		if cancelled[j.id] {
+	var cancelJob func(h int)
+	cancelJob = func(h int) {
+		if state[h] == cancelled {
 			return
 		}
-		cancelled[j.id] = true
+		state[h] = cancelled
 		stats.Cancelled++
 		jobsCancelled.Inc()
 		pending--
-		for _, dep := range dependents[j.id] {
+		for _, dep := range dependents[h] {
 			cancelJob(dep)
 		}
 	}
@@ -411,32 +404,43 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 		virtual += m
 		opt.Heartbeat(beats, virtual)
 	}
+
+	// A settled job is reuse, not execution: it stays out of the
+	// per-stage executed counts, SimMinutes and flow_jobs_total so every
+	// executed-jobs invariant (job span counts) holds; only the skip-side
+	// books move. Its instant goes on the first worker's lane.
+	stats.StageCacheMisses = g.stageMisses
+	stageCacheMisses.Add(int64(g.stageMisses))
+	for h := range g.jobs {
+		j := &g.jobs[h]
+		if !j.settled {
+			continue
+		}
+		state[h] = finished
+		pending--
+		stats.Skipped++
+		if stats.SkippedByStage == nil {
+			stats.SkippedByStage = make(map[Stage]int)
+		}
+		stats.SkippedByStage[j.stage]++
+		stageCacheHits.Inc()
+		if tr != nil {
+			tr.Instant("stage-skip", j.id, 0, map[string]any{
+				"stage":       j.stage.String(),
+				"sim_minutes": float64(j.minutes),
+			})
+		}
+		beat(j.minutes)
+	}
+
 	account := func(d jobDone) {
-		completed[d.job.id] = true
-		if d.skipped {
-			// A cache skip is reuse, not execution: it stays out of the
-			// per-stage executed counts, SimMinutes and flow_jobs_total so
-			// every executed-jobs invariant (job span counts) holds; only
-			// the skip-side books move.
-			stats.Skipped++
-			if stats.SkippedByStage == nil {
-				stats.SkippedByStage = make(map[Stage]int)
-			}
-			stats.SkippedByStage[d.job.stage]++
-			stageCacheHits.Inc()
-			beat(d.runtime)
-			return
-		}
-		if d.probed {
-			stats.StageCacheMisses++
-			stageCacheMisses.Inc()
-		}
-		stats.count(d.job.stage)
+		st := g.jobs[d.h].stage
+		stats.count(st)
 		stats.SimMinutes += d.runtime
 		stats.Retries += d.attempts - 1
 		jobsTotal.Inc()
 		jobRetries.Add(int64(d.attempts - 1))
-		stageMinutes[d.job.stage].Observe(float64(d.runtime))
+		stageMinutes[st].Observe(float64(d.runtime))
 		if d.err != nil {
 			stats.FailedJobs++
 			jobsFailed.Inc()
@@ -444,23 +448,19 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 		}
 		beat(d.runtime)
 	}
-
-	for _, j := range g.seq {
-		if indeg[j.id] == 0 {
-			dispatch(j)
-		}
-	}
 	// handle books one completion; when release is set a success frees
 	// its dependents for dispatch (a draining coordinator passes false).
 	handle := func(d jobDone, release bool) {
 		running--
 		pending--
+		state[d.h] = finished
 		account(d)
 		if d.err != nil {
+			j := &g.jobs[d.h]
 			failures = append(failures, JobError{
-				ID: d.job.id, Stage: d.job.stage, Attempts: d.attempts, Err: d.err, order: d.job.order,
+				ID: j.id, Stage: j.stage, Attempts: d.attempts, Err: d.err, order: d.h,
 			})
-			for _, dep := range dependents[d.job.id] {
+			for _, dep := range dependents[d.h] {
 				cancelJob(dep)
 			}
 			return
@@ -468,34 +468,31 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 		if !release {
 			return
 		}
-		for _, dep := range dependents[d.job.id] {
-			if cancelled[dep.id] {
+		for _, dep := range dependents[d.h] {
+			if state[dep] == cancelled {
 				continue
 			}
-			indeg[dep.id]--
-			if indeg[dep.id] == 0 {
+			indeg[dep]--
+			if indeg[dep] == 0 {
 				dispatch(dep)
 			}
 		}
 	}
 
-	aborted := false // context cancelled
-	stopped := false // fail-fast stop after a job failure
-	for pending > 0 && !aborted && !stopped {
-		if running == 0 {
-			// Nothing runs and nothing can become ready: the remaining
-			// jobs wait on each other in a cycle.
-			close(work)
-			wg.Wait()
-			var stuck []string
-			for _, j := range g.seq {
-				if !cancelled[j.id] && !completed[j.id] && indeg[j.id] > 0 {
-					stuck = append(stuck, j.id)
-				}
+	// A heartbeat may have cancelled the run while settled jobs were
+	// booked.
+	aborted := ctx.Err() != nil // context cancelled
+	stopped := false            // fail-fast stop after a job failure
+	if !aborted {
+		for h := range g.jobs {
+			if state[h] == waiting && indeg[h] == 0 {
+				dispatch(h)
 			}
-			sort.Strings(stuck)
-			return stats, sortJobErrors(failures), fmt.Errorf("flow: job graph has a dependency cycle among %v", stuck)
 		}
+	}
+	// The graph is acyclic and every job waits only on earlier ones, so
+	// while jobs are pending at least one of them is running.
+	for pending > 0 && !aborted && !stopped {
 		select {
 		case <-ctx.Done():
 			aborted = true
@@ -525,9 +522,9 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 	if aborted || stopped {
 		// Never-dispatched jobs count as cancelled so Executed + Skipped
 		// + Cancelled always sums to the graph size.
-		for _, j := range g.seq {
-			if !completed[j.id] && !cancelled[j.id] {
-				cancelled[j.id] = true
+		for h := range state {
+			if state[h] == waiting {
+				state[h] = cancelled
 				stats.Cancelled++
 				jobsCancelled.Inc()
 			}
@@ -539,11 +536,12 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 	return stats, sortJobErrors(failures), nil
 }
 
-// runWithRetry executes one job up to 1+maxRetries times, charging the
-// doubling virtual backoff to each retry. Context errors stop the
-// attempt loop immediately: retrying a cancelled flow is pointless.
-// Each retry emits a trace instant on the worker's lane (tr may be nil).
-func runWithRetry(ctx context.Context, j *job, maxRetries int, tr *obs.Tracer, tid int) jobDone {
+// runWithRetry executes job j (handle h) up to 1+maxRetries times,
+// charging the doubling virtual backoff to each retry. Context errors
+// stop the attempt loop immediately: retrying a cancelled flow is
+// pointless. Each retry emits a trace instant on the worker's lane (tr
+// may be nil).
+func runWithRetry(ctx context.Context, h int, j *job, maxRetries int, tr *obs.Tracer, tid int) jobDone {
 	var total vivado.Minutes
 	backoff := retryBackoff
 	attempts := 0
@@ -552,10 +550,10 @@ func runWithRetry(ctx context.Context, j *job, maxRetries int, tr *obs.Tracer, t
 		t, err := j.run(ctx)
 		total += t
 		if err == nil {
-			return jobDone{job: j, runtime: total, attempts: attempts, err: nil}
+			return jobDone{h: h, runtime: total, attempts: attempts}
 		}
 		if attempts > maxRetries || !retryable(err) || ctx.Err() != nil {
-			return jobDone{job: j, runtime: total, attempts: attempts, err: err}
+			return jobDone{h: h, runtime: total, attempts: attempts, err: err}
 		}
 		if tr != nil {
 			tr.Instant("retry", j.id, tid, map[string]any{

@@ -16,68 +16,80 @@ import (
 // whether every dependency had completed when its dependent started.
 type recorder struct {
 	mu        sync.Mutex
-	completed map[string]bool
-	runs      map[string]int
+	completed []bool
+	runs      []int
 	violation string
 }
 
-func newRecorder() *recorder {
-	return &recorder{completed: make(map[string]bool), runs: make(map[string]int)}
+func newRecorder(n int) *recorder {
+	return &recorder{completed: make([]bool, n), runs: make([]int, n)}
 }
 
-// instrument wraps a job body so the recorder checks dependency order on
-// entry and records completion on exit.
-func (r *recorder) instrument(id string, deps []string, fail bool) func(ctx context.Context) (vivado.Minutes, error) {
+// instrument wraps job h's body so the recorder checks, on entry, that
+// the dependencies it must wait for completed, and records completion
+// on exit.
+func (r *recorder) instrument(h int, waitsOn []int, fail bool) func(ctx context.Context) (vivado.Minutes, error) {
 	return func(_ context.Context) (vivado.Minutes, error) {
 		r.mu.Lock()
-		for _, dep := range deps {
-			if !r.completed[dep] {
-				if r.violation == "" {
-					r.violation = fmt.Sprintf("job %s started before dependency %s completed", id, dep)
-				}
+		for _, dep := range waitsOn {
+			if !r.completed[dep] && r.violation == "" {
+				r.violation = fmt.Sprintf("job %s started before dependency %s completed", jobName(h), jobName(dep))
 			}
 		}
-		r.runs[id]++
-		r.mu.Unlock()
-
-		r.mu.Lock()
-		r.completed[id] = true
+		r.runs[h]++
+		r.completed[h] = true
 		r.mu.Unlock()
 		if fail {
-			return 0, fmt.Errorf("job %s failed", id)
+			return 0, fmt.Errorf("job %s failed", jobName(h))
 		}
 		return 1, nil
 	}
 }
 
+func jobName(h int) string { return fmt.Sprintf("job%03d", h) }
+
+// dagSpec is the shape of a random graph: each job's dependency
+// handles, and which jobs fail or are settled (pre-completed by the
+// stage cache, as a hit at graph-build time records them).
+type dagSpec struct {
+	deps    [][]int
+	fails   []bool
+	settled []bool
+}
+
 // randomDAG builds a graph of n jobs where each job depends on a random
-// subset of earlier jobs (acyclic by construction) and each job fails
-// with probability pFail. It returns the graph, the recorder, the
-// dependency lists and the set of fail-designated jobs.
-func randomDAG(rng *rand.Rand, n int, pFail float64) (*graph, *recorder, map[string][]string, map[string]bool) {
-	g := newGraph()
-	rec := newRecorder()
-	deps := make(map[string][]string, n)
-	fails := make(map[string]bool)
-	ids := make([]string, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("job%03d", i)
-		ids[i] = id
-		var d []string
-		for j := 0; j < i; j++ {
+// subset of earlier jobs (acyclic by construction). A job is settled
+// with probability pSettle — settled jobs take no dependencies, like a
+// stage-cache hit — and otherwise fails with probability pFail.
+func randomDAG(rng *rand.Rand, n int, pFail, pSettle float64) (*graph, *recorder, dagSpec) {
+	g := &graph{}
+	rec := newRecorder(n)
+	spec := dagSpec{deps: make([][]int, n), fails: make([]bool, n), settled: make([]bool, n)}
+	for h := 0; h < n; h++ {
+		stage := Stage(rng.Intn(4))
+		if rng.Float64() < pSettle {
+			spec.settled[h] = true
+			if got := g.settle(jobName(h), stage, 1); got != h {
+				panic(fmt.Sprintf("settle returned handle %d, want %d", got, h))
+			}
+			continue
+		}
+		var deps, waitsOn []int
+		for j := 0; j < h; j++ {
 			if rng.Float64() < 0.25 {
-				d = append(d, ids[j])
+				deps = append(deps, j)
+				if !spec.settled[j] {
+					waitsOn = append(waitsOn, j)
+				}
 			}
 		}
-		deps[id] = d
-		fail := rng.Float64() < pFail
-		fails[id] = fail
-		stage := Stage(rng.Intn(4))
-		if err := g.add(id, stage, d, nil, rec.instrument(id, d, fail)); err != nil {
-			panic(err)
+		spec.deps[h] = deps
+		spec.fails[h] = rng.Float64() < pFail
+		if got := g.add(jobName(h), stage, deps, rec.instrument(h, waitsOn, spec.fails[h])); got != h {
+			panic(fmt.Sprintf("add returned handle %d, want %d", got, h))
 		}
 	}
-	return g, rec, deps, fails
+	return g, rec, spec
 }
 
 // collect executes g under the Collect error policy — the semantics
@@ -89,39 +101,49 @@ func collect(ctx context.Context, g *graph, workers int, heartbeat func(int, viv
 
 // predictOutcome walks the DAG in insertion order (dependencies always
 // precede dependents) and computes which jobs must run, which must be
-// cancelled, and which failure the scheduler must report.
-func predictOutcome(n int, deps map[string][]string, fails map[string]bool) (ran, cancelled map[string]bool, firstErr string) {
-	ran = make(map[string]bool)
-	cancelled = make(map[string]bool)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("job%03d", i)
+// cancelled, and which failure the scheduler must report. A settled job
+// neither runs nor is cancelled, and counts as a succeeded dependency.
+func predictOutcome(spec dagSpec) (ran, cancelled map[int]bool, firstErr string) {
+	ran = make(map[int]bool)
+	cancelled = make(map[int]bool)
+	for h := range spec.deps {
+		if spec.settled[h] {
+			continue
+		}
 		blocked := false
-		for _, dep := range deps[id] {
-			if cancelled[dep] || (ran[dep] && fails[dep]) {
+		for _, dep := range spec.deps[h] {
+			if cancelled[dep] || (ran[dep] && spec.fails[dep]) {
 				blocked = true
 				break
 			}
 		}
 		if blocked {
-			cancelled[id] = true
+			cancelled[h] = true
 			continue
 		}
-		ran[id] = true
-		if fails[id] && firstErr == "" {
-			firstErr = fmt.Sprintf("job %s failed", id)
+		ran[h] = true
+		if spec.fails[h] && firstErr == "" {
+			firstErr = fmt.Sprintf("job %s failed", jobName(h))
 		}
 	}
 	return ran, cancelled, firstErr
 }
 
-// checkExecution runs graph g and verifies the scheduler's contract
-// against the predicted outcome, for one worker count.
-func checkExecution(t *testing.T, rng *rand.Rand, n int, pFail float64, workers int) {
+// checkExecution runs a random graph and verifies the scheduler's
+// contract against the predicted outcome, for one worker count.
+func checkExecution(t *testing.T, rng *rand.Rand, n int, pFail, pSettle float64, workers int) {
 	t.Helper()
-	g, rec, deps, fails := randomDAG(rng, n, pFail)
-	wantRan, wantCancelled, wantErr := predictOutcome(n, deps, fails)
+	g, rec, spec := randomDAG(rng, n, pFail, pSettle)
+	wantRan, wantCancelled, wantErr := predictOutcome(spec)
+	settled := 0
+	for _, s := range spec.settled {
+		if s {
+			settled++
+		}
+	}
 
-	stats, errs, err := collect(context.Background(), g, workers, nil)
+	hb := &heartbeats{t: t}
+	stats, errs, err := collect(context.Background(), g, workers, hb.beat)
 	if err == nil && len(errs) > 0 {
 		err = errs[0].Err
 	}
@@ -129,19 +151,13 @@ func checkExecution(t *testing.T, rng *rand.Rand, n int, pFail float64, workers 
 	if rec.violation != "" {
 		t.Fatalf("workers=%d: dependency violation: %s", workers, rec.violation)
 	}
-	for id, count := range rec.runs {
-		if count != 1 {
-			t.Fatalf("workers=%d: job %s ran %d times", workers, id, count)
-		}
-	}
-	for id := range wantRan {
-		if rec.runs[id] != 1 {
-			t.Fatalf("workers=%d: job %s should have run", workers, id)
-		}
-	}
-	for id := range wantCancelled {
-		if rec.runs[id] != 0 {
-			t.Fatalf("workers=%d: cancelled job %s ran", workers, id)
+	for h, count := range rec.runs {
+		switch {
+		case wantRan[h] && count != 1:
+			t.Fatalf("workers=%d: job %s ran %d times, want once", workers, jobName(h), count)
+		case !wantRan[h] && count != 0:
+			t.Fatalf("workers=%d: job %s ran %d times (settled %v, cancelled %v), want never",
+				workers, jobName(h), count, spec.settled[h], wantCancelled[h])
 		}
 	}
 	if stats.Cancelled != len(wantCancelled) {
@@ -149,6 +165,15 @@ func checkExecution(t *testing.T, rng *rand.Rand, n int, pFail float64, workers 
 	}
 	if got := stats.Executed(); got != len(wantRan) {
 		t.Fatalf("workers=%d: executed %d jobs, want %d", workers, got, len(wantRan))
+	}
+	if stats.Skipped != settled {
+		t.Fatalf("workers=%d: skipped %d jobs, want the %d settled", workers, stats.Skipped, settled)
+	}
+	if got := stats.Executed() + stats.Skipped + stats.Cancelled; got != n {
+		t.Fatalf("workers=%d: executed + skipped + cancelled = %d, want %d", workers, got, n)
+	}
+	if want := settled + len(wantRan) - stats.FailedJobs; hb.n != want {
+		t.Fatalf("workers=%d: %d heartbeats, want %d (settled + succeeded)", workers, hb.n, want)
 	}
 	if wantErr == "" {
 		if err != nil {
@@ -166,8 +191,9 @@ func checkExecution(t *testing.T, rng *rand.Rand, n int, pFail float64, workers 
 
 // TestSchedulerRandomDAGs is the property suite: across many random DAGs
 // and worker counts, no job runs before its dependencies, every runnable
-// job runs exactly once, failures cancel exactly the transitive
-// dependents, and the reported error never depends on scheduling.
+// job runs exactly once, settled jobs never run and never hold their
+// dependents back, failures cancel exactly the transitive dependents,
+// and the reported error never depends on scheduling.
 func TestSchedulerRandomDAGs(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.NumCPU()}
 	for seed := int64(0); seed < 30; seed++ {
@@ -178,72 +204,62 @@ func TestSchedulerRandomDAGs(t *testing.T) {
 			if seed%2 == 1 {
 				pFail = 0.15
 			}
-			checkExecution(t, rng, n, pFail, workers)
+			pSettle := 0.0
+			if seed%3 != 0 {
+				pSettle = 0.3
+			}
+			checkExecution(t, rng, n, pFail, pSettle, workers)
 		}
 	}
 }
 
 // FuzzSchedulerExecute drives the same property check from fuzzed
-// (seed, size, failure-rate, workers) tuples.
+// (seed, size, failure-rate, settled-rate, workers) tuples.
 func FuzzSchedulerExecute(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(0), uint8(1))
-	f.Add(int64(2), uint8(25), uint8(40), uint8(4))
-	f.Add(int64(99), uint8(40), uint8(128), uint8(16))
-	f.Fuzz(func(t *testing.T, seed int64, size, failPct, workers uint8) {
+	f.Add(int64(1), uint8(10), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(2), uint8(25), uint8(40), uint8(60), uint8(4))
+	f.Add(int64(99), uint8(40), uint8(128), uint8(200), uint8(16))
+	f.Fuzz(func(t *testing.T, seed int64, size, failPct, settlePct, workers uint8) {
 		n := 1 + int(size)%48
 		pFail := float64(failPct) / 255.0
+		pSettle := float64(settlePct) / 255.0
 		w := 1 + int(workers)%16
-		checkExecution(t, rand.New(rand.NewSource(seed)), n, pFail, w)
+		checkExecution(t, rand.New(rand.NewSource(seed)), n, pFail, pSettle, w)
 	})
 }
 
-// TestSchedulerDetectsCycles: a cyclic graph must error out instead of
-// deadlocking the pool.
-func TestSchedulerDetectsCycles(t *testing.T) {
-	g := newGraph()
-	noop := func(_ context.Context) (vivado.Minutes, error) { return 0, nil }
-	if err := g.add("a", StageSynth, []string{"b"}, nil, noop); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.add("b", StageSynth, []string{"a"}, nil, noop); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.add("c", StageSynth, nil, nil, noop); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := collect(context.Background(), g, 4, nil)
-	if err == nil {
-		t.Fatal("cycle not detected")
-	}
-}
-
-// TestSchedulerRejectsBadGraphs covers the construction-time contract.
+// TestSchedulerRejectsBadGraphs covers the construction-time contract:
+// a job without an ID or a work function, or one depending on a handle
+// that was not added before it, is a programming bug and panics.
 func TestSchedulerRejectsBadGraphs(t *testing.T) {
 	noop := func(_ context.Context) (vivado.Minutes, error) { return 0, nil }
-	g := newGraph()
-	if err := g.add("a", StageSynth, nil, nil, noop); err != nil {
-		t.Fatal(err)
+	g := &graph{}
+	if h := g.add("a", StageSynth, nil, noop); h != 0 {
+		t.Fatalf("first job got handle %d, want 0", h)
 	}
-	if err := g.add("a", StageSynth, nil, nil, noop); err == nil {
-		t.Fatal("duplicate job accepted")
+	for name, add := range map[string]func(){
+		"empty job ID":        func() { g.add("", StageSynth, nil, noop) },
+		"nil work function":   func() { g.add("b", StageSynth, nil, nil) },
+		"forward dependency":  func() { g.add("c", StageSynth, []int{1}, noop) },
+		"negative dependency": func() { g.add("d", StageSynth, []int{-1}, noop) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", name)
+				}
+			}()
+			add()
+		}()
 	}
-	if err := g.add("", StageSynth, nil, nil, noop); err == nil {
-		t.Fatal("empty job ID accepted")
-	}
-	if err := g.add("b", StageSynth, nil, nil, nil); err == nil {
-		t.Fatal("nil work function accepted")
-	}
-	if err := g.add("c", StageSynth, []string{"ghost"}, nil, noop); err != nil {
-		t.Fatal(err) // unknown deps surface at execute, not add
-	}
-	if _, _, err := collect(context.Background(), g, 2, nil); err == nil {
-		t.Fatal("unknown dependency not detected")
+	if len(g.jobs) != 1 {
+		t.Fatalf("rejected jobs were added: %d jobs", len(g.jobs))
 	}
 }
 
 // TestSchedulerEmptyGraph: executing nothing succeeds with zero stats.
 func TestSchedulerEmptyGraph(t *testing.T) {
-	stats, _, err := collect(context.Background(), newGraph(), 8, nil)
+	stats, _, err := collect(context.Background(), &graph{}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

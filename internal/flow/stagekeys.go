@@ -14,6 +14,7 @@ package flow
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 
 	"presp/internal/core"
 	"presp/internal/socgen"
@@ -50,18 +51,25 @@ func newArtifactDigest(kind string) *vivado.Digest {
 	return d
 }
 
-// stageKeys holds the derived artifact keys of one partitioned run.
-// Empty keys (nil receiver, or a partition without content) disable
-// caching for the affected jobs; everything else probes the cache.
+// stageKeys holds the derived artifact keys of one partitioned run,
+// by the ID of the job each key addresses. A nil *stageKeys, or a job
+// without a key, disables caching for that job.
 type stageKeys struct {
-	cache      *vivado.StageCache
-	floorplan  string
-	scripts    string
-	implStatic string
-	serial     string
-	groups     []string // one per strategy group
-	bitgenFull string
-	partials   map[string]string // partition name -> partial-bitgen key
+	cache *vivado.StageCache
+	keys  map[string]string // job ID -> artifact key
+}
+
+// key returns job id's artifact key, "" when it has none.
+func (sk *stageKeys) key(id string) string {
+	if sk == nil {
+		return ""
+	}
+	return sk.keys[id]
+}
+
+// groupJobID names the implementation job of strategy group gi.
+func groupJobID(gi int) string {
+	return fmt.Sprintf("impl/group_%03d", gi)
 }
 
 // buildStageKeys derives every stage key of a partitioned run up front —
@@ -97,7 +105,7 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 	}
 	strategyDigest := sd.Sum()
 
-	sk := &stageKeys{cache: opt.StageCache, partials: make(map[string]string, len(d.RPs))}
+	keys := make(map[string]string, 6+len(strat.Groups)+len(d.RPs))
 
 	// Floorplan: device geometry, cost model (pblock slack), the static
 	// envelope and every partition's name, resource envelope and the
@@ -119,14 +127,15 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 		fp.Flag(rp.Content.ContainsClockModifying())
 		fp.Flag(rp.Content.DrivesClockOut())
 	}
-	sk.floorplan = fp.Sum()
+	fpKey := fp.Sum()
+	keys["floorplan"] = fpKey
 
 	// Scripts render the floorplan under the chosen strategy; both are
 	// already digests.
 	sc := newArtifactDigest("scripts/v1")
-	sc.Str(sk.floorplan)
+	sc.Str(fpKey)
 	sc.Str(strategyDigest)
-	sk.scripts = sc.Sum()
+	keys["scripts"] = sc.Sum()
 
 	// Synthesis keys are the upstream addresses of the implementation
 	// stage: the checkpoint cache's own content digests.
@@ -136,12 +145,17 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 		synthKey[rp.Name] = tool.CheckpointKey(rp.Content, true)
 	}
 
+	// implKey is the key of the run the full image hangs off: the serial
+	// run, or the static pre-route. Each partial bitstream hangs off the
+	// run that implemented its partition — the unit of incremental
+	// invalidation.
+	var implKey string
 	switch strat.Kind {
 	case core.Serial:
 		// The serial run implements everything in one instance, so every
 		// partition's content is an input.
 		se := newArtifactDigest("impl/serial/v1")
-		se.Str(sk.floorplan)
+		se.Str(fpKey)
 		se.Str(strategyDigest)
 		se.Res(d.StaticResources.Add(d.ReconfigurableResources()))
 		se.U64(uint64(len(d.RPs)))
@@ -149,28 +163,36 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 		for _, rp := range d.RPs {
 			se.Str(synthKey[rp.Name])
 		}
-		sk.serial = se.Sum()
+		implKey = se.Sum()
+		keys["impl/serial"] = implKey
+		for _, rp := range d.RPs {
+			keys["bitgen/"+rp.Name] = partialKey(implKey, rp.Name, d, opt.Compress)
+		}
 	default:
 		// Static pre-route: floorplan plus the static checkpoint and the
 		// reconfigurable envelope — no partition content, so kernel edits
 		// never invalidate it.
 		st := newArtifactDigest("impl/static/v1")
-		st.Str(sk.floorplan)
+		st.Str(fpKey)
 		st.Str(staticSynthKey)
 		st.Res(d.ReconfigurableResources())
-		sk.implStatic = st.Sum()
+		implKey = st.Sum()
+		keys["impl/static"] = implKey
 
-		sk.groups = make([]string, len(strat.Groups))
 		for gi, group := range strat.Groups {
 			gr := newArtifactDigest("impl/group/v1")
-			gr.Str(sk.implStatic)
+			gr.Str(implKey)
 			gr.Str(strategyDigest)
 			gr.U64(uint64(gi))
 			for _, name := range group {
 				gr.Str(name)
 				gr.Str(synthKey[name])
 			}
-			sk.groups[gi] = gr.Sum()
+			grKey := gr.Sum()
+			keys[groupJobID(gi)] = grKey
+			for _, name := range group {
+				keys["bitgen/"+name] = partialKey(grKey, name, d, opt.Compress)
+			}
 		}
 	}
 
@@ -182,78 +204,9 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 	bf.Res(d.StaticResources.Add(d.ReconfigurableResources()))
 	bf.Res(d.Dev.Total)
 	bf.Flag(opt.Compress)
-	if strat.Kind == core.Serial {
-		bf.Str(sk.serial)
-	} else {
-		bf.Str(sk.implStatic)
-	}
-	sk.bitgenFull = bf.Sum()
-
-	// Partial bitstreams hang off the implementation run that produced
-	// their partition — the unit of incremental invalidation.
-	for gi, group := range strat.Groups {
-		for _, name := range group {
-			sk.partials[name] = partialKey(sk.groups[gi], name, d, opt.Compress)
-		}
-	}
-	if strat.Kind == core.Serial {
-		for _, rp := range d.RPs {
-			sk.partials[rp.Name] = partialKey(sk.serial, rp.Name, d, opt.Compress)
-		}
-	}
-	return sk
-}
-
-// The accessors below are nil-safe: a nil *stageKeys (caching disabled)
-// yields empty keys, which cachedStage treats as "no probe".
-
-func (sk *stageKeys) floorplanKey() string {
-	if sk == nil {
-		return ""
-	}
-	return sk.floorplan
-}
-
-func (sk *stageKeys) scriptsKey() string {
-	if sk == nil {
-		return ""
-	}
-	return sk.scripts
-}
-
-func (sk *stageKeys) implStaticKey() string {
-	if sk == nil {
-		return ""
-	}
-	return sk.implStatic
-}
-
-func (sk *stageKeys) serialKey() string {
-	if sk == nil {
-		return ""
-	}
-	return sk.serial
-}
-
-func (sk *stageKeys) groupKey(gi int) string {
-	if sk == nil || gi < 0 || gi >= len(sk.groups) {
-		return ""
-	}
-	return sk.groups[gi]
-}
-
-func (sk *stageKeys) bitgenFullKey() string {
-	if sk == nil {
-		return ""
-	}
-	return sk.bitgenFull
-}
-
-func (sk *stageKeys) partialKeyFor(rpName string) string {
-	if sk == nil {
-		return ""
-	}
-	return sk.partials[rpName]
+	bf.Str(implKey)
+	keys["bitgen/full"] = bf.Sum()
+	return &stageKeys{cache: opt.StageCache, keys: keys}
 }
 
 // partialKey derives one partition's partial-bitstream key from its
@@ -272,40 +225,56 @@ func partialKey(implKey, rpName string, d *socgen.Design, compress bool) string 
 	return bp.Sum()
 }
 
-// cachedStage wraps one job's work function with its stage-artifact
-// probe/store pair. run produces the stage value and its modelled
-// minutes; apply publishes the value into the run's result exactly as a
-// live execution would (it is called from worker goroutines under the
-// scheduler's happens-before, like the run body itself). On a probe hit
-// the scheduler skips run entirely and apply publishes the cached value
-// itself — the very value the populating run published, shared and
-// never mutated; on a miss (or with no cache/key) the wrapped run
-// executes, publishes, and stores the value write-through. Only the
-// disk tier encodes: memory hits and stores never touch JSON.
-func cachedStage[T any](sk *stageKeys, key string, run func(ctx context.Context) (T, vivado.Minutes, error), apply func(T, vivado.Minutes)) (probe func() (vivado.Minutes, bool), wrapped func(ctx context.Context) (vivado.Minutes, error)) {
-	wrapped = func(ctx context.Context) (vivado.Minutes, error) {
+// settleStage asks the stage cache for job id's artifact while the
+// graph is built. On a hit it publishes the cached value through apply —
+// the very value the populating run published, shared and never
+// mutated — and adds id to g as a settled job, which never runs; it
+// returns the job's handle. A keyed miss is counted on g and leaves the
+// job to the caller.
+func settleStage[T any](g *graph, sk *stageKeys, id string, stage Stage, apply func(T, vivado.Minutes)) (int, bool) {
+	key := sk.key(id)
+	if key == "" {
+		return 0, false
+	}
+	v, t, ok := vivado.LookupStage[T](sk.cache, key)
+	if !ok {
+		g.stageMisses++
+		return 0, false
+	}
+	apply(v, t)
+	return g.settle(id, stage, t), true
+}
+
+// stageRun wraps job id's work function: run produces the stage value
+// and its modelled minutes, apply publishes the value into the run's
+// result (from a worker goroutine, under the scheduler's
+// happens-before) and a keyed value is stored write-through. Only the
+// disk tier encodes: memory stores never touch JSON.
+func stageRun[T any](sk *stageKeys, id string, run func(ctx context.Context) (T, vivado.Minutes, error), apply func(T, vivado.Minutes)) func(ctx context.Context) (vivado.Minutes, error) {
+	key := sk.key(id)
+	return func(ctx context.Context) (vivado.Minutes, error) {
 		v, t, err := run(ctx)
 		if err != nil {
 			return 0, err
 		}
 		apply(v, t)
-		if sk != nil && key != "" {
+		if key != "" {
 			// Best-effort write-through: a full disk loses the artifact,
 			// never the run.
 			sk.cache.Store(key, v, t) //nolint:errcheck
 		}
 		return t, nil
 	}
-	if sk == nil || key == "" {
-		return nil, wrapped
+}
+
+// addStage adds job id to g and returns its handle: settled when the
+// stage cache holds its artifact, otherwise run after deps by stageRun.
+// A job's run may read only what its direct dependencies or graph
+// construction published: a settled dependency adds no edge, so it does
+// not order the job after its own dependencies.
+func addStage[T any](g *graph, sk *stageKeys, id string, stage Stage, deps []int, run func(ctx context.Context) (T, vivado.Minutes, error), apply func(T, vivado.Minutes)) int {
+	if h, ok := settleStage(g, sk, id, stage, apply); ok {
+		return h
 	}
-	probe = func() (vivado.Minutes, bool) {
-		v, t, ok := vivado.LookupStage[T](sk.cache, key)
-		if !ok {
-			return 0, false
-		}
-		apply(v, t)
-		return t, true
-	}
-	return probe, wrapped
+	return g.add(id, stage, deps, stageRun(sk, id, run, apply))
 }

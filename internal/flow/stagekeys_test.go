@@ -44,24 +44,23 @@ func TestContentAddressesPinned(t *testing.T) {
 	keys := map[string]string{
 		"design":       DesignDigest(d),
 		"synth/static": tool.CheckpointKey(BuildStaticTop(d), false),
-		"floorplan":    sk.floorplan,
-		"scripts":      sk.scripts,
-		"impl/static":  sk.implStatic,
-		"impl/serial":  sk.serial,
-		"bitgen/full":  sk.bitgenFull,
+		"floorplan":    sk.keys["floorplan"],
+		"scripts":      sk.keys["scripts"],
+		"impl/static":  sk.keys["impl/static"],
+		"bitgen/full":  sk.keys["bitgen/full"],
 	}
 	for _, rp := range d.RPs {
 		keys["synth/"+rp.Name] = tool.CheckpointKey(rp.Content, true)
-		keys["bitgen/"+rp.Name] = sk.partials[rp.Name]
+		keys["bitgen/"+rp.Name] = sk.keys["bitgen/"+rp.Name]
 	}
-	for gi, k := range sk.groups {
-		keys[fmt.Sprintf("impl/group/%d", gi)] = k
+	for gi := range strat.Groups {
+		keys[fmt.Sprintf("impl/group/%d", gi)] = sk.keys[groupJobID(gi)]
 	}
 	serial, err := core.ForceStrategy(d, core.Serial, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys["impl/serial"] = buildStageKeys(d, tool, serial, Options{StageCache: vivado.NewStageCache()}, modeStandardDFX).serial
+	keys["impl/serial"] = buildStageKeys(d, tool, serial, Options{StageCache: vivado.NewStageCache()}, modeStandardDFX).keys["impl/serial"]
 	var lines []string
 	for name, k := range keys {
 		lines = append(lines, name+"="+k)

@@ -271,12 +271,6 @@ func (r *Runtime) attemptReconfig(req *request, start sim.Time, attempt int) {
 					Bytes: bs.Size(), Attempts: attempt,
 					Repair: req.repair,
 				})
-				if e := r.cfg.ReconfigEnergyPerByte * float64(bs.Size()); e > 0 {
-					if err := r.meter.AddEnergy("config", e); err != nil {
-						fail(err)
-						return
-					}
-				}
 				req.done(nil)
 				r.releaseTile(ts)
 				r.pumpWorkqueue()

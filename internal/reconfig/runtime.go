@@ -61,12 +61,6 @@ type Config struct {
 	// fetches beat-by-beat through the auxiliary tile's adapters; zero
 	// selects the device's raw ICAP bandwidth.
 	ICAPEffectiveBps float64
-	// ReconfigEnergyPerByte is the effective energy cost of configuring
-	// one bitstream byte, covering the DRAM fetch, the configuration
-	// logic and the transient of re-initializing the region's clock
-	// tree. It is calibrated so the per-frame configuration traffic of
-	// Table VI dominates the energy split the way Fig 4 reports.
-	ReconfigEnergyPerByte float64
 	// UnsafeImmediateSwap disables the manager's drain-before-swap
 	// discipline: reconfiguration requests no longer wait for the
 	// accelerator in the tile to finish executing. This exists only for
@@ -152,22 +146,21 @@ type Config struct {
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
 	return Config{
-		CPUSlowdown:           150,
-		DriverSwapDelay:       120 * time.Microsecond,
-		DecoupleDelay:         2 * time.Microsecond,
-		IdlePowerFraction:     0.22,
-		ReconfigPowerW:        0.8,
-		CPUPowerW:             0.15,
-		StaticPowerW:          0.1,
-		ContentionPowerW:      2.0,
-		ICAPEffectiveBps:      45e6,
-		ReconfigEnergyPerByte: 0,
-		PerTilePowerW:         3.0,
-		LeakagePerKLUTW:       0.0025,
-		LeakageExponent:       1.75,
-		MaxReconfigRetries:    2,
-		RetryBackoff:          20 * time.Microsecond,
-		TileDeadThreshold:     3,
+		CPUSlowdown:        150,
+		DriverSwapDelay:    120 * time.Microsecond,
+		DecoupleDelay:      2 * time.Microsecond,
+		IdlePowerFraction:  0.22,
+		ReconfigPowerW:     0.8,
+		CPUPowerW:          0.15,
+		StaticPowerW:       0.1,
+		ContentionPowerW:   2.0,
+		ICAPEffectiveBps:   45e6,
+		PerTilePowerW:      3.0,
+		LeakagePerKLUTW:    0.0025,
+		LeakageExponent:    1.75,
+		MaxReconfigRetries: 2,
+		RetryBackoff:       20 * time.Microsecond,
+		TileDeadThreshold:  3,
 	}
 }
 

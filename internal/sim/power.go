@@ -57,24 +57,6 @@ func (m *PowerMeter) settle(c *consumer, now Time) {
 	c.since = now
 }
 
-// AddEnergy injects a discrete energy quantum for name (events whose
-// energy is known directly, like configuring a bitstream byte, rather
-// than integrated from a power level).
-func (m *PowerMeter) AddEnergy(name string, joules float64) error {
-	if joules < 0 {
-		return fmt.Errorf("sim: negative energy %g for %s", joules, name)
-	}
-	now := m.eng.Now()
-	c, ok := m.consumers[name]
-	if !ok {
-		c = &consumer{since: now}
-		m.consumers[name] = c
-	}
-	m.settle(c, now)
-	c.joules += joules
-	return nil
-}
-
 // Energy returns the accumulated energy of name in Joules up to now.
 func (m *PowerMeter) Energy(name string) float64 {
 	c, ok := m.consumers[name]

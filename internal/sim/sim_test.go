@@ -167,19 +167,6 @@ func TestPowerMeterMultipleConsumers(t *testing.T) {
 	}
 }
 
-func TestPowerMeterAddEnergy(t *testing.T) {
-	e := NewEngine()
-	m := NewPowerMeter(e)
-	must(t, m.AddEnergy("cfg", 0.5))
-	must(t, m.AddEnergy("cfg", 0.25))
-	if got := m.Energy("cfg"); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("injected energy: got %g want 0.75", got)
-	}
-	if err := m.AddEnergy("cfg", -1); err == nil {
-		t.Fatal("negative energy accepted")
-	}
-}
-
 func TestPowerMeterRejectsNegativePower(t *testing.T) {
 	m := NewPowerMeter(NewEngine())
 	if err := m.SetPower("x", -1); err == nil {
