@@ -60,9 +60,12 @@ bench:
 # no-op jobs, at 1 and 2 workers. The bitstream layer's own
 # benchmarks (partial and full-device generation on the VC707 and VCU118
 # geometries) follow at 10 iterations, so the first call's encoder
-# scratch allocation does not stand for the steady state. The parsed
-# results land in BENCH_flow.json and BENCH_bitstream.json for diffing
-# across changes; these numbers are smoke-level, not statistics.
+# scratch allocation does not stand for the steady state. The WAMI
+# runtime layers close the list at 10 iterations: every accelerator
+# kernel on a 128-px frame, frame synthesis, and a 16-frame batch on
+# each runtime SoC. The parsed results land in BENCH_flow.json,
+# BENCH_bitstream.json and BENCH_wami.json for diffing across changes;
+# these numbers are smoke-level, not statistics.
 #
 # The one relational gate closes the target: a fully cached rerun must
 # cost at most a fifth of the cold run that populates the cache. It
@@ -91,6 +94,10 @@ bench-smoke:
 		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/bitstream/ \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_bitstream.json
 	@cat BENCH_bitstream.json
+	$(GO) test -run='^$$' -bench='^Benchmark(WAMIKernel|FrameSourceNext|ProcessFrames)$$' \
+		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/wami/ \
+		| $(GO) run ./cmd/presp-benchjson > BENCH_wami.json
+	@cat BENCH_wami.json
 
 # Boot check for the flow-as-a-service daemon, part of `make ci`: build
 # presp-served, bind an ephemeral port, push one real job through the
@@ -119,7 +126,9 @@ fuzz:
 # artifact must fail the CRC check — corruption is quarantined, never
 # decoded), and the bitstream codec (the reference RLE round trip, the
 # bounded decoder on arbitrary streams, and the fused generator against
-# the reference encoding).
+# the reference encoding), and the WAMI kernels and frame synthesis
+# against the reference implementations they replaced (bit-identical
+# outputs for any size, pixels and warp).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerExecute -fuzztime=5s ./internal/flow/
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/reconfig/
@@ -128,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=5s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzRLE -fuzztime=5s ./internal/bitstream/
 	$(GO) test -run=^$$ -fuzz=FuzzFusedEncoder -fuzztime=5s ./internal/bitstream/
+	$(GO) test -run=^$$ -fuzz=FuzzKernelsMatchReference -fuzztime=5s ./internal/wami/
 
 # Crash battery for the durable job layer, part of `make ci`: replay the
 # job WAL truncated at every record boundary (plus a torn tail), kill -9

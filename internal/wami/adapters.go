@@ -28,7 +28,7 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, g, b := Debayer(im)
+		r, g, b := Debayer(&im)
 		return [][]float64{r.Pix, g.Pix, b.Pix}, nil
 
 	case KGrayscale:
@@ -50,14 +50,14 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		if g.N != r.N || b.N != r.N {
 			return nil, fmt.Errorf("wami: grayscale plane sizes differ")
 		}
-		return [][]float64{Grayscale(r, g, b).Pix}, nil
+		return [][]float64{Grayscale(&r, &g, &b).Pix}, nil
 
 	case KGradient:
 		im, err := oneImage(k, in)
 		if err != nil {
 			return nil, err
 		}
-		gx, gy := Gradient(im)
+		gx, gy := Gradient(&im)
 		return [][]float64{gx.Pix, gy.Pix}, nil
 
 	case KWarpImg:
@@ -70,7 +70,7 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		}
 		var p Affine
 		copy(p[:], in[1])
-		return [][]float64{Warp(im, p).Pix}, nil
+		return [][]float64{Warp(&im, p).Pix}, nil
 
 	case KSubtract:
 		if len(in) != 2 || len(in[0]) != len(in[1]) {
@@ -84,7 +84,7 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		return [][]float64{Subtract(a, b).Pix}, nil
+		return [][]float64{Subtract(&a, &b).Pix}, nil
 
 	case KSteepestDescent:
 		if len(in) != 2 || len(in[0]) != len(in[1]) {
@@ -98,7 +98,7 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		sd := SteepestDescent(gx, gy)
+		sd := SteepestDescent(&gx, &gy)
 		out := make([][]float64, 6)
 		for i := range sd {
 			out[i] = sd[i].Pix
@@ -106,7 +106,8 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		return out, nil
 
 	case KHessian:
-		sd, err := sixPlanes(k, in)
+		var planes [6]Image
+		sd, err := sixPlanes(k, in, &planes)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +118,8 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		if len(in) != 7 {
 			return nil, fmt.Errorf("wami: sd-update wants 6 sd planes + error image, got %d", len(in))
 		}
-		sd, err := sixPlanes(k, in[:6])
+		var planes [6]Image
+		sd, err := sixPlanes(k, in[:6], &planes)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +127,7 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		sdu := SDUpdate(sd, errImg)
+		sdu := SDUpdate(sd, &errImg)
 		out := make([][]float64, 6)
 		for i := range sdu {
 			out[i] = sdu[i].Pix
@@ -150,7 +152,8 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		}
 		var hinv [36]float64
 		copy(hinv[:], in[0])
-		sdu, err := sixPlanes(k, in[1:])
+		var planes [6]Image
+		sdu, err := sixPlanes(k, in[1:], &planes)
 		if err != nil {
 			return nil, err
 		}
@@ -185,20 +188,21 @@ func (k wamiKernel) Run(in [][]float64) ([][]float64, error) {
 		if frame.N != bg.N {
 			return nil, fmt.Errorf("wami: change-detection frame/background size mismatch")
 		}
-		mask, newBg := ChangeDetection(frame, bg, in[2][0], in[2][1])
+		mask, newBg := ChangeDetection(&frame, &bg, in[2][0], in[2][1])
 		return [][]float64{mask.Pix, newBg.Pix}, nil
 	}
 	return nil, fmt.Errorf("wami: unknown kernel index %d", k.idx)
 }
 
-func oneImage(k wamiKernel, in [][]float64) (*Image, error) {
+func oneImage(k wamiKernel, in [][]float64) (Image, error) {
 	if len(in) != 1 {
-		return nil, fmt.Errorf("wami: %s wants one image, got %d inputs", Names[k.idx], len(in))
+		return Image{}, fmt.Errorf("wami: %s wants one image, got %d inputs", Names[k.idx], len(in))
 	}
 	return imageFrom(in[0])
 }
 
-func sixPlanes(k wamiKernel, in [][]float64) ([6]*Image, error) {
+// sixPlanes views six equal-size planes as images held in planes.
+func sixPlanes(k wamiKernel, in [][]float64, planes *[6]Image) ([6]*Image, error) {
 	var sd [6]*Image
 	if len(in) != 6 {
 		return sd, fmt.Errorf("wami: %s wants 6 planes, got %d", Names[k.idx], len(in))
@@ -211,7 +215,8 @@ func sixPlanes(k wamiKernel, in [][]float64) ([6]*Image, error) {
 		if i > 0 && im.N != sd[0].N {
 			return sd, fmt.Errorf("wami: %s plane %d size differs", Names[k.idx], i)
 		}
-		sd[i] = im
+		planes[i] = im
+		sd[i] = &planes[i]
 	}
 	return sd, nil
 }

@@ -43,16 +43,6 @@ func (s *FrameSource) GroundTruthMotion(idx int) (float64, float64) {
 	return s.DX * float64(idx), s.DY * float64(idx)
 }
 
-// background evaluates the continuous background texture at (x, y):
-// a sum of smooth sinusoids, so sub-pixel warping is well defined.
-func (s *FrameSource) background(x, y float64) float64 {
-	v := 128 +
-		45*math.Sin(x*0.11)*math.Cos(y*0.07) +
-		30*math.Sin(x*0.031+y*0.043) +
-		20*math.Cos(x*0.017-y*0.023)
-	return v
-}
-
 // targetIntensity is the brightness step of a moving target above the
 // background. It is kept well below the change-detection threshold
 // contrast of the background texture so the handful of target pixels
@@ -61,43 +51,78 @@ func (s *FrameSource) background(x, y float64) float64 {
 // intensity compensates for the relatively larger covered area).
 const targetIntensity = 40
 
-// targetAt reports target intensity contribution at integer pixel (x, y)
-// of frame idx. Targets are 2x2 squares moving diagonally.
-func (s *FrameSource) targetAt(x, y, idx int) float64 {
-	for t := 0; t < s.Targets; t++ {
-		tx := (17*t + 23 + 2*idx) % (s.N - 4)
-		ty := (31*t + 11 + idx) % (s.N - 4)
-		if x >= tx && x < tx+2 && y >= ty && y < ty+2 {
-			return targetIntensity
-		}
-	}
-	return 0
-}
-
 // Next produces the next Bayer mosaic frame (RGGB pattern).
+//
+// The background texture is a sum of smooth sinusoids, so sub-pixel
+// warping is well defined:
+//
+//	128 + 45·sin(0.11x)·cos(0.07y) + 30·sin(0.031x+0.043y) + 20·cos(0.017x−0.023y)
+//
+// at (x, y) shifted by the frame's ground-truth motion. The first term
+// is separable: its sine is evaluated once per column and its cosine
+// once per row, and the sum keeps the left-to-right order above. Targets
+// are 2×2 squares moving diagonally; each adds targetIntensity once
+// (overlapping squares do not stack) before the pixel is clamped to
+// [0, 255].
 func (s *FrameSource) Next() *Image {
 	idx := s.frame
 	s.frame++
 	ox, oy := s.GroundTruthMotion(idx)
-	out := NewImage(s.N)
-	for y := 0; y < s.N; y++ {
-		for x := 0; x < s.N; x++ {
+	n := s.N
+	out := NewImage(n)
+	// The last row holds the column factors 45·sin(0.11x) until it is
+	// itself computed, in place, each factor read before its pixel is
+	// written; every other row touches only itself.
+	colSin := out.Pix[(n-1)*n:]
+	for x := range colSin {
+		colSin[x] = 45 * math.Sin((float64(x)+ox)*0.11)
+	}
+	for y := 0; y < n; y++ {
+		fy := float64(y) + oy
+		cy := math.Cos(fy * 0.07)
+		row := out.Pix[y*n : (y+1)*n]
+		for x := range row {
 			// The synthetic scene is achromatic (equal R/G/B), so the
 			// RGGB mosaic samples the same luma field at every site;
 			// demosaicing still exercises the full interpolation path
 			// but introduces no checkerboard that would bias the
 			// registration gradients.
-			v := s.background(float64(x)+ox, float64(y)+oy) + s.targetAt(x, y, idx)
+			fx := float64(x) + ox
+			row[x] = 128 + colSin[x]*cy + 30*math.Sin(fx*0.031+fy*0.043) + 20*math.Cos(fx*0.017-fy*0.023)
+		}
+		for t := 0; t < s.Targets; t++ {
+			tx, ty := s.targetPosition(t, idx)
+			if y < ty || y >= ty+2 {
+				continue
+			}
+			for x := tx; x < tx+2 && x < n; x++ {
+				if !s.coveredBefore(t, x, y, idx) {
+					row[x] += targetIntensity
+				}
+			}
+		}
+		for x, v := range row {
 			if v < 0 {
-				v = 0
+				row[x] = 0
 			}
 			if v > 255 {
-				v = 255
+				row[x] = 255
 			}
-			out.Set(x, y, v)
 		}
 	}
 	return out
+}
+
+// coveredBefore reports whether a target numbered below t covers pixel
+// (x, y) of frame idx.
+func (s *FrameSource) coveredBefore(t, x, y, idx int) bool {
+	for u := 0; u < t; u++ {
+		ux, uy := s.targetPosition(u, idx)
+		if x >= ux && x < ux+2 && y >= uy && y < uy+2 {
+			return true
+		}
+	}
+	return false
 }
 
 // Reset rewinds the source to frame 0.

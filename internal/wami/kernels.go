@@ -60,13 +60,15 @@ func (im *Image) Clone() *Image {
 	return out
 }
 
-// imageFrom interprets a flat slice as a square image.
-func imageFrom(pix []float64) (*Image, error) {
+// imageFrom interprets a flat slice as a square image. It returns the
+// header by value, so an adapter's view of its input tensors needs no
+// heap allocation.
+func imageFrom(pix []float64) (Image, error) {
 	n := int(math.Sqrt(float64(len(pix))))
 	if n*n != len(pix) {
-		return nil, fmt.Errorf("wami: length %d is not a square image", len(pix))
+		return Image{}, fmt.Errorf("wami: length %d is not a square image", len(pix))
 	}
-	return &Image{N: n, Pix: pix}, nil
+	return Image{N: n, Pix: pix}, nil
 }
 
 // Debayer demosaics an RGGB Bayer mosaic into an RGB image using
@@ -74,31 +76,76 @@ func imageFrom(pix []float64) (*Image, error) {
 func Debayer(mosaic *Image) (r, g, b *Image) {
 	n := mosaic.N
 	r, g, b = NewImage(n), NewImage(n), NewImage(n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			evenRow := y%2 == 0
+	m := mosaic.Pix
+	for y := 1; y < n-1; y++ {
+		up, row, dn := m[(y-1)*n:y*n], m[y*n:(y+1)*n], m[(y+1)*n:(y+2)*n]
+		rr, gr, br := r.Pix[y*n:(y+1)*n], g.Pix[y*n:(y+1)*n], b.Pix[y*n:(y+1)*n]
+		evenRow := y%2 == 0
+		for x := 1; x < n-1; x++ {
 			evenCol := x%2 == 0
 			switch {
 			case evenRow && evenCol: // red site
-				r.Set(x, y, mosaic.At(x, y))
-				g.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y)+mosaic.At(x, y-1)+mosaic.At(x, y+1))/4)
-				b.Set(x, y, (mosaic.At(x-1, y-1)+mosaic.At(x+1, y-1)+mosaic.At(x-1, y+1)+mosaic.At(x+1, y+1))/4)
+				rr[x] = row[x]
+				gr[x] = (row[x-1] + row[x+1] + up[x] + dn[x]) / 4
+				br[x] = (up[x-1] + up[x+1] + dn[x-1] + dn[x+1]) / 4
 			case evenRow && !evenCol: // green site on red row
-				g.Set(x, y, mosaic.At(x, y))
-				r.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y))/2)
-				b.Set(x, y, (mosaic.At(x, y-1)+mosaic.At(x, y+1))/2)
+				gr[x] = row[x]
+				rr[x] = (row[x-1] + row[x+1]) / 2
+				br[x] = (up[x] + dn[x]) / 2
 			case !evenRow && evenCol: // green site on blue row
-				g.Set(x, y, mosaic.At(x, y))
-				b.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y))/2)
-				r.Set(x, y, (mosaic.At(x, y-1)+mosaic.At(x, y+1))/2)
+				gr[x] = row[x]
+				br[x] = (row[x-1] + row[x+1]) / 2
+				rr[x] = (up[x] + dn[x]) / 2
 			default: // blue site
-				b.Set(x, y, mosaic.At(x, y))
-				g.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y)+mosaic.At(x, y-1)+mosaic.At(x, y+1))/4)
-				r.Set(x, y, (mosaic.At(x-1, y-1)+mosaic.At(x+1, y-1)+mosaic.At(x-1, y+1)+mosaic.At(x+1, y+1))/4)
+				br[x] = row[x]
+				gr[x] = (row[x-1] + row[x+1] + up[x] + dn[x]) / 4
+				rr[x] = (up[x-1] + up[x+1] + dn[x-1] + dn[x+1]) / 4
 			}
 		}
 	}
+	forBorder(n, func(x, y int) { debayerAt(mosaic, r, g, b, x, y) })
 	return r, g, b
+}
+
+// debayerAt demosaics pixel (x, y) through the clamped accessors; it
+// serves the border, where a neighbour falls outside the image.
+func debayerAt(mosaic, r, g, b *Image, x, y int) {
+	evenRow := y%2 == 0
+	evenCol := x%2 == 0
+	switch {
+	case evenRow && evenCol: // red site
+		r.Set(x, y, mosaic.At(x, y))
+		g.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y)+mosaic.At(x, y-1)+mosaic.At(x, y+1))/4)
+		b.Set(x, y, (mosaic.At(x-1, y-1)+mosaic.At(x+1, y-1)+mosaic.At(x-1, y+1)+mosaic.At(x+1, y+1))/4)
+	case evenRow && !evenCol: // green site on red row
+		g.Set(x, y, mosaic.At(x, y))
+		r.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y))/2)
+		b.Set(x, y, (mosaic.At(x, y-1)+mosaic.At(x, y+1))/2)
+	case !evenRow && evenCol: // green site on blue row
+		g.Set(x, y, mosaic.At(x, y))
+		b.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y))/2)
+		r.Set(x, y, (mosaic.At(x, y-1)+mosaic.At(x, y+1))/2)
+	default: // blue site
+		b.Set(x, y, mosaic.At(x, y))
+		g.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y)+mosaic.At(x, y-1)+mosaic.At(x, y+1))/4)
+		r.Set(x, y, (mosaic.At(x-1, y-1)+mosaic.At(x+1, y-1)+mosaic.At(x-1, y+1)+mosaic.At(x+1, y+1))/4)
+	}
+}
+
+// forBorder calls f once for every pixel of the one-pixel border of an
+// n×n image: the pixels a 3×3 stencil cannot read without clamping.
+// When n < 3 that is every pixel.
+func forBorder(n int, f func(x, y int)) {
+	for x := 0; x < n; x++ {
+		f(x, 0)
+		if n > 1 {
+			f(x, n-1)
+		}
+	}
+	for y := 1; y < n-1; y++ {
+		f(0, y)
+		f(n-1, y)
+	}
 }
 
 // Grayscale converts RGB planes to luma with the ITU-R BT.601 weights.
@@ -114,12 +161,19 @@ func Grayscale(r, g, b *Image) *Image {
 func Gradient(im *Image) (gx, gy *Image) {
 	n := im.N
 	gx, gy = NewImage(n), NewImage(n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			gx.Set(x, y, (im.At(x+1, y)-im.At(x-1, y))/2)
-			gy.Set(x, y, (im.At(x, y+1)-im.At(x, y-1))/2)
+	p := im.Pix
+	for y := 1; y < n-1; y++ {
+		up, row, dn := p[(y-1)*n:y*n], p[y*n:(y+1)*n], p[(y+1)*n:(y+2)*n]
+		xr, yr := gx.Pix[y*n:(y+1)*n], gy.Pix[y*n:(y+1)*n]
+		for x := 1; x < n-1; x++ {
+			xr[x] = (row[x+1] - row[x-1]) / 2
+			yr[x] = (dn[x] - up[x]) / 2
 		}
 	}
+	forBorder(n, func(x, y int) {
+		gx.Set(x, y, (im.At(x+1, y)-im.At(x-1, y))/2)
+		gy.Set(x, y, (im.At(x, y+1)-im.At(x, y-1))/2)
+	})
 	return gx, gy
 }
 
@@ -172,20 +226,30 @@ func (p Affine) matrix() [9]float64 {
 }
 
 // Warp resamples image im through the affine warp with bilinear
-// interpolation (the warp-img kernel).
+// interpolation (the warp-img kernel). Taps outside the image read the
+// clamped border.
 func Warp(im *Image, p Affine) *Image {
 	n := im.N
 	out := NewImage(n)
+	pix := im.Pix
 	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
+		row := out.Pix[y*n : (y+1)*n]
+		for x := range row {
 			sx, sy := p.Apply(float64(x), float64(y))
 			x0, y0 := int(math.Floor(sx)), int(math.Floor(sy))
 			fx, fy := sx-float64(x0), sy-float64(y0)
-			v := (1-fx)*(1-fy)*im.At(x0, y0) +
-				fx*(1-fy)*im.At(x0+1, y0) +
-				(1-fx)*fy*im.At(x0, y0+1) +
-				fx*fy*im.At(x0+1, y0+1)
-			out.Set(x, y, v)
+			var v00, v10, v01, v11 float64
+			if uint(x0) < uint(n-1) && uint(y0) < uint(n-1) {
+				// The 2×2 footprint lies inside the image.
+				i := y0*n + x0
+				v00, v10, v01, v11 = pix[i], pix[i+1], pix[i+n], pix[i+n+1]
+			} else {
+				v00, v10, v01, v11 = im.At(x0, y0), im.At(x0+1, y0), im.At(x0, y0+1), im.At(x0+1, y0+1)
+			}
+			row[x] = (1-fx)*(1-fy)*v00 +
+				fx*(1-fy)*v10 +
+				(1-fx)*fy*v01 +
+				fx*fy*v11
 		}
 	}
 	return out
@@ -202,7 +266,7 @@ func Subtract(a, b *Image) *Image {
 
 // SteepestDescent computes the six steepest-descent images of the
 // inverse-compositional Lucas-Kanade algorithm from the template
-// gradients: sd_k = ∇T · ∂W/∂p_k.
+// gradients: sd_k = ∇T · ∂W/∂p_k. gx and gy must be the same size.
 func SteepestDescent(gx, gy *Image) [6]*Image {
 	n := gx.N
 	var sd [6]*Image
@@ -211,45 +275,90 @@ func SteepestDescent(gx, gy *Image) [6]*Image {
 	}
 	for y := 0; y < n; y++ {
 		fy := float64(y)
-		for x := 0; x < n; x++ {
+		lo, hi := y*n, (y+1)*n
+		gxr, gyr := gx.Pix[lo:hi], gy.Pix[lo:hi]
+		s0, s1, s2 := sd[0].Pix[lo:hi], sd[1].Pix[lo:hi], sd[2].Pix[lo:hi]
+		s3, s4, s5 := sd[3].Pix[lo:hi], sd[4].Pix[lo:hi], sd[5].Pix[lo:hi]
+		for x := range gxr {
 			fx := float64(x)
-			gxv, gyv := gx.At(x, y), gy.At(x, y)
-			sd[0].Set(x, y, gxv*fx)
-			sd[1].Set(x, y, gyv*fx)
-			sd[2].Set(x, y, gxv*fy)
-			sd[3].Set(x, y, gyv*fy)
-			sd[4].Set(x, y, gxv)
-			sd[5].Set(x, y, gyv)
+			gxv, gyv := gxr[x], gyr[x]
+			s0[x] = gxv * fx
+			s1[x] = gyv * fx
+			s2[x] = gxv * fy
+			s3[x] = gyv * fy
+			s4[x] = gxv
+			s5[x] = gyv
 		}
 	}
 	return sd
 }
 
-// Hessian computes the 6x6 Gauss-Newton Hessian H[i][j] = Σ sd_i·sd_j.
+// Hessian computes the 6x6 Gauss-Newton Hessian H[i][j] = Σ sd_i·sd_j
+// over planes of one size. Row i of the upper triangle takes one pass
+// over the pixels with its 6-i sums as independent accumulators, each
+// adding its products in ascending pixel order. (One pass feeding all
+// 21 sums is slower: with the operands they outnumber amd64's sixteen
+// floating-point registers and spill.)
 func Hessian(sd [6]*Image) [36]float64 {
-	var h [36]float64
-	for i := 0; i < 6; i++ {
-		for j := i; j < 6; j++ {
-			var acc float64
-			pi, pj := sd[i].Pix, sd[j].Pix
-			for k := range pi {
-				acc += pi[k] * pj[k]
-			}
-			h[i*6+j] = acc
-			h[j*6+i] = acc
-		}
+	n := len(sd[0].Pix)
+	p0, p1, p2, p3, p4, p5 := sd[0].Pix, sd[1].Pix[:n], sd[2].Pix[:n], sd[3].Pix[:n], sd[4].Pix[:n], sd[5].Pix[:n]
+	var h00, h01, h02, h03, h04, h05 float64
+	for k, a := range p0 {
+		h00 += a * a
+		h01 += a * p1[k]
+		h02 += a * p2[k]
+		h03 += a * p3[k]
+		h04 += a * p4[k]
+		h05 += a * p5[k]
 	}
-	return h
+	var h11, h12, h13, h14, h15 float64
+	for k, b := range p1 {
+		h11 += b * b
+		h12 += b * p2[k]
+		h13 += b * p3[k]
+		h14 += b * p4[k]
+		h15 += b * p5[k]
+	}
+	var h22, h23, h24, h25 float64
+	for k, c := range p2 {
+		h22 += c * c
+		h23 += c * p3[k]
+		h24 += c * p4[k]
+		h25 += c * p5[k]
+	}
+	var h33, h34, h35 float64
+	for k, d := range p3 {
+		h33 += d * d
+		h34 += d * p4[k]
+		h35 += d * p5[k]
+	}
+	var h44, h45, h55 float64
+	for k, e := range p4 {
+		f := p5[k]
+		h44 += e * e
+		h45 += e * f
+		h55 += f * f
+	}
+	return [36]float64{
+		h00, h01, h02, h03, h04, h05,
+		h01, h11, h12, h13, h14, h15,
+		h02, h12, h22, h23, h24, h25,
+		h03, h13, h23, h33, h34, h35,
+		h04, h14, h24, h34, h44, h45,
+		h05, h15, h25, h35, h45, h55,
+	}
 }
 
 // SDUpdate computes the per-pixel products sd_k·err (the sd-update
 // kernel); the reduction to the 6-vector b happens in Mult.
 func SDUpdate(sd [6]*Image, err *Image) [6]*Image {
 	var out [6]*Image
+	e := err.Pix
 	for k := range out {
 		out[k] = NewImage(err.N)
-		for i := range err.Pix {
-			out[k].Pix[i] = sd[k].Pix[i] * err.Pix[i]
+		o, s := out[k].Pix[:len(e)], sd[k].Pix[:len(e)]
+		for i, v := range e {
+			o[i] = s[i] * v
 		}
 	}
 	return out
@@ -301,16 +410,23 @@ func MatrixInvert(m [36]float64) ([36]float64, error) {
 
 // Mult reduces the sd-update planes to b_k = Σ sdu_k and applies the
 // inverse Hessian: Δp = H⁻¹ · b (the mult kernel — image-scale
-// reduction plus the small matrix-vector product).
+// reduction plus the small matrix-vector product). One pass over the
+// planes, which must be the same size, feeds the six sums as
+// independent accumulators in ascending pixel order.
 func Mult(hinv [36]float64, sdu [6]*Image) Affine {
-	var b [6]float64
-	for k := 0; k < 6; k++ {
-		var acc float64
-		for _, v := range sdu[k].Pix {
-			acc += v
-		}
-		b[k] = acc
+	s0 := sdu[0].Pix
+	n := len(s0)
+	s1, s2, s3, s4, s5 := sdu[1].Pix[:n], sdu[2].Pix[:n], sdu[3].Pix[:n], sdu[4].Pix[:n], sdu[5].Pix[:n]
+	var b0, b1, b2, b3, b4, b5 float64
+	for k, v := range s0 {
+		b0 += v
+		b1 += s1[k]
+		b2 += s2[k]
+		b3 += s3[k]
+		b4 += s4[k]
+		b5 += s5[k]
 	}
+	b := [6]float64{b0, b1, b2, b3, b4, b5}
 	var dp Affine
 	for i := 0; i < 6; i++ {
 		var acc float64

@@ -18,7 +18,9 @@ import (
 type Runner struct {
 	rt    *reconfig.Runtime
 	alloc Allocation
-	cfg   PipelineConfig
+	// hosted flags, per tile, the kernel indices its allocation holds.
+	hosted map[string][NumKernels + 1]bool
+	cfg    PipelineConfig
 
 	prev *Image
 	bg   *Image
@@ -78,19 +80,23 @@ func NewRunner(rt *reconfig.Runtime, alloc Allocation, cfg PipelineConfig) (*Run
 	if len(alloc) == 0 {
 		return nil, fmt.Errorf("wami: empty allocation")
 	}
+	own := make(Allocation, len(alloc))
+	hosted := make(map[string][NumKernels + 1]bool, len(alloc))
 	for tileName, accs := range alloc {
+		var set [NumKernels + 1]bool
 		for _, idx := range accs {
-			name, ok := Names[idx]
-			if !ok {
+			if _, ok := Names[idx]; !ok {
 				return nil, fmt.Errorf("wami: allocation of tile %s references unknown kernel %d", tileName, idx)
 			}
-			_ = name
+			set[idx] = true
 		}
+		own[tileName] = append([]int(nil), accs...)
+		hosted[tileName] = set
 	}
 	if cfg.LKIterations <= 0 {
 		return nil, fmt.Errorf("wami: LK iteration bound must be positive")
 	}
-	return &Runner{rt: rt, alloc: alloc, cfg: cfg}, nil
+	return &Runner{rt: rt, alloc: own, hosted: hosted, cfg: cfg}, nil
 }
 
 // frame-order phases used by the prefetcher to predict each tile's next
@@ -105,10 +111,7 @@ var (
 // prefix, then the iteration loop cyclically, then change detection and
 // the next frame's prefix). Returns 0 when the tile keeps its kernel.
 func (r *Runner) nextOnTile(tileName string, k int) int {
-	hosted := make(map[int]bool)
-	for _, idx := range r.alloc[tileName] {
-		hosted[idx] = true
-	}
+	hosted := r.hosted[tileName]
 	scan := func(order []int, from int) int {
 		for i := from; i < len(order); i++ {
 			if hosted[order[i]] {
@@ -439,8 +442,3 @@ func (r *Runner) detect(gray *Image, warped []float64, motion Affine, iters int,
 func motionErrOf(m Affine) float64 {
 	return math.Hypot(m[4], m[5])
 }
-
-// srcStepX/Y expose the source's per-frame motion (kept as functions so
-// the runner does not depend on FrameSource internals beyond the API).
-func srcStepX(s *FrameSource) float64 { return s.DX }
-func srcStepY(s *FrameSource) float64 { return s.DY }

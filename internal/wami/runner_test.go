@@ -15,7 +15,7 @@ import (
 )
 
 // bootRunner builds a full runtime stack for the named SoC.
-func bootRunner(t *testing.T, socName string, iters int) (*Runner, *reconfig.Runtime) {
+func bootRunner(t testing.TB, socName string, iters int) (*Runner, *reconfig.Runtime) {
 	t.Helper()
 	reg := accel.Default()
 	if err := AddTo(reg); err != nil {
