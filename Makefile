@@ -2,7 +2,8 @@
 #
 # `make ci` is the gate every change must pass: vet (of the root module
 # and of the nested perfbench module), static analysis (when staticcheck
-# is installed), build, the tier-1 unit suite, and the
+# is installed), build, the tier-1 unit suite, the perfbench module's
+# own tests, and the
 # same suite under the race detector — the flow engine executes its job
 # graphs on a goroutine worker pool, so the race run is a permanent part
 # of the check, not an optional extra.
@@ -12,9 +13,9 @@ GO ?= go
 # must fail the suite, not hang CI.
 TEST_TIMEOUT ?= 5m
 
-.PHONY: ci vet perfbench-vet staticcheck build test race bench bench-smoke fuzz fuzz-smoke serve-smoke chaos-smoke loc
+.PHONY: ci vet perfbench-vet perfbench-test staticcheck build test race bench bench-smoke fuzz fuzz-smoke serve-smoke chaos-smoke loc
 
-ci: vet perfbench-vet staticcheck build test race fuzz-smoke chaos-smoke bench-smoke serve-smoke
+ci: vet perfbench-vet staticcheck build test perfbench-test race fuzz-smoke chaos-smoke bench-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +25,12 @@ vet:
 # benchmark harness.
 perfbench-vet:
 	cd perfbench && $(GO) vet ./...
+
+# The benchmark harness's own tests: every workload runs briefly against
+# its golden digests and declared metrics, so a root change that breaks
+# a workload fails here rather than only when the benchmark is run.
+perfbench-test:
+	cd perfbench && $(GO) test -timeout $(TEST_TIMEOUT) ./...
 
 # staticcheck runs when the binary is on PATH; the sandbox image has no
 # network access to install it, so its absence is a skip, not a failure.

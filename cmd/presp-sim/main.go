@@ -18,23 +18,18 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"presp/internal/accel"
-	"presp/internal/bitstream"
 	"presp/internal/cliutil"
-	"presp/internal/experiments"
 	"presp/internal/faultinject"
-	"presp/internal/flow"
 	"presp/internal/noc"
 	"presp/internal/obs"
 	"presp/internal/reconfig"
 	"presp/internal/report"
-	"presp/internal/sim"
 	"presp/internal/wami"
 )
 
@@ -59,8 +54,8 @@ func parseCLI(args []string) (*cliOptions, error) {
 	var noCompress bool
 	fs.StringVar(&o.soc, "soc", "SoC_Y", "runtime SoC: SoC_X, SoC_Y or SoC_Z")
 	fs.IntVar(&o.frames, "frames", 6, "frame count (first frame is warm-up)")
-	fs.IntVar(&o.edge, "edge", 128, "frame edge length in pixels")
-	fs.IntVar(&o.iters, "lk-iters", 1, "Lucas-Kanade iterations per frame")
+	fs.IntVar(&o.edge, "edge", wami.EvalFrameEdge, "frame edge length in pixels")
+	fs.IntVar(&o.iters, "lk-iters", wami.EvalLKIterations, "Lucas-Kanade iterations per frame")
 	fs.BoolVar(&noCompress, "no-compress", false, "disable bitstream compression")
 	fs.DurationVar(&o.scrubInterval, "scrub-interval", 0,
 		"configuration-memory scrub period in virtual time (e.g. 500us); 0 disables the scrubber")
@@ -89,27 +84,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "presp-sim:", err)
 		os.Exit(2)
 	}
-	if err := run(o); err != nil {
+	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "presp-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o *cliOptions) error {
+func run(o *cliOptions, w io.Writer) error {
 	cfg, alloc, err := wami.RuntimeSoC(o.soc)
 	if err != nil {
 		return err
 	}
-	d, err := experiments.ElaborateConfig(cfg)
+	reg, err := wami.Registry()
 	if err != nil {
-		return err
-	}
-	plan, err := flow.FloorplanDesign(d, nil)
-	if err != nil {
-		return err
-	}
-	reg := accel.Default()
-	if err := wami.AddTo(reg); err != nil {
 		return err
 	}
 	rcfg := reconfig.DefaultConfig()
@@ -117,37 +104,24 @@ func run(o *cliOptions) error {
 	rcfg.ScrubInterval = o.scrubInterval
 	// The observer traces the runtime only: runtime spans carry virtual
 	// timestamps, which must not share a tracer with the wall-clock
-	// flow that generates the bitstreams below.
+	// flow that generates the bitstreams.
 	var observer *obs.Observer
 	if o.tracePath != "" {
 		observer = obs.New()
 		rcfg.Observer = observer
 	}
-	eng := sim.NewEngine()
-	rt, err := reconfig.New(eng, d, reg, plan, rcfg)
+	rt, bss, err := wami.Boot(cfg, alloc, reg, nil, rcfg, o.compress)
 	if err != nil {
 		return err
 	}
-	am := make(map[string][]string, len(alloc))
-	for tileName, idxs := range alloc {
-		for _, idx := range idxs {
-			am[tileName] = append(am[tileName], wami.Names[idx])
-		}
-	}
-	bss, err := flow.GenerateRuntimeBitstreams(context.Background(), d, plan, am, reg, o.compress, 0)
-	if err != nil {
-		return err
-	}
-	// Stage in sorted order: the float sum must not depend on map
+	// Sum in sorted order: the float sum must not depend on map
 	// iteration order.
 	var stagedKB float64
+	nImages := 0
 	for _, tileName := range report.SortedKeys(bss) {
-		m := bss[tileName]
-		for _, acc := range report.SortedKeys(m) {
-			if err := rt.RegisterBitstream(tileName, acc, m[acc]); err != nil {
-				return err
-			}
-			stagedKB += m[acc].SizeKB()
+		for _, acc := range report.SortedKeys(bss[tileName]) {
+			stagedKB += bss[tileName][acc].SizeKB()
+			nImages++
 		}
 	}
 	pcfg := wami.DefaultPipelineConfig()
@@ -156,7 +130,7 @@ func run(o *cliOptions) error {
 	if err != nil {
 		return err
 	}
-	src, err := wami.NewFrameSource(o.edge, 0.7, -0.4, 3)
+	src, err := wami.NewFrameSource(o.edge, wami.EvalMotionX, wami.EvalMotionY, wami.EvalTargets)
 	if err != nil {
 		return err
 	}
@@ -165,59 +139,59 @@ func run(o *cliOptions) error {
 		return err
 	}
 
-	fmt.Printf("%s: %d reconfigurable tiles, %d staged bitstreams (%.0f KB, compress=%v)\n",
-		o.soc, len(alloc), countBitstreams(bss), stagedKB, o.compress)
+	fmt.Fprintf(w, "%s: %d reconfigurable tiles, %d staged bitstreams (%.0f KB, compress=%v)\n",
+		o.soc, len(alloc), nImages, stagedKB, o.compress)
 	missing := wami.MissingKernels(alloc)
 	if len(missing) > 0 {
-		fmt.Printf("kernels on CPU fallback: %v\n", missing)
+		fmt.Fprintf(w, "kernels on CPU fallback: %v\n", missing)
 	}
 	t := report.New("per-frame results", "frame", "time (ms)", "energy (J)", "reconfigs", "LK iters", "detections")
 	for i, f := range rep.Frames {
 		t.AddRow(i, fmt.Sprintf("%.2f", f.Time.Seconds()*1000), fmt.Sprintf("%.3f", f.Energy),
 			f.Reconfigurations, f.LKIters, f.Detections)
 	}
-	fmt.Println(t)
-	fmt.Printf("steady state: %.4f s/frame, %.3f J/frame; %d reconfigurations (%.3f s total), %d CPU kernels\n",
+	fmt.Fprintln(w, t)
+	fmt.Fprintf(w, "steady state: %.4f s/frame, %.3f J/frame; %d reconfigurations (%.3f s total), %d CPU kernels\n",
 		rep.TimePerFrame(), rep.EnergyPerFrame(),
 		rep.Stats.Reconfigurations, rep.Stats.ReconfigTime.Seconds(), rep.Stats.CPUFallbacks)
 	if o.faultPlan != nil {
 		st := rt.Stats()
-		fmt.Printf("fault injection: %d injected; %d failed reconfigurations, %d retries, %d prefetch errors, %d dead tiles\n",
+		fmt.Fprintf(w, "fault injection: %d injected; %d failed reconfigurations, %d retries, %d prefetch errors, %d dead tiles\n",
 			rt.FaultsInjected(), st.FailedReconfigs, st.Retries, st.PrefetchErrors, st.DeadTiles)
 		for _, name := range rt.Tiles() {
 			if dead, _ := rt.Dead(name); dead {
-				fmt.Printf("  tile %s declared dead — its kernels degraded to the processor\n", name)
+				fmt.Fprintf(w, "  tile %s declared dead — its kernels degraded to the processor\n", name)
 			}
 		}
 	}
 	if o.scrubInterval > 0 {
 		ss := rt.ScrubStats()
-		fmt.Printf("scrubber: %d cycles, %d upsets injected; %d detected, %d repaired, %d healed, %d uncorrectable\n",
+		fmt.Fprintf(w, "scrubber: %d cycles, %d upsets injected; %d detected, %d repaired, %d healed, %d uncorrectable\n",
 			ss.Cycles, ss.Upsets, ss.Detected, ss.Repaired, ss.Healed, ss.Uncorrectable)
 		for _, name := range rt.Tiles() {
 			if h, err := rt.ConfigHealth(name); err == nil && h.Corrupted {
-				fmt.Printf("  tile %s config memory still corrupted (%d upset bits in %d frames)\n",
+				fmt.Fprintf(w, "  tile %s config memory still corrupted (%d upset bits in %d frames)\n",
 					name, h.UpsetBits, h.UpsetFrames)
 			}
 		}
 	}
 	bd := rt.Meter().Breakdown()
-	fmt.Println("energy breakdown (J):")
+	fmt.Fprintln(w, "energy breakdown (J):")
 	for _, name := range rt.Meter().Consumers() {
 		if bd[name] > 0.0005 {
-			fmt.Printf("  %-14s %.3f\n", name, bd[name])
+			fmt.Fprintf(w, "  %-14s %.3f\n", name, bd[name])
 		}
 	}
-	fmt.Println("NoC plane traffic (flits):")
+	fmt.Fprintln(w, "NoC plane traffic (flits):")
 	for p := noc.Plane(0); p < noc.NumPlanes; p++ {
 		ps := rt.Network().PlaneStats(p)
 		if ps.TotalFlits > 0 {
-			fmt.Printf("  %-10s %d\n", p, ps.TotalFlits)
+			fmt.Fprintf(w, "  %-10s %d\n", p, ps.TotalFlits)
 		}
 	}
 	tl := rt.Timeline()
 	if n := len(tl); n > 0 {
-		fmt.Printf("last reconfigurations (%d total):\n", n)
+		fmt.Fprintf(w, "last reconfigurations (%d total):\n", n)
 		for _, ev := range tl[max(0, n-5):] {
 			status := ""
 			if ev.Failed {
@@ -225,7 +199,7 @@ func run(o *cliOptions) error {
 			} else if ev.Attempts > 1 {
 				status = fmt.Sprintf("  (recovered on attempt %d)", ev.Attempts)
 			}
-			fmt.Printf("  %-8v %-5s <- %-16s %4d KB in %v%s\n",
+			fmt.Fprintf(w, "  %-8v %-5s <- %-16s %4d KB in %v%s\n",
 				ev.Start.Truncate(time.Microsecond), ev.Tile, ev.Accel, ev.Bytes/1024, ev.End-ev.Start, status)
 		}
 	}
@@ -241,23 +215,8 @@ func run(o *cliOptions) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d events written to %s (virtual time; open at https://ui.perfetto.dev)\n",
+		fmt.Fprintf(w, "trace: %d events written to %s (virtual time; open at https://ui.perfetto.dev)\n",
 			observer.Tracer().Len(), o.tracePath)
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func countBitstreams(bss map[string]map[string]*bitstream.Bitstream) int {
-	n := 0
-	for _, m := range bss {
-		n += len(m)
-	}
-	return n
 }

@@ -1,15 +1,70 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"presp/internal/faultinject"
 	"presp/internal/obs"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden outputs")
+
+// TestRunMatchesGolden pins presp-sim's whole report on every runtime
+// SoC under a seeded fault storm with the scrubber on, and on SoC_Y
+// with the default flags. Each case runs twice in one process, so a
+// result that leaks map iteration order fails even when the first run
+// happens to match. Regenerate with:
+//
+//	go test ./cmd/presp-sim -run TestRunMatchesGolden -update
+func TestRunMatchesGolden(t *testing.T) {
+	storm := []string{"-frames", "6", "-faults", "seed=7,icap=0.2,crc=0.1", "-scrub-interval", "500us"}
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"SoC_X_faults", append([]string{"-soc", "SoC_X"}, storm...)},
+		{"SoC_Y_faults", append([]string{"-soc", "SoC_Y"}, storm...)},
+		{"SoC_Z_faults", append([]string{"-soc", "SoC_Z"}, storm...)},
+		{"SoC_Y_default", nil},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			path := filepath.Join("testdata", c.golden+".golden")
+			var runs [2]bytes.Buffer
+			for i := range runs {
+				o, err := parseCLI(c.args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := run(o, &runs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(runs[0].Bytes(), runs[1].Bytes()) {
+				t.Fatalf("two runs in one process differ:\n--- first ---\n%s\n--- second ---\n%s", &runs[0], &runs[1])
+			}
+			if *update {
+				if err := os.WriteFile(path, runs[0].Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if got := runs[0].Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("output drifted from %s (regenerate with -update if intended):\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+			}
+		})
+	}
+}
 
 func TestParseCLIDefaults(t *testing.T) {
 	o, err := parseCLI(nil)
@@ -75,7 +130,7 @@ func TestRunUnknownSoC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(o); err == nil {
+	if err := run(o, io.Discard); err == nil {
 		t.Fatal("unknown SoC accepted")
 	}
 }
@@ -89,7 +144,7 @@ func TestRunWithScrubber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(o); err != nil {
+	if err := run(o, io.Discard); err != nil {
 		t.Fatalf("scrubbed run failed: %v", err)
 	}
 }
@@ -104,7 +159,7 @@ func TestRunWritesValidTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(o); err != nil {
+	if err := run(o, io.Discard); err != nil {
 		t.Fatalf("traced run failed: %v", err)
 	}
 	data, err := os.ReadFile(path)

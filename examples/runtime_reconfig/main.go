@@ -43,13 +43,13 @@ func main() {
 
 	// Stage one partial bitstream per accelerator the tile will host
 	// (mmapped in user space, copied to kernel memory by the manager).
-	bss, err := p.StageBitstreams(context.Background(), rt, map[string][]string{
-		"rt_1": {"fft", "gemm", "sort"},
-	}, true)
+	accs := []string{"fft", "gemm", "sort"}
+	bss, err := p.StageBitstreams(context.Background(), rt, map[string][]string{"rt_1": accs}, true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for acc, bs := range bss["rt_1"] {
+	for _, acc := range accs {
+		bs := bss["rt_1"][acc]
 		fmt.Printf("staged %-5s bitstream: %6.0f KB (%.1fx compressed)\n", acc, bs.SizeKB(), bs.CompressionRatio())
 	}
 

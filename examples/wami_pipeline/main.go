@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"presp"
 )
@@ -32,9 +33,14 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s partitioning:\n", name)
-		for tileName, idxs := range alloc {
-			names := make([]string, 0, len(idxs))
-			for _, idx := range idxs {
+		tiles := make([]string, 0, len(alloc))
+		for tileName := range alloc {
+			tiles = append(tiles, tileName)
+		}
+		sort.Strings(tiles)
+		for _, tileName := range tiles {
+			names := make([]string, 0, len(alloc[tileName]))
+			for _, idx := range alloc[tileName] {
 				n, err := presp.WAMIKernelName(idx)
 				if err != nil {
 					log.Fatal(err)

@@ -1,0 +1,27 @@
+package presp_test
+
+import (
+	"testing"
+
+	"presp"
+)
+
+// TestRuntimeExperimentsDeterministic renders the runtime experiments
+// twice in one process and requires byte equality. Go randomises map
+// iteration per range statement, so a result that depends on map order
+// shows up as a difference between the two renders.
+func TestRuntimeExperimentsDeterministic(t *testing.T) {
+	for _, name := range []string{"fig4", "table6"} {
+		first, err := presp.RunExperiment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := presp.RunExperiment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != second {
+			t.Errorf("%s renders differ between two runs:\n--- first ---\n%s\n--- second ---\n%s", name, first, second)
+		}
+	}
+}

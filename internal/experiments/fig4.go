@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"presp/internal/flow"
+	"presp/internal/accel"
 	"presp/internal/reconfig"
 	"presp/internal/report"
-	"presp/internal/sim"
 	"presp/internal/wami"
 )
 
@@ -60,11 +58,15 @@ func Fig4(opt Fig4Options) (*Fig4Result, error) {
 		opt.Frames = 5
 	}
 	if opt.FrameEdge == 0 {
-		opt.FrameEdge = 128
+		opt.FrameEdge = wami.EvalFrameEdge
+	}
+	reg, err := registry()
+	if err != nil {
+		return nil, err
 	}
 	res := &Fig4Result{Frames: opt.Frames, FrameEdge: opt.FrameEdge}
 	for _, name := range wami.RuntimeSoCNames() {
-		soc, err := runFig4SoC(name, opt)
+		soc, err := runFig4SoC(name, reg, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -73,22 +75,9 @@ func Fig4(opt Fig4Options) (*Fig4Result, error) {
 	return res, nil
 }
 
-// runFig4SoC builds, floorplans, stages bitstreams for and simulates one
-// runtime SoC.
-func runFig4SoC(name string, opt Fig4Options) (*Fig4SoC, error) {
-	reg, err := registry()
-	if err != nil {
-		return nil, err
-	}
+// runFig4SoC boots one runtime SoC and runs the evaluation scene on it.
+func runFig4SoC(name string, reg *accel.Registry, opt Fig4Options) (*Fig4SoC, error) {
 	cfg, alloc, err := wami.RuntimeSoC(name)
-	if err != nil {
-		return nil, err
-	}
-	d, err := elaborate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := flow.FloorplanDesign(d, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -96,39 +85,17 @@ func runFig4SoC(name string, opt Fig4Options) (*Fig4SoC, error) {
 	if opt.Runtime != nil {
 		rcfg = *opt.Runtime
 	}
-	eng := sim.NewEngine()
-	rt, err := reconfig.New(eng, d, reg, plan, rcfg)
+	rt, _, err := wami.Boot(cfg, alloc, reg, nil, rcfg, opt.Compress)
 	if err != nil {
 		return nil, err
-	}
-	am := make(map[string][]string, len(alloc))
-	for tileName, idxs := range alloc {
-		for _, idx := range idxs {
-			am[tileName] = append(am[tileName], wami.Names[idx])
-		}
-	}
-	bss, err := flow.GenerateRuntimeBitstreams(context.Background(), d, plan, am, reg, opt.Compress, 0)
-	if err != nil {
-		return nil, err
-	}
-	for tileName, m := range bss {
-		for acc, bs := range m {
-			if err := rt.RegisterBitstream(tileName, acc, bs); err != nil {
-				return nil, err
-			}
-		}
 	}
 	pcfg := wami.DefaultPipelineConfig()
-	// The runtime evaluation runs one inverse-compositional iteration
-	// per frame: inter-frame motion is sub-pixel, and each accelerator
-	// is then loaded exactly once per frame, matching Table VI's
-	// one-bitstream-per-kernel accounting.
-	pcfg.LKIterations = 1
+	pcfg.LKIterations = wami.EvalLKIterations
 	runner, err := wami.NewRunner(rt, alloc, pcfg)
 	if err != nil {
 		return nil, err
 	}
-	src, err := wami.NewFrameSource(opt.FrameEdge, 0.7, -0.4, 3)
+	src, err := wami.NewFrameSource(opt.FrameEdge, wami.EvalMotionX, wami.EvalMotionY, wami.EvalTargets)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
 
-	"presp/internal/flow"
+	"presp/internal/reconfig"
 	"presp/internal/report"
 	"presp/internal/wami"
 )
@@ -46,8 +44,9 @@ type Table6Result struct {
 	SoCs []Table6SoC
 }
 
-// Table6 floorplans the three runtime SoCs and generates compressed
-// partial bitstreams for every (tile, accelerator) pair.
+// Table6 boots the three runtime SoCs, with a compressed partial
+// bitstream for every (tile, accelerator) pair, and reports each
+// tile's largest image.
 func Table6() (*Table6Result, error) {
 	reg, err := registry()
 	if err != nil {
@@ -59,31 +58,12 @@ func Table6() (*Table6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := elaborate(cfg)
+		_, bss, err := wami.Boot(cfg, alloc, reg, nil, reconfig.DefaultConfig(), true)
 		if err != nil {
 			return nil, err
-		}
-		plan, err := flow.FloorplanDesign(d, nil)
-		if err != nil {
-			return nil, err
-		}
-		am := make(map[string][]string, len(alloc))
-		for tileName, idxs := range alloc {
-			for _, idx := range idxs {
-				am[tileName] = append(am[tileName], wami.Names[idx])
-			}
-		}
-		bss, err := flow.GenerateRuntimeBitstreams(context.Background(), d, plan, am, reg, true, 0)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: bitstreams for %s: %w", name, err)
 		}
 		soc := Table6SoC{Name: name}
-		tileNames := make([]string, 0, len(alloc))
-		for t := range alloc {
-			tileNames = append(tileNames, t)
-		}
-		sort.Strings(tileNames)
-		for _, tileName := range tileNames {
+		for _, tileName := range report.SortedKeys(alloc) {
 			row := Table6Tile{Tile: tileName, Accs: alloc[tileName]}
 			for _, bs := range bss[tileName] {
 				if kb := bs.SizeKB(); kb > row.PbsKB {

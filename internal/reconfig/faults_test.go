@@ -51,10 +51,8 @@ func newFaultTestbed(t *testing.T, cfg Config, workers int) *testbed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for acc, bs := range bss["rt_1"] {
-		if err := rt.RegisterBitstream("rt_1", acc, bs); err != nil {
-			t.Fatal(err)
-		}
+	if err := rt.RegisterBitstreams(bss); err != nil {
+		t.Fatal(err)
 	}
 	return &testbed{eng: eng, rt: rt, reg: reg, plan: plan}
 }

@@ -55,10 +55,8 @@ func newTestbed(t *testing.T) *testbed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for acc, bs := range bss["rt_1"] {
-		if err := rt.RegisterBitstream("rt_1", acc, bs); err != nil {
-			t.Fatal(err)
-		}
+	if err := rt.RegisterBitstreams(bss); err != nil {
+		t.Fatal(err)
 	}
 	return &testbed{eng: eng, rt: rt, reg: reg, plan: plan}
 }
@@ -141,6 +139,33 @@ func TestReconfigErrors(t *testing.T) {
 	tb.drain()
 	if gotErr == nil {
 		t.Fatal("unknown tile accepted")
+	}
+}
+
+// TestRegisterBitstreamsSortedFirstFailure: a batch with several bad
+// images always reports the one first in (tile, accelerator) order.
+func TestRegisterBitstreamsSortedFirstFailure(t *testing.T) {
+	tb := newTestbed(t)
+	partial := &bitstream.Bitstream{Kind: bitstream.Partial, Data: []byte{1}}
+	bss := map[string]map[string]*bitstream.Bitstream{
+		"rt_1":  {"warp-drive": partial, "fft": nil},
+		"ghost": {"fft": partial},
+		"rt_2":  {"sort": nil},
+	}
+	first := ""
+	for i := 0; i < 20; i++ {
+		err := tb.rt.RegisterBitstreams(bss)
+		if err == nil {
+			t.Fatal("bad batch accepted")
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("first failure changed between runs: %q vs %q", err, first)
+		}
+	}
+	if !strings.Contains(first, "ghost") {
+		t.Fatalf("first failure %q is not the ghost tile's", first)
 	}
 }
 
@@ -514,10 +539,8 @@ func TestDrainBeforeSwapAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for acc, bs := range bss["rt_1"] {
-		if err := rt.RegisterBitstream("rt_1", acc, bs); err != nil {
-			t.Fatal(err)
-		}
+	if err := rt.RegisterBitstreams(bss); err != nil {
+		t.Fatal(err)
 	}
 	var abortErr error
 	done := false
@@ -568,10 +591,8 @@ func TestSharedDMAPlaneSlowsReconfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for acc, bs := range bss["rt_1"] {
-			if err := rt.RegisterBitstream("rt_1", acc, bs); err != nil {
-				t.Fatal(err)
-			}
+		if err := rt.RegisterBitstreams(bss); err != nil {
+			t.Fatal(err)
 		}
 		// Saturate the memory-response plane on the aux tile's row with
 		// a big DMA burst, then reconfigure: only the shared-plane

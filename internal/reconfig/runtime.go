@@ -23,6 +23,7 @@ import (
 	"presp/internal/fpga"
 	"presp/internal/noc"
 	"presp/internal/obs"
+	"presp/internal/report"
 	"presp/internal/sim"
 	"presp/internal/socgen"
 	"presp/internal/tile"
@@ -608,6 +609,21 @@ func (r *Runtime) RegisterBitstream(tileName, accName string, bs *bitstream.Bits
 	// config memory now (later swaps install theirs on ICAP success).
 	if ts.loaded == accName && ts.mem == nil {
 		ts.programConfigMem(bs)
+	}
+	return nil
+}
+
+// RegisterBitstreams registers every image of bss, keyed by tile and
+// accelerator name, in sorted (tile, accelerator) order, so the first
+// failure it reports is always the same one.
+func (r *Runtime) RegisterBitstreams(bss map[string]map[string]*bitstream.Bitstream) error {
+	for _, tileName := range report.SortedKeys(bss) {
+		m := bss[tileName]
+		for _, acc := range report.SortedKeys(m) {
+			if err := r.RegisterBitstream(tileName, acc, m[acc]); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

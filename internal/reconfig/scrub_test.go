@@ -92,12 +92,8 @@ func newScrubTestbed(t *testing.T, cfg Config, workers int) *testbed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tileName, accs := range bss {
-		for acc, bs := range accs {
-			if err := rt.RegisterBitstream(tileName, acc, bs); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := rt.RegisterBitstreams(bss); err != nil {
+		t.Fatal(err)
 	}
 	return &testbed{eng: eng, rt: rt, reg: reg, plan: plan}
 }

@@ -5,20 +5,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
+
+	"presp/internal/crcframe"
 )
 
 // The job write-ahead log makes accepted work crash-durable: every job
 // state transition is appended to <state-dir>/jobs.wal before it is
 // acknowledged, so a hard crash (kill -9, OOM, power loss) loses at
-// worst the final, torn record — never an acknowledged job. The format
-// follows the same trailer discipline as vivado.DiskStore: each record
-// is one JSON line followed by a "crc32:%08x\n" CRC-32 (IEEE) trailer
-// of that line, and each append is a single write(2) on an O_APPEND
-// descriptor followed by fsync, so concurrent records never interleave
-// and a crash tears at most the last one.
+// worst the final, torn record — never an acknowledged job. Records use
+// the crcframe framing that vivado.DiskStore entries also use: one JSON
+// line followed by a "crc32:%08x\n" CRC-32 (IEEE) trailer of that line.
+// Each append is a single write(2) on an O_APPEND descriptor followed by
+// fsync, so concurrent records never interleave and a crash tears at
+// most the last one.
 //
 // Replay (decodeWALPrefix) recovers the longest clean prefix: the first
 // record whose JSON does not parse, whose trailer is malformed or whose
@@ -63,11 +64,6 @@ type walRecord struct {
 	Time   string      `json:"time,omitempty"`
 }
 
-// walTrailerLen is the fixed byte length of the CRC trailer line:
-// "crc32:" + 8 hex digits + "\n" — byte-identical to the DiskStore
-// entry trailer.
-const walTrailerLen = len("crc32:") + 8 + 1
-
 // maxWALLine bounds one record's JSON line during replay; a "line"
 // longer than this is corruption, not a record.
 const maxWALLine = 1 << 20
@@ -79,8 +75,7 @@ func encodeWALRecord(r walRecord) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	body = append(body, '\n')
-	return append(body, fmt.Sprintf("crc32:%08x\n", crc32.ChecksumIEEE(body))...), nil
+	return crcframe.Seal(body), nil
 }
 
 // decodeWALPrefix replays the longest clean prefix of a WAL image. It
@@ -95,13 +90,12 @@ func decodeWALPrefix(data []byte) (recs []walRecord, clean int) {
 		if nl < 0 || nl+1 > maxWALLine {
 			return recs, off // torn or absurd body line
 		}
-		body := rest[:nl+1]
-		if len(rest) < nl+1+walTrailerLen {
+		n := nl + 1 + crcframe.TrailerLen
+		if len(rest) < n {
 			return recs, off // trailer torn off
 		}
-		trailer := rest[nl+1 : nl+1+walTrailerLen]
-		want, ok := parseCRCTrailer(trailer)
-		if !ok || crc32.ChecksumIEEE(body) != want {
+		body, err := crcframe.Open(rest[:n])
+		if err != nil {
 			return recs, off
 		}
 		var r walRecord
@@ -111,32 +105,9 @@ func decodeWALPrefix(data []byte) (recs []walRecord, clean int) {
 			return recs, off // CRC-valid but not a record we wrote
 		}
 		recs = append(recs, r)
-		off += nl + 1 + walTrailerLen
+		off += n
 	}
 	return recs, off
-}
-
-// parseCRCTrailer parses the byte-exact "crc32:%08x\n" trailer — no fmt
-// scanning, whose whitespace leniency would bless a damaged terminator
-// (the lesson FuzzDiskEntry taught the disk store).
-func parseCRCTrailer(trailer []byte) (uint32, bool) {
-	if len(trailer) != walTrailerLen || string(trailer[:6]) != "crc32:" || trailer[walTrailerLen-1] != '\n' {
-		return 0, false
-	}
-	var want uint32
-	for _, c := range trailer[6 : 6+8] {
-		var d uint32
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint32(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint32(c-'a') + 10
-		default:
-			return 0, false
-		}
-		want = want<<4 | d
-	}
-	return want, true
 }
 
 // wal is the open log: appends are serialized, written in one write(2)

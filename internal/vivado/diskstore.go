@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,12 +11,14 @@ import (
 	"sync"
 	"time"
 
+	"presp/internal/crcframe"
 	"presp/internal/obs"
 )
 
 // DiskStore is the persistent tier under CheckpointCache and StageCache:
-// one file per cache key holding a JSON body plus a CRC-32 trailer. It
-// is the only place the artifact store (store.go) encodes: the memory
+// one file per cache key holding a JSON body plus a CRC-32 trailer (the
+// crcframe framing, shared with the server's job WAL). It is the only
+// place the artifact store (store.go) encodes: the memory
 // tier above it holds decoded values, entries are encoded once on
 // write-through and decoded once on promotion. The two entry kinds
 // (checkpointEntries, artifactEntries) share one read path and one
@@ -118,10 +119,6 @@ var (
 // next pass, so a corruption storm cannot grow the store directory
 // without bound even under no byte budget.
 const quarantineMaxAge = 24 * time.Hour
-
-// diskTrailerLen is the fixed byte length of the CRC trailer line:
-// "crc32:" + 8 hex digits + "\n".
-const diskTrailerLen = len("crc32:") + 8 + 1
 
 // diskMSBuckets buckets real file-I/O latencies (milliseconds) — unlike
 // the modelled-minute histograms, these measure wall time.
@@ -306,7 +303,7 @@ func (k diskKind[T]) store(ds *DiskStore, key string, v T) error {
 	if _, statErr := os.Stat(path); statErr != nil {
 		var body []byte
 		if body, err = k.encode(v); err == nil {
-			data = sealDiskPayload(body)
+			data = crcframe.Seal(body)
 		}
 	}
 	ds.mu.Lock()
@@ -326,7 +323,7 @@ func (k diskKind[T]) store(ds *DiskStore, key string, v T) error {
 
 // open verifies one entry file's CRC trailer and checks its body.
 func (k diskKind[T]) open(data []byte) (T, error) {
-	body, err := openDiskPayload(data)
+	body, err := crcframe.Open(data)
 	if err != nil {
 		var zero T
 		return zero, err
@@ -359,48 +356,6 @@ func (ds *DiskStore) writeEntryLocked(path string, data []byte) error {
 	count(&ds.writes, &ds.exported.writes, ds.mWrites)
 	ds.gcLocked()
 	return nil
-}
-
-// sealDiskPayload renders the on-disk form shared by both entry kinds:
-// the JSON body as one line followed by the CRC-32 (IEEE) trailer of
-// everything before it.
-func sealDiskPayload(body []byte) []byte {
-	body = append(append([]byte(nil), body...), '\n')
-	return append(body, fmt.Sprintf("crc32:%08x\n", crc32.ChecksumIEEE(body))...)
-}
-
-// openDiskPayload verifies the CRC trailer of one entry file and
-// returns the body without its terminating newline: trailer present,
-// byte-exact, CRC matching. Any failure means the file cannot be
-// trusted and must be quarantined by the caller.
-func openDiskPayload(data []byte) ([]byte, error) {
-	if len(data) < diskTrailerLen {
-		return nil, fmt.Errorf("short entry (%d bytes)", len(data))
-	}
-	body := data[:len(data)-diskTrailerLen]
-	trailer := data[len(data)-diskTrailerLen:]
-	// Byte-exact trailer parse — no fmt scanning, whose whitespace
-	// leniency would bless a damaged terminator (found by FuzzDiskEntry).
-	if string(trailer[:6]) != "crc32:" || trailer[diskTrailerLen-1] != '\n' {
-		return nil, fmt.Errorf("malformed CRC trailer %q", trailer)
-	}
-	var want uint32
-	for _, c := range trailer[6 : 6+8] {
-		var d uint32
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint32(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint32(c-'a') + 10
-		default:
-			return nil, fmt.Errorf("malformed CRC trailer %q", trailer)
-		}
-		want = want<<4 | d
-	}
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("CRC mismatch (got %08x, want %08x)", got, want)
-	}
-	return bytes.TrimSuffix(body, []byte("\n")), nil
 }
 
 func encodeCheckpoint(ck *SynthCheckpoint) ([]byte, error) {

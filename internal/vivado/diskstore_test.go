@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"presp/internal/crcframe"
 	"presp/internal/fpga"
 	"presp/internal/obs"
 )
@@ -381,12 +382,12 @@ func TestCacheDiskPromotionSingleFlight(t *testing.T) {
 // exactly the original value.
 func FuzzDiskEntry(f *testing.F) {
 	ck := testCheckpoint("fuzz_mod")
-	n := len(sealDiskPayload(mustEncode(f, checkpointEntries, ck)))
+	n := len(crcframe.Seal(mustEncode(f, checkpointEntries, ck)))
 	f.Add(0, byte(0), n)
 	f.Add(3, byte(1), n)
 	f.Add(0, byte(0), 0)
 	f.Add(n-1, byte(0x80), n)
-	f.Add(0, byte(0xff), diskTrailerLen)
+	f.Add(0, byte(0xff), crcframe.TrailerLen)
 	art := stageArtifact{value: map[string][]int{"rt_1_rp": {0, 4, 12, 20}}, minutes: 41.5}
 	artifacts := artifactEntries
 	artifacts.decode = decodeArtifact[map[string][]int]
@@ -409,7 +410,7 @@ func mustEncode[T any](tb testing.TB, k diskKind[T], v T) []byte {
 // mutate it, write it into a fresh store and load it back.
 func fuzzDiskKind[T any](t *testing.T, k diskKind[T], want T, off int, flip byte, keep int) {
 	t.Helper()
-	valid := sealDiskPayload(mustEncode(t, k, want))
+	valid := crcframe.Seal(mustEncode(t, k, want))
 	data := append([]byte(nil), valid...)
 	if keep < 0 {
 		keep = -keep

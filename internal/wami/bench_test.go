@@ -2,6 +2,8 @@ package wami
 
 import (
 	"testing"
+
+	"presp/internal/reconfig"
 )
 
 // The layer benchmarks of the WAMI runtime path at the 128-px frame
@@ -10,7 +12,7 @@ import (
 // batches on each runtime SoC (one Lucas-Kanade iteration per frame, as
 // in Fig 4). make bench-smoke records them in BENCH_wami.json.
 
-const benchEdge = 128
+const benchEdge = EvalFrameEdge
 
 var (
 	benchSinkOut    [][]float64
@@ -22,7 +24,7 @@ var (
 // and returns the input tensors each kernel sees in the runtime.
 func benchKernelInputs(b *testing.B) map[int][][]float64 {
 	b.Helper()
-	src, err := NewFrameSource(benchEdge, 0.7, -0.4, 3)
+	src, err := NewFrameSource(benchEdge, EvalMotionX, EvalMotionY, EvalTargets)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func BenchmarkWAMIKernel(b *testing.B) {
 }
 
 func BenchmarkFrameSourceNext(b *testing.B) {
-	src, err := NewFrameSource(benchEdge, 0.7, -0.4, 3)
+	src, err := NewFrameSource(benchEdge, EvalMotionX, EvalMotionY, EvalTargets)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,16 +104,20 @@ func BenchmarkProcessFrames(b *testing.B) {
 	const frames = 16
 	for _, name := range RuntimeSoCNames() {
 		b.Run(name, func(b *testing.B) {
-			runner, rt := bootRunner(b, name, 1)
+			cfg, alloc, err := RuntimeSoC(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runner, rt := boot(b, cfg, alloc, reconfig.DefaultConfig(), EvalLKIterations, false)
 			batch := func() *RunReport {
 				// Each batch is a fresh runner and frame stream on the
 				// same runtime, whose tiles stay configured between
 				// batches.
-				r, err := NewRunner(rt, runner.alloc, runner.cfg)
+				r, err := NewRunner(rt, alloc, runner.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				src, err := NewFrameSource(benchEdge, 0.7, -0.4, 3)
+				src, err := NewFrameSource(benchEdge, EvalMotionX, EvalMotionY, EvalTargets)
 				if err != nil {
 					b.Fatal(err)
 				}

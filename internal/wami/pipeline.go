@@ -35,6 +35,21 @@ func DefaultPipelineConfig() PipelineConfig {
 	}
 }
 
+// The runtime evaluation of Fig 4 and Table VI. Its scene is
+// EvalFrameEdge-pixel frames panning by (EvalMotionX, EvalMotionY)
+// pixels per frame with EvalTargets moving targets. It bounds the
+// Lucas-Kanade loop at one inverse-compositional iteration per frame:
+// inter-frame motion is sub-pixel, and each accelerator is then loaded
+// exactly once per frame, matching Table VI's one-bitstream-per-kernel
+// accounting.
+const (
+	EvalFrameEdge    = 128
+	EvalMotionX      = 0.7
+	EvalMotionY      = -0.4
+	EvalTargets      = 3
+	EvalLKIterations = 1
+)
+
 // FrameResult is the product of processing one frame.
 type FrameResult struct {
 	// Gray is the demosaiced grayscale frame.

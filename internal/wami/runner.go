@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"presp/internal/reconfig"
+	"presp/internal/report"
 	"presp/internal/sim"
 )
 
@@ -16,8 +17,10 @@ import (
 // Table VI partitioning leaves unallocated. Frames are processed
 // without pipelining, as in the paper's evaluation.
 type Runner struct {
-	rt    *reconfig.Runtime
-	alloc Allocation
+	rt *reconfig.Runtime
+	// tileOf maps each kernel index to the tile hosting it, "" for a
+	// kernel left to the CPU.
+	tileOf [NumKernels + 1]string
 	// hosted flags, per tile, the kernel indices its allocation holds.
 	hosted map[string][NumKernels + 1]bool
 	cfg    PipelineConfig
@@ -72,7 +75,8 @@ func (r *RunReport) EnergyPerFrame() float64 {
 	return r.TotalEnergy / float64(n)
 }
 
-// NewRunner builds a runner for runtime rt with allocation alloc.
+// NewRunner builds a runner for runtime rt with allocation alloc. Each
+// kernel may be allocated to one tile at most.
 func NewRunner(rt *reconfig.Runtime, alloc Allocation, cfg PipelineConfig) (*Runner, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("wami: nil runtime")
@@ -80,23 +84,25 @@ func NewRunner(rt *reconfig.Runtime, alloc Allocation, cfg PipelineConfig) (*Run
 	if len(alloc) == 0 {
 		return nil, fmt.Errorf("wami: empty allocation")
 	}
-	own := make(Allocation, len(alloc))
-	hosted := make(map[string][NumKernels + 1]bool, len(alloc))
-	for tileName, accs := range alloc {
+	r := &Runner{rt: rt, hosted: make(map[string][NumKernels + 1]bool, len(alloc)), cfg: cfg}
+	for _, tileName := range report.SortedKeys(alloc) {
 		var set [NumKernels + 1]bool
-		for _, idx := range accs {
+		for _, idx := range alloc[tileName] {
 			if _, ok := Names[idx]; !ok {
 				return nil, fmt.Errorf("wami: allocation of tile %s references unknown kernel %d", tileName, idx)
 			}
+			if other := r.tileOf[idx]; other != "" && other != tileName {
+				return nil, fmt.Errorf("wami: kernel %s is allocated to both %s and %s", Names[idx], other, tileName)
+			}
+			r.tileOf[idx] = tileName
 			set[idx] = true
 		}
-		own[tileName] = append([]int(nil), accs...)
-		hosted[tileName] = set
+		r.hosted[tileName] = set
 	}
 	if cfg.LKIterations <= 0 {
 		return nil, fmt.Errorf("wami: LK iteration bound must be positive")
 	}
-	return &Runner{rt: rt, alloc: own, hosted: hosted, cfg: cfg}, nil
+	return r, nil
 }
 
 // frame-order phases used by the prefetcher to predict each tile's next
@@ -172,7 +178,7 @@ func (r *Runner) nextOnTile(tileName string, k int) int {
 // runner prefetches the tile's predicted next bitstream, overlapping the
 // reconfiguration with work elsewhere in the dataflow.
 func (r *Runner) dispatch(idx int, in [][]float64, done func(*reconfig.InvokeResult, error)) {
-	tileName := TileFor(r.alloc, idx)
+	tileName := r.tileOf[idx]
 	if tileName == "" {
 		r.rt.RunOnCPU(Names[idx], in, done)
 		return

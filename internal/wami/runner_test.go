@@ -1,61 +1,41 @@
 package wami
 
 import (
-	"context"
 	"math"
+	"strings"
 	"testing"
 
-	"presp/internal/accel"
-	"presp/internal/flow"
 	"presp/internal/noc"
 	"presp/internal/reconfig"
-	"presp/internal/sim"
 	"presp/internal/socgen"
 	"presp/internal/tile"
 )
 
-// bootRunner builds a full runtime stack for the named SoC.
+// bootRunner boots the named runtime SoC and a runner on it.
 func bootRunner(t testing.TB, socName string, iters int) (*Runner, *reconfig.Runtime) {
 	t.Helper()
-	reg := accel.Default()
-	if err := AddTo(reg); err != nil {
-		t.Fatal(err)
-	}
 	cfg, alloc, err := RuntimeSoC(socName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := socgen.Elaborate(cfg, reg)
+	return boot(t, cfg, alloc, reconfig.DefaultConfig(), iters, false)
+}
+
+// boot brings up (cfg, alloc) under rcfg and builds a runner bounded at
+// iters Lucas-Kanade iterations, overlapping frames when pipelined.
+func boot(t testing.TB, cfg *socgen.Config, alloc Allocation, rcfg reconfig.Config, iters int, pipelined bool) (*Runner, *reconfig.Runtime) {
+	t.Helper()
+	reg, err := Registry()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := flow.FloorplanDesign(d, nil)
+	rt, _, err := Boot(cfg, alloc, reg, nil, rcfg, true)
 	if err != nil {
 		t.Fatal(err)
-	}
-	rt, err := reconfig.New(sim.NewEngine(), d, reg, plan, reconfig.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	am := make(map[string][]string, len(alloc))
-	for tileName, idxs := range alloc {
-		for _, idx := range idxs {
-			am[tileName] = append(am[tileName], Names[idx])
-		}
-	}
-	bss, err := flow.GenerateRuntimeBitstreams(context.Background(), d, plan, am, reg, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tileName, m := range bss {
-		for acc, bs := range m {
-			if err := rt.RegisterBitstream(tileName, acc, bs); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	pcfg := DefaultPipelineConfig()
 	pcfg.LKIterations = iters
+	pcfg.PipelineFrames = pipelined
 	runner, err := NewRunner(rt, alloc, pcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +45,7 @@ func bootRunner(t testing.TB, socName string, iters int) (*Runner, *reconfig.Run
 
 func TestRunnerProcessesFramesOnSoCY(t *testing.T) {
 	runner, rt := bootRunner(t, "SoC_Y", 1)
-	src, err := NewFrameSource(64, 0.7, -0.4, 3)
+	src, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +83,7 @@ func TestRunnerProcessesFramesOnSoCY(t *testing.T) {
 
 func TestRunnerAllHardwareOnSoCZ(t *testing.T) {
 	runner, rt := bootRunner(t, "SoC_Z", 1)
-	src, err := NewFrameSource(64, 0.7, -0.4, 3)
+	src, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +139,35 @@ func TestRunnerValidation(t *testing.T) {
 	}
 }
 
+// TestRunnerTileTable: the runner dispatches each allocated kernel to
+// its one tile and an unallocated kernel to the CPU.
+func TestRunnerTileTable(t *testing.T) {
+	runner, _ := bootRunner(t, "SoC_Y", 1)
+	if got := runner.tileOf[KSDUpdate]; got != "rt_2" {
+		t.Fatalf("sd-update tile: %q", got)
+	}
+	if got := runner.tileOf[KSubtract]; got != "" {
+		t.Fatalf("unallocated kernel mapped to tile %q", got)
+	}
+}
+
+// TestRunnerRejectsKernelOnTwoTiles: a kernel allocated to two tiles
+// has no single tile to dispatch to, so NewRunner rejects the
+// allocation and names the kernel and both tiles.
+func TestRunnerRejectsKernelOnTwoTiles(t *testing.T) {
+	_, rt := bootRunner(t, "SoC_Y", 1)
+	alloc := Allocation{"rt_1": {KDebayer, KGrayscale}, "rt_2": {KDebayer}, "rt_3": {KHessian}}
+	_, err := NewRunner(rt, alloc, DefaultPipelineConfig())
+	if err == nil {
+		t.Fatal("kernel allocated to two tiles accepted")
+	}
+	for _, want := range []string{Names[KDebayer], "rt_1", "rt_2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
 // TestPrefetcherPredictions pins the next-kernel prediction for the
 // schedules that drive Fig 4's reconfiguration counts.
 func TestPrefetcherPredictions(t *testing.T) {
@@ -192,7 +201,7 @@ func TestFig4Orderings(t *testing.T) {
 	results := make(map[string]*RunReport)
 	for _, name := range RuntimeSoCNames() {
 		runner, _ := bootRunner(t, name, 1)
-		src, err := NewFrameSource(128, 0.7, -0.4, 3)
+		src, err := NewFrameSource(EvalFrameEdge, EvalMotionX, EvalMotionY, EvalTargets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +233,7 @@ func TestHardwareMatchesGoldenPipeline(t *testing.T) {
 	cfg.LKIterations = 6
 	cfg.LKEpsilon = 1e-9 // run all iterations on both paths
 
-	swSrc, err := NewFrameSource(64, 0.7, -0.4, 3)
+	swSrc, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +254,7 @@ func TestHardwareMatchesGoldenPipeline(t *testing.T) {
 
 	runner, _ := bootRunner(t, "SoC_Z", cfg.LKIterations)
 	runner.cfg.LKEpsilon = cfg.LKEpsilon
-	hwSrc, err := NewFrameSource(64, 0.7, -0.4, 3)
+	hwSrc, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,47 +306,8 @@ func pipelineFriendlySoC() (*socgen.Config, Allocation) {
 // runtime configuration.
 func runPipelineCase(t *testing.T, cfg *socgen.Config, alloc Allocation, rcfg reconfig.Config, pipelined bool) *RunReport {
 	t.Helper()
-	reg := accel.Default()
-	if err := AddTo(reg); err != nil {
-		t.Fatal(err)
-	}
-	d, err := socgen.Elaborate(cfg, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := flow.FloorplanDesign(d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := reconfig.New(sim.NewEngine(), d, reg, plan, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	am := make(map[string][]string, len(alloc))
-	for tileName, idxs := range alloc {
-		for _, idx := range idxs {
-			am[tileName] = append(am[tileName], Names[idx])
-		}
-	}
-	bss, err := flow.GenerateRuntimeBitstreams(context.Background(), d, plan, am, reg, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tileName, m := range bss {
-		for acc, bs := range m {
-			if err := rt.RegisterBitstream(tileName, acc, bs); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	pcfg := DefaultPipelineConfig()
-	pcfg.LKIterations = 1
-	pcfg.PipelineFrames = pipelined
-	runner, err := NewRunner(rt, alloc, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewFrameSource(128, 0.7, -0.4, 3)
+	runner, _ := boot(t, cfg, alloc, rcfg, EvalLKIterations, pipelined)
+	src, err := NewFrameSource(EvalFrameEdge, EvalMotionX, EvalMotionY, EvalTargets)
 	if err != nil {
 		t.Fatal(err)
 	}

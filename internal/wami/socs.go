@@ -1,11 +1,18 @@
 package wami
 
 import (
+	"context"
 	"fmt"
 
+	"presp/internal/accel"
+	"presp/internal/bitstream"
+	"presp/internal/flow"
 	"presp/internal/noc"
+	"presp/internal/reconfig"
+	"presp/internal/sim"
 	"presp/internal/socgen"
 	"presp/internal/tile"
+	"presp/internal/vivado"
 )
 
 // The WAMI evaluation SoCs of Section VI.
@@ -151,15 +158,39 @@ func MissingKernels(alloc Allocation) []int {
 	return out
 }
 
-// TileFor returns the tile hosting kernel idx under alloc, or "" when
-// the kernel is unallocated.
-func TileFor(alloc Allocation, idx int) string {
-	for t, accs := range alloc {
-		for _, a := range accs {
-			if a == idx {
-				return t
-			}
+// Boot brings up a runtime SoC for the WAMI application, the one
+// sequence behind presp-sim, Fig 4, Table VI and the facade's RunWAMI:
+// it elaborates cfg against reg, floorplans the design under model (nil
+// means the default cost model), boots a reconfiguration manager with
+// rcfg on a fresh engine, and generates and registers a partial
+// bitstream for every (tile, kernel) pair of alloc, compressed when
+// compress is set. It returns the manager and the registered images by
+// tile and accelerator name.
+func Boot(cfg *socgen.Config, alloc Allocation, reg *accel.Registry, model *vivado.CostModel, rcfg reconfig.Config, compress bool) (*reconfig.Runtime, map[string]map[string]*bitstream.Bitstream, error) {
+	d, err := socgen.Elaborate(cfg, reg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wami: %s: %w", cfg.Name, err)
+	}
+	plan, err := flow.FloorplanDesign(d, model)
+	if err != nil {
+		return nil, nil, err
+	}
+	rt, err := reconfig.New(sim.NewEngine(), d, reg, plan, rcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	byTile := make(map[string][]string, len(alloc))
+	for tileName, idxs := range alloc {
+		for _, idx := range idxs {
+			byTile[tileName] = append(byTile[tileName], Names[idx])
 		}
 	}
-	return ""
+	bss, err := flow.GenerateRuntimeBitstreams(context.Background(), d, plan, byTile, reg, compress, 0)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wami: bitstreams for %s: %w", cfg.Name, err)
+	}
+	if err := rt.RegisterBitstreams(bss); err != nil {
+		return nil, nil, err
+	}
+	return rt, bss, nil
 }

@@ -200,19 +200,6 @@ func TestMissingKernels(t *testing.T) {
 	}
 }
 
-func TestTileFor(t *testing.T) {
-	_, alloc, err := RuntimeSoC("SoC_Y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if TileFor(alloc, KSDUpdate) != "rt_2" {
-		t.Fatalf("sd-update tile: %s", TileFor(alloc, KSDUpdate))
-	}
-	if TileFor(alloc, KSubtract) != "" {
-		t.Fatal("unallocated kernel mapped to a tile")
-	}
-}
-
 // TestRuntimeTilesSizedForLargestModule: each runtime tile's declared
 // initial accelerator must be the largest of its set (it sizes the
 // partition).

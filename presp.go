@@ -34,7 +34,6 @@ import (
 	"presp/internal/flow"
 	"presp/internal/fpga"
 	"presp/internal/reconfig"
-	"presp/internal/report"
 	"presp/internal/server"
 	"presp/internal/sim"
 	"presp/internal/socgen"
@@ -154,14 +153,23 @@ func (s *SoC) Classify() (core.Class, error) {
 // BuildSoC validates and elaborates a tile-grid configuration. The
 // configuration's board must match the platform's.
 func (p *Platform) BuildSoC(cfg *socgen.Config) (*SoC, error) {
-	if cfg.Board != p.dev.Board {
-		return nil, fmt.Errorf("presp: config targets %s but the platform is %s", cfg.Board, p.dev.Board)
+	if err := p.checkBoard(cfg); err != nil {
+		return nil, err
 	}
 	d, err := socgen.Elaborate(cfg, p.reg)
 	if err != nil {
 		return nil, err
 	}
 	return &SoC{Design: d}, nil
+}
+
+// checkBoard rejects a configuration for another board than the
+// platform's.
+func (p *Platform) checkBoard(cfg *socgen.Config) error {
+	if cfg.Board != p.dev.Board {
+		return fmt.Errorf("presp: config targets %s but the platform is %s", cfg.Board, p.dev.Board)
+	}
+	return nil
 }
 
 // FlowOptions tunes a flow run. It is the flow engine's option struct
@@ -334,15 +342,8 @@ func (p *Platform) StageBitstreams(ctx context.Context, rt *Runtime, alloc map[s
 	if err != nil {
 		return nil, err
 	}
-	// Register in sorted order so a registration failure is always the
-	// same one, whatever the map iteration order.
-	for _, tileName := range report.SortedKeys(bss) {
-		m := bss[tileName]
-		for _, acc := range report.SortedKeys(m) {
-			if err := rt.Manager.RegisterBitstream(tileName, acc, m[acc]); err != nil {
-				return nil, err
-			}
-		}
+	if err := rt.Manager.RegisterBitstreams(bss); err != nil {
+		return nil, err
 	}
 	return bss, nil
 }

@@ -1,9 +1,9 @@
 package presp
 
 import (
-	"context"
 	"fmt"
 
+	"presp/internal/reconfig"
 	"presp/internal/wami"
 )
 
@@ -51,49 +51,39 @@ type WAMIReport struct {
 }
 
 // RunWAMI executes the WAMI application on one of the runtime SoCs
-// (SoC_X, SoC_Y, SoC_Z): it builds the SoC, floorplans it, stages the
-// Table VI bitstreams, boots the reconfiguration manager and processes
+// (SoC_X, SoC_Y, SoC_Z): it boots the SoC with its Table VI bitstreams
+// on the platform's accelerator registry and cost model and processes
 // the synthetic frame stream, exactly as the Fig 4 evaluation does.
 func (p *Platform) RunWAMI(socName string, opt WAMIOptions) (*WAMIReport, error) {
 	if opt.Frames < 2 {
 		opt.Frames = 5
 	}
 	if opt.FrameEdge == 0 {
-		opt.FrameEdge = 128
+		opt.FrameEdge = wami.EvalFrameEdge
 	}
 	if opt.LKIterations == 0 {
-		opt.LKIterations = 1
+		opt.LKIterations = wami.EvalLKIterations
 	}
 	if opt.MotionX == 0 && opt.MotionY == 0 {
-		opt.MotionX, opt.MotionY = 0.7, -0.4
+		opt.MotionX, opt.MotionY = wami.EvalMotionX, wami.EvalMotionY
 	}
 	if opt.Targets == 0 {
-		opt.Targets = 3
+		opt.Targets = wami.EvalTargets
 	}
 	cfg, alloc, err := wami.RuntimeSoC(socName)
 	if err != nil {
 		return nil, err
 	}
-	soc, err := p.BuildSoC(cfg)
-	if err != nil {
+	if err := p.checkBoard(cfg); err != nil {
 		return nil, err
 	}
-	rt, err := p.NewRuntime(soc)
+	rt, _, err := wami.Boot(cfg, alloc, p.reg, p.model, reconfig.DefaultConfig(), opt.Compress)
 	if err != nil {
-		return nil, err
-	}
-	am := make(map[string][]string, len(alloc))
-	for tileName, idxs := range alloc {
-		for _, idx := range idxs {
-			am[tileName] = append(am[tileName], wami.Names[idx])
-		}
-	}
-	if _, err := p.StageBitstreams(context.Background(), rt, am, opt.Compress); err != nil {
 		return nil, err
 	}
 	pcfg := wami.DefaultPipelineConfig()
 	pcfg.LKIterations = opt.LKIterations
-	runner, err := wami.NewRunner(rt.Manager, alloc, pcfg)
+	runner, err := wami.NewRunner(rt, alloc, pcfg)
 	if err != nil {
 		return nil, err
 	}
