@@ -74,10 +74,14 @@ bench:
 # BENCH_bitstream.json and BENCH_wami.json for diffing across changes;
 # these numbers are smoke-level, not statistics.
 #
-# The one relational gate closes the target: a fully cached rerun must
-# cost at most a fifth of the cold run that populates the cache. It
-# compares the medians of five 10-iteration runs of the incremental
-# cold and warm benchmarks, so it holds on any host speed.
+# Two gates ride along. A fully cached rerun must cost at most a fifth
+# of the cold run that populates the cache: the gate compares the
+# medians of five 10-iteration runs of the incremental cold and warm
+# benchmarks, so it holds on any host speed. And a 16-frame batch on
+# each runtime SoC must allocate less than 2,097,152 B/op, one fresh
+# 128-px image per frame, read from the run that writes
+# BENCH_wami.json: the runner hands its kernel planes back to the WAMI
+# free list, and a plane that stops coming back shows up here.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='^Benchmark(EvaluateStrategy(Cold|Warm)|RunPRESP(NilObserver|Observed|Incremental(Cold|Warm|Edit))|SchedulerNoop)$$' \
 		-benchtime=1x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ \
@@ -105,6 +109,14 @@ bench-smoke:
 		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/wami/ \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_wami.json
 	@cat BENCH_wami.json
+	@awk -F'[:,]' ' \
+		/"name": "BenchmarkProcessFrames\// { name = $$2; gsub(/[ "]/, "", name) } \
+		/"bytes_per_op"/ && name != "" { b = $$2 + 0; n++; \
+			printf "alloc gate: %s %d B/op (limit 2097152)\n", name, b; \
+			if (b >= 2097152) bad = 1; name = "" } \
+		END { \
+			if (n == 0) { print "alloc gate: ProcessFrames benchmarks did not run"; exit 1 } \
+			if (bad) { print "alloc gate: FAIL"; exit 1 } }' BENCH_wami.json
 
 # Boot check for the flow-as-a-service daemon, part of `make ci`: build
 # presp-served, bind an ephemeral port, push one real job through the

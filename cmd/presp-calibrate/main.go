@@ -299,31 +299,49 @@ func specs() []paramSpec {
 	}
 }
 
-func objective(m *vivado.CostModel, cases []*designCase, ts []target, os []order, verbose bool) float64 {
+// fit is how well a cost model reproduces the paper: the score the hill
+// climber minimises, the mean absolute relative error over the
+// published cells, and the names of the orderings the model violates.
+type fit struct {
+	score    float64
+	mae      float64
+	cells    int
+	violated []string
+}
+
+// summary is the one-line account of f that every run prints last.
+func (f fit) summary() string {
+	return fmt.Sprintf("MAE %.2f%% over %d cells; violated orderings: %d", f.mae*100, f.cells, len(f.violated))
+}
+
+func objective(m *vivado.CostModel, cases []*designCase, ts []target, os []order, verbose bool) fit {
 	preds := make(map[string]pred, len(cases))
 	for _, dc := range cases {
 		preds[dc.name] = predict(m, dc)
 	}
-	var sum float64
+	f := fit{cells: len(ts)}
 	for _, t := range ts {
 		got := t.get(preds)
 		rel := (got - t.value) / t.value
-		sum += t.weight * rel * rel
+		f.score += t.weight * rel * rel
+		f.mae += math.Abs(rel)
 		if verbose {
 			fmt.Printf("  %-18s paper=%6.0f model=%6.1f err=%+6.1f%%\n", t.name, t.value, got, rel*100)
 		}
 	}
+	f.mae /= float64(f.cells)
 	for _, o := range os {
 		l, r := o.lhs(preds), o.rhs(preds)
 		if l >= r*(1-o.marginFrac) {
 			v := (l - r*(1-o.marginFrac)) / math.Max(r, 1)
-			sum += 25 * (1 + v)
+			f.score += 25 * (1 + v)
+			f.violated = append(f.violated, o.name)
 			if verbose {
 				fmt.Printf("  VIOLATED %-28s lhs=%.1f rhs=%.1f\n", o.name, l, r)
 			}
 		}
 	}
-	return sum
+	return f
 }
 
 func main() {
@@ -342,7 +360,7 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 
 	best := vivado.DefaultCostModel()
-	bestScore := objective(best, cases, ts, ords, false)
+	bestScore := objective(best, cases, ts, ords, false).score
 	fmt.Printf("start: score %.4f\n", bestScore)
 
 	cur := *best
@@ -364,7 +382,7 @@ func main() {
 			}
 			s.set(&cand, v)
 		}
-		score := objective(&cand, cases, ts, ords, false)
+		score := objective(&cand, cases, ts, ords, false).score
 		// Accept improvements; occasionally accept sideways moves.
 		if score < curScore || (score < curScore*1.002 && rng.Float64() < 0.1) {
 			cur, curScore = cand, score
@@ -390,7 +408,7 @@ func main() {
 		fmt.Printf("%-24s %.5g\n", n, bySpec[n])
 	}
 	fmt.Println()
-	objective(best, cases, ts, ords, true)
+	fmt.Println(objective(best, cases, ts, ords, true).summary())
 	if *verbose {
 		fmt.Println("\n(the block above already includes per-cell errors)")
 	}

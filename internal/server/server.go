@@ -596,6 +596,9 @@ func (s *Server) execute(slot int, g *group) {
 		rv = summarizeResult(g.cs.spec, res)
 	}
 	for _, j := range g.jobs {
+		// A finished job drops its flight: the group holds the
+		// compiled spec and its elaborated design.
+		j.group = nil
 		if j.State.terminal() {
 			continue // cancelled subscribers keep their state
 		}
@@ -770,6 +773,7 @@ func (s *Server) Cancel(tenant, id string) (JobView, error) {
 	s.mCancelled.Inc()
 	s.walAppendLocked(walRecord{Op: walCancelled, Job: j.ID})
 	g := j.group
+	j.group = nil
 	var cancelRun bool
 	if g != nil {
 		for i, gj := range g.jobs {
@@ -824,6 +828,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for _, tenant := range report.SortedKeys(s.queues) {
 			for _, g := range s.queues[tenant] {
 				for _, j := range g.jobs {
+					j.group = nil
 					if j.State.terminal() {
 						continue
 					}

@@ -325,6 +325,40 @@ func TestCancelRunningJobStopsRun(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsHoldNoGroup pins that a job lets go of its flight
+// group once it is terminal: the group holds the compiled spec and its
+// elaborated design, which a retained job would otherwise keep alive
+// for as long as the server remembers it.
+func TestFinishedJobsHoldNoGroup(t *testing.T) {
+	st := &stubRunner{started: make(chan int, 8), gate: make(chan struct{})}
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s.runFlow = st.run
+
+	running, err := s.Submit("acme", Spec{Preset: "SOC_1", Tau: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-st.started
+	queued, err := s.Submit("acme", Spec{Preset: "SOC_1", Tau: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Cancel("acme", queued.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	close(st.gate)
+	waitState(t, s, "acme", running.ID, StateSucceeded)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range []string{running.ID, queued.ID} {
+		j := s.jobs[id]
+		if j.group != nil {
+			t.Errorf("%s job %s still holds its flight group", j.State, id)
+		}
+	}
+}
+
 func TestCancelLeaderKeepsFollowerRunning(t *testing.T) {
 	st := &stubRunner{started: make(chan int, 1), gate: make(chan struct{})}
 	s := newTestServer(t, Config{Workers: 1})

@@ -69,7 +69,7 @@ func (s *FrameSource) Next() *Image {
 	s.frame++
 	ox, oy := s.GroundTruthMotion(idx)
 	n := s.N
-	out := NewImage(n)
+	out := recycledImage(n)
 	// The last row holds the column factors 45·sin(0.11x) until it is
 	// itself computed, in place, each factor read before its pixel is
 	// written; every other row touches only itself.

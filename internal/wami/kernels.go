@@ -15,6 +15,7 @@ package wami
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Image is a square grayscale image stored row-major.
@@ -26,6 +27,32 @@ type Image struct {
 // NewImage allocates an n×n image.
 func NewImage(n int) *Image {
 	return &Image{N: n, Pix: make([]float64, n*n)}
+}
+
+// pixPool is the free list of pixel buffers, ESP's accelerator buffer
+// in software: the kernels and FrameSource.Next take their output
+// planes from it, and Runner hands each plane back once the plane's
+// last consumer has finished. A buffer comes back with arbitrary
+// contents, so every producer writes each element. The pool drops its
+// contents across garbage collections, so an idle process holds none.
+var pixPool sync.Pool // of *[]float64
+
+// recycledImage returns an n×n image on a buffer from the free list,
+// or on a fresh one when the list has none large enough. Its pixels
+// are arbitrary: the caller must write every one.
+func recycledImage(n int) *Image {
+	if p, ok := pixPool.Get().(*[]float64); ok && cap(*p) >= n*n {
+		return &Image{N: n, Pix: (*p)[:n*n]}
+	}
+	return NewImage(n)
+}
+
+// releasePix hands buffers back to the free list. The caller gives up
+// every reference to them: a later recycledImage may overwrite them.
+func releasePix(bufs ...[]float64) {
+	for i := range bufs {
+		pixPool.Put(&bufs[i])
+	}
 }
 
 // At returns the pixel at (x, y), clamping coordinates to the border.
@@ -75,7 +102,7 @@ func imageFrom(pix []float64) (Image, error) {
 // bilinear interpolation. Returns r, g, b planes.
 func Debayer(mosaic *Image) (r, g, b *Image) {
 	n := mosaic.N
-	r, g, b = NewImage(n), NewImage(n), NewImage(n)
+	r, g, b = recycledImage(n), recycledImage(n), recycledImage(n)
 	m := mosaic.Pix
 	for y := 1; y < n-1; y++ {
 		up, row, dn := m[(y-1)*n:y*n], m[y*n:(y+1)*n], m[(y+1)*n:(y+2)*n]
@@ -150,7 +177,7 @@ func forBorder(n int, f func(x, y int)) {
 
 // Grayscale converts RGB planes to luma with the ITU-R BT.601 weights.
 func Grayscale(r, g, b *Image) *Image {
-	out := NewImage(r.N)
+	out := recycledImage(r.N)
 	for i := range out.Pix {
 		out.Pix[i] = 0.299*r.Pix[i] + 0.587*g.Pix[i] + 0.114*b.Pix[i]
 	}
@@ -160,7 +187,7 @@ func Grayscale(r, g, b *Image) *Image {
 // Gradient computes central-difference spatial gradients dx, dy.
 func Gradient(im *Image) (gx, gy *Image) {
 	n := im.N
-	gx, gy = NewImage(n), NewImage(n)
+	gx, gy = recycledImage(n), recycledImage(n)
 	p := im.Pix
 	for y := 1; y < n-1; y++ {
 		up, row, dn := p[(y-1)*n:y*n], p[y*n:(y+1)*n], p[(y+1)*n:(y+2)*n]
@@ -230,7 +257,7 @@ func (p Affine) matrix() [9]float64 {
 // clamped border.
 func Warp(im *Image, p Affine) *Image {
 	n := im.N
-	out := NewImage(n)
+	out := recycledImage(n)
 	pix := im.Pix
 	for y := 0; y < n; y++ {
 		row := out.Pix[y*n : (y+1)*n]
@@ -257,7 +284,7 @@ func Warp(im *Image, p Affine) *Image {
 
 // Subtract computes a - b per pixel (the error image kernel).
 func Subtract(a, b *Image) *Image {
-	out := NewImage(a.N)
+	out := recycledImage(a.N)
 	for i := range out.Pix {
 		out.Pix[i] = a.Pix[i] - b.Pix[i]
 	}
@@ -271,7 +298,7 @@ func SteepestDescent(gx, gy *Image) [6]*Image {
 	n := gx.N
 	var sd [6]*Image
 	for k := range sd {
-		sd[k] = NewImage(n)
+		sd[k] = recycledImage(n)
 	}
 	for y := 0; y < n; y++ {
 		fy := float64(y)
@@ -355,7 +382,7 @@ func SDUpdate(sd [6]*Image, err *Image) [6]*Image {
 	var out [6]*Image
 	e := err.Pix
 	for k := range out {
-		out[k] = NewImage(err.N)
+		out[k] = recycledImage(err.N)
 		o, s := out[k].Pix[:len(e)], sd[k].Pix[:len(e)]
 		for i, v := range e {
 			o[i] = s[i] * v
@@ -491,11 +518,13 @@ func LucasKanade(tmpl, img *Image, iters int, eps float64) (Affine, int, error) 
 // It returns the binary mask and the updated background.
 func ChangeDetection(frame, background *Image, thresh, alpha float64) (mask, newBg *Image) {
 	n := frame.N
-	mask, newBg = NewImage(n), NewImage(n)
+	mask, newBg = recycledImage(n), recycledImage(n)
 	for i := range frame.Pix {
 		d := frame.Pix[i] - background.Pix[i]
 		if math.Abs(d) > thresh {
 			mask.Pix[i] = 1
+		} else {
+			mask.Pix[i] = 0
 		}
 		newBg.Pix[i] = (1-alpha)*background.Pix[i] + alpha*frame.Pix[i]
 	}

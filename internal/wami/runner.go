@@ -16,6 +16,14 @@ import (
 // must swap kernels, and falls back to the processor for kernels the
 // Table VI partitioning leaves unallocated. Frames are processed
 // without pipelining, as in the paper's evaluation.
+//
+// The runner owns every plane a kernel returns to it and hands each one
+// back to the package's free list once the plane's last consumer has
+// finished, as an ESP application reuses its one accelerator buffer
+// across invocations: the mosaic after Debayer, the colour planes after
+// Grayscale, the gradients after Steepest-Descent, the error image after
+// SD-Update, the SD-update planes after Mult, a warped image the loop
+// iterates past, and the rest of the frame's planes in detect.
 type Runner struct {
 	rt *reconfig.Runtime
 	// tileOf maps each kernel index to the tile hosting it, "" for a
@@ -251,11 +259,14 @@ func (r *Runner) ProcessFrames(src *FrameSource, n int) (*RunReport, error) {
 				fail(i)(err)
 				return
 			}
-			r.dispatch(KGrayscale, res.Out, func(res *reconfig.InvokeResult, err error) {
+			releasePix(mosaic.Pix)
+			rgb := res.Out
+			r.dispatch(KGrayscale, rgb, func(res *reconfig.InvokeResult, err error) {
 				if err != nil {
 					fail(i)(err)
 					return
 				}
+				releasePix(rgb...)
 				fut.set(&Image{N: mosaic.N, Pix: res.Out[0]})
 			})
 		})
@@ -329,11 +340,13 @@ func (r *Runner) ProcessFrames(src *FrameSource, n int) (*RunReport, error) {
 					fail(i)(err)
 					return
 				}
-				r.dispatch(KSteepestDescent, res.Out, func(res *reconfig.InvokeResult, err error) {
+				grad := res.Out
+				r.dispatch(KSteepestDescent, grad, func(res *reconfig.InvokeResult, err error) {
 					if err != nil {
 						fail(i)(err)
 						return
 					}
+					releasePix(grad...)
 					sd = res.Out
 					r.dispatch(KHessian, sd, func(res *reconfig.InvokeResult, err error) {
 						if err != nil {
@@ -389,14 +402,17 @@ func (r *Runner) lkLoop(gray *Image, sd [][]float64, hinv []float64, p Affine, i
 					fail(err)
 					return
 				}
+				releasePix(errImg)
+				sdu := res.Out
 				min := make([][]float64, 0, 7)
 				min = append(min, hinv)
-				min = append(min, res.Out...)
+				min = append(min, sdu...)
 				r.dispatch(KMult, min, func(res *reconfig.InvokeResult, err error) {
 					if err != nil {
 						fail(err)
 						return
 					}
+					releasePix(sdu...)
 					dp := res.Out[0]
 					r.dispatch(KReshapeAdd, [][]float64{p[:], dp}, func(res *reconfig.InvokeResult, err error) {
 						if err != nil {
@@ -410,9 +426,10 @@ func (r *Runner) lkLoop(gray *Image, sd [][]float64, hinv []float64, p Affine, i
 							norm += v * v
 						}
 						if math.Sqrt(norm) < r.cfg.LKEpsilon || iter >= r.cfg.LKIterations {
-							r.detect(gray, warped, next, iter, fail, finishFrame)
+							r.detect(gray, warped, sd, next, iter, fail, finishFrame)
 							return
 						}
+						releasePix(warped)
 						r.lkLoop(gray, sd, hinv, next, iter+1, fail, finishFrame)
 					})
 				})
@@ -422,21 +439,26 @@ func (r *Runner) lkLoop(gray *Image, sd [][]float64, hinv []float64, p Affine, i
 }
 
 // detect runs Change-Detection on the registered frame and closes out
-// the frame.
-func (r *Runner) detect(gray *Image, warped []float64, motion Affine, iters int, fail func(error), finishFrame func(FrameStats)) {
+// the frame. It is the last consumer of the frame's warped image and
+// steepest-descent planes, of the template gray replaces and of the
+// background the detection replaces, and hands all of them back to the
+// free list.
+func (r *Runner) detect(gray *Image, warped []float64, sd [][]float64, motion Affine, iters int, fail func(error), finishFrame func(FrameStats)) {
 	r.dispatch(KChangeDetection, [][]float64{warped, r.bg.Pix, {r.cfg.CDThreshold, r.cfg.CDAlpha}}, func(res *reconfig.InvokeResult, err error) {
 		if err != nil {
 			fail(err)
 			return
 		}
 		mask := res.Out[0]
-		r.bg = &Image{N: r.bg.N, Pix: res.Out[1]}
 		det := 0
 		for _, v := range mask {
 			if v != 0 {
 				det++
 			}
 		}
+		releasePix(mask, warped, r.bg.Pix, r.prev.Pix)
+		releasePix(sd...)
+		r.bg = &Image{N: r.bg.N, Pix: res.Out[1]}
 		r.prev = gray
 		finishFrame(FrameStats{Detections: det, LKIters: iters, MotionErr: motionErrOf(motion)})
 	})
