@@ -352,6 +352,7 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 				d := runWithRetry(ctx, h, j, opt.MaxJobRetries, tr, tid)
 				if tr != nil {
 					args := map[string]any{
+						"job":         j.id,
 						"stage":       j.stage.String(),
 						"sim_minutes": float64(d.runtime),
 						"attempts":    d.attempts,
@@ -426,6 +427,7 @@ func (g *graph) execute(ctx context.Context, opt Options) (JobStats, []JobError,
 		stageCacheHits.Inc()
 		if tr != nil {
 			tr.Instant("stage-skip", j.id, 0, map[string]any{
+				"job":         j.id,
 				"stage":       j.stage.String(),
 				"sim_minutes": float64(j.minutes),
 			})

@@ -32,6 +32,19 @@ func New() *Observer {
 	return &Observer{reg: NewRegistry(), tr: NewTracer()}
 }
 
+// Scoped returns an observer that shares o's metrics registry and
+// trace but writes its trace events on lanes laneBase+tid, with tags
+// added to the args of every span and instant. Concurrent runs of one
+// instrumented component, each given its own lane block, then never
+// share a lane, and every span says which run it belongs to. A nil o
+// returns nil.
+func (o *Observer) Scoped(laneBase int, tags map[string]any) *Observer {
+	if o == nil {
+		return nil
+	}
+	return &Observer{reg: o.reg, tr: o.tr.scoped(laneBase, tags)}
+}
+
 // Metrics returns the observer's registry (nil for a nil observer; a
 // nil Registry hands out nil instruments whose methods no-op).
 func (o *Observer) Metrics() *Registry {

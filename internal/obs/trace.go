@@ -39,7 +39,19 @@ type Event struct {
 // Tracer collects trace events. It is safe for concurrent use; every
 // method no-ops on a nil receiver, so instrumented code can hold a nil
 // tracer and emit unconditionally.
+//
+// A tracer may be a scoped view of another (see Observer.Scoped): it
+// writes into the same event log on the same clock, shifts every lane
+// it is given by its lane base and adds its tags to the args of every
+// span and instant.
 type Tracer struct {
+	log      *traceLog
+	laneBase int
+	tags     map[string]any
+}
+
+// traceLog is the event log and clock every view of a tracer shares.
+type traceLog struct {
 	mu     sync.Mutex
 	events []Event
 	epoch  time.Time
@@ -50,7 +62,32 @@ const tracePID = 1
 
 // NewTracer returns a tracer whose Now clock starts at zero.
 func NewTracer() *Tracer {
-	return &Tracer{epoch: time.Now()}
+	return &Tracer{log: &traceLog{epoch: time.Now()}}
+}
+
+// scoped returns a view of t whose lanes start at laneBase past t's and
+// whose tags extend t's (nil for a nil tracer).
+func (t *Tracer) scoped(laneBase int, tags map[string]any) *Tracer {
+	if t == nil {
+		return nil
+	}
+	return &Tracer{log: t.log, laneBase: t.laneBase + laneBase, tags: t.tagged(tags)}
+}
+
+// tagged returns args extended by the tracer's tags; args keep their
+// own value for a key both hold.
+func (t *Tracer) tagged(args map[string]any) map[string]any {
+	if len(t.tags) == 0 {
+		return args
+	}
+	out := make(map[string]any, len(t.tags)+len(args))
+	for k, v := range t.tags {
+		out[k] = v
+	}
+	for k, v := range args {
+		out[k] = v
+	}
+	return out
 }
 
 // Now returns the wall-clock microseconds since the tracer was created
@@ -59,7 +96,7 @@ func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
 	}
-	return time.Since(t.epoch).Microseconds()
+	return time.Since(t.log.epoch).Microseconds()
 }
 
 func (t *Tracer) emit(ev Event) {
@@ -67,9 +104,9 @@ func (t *Tracer) emit(ev Event) {
 		return
 	}
 	ev.PID = tracePID
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
+	t.log.mu.Lock()
+	t.log.events = append(t.log.events, ev)
+	t.log.mu.Unlock()
 }
 
 // Complete records a complete span ("X") on lane tid covering
@@ -81,7 +118,7 @@ func (t *Tracer) Complete(cat, name string, tid int, ts, dur int64, args map[str
 	if dur < 0 {
 		dur = 0
 	}
-	t.emit(Event{Name: name, Cat: cat, Phase: "X", TS: ts, Dur: dur, TID: tid, Args: args})
+	t.emit(Event{Name: name, Cat: cat, Phase: "X", TS: ts, Dur: dur, TID: t.laneBase + tid, Args: t.tagged(args)})
 }
 
 // Instant records a thread-scoped instant event at Now().
@@ -98,7 +135,7 @@ func (t *Tracer) InstantAt(cat, name string, tid int, ts int64, args map[string]
 	if t == nil {
 		return
 	}
-	t.emit(Event{Name: name, Cat: cat, Phase: "i", TS: ts, TID: tid, Scope: "t", Args: args})
+	t.emit(Event{Name: name, Cat: cat, Phase: "i", TS: ts, TID: t.laneBase + tid, Scope: "t", Args: t.tagged(args)})
 }
 
 // CounterSampleAt records a counter sample ("C"): each key of values is
@@ -128,7 +165,7 @@ func (t *Tracer) SetThreadName(tid int, name string) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Name: "thread_name", Phase: "M", TID: tid, Args: map[string]any{"name": name}})
+	t.emit(Event{Name: "thread_name", Phase: "M", TID: t.laneBase + tid, Args: map[string]any{"name": name}})
 }
 
 // Events returns a copy of everything recorded so far.
@@ -136,9 +173,9 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	t.log.mu.Lock()
+	defer t.log.mu.Unlock()
+	return append([]Event(nil), t.log.events...)
 }
 
 // Len returns the recorded event count.
@@ -146,9 +183,9 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
+	t.log.mu.Lock()
+	defer t.log.mu.Unlock()
+	return len(t.log.events)
 }
 
 // TraceFile is the JSON object WriteJSON emits — the Chrome

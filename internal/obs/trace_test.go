@@ -126,3 +126,45 @@ func TestObserverAccessors(t *testing.T) {
 		t.Fatal("observer registry not shared across Metrics() calls")
 	}
 }
+
+// TestScopedObserver: a scoped observer shares its parent's registry,
+// event log and clock, shifts every lane it writes by its base, and
+// adds its tags to span and instant args without touching the caller's
+// map. Scopes compose, and a nil observer scopes to nil.
+func TestScopedObserver(t *testing.T) {
+	o := New()
+	a := o.Scoped(4, map[string]any{"flight": "a"})
+	b := a.Scoped(2, map[string]any{"sub": 1})
+	a.Metrics().Counter("c").Inc()
+	if o.Metrics().Counter("c").Value() != 1 {
+		t.Fatal("scoped observer does not share the registry")
+	}
+	args := map[string]any{"stage": "synth"}
+	a.Tracer().SetThreadName(0, "worker-0")
+	a.Tracer().Complete("job", "synth_leaf", 1, 0, 10, args)
+	b.Tracer().InstantAt("retry", "impl_leaf#1", 0, 5, nil)
+	o.Tracer().Complete("job", "root", 1, 0, 10, nil)
+	if len(args) != 1 {
+		t.Fatalf("caller's args map was modified: %v", args)
+	}
+	ev := o.Tracer().Events()
+	if len(ev) != 4 || a.Tracer().Len() != 4 {
+		t.Fatalf("parent holds %d events, scope sees %d, want 4 in one log", len(ev), a.Tracer().Len())
+	}
+	if ev[0].TID != 4 || ev[1].TID != 5 || ev[2].TID != 6 || ev[3].TID != 1 {
+		t.Fatalf("lanes %d %d %d %d, want 4 5 6 1", ev[0].TID, ev[1].TID, ev[2].TID, ev[3].TID)
+	}
+	if ev[1].Args["flight"] != "a" || ev[1].Args["stage"] != "synth" {
+		t.Fatalf("scoped span args %v", ev[1].Args)
+	}
+	if ev[2].Args["flight"] != "a" || ev[2].Args["sub"] != 1 {
+		t.Fatalf("nested scope instant args %v", ev[2].Args)
+	}
+	if ev[3].Args != nil {
+		t.Fatalf("parent span picked up scope tags: %v", ev[3].Args)
+	}
+	var nilObs *Observer
+	if nilObs.Scoped(1, nil) != nil {
+		t.Fatal("nil observer scoped to non-nil")
+	}
+}

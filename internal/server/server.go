@@ -533,7 +533,7 @@ func (s *Server) execute(slot int, g *group) {
 		StageCache:     s.stage,
 		MaxJobRetries:  g.cs.spec.Retries,
 		FaultPlan:      g.cs.faults,
-		Observer:       s.cfg.Observer,
+		Observer:       s.flightObserver(slot, g.key),
 	}
 	if g.cs.spec.ErrorPolicy == "collect" {
 		opt.ErrorPolicy = flow.Collect
@@ -644,6 +644,19 @@ func (s *Server) execute(slot int, g *group) {
 		}
 		tr.Complete("server", "flight/"+g.cs.spec.Preset, serverTIDBase+slot, spanStart, tr.Now()-spanStart, args)
 	}
+}
+
+// flightObserver is the observer a flight running on worker slot
+// hands its flow run. Concurrent flights share the server's registry
+// and trace, but each writes its scheduler lanes into a block of its
+// own, one lane per job worker, and tags its spans with the flight key,
+// so a trace of a busy server stays well nested.
+func (s *Server) flightObserver(slot int, key string) *obs.Observer {
+	lanes, err := flow.NormalizeWorkers(s.cfg.JobWorkers)
+	if err != nil {
+		lanes = 1 // the flow run rejects the count itself
+	}
+	return s.cfg.Observer.Scoped(slot*lanes, map[string]any{"flight": key})
 }
 
 // breakerFailureLocked records one organic failure for (tenant, spec)

@@ -34,7 +34,9 @@ func NewFrameSource(n int, dx, dy float64, targets int) (*FrameSource, error) {
 	return &FrameSource{N: n, DX: dx, DY: dy, Targets: targets, seed: 0x9e3779b9}, nil
 }
 
-// FrameIndex returns the index of the next frame Next will produce.
+// FrameIndex returns the index of the next frame Next will produce:
+// the number of frames taken from the source since it was built or
+// Reset.
 func (s *FrameSource) FrameIndex() int { return s.frame }
 
 // GroundTruthMotion returns the cumulative translation of frame idx
@@ -51,7 +53,18 @@ func (s *FrameSource) GroundTruthMotion(idx int) (float64, float64) {
 // intensity compensates for the relatively larger covered area).
 const targetIntensity = 40
 
-// Next produces the next Bayer mosaic frame (RGGB pattern).
+// Next produces the next Bayer mosaic frame (RGGB pattern) and advances
+// the source.
+func (s *FrameSource) Next() *Image {
+	img := s.render(s.frame)
+	s.frame++
+	return img
+}
+
+// render synthesises frame idx on a buffer from the free list. It reads
+// only the source's fixed fields (N, DX, DY, Targets), never the
+// frame counter, so a goroutine may render frames ahead of the one
+// taking them.
 //
 // The background texture is a sum of smooth sinusoids, so sub-pixel
 // warping is well defined:
@@ -64,9 +77,7 @@ const targetIntensity = 40
 // are 2×2 squares moving diagonally; each adds targetIntensity once
 // (overlapping squares do not stack) before the pixel is clamped to
 // [0, 255].
-func (s *FrameSource) Next() *Image {
-	idx := s.frame
-	s.frame++
+func (s *FrameSource) render(idx int) *Image {
 	ox, oy := s.GroundTruthMotion(idx)
 	n := s.N
 	out := recycledImage(n)

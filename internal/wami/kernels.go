@@ -30,9 +30,10 @@ func NewImage(n int) *Image {
 }
 
 // pixPool is the free list of pixel buffers, ESP's accelerator buffer
-// in software: the kernels and FrameSource.Next take their output
+// in software: the kernels and frame synthesis take their output
 // planes from it, and Runner hands each plane back once the plane's
-// last consumer has finished. A buffer comes back with arbitrary
+// last consumer has finished. It is safe for concurrent use, which the
+// runner's frame producer relies on. A buffer comes back with arbitrary
 // contents, so every producer writes each element. The pool drops its
 // contents across garbage collections, so an idle process holds none.
 var pixPool sync.Pool // of *[]float64

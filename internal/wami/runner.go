@@ -24,6 +24,15 @@ import (
 // Grayscale, the gradients after Steepest-Descent, the error image after
 // SD-Update, the SD-update planes after Mult, a warped image the loop
 // iterates past, and the rest of the frame's planes in detect.
+//
+// Frame synthesis is host work the simulated SoC never sees, so
+// ProcessFrames renders the batch's mosaics on a second goroutine,
+// ahead of the front-ends that take them, while the engine, the
+// manager and the kernels run on the caller's. A mosaic belongs to the
+// producer until it is received and to the runner from then on; the
+// frames nobody received go back to the free list before ProcessFrames
+// returns. The virtual-time schedule is the same either way: only host
+// work overlaps.
 type Runner struct {
 	rt *reconfig.Runtime
 	// tileOf maps each kernel index to the tile hosting it, "" for a
@@ -233,12 +242,46 @@ func (f *grayFuture) get(fn func(*Image)) {
 	f.waits = append(f.waits, fn)
 }
 
+// renderAhead starts the producer of frames first … first+n-1 of src,
+// where first is src's current index, and returns the channel they
+// arrive on in order. Once a frame is sent, the receiver owns its
+// plane. stop makes the producer quit, hands every frame it rendered
+// that nobody received back to the free list, and returns only after
+// the producer has closed the channel as its last act.
+func renderAhead(src *FrameSource, n int) (frames <-chan *Image, stop func()) {
+	out := make(chan *Image, 1)
+	quit := make(chan struct{})
+	first := src.frame
+	go func() {
+		defer close(out)
+		for idx := first; idx < first+n; idx++ {
+			img := src.render(idx)
+			select {
+			case out <- img:
+			case <-quit:
+				releasePix(img.Pix)
+				return
+			}
+		}
+	}()
+	return out, func() {
+		close(quit)
+		for img := range out {
+			releasePix(img.Pix)
+		}
+	}
+}
+
 // ProcessFrames runs n frames from src through the SoC and returns the
-// per-frame report. It drives the simulation engine to completion.
+// per-frame report. It drives the simulation engine to completion. On
+// return, src has advanced by the frames the runner took from it: n on
+// success, and the frames whose front-end was launched on error.
 func (r *Runner) ProcessFrames(src *FrameSource, n int) (*RunReport, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("wami: need at least 2 frames (first frame only initializes state), got %d", n)
 	}
+	frames, stop := renderAhead(src, n)
+	defer stop()
 	rep := &RunReport{SoC: "", Frames: make([]FrameStats, 0, n)}
 	var runErr error
 	fail := func(i int) func(error) {
@@ -253,7 +296,8 @@ func (r *Runner) ProcessFrames(src *FrameSource, n int) (*RunReport, error) {
 	// resolves the returned future with the grayscale image.
 	launchFrontEnd := func(i int) *grayFuture {
 		fut := &grayFuture{}
-		mosaic := src.Next()
+		mosaic := <-frames
+		src.frame++
 		r.dispatch(KDebayer, [][]float64{mosaic.Pix}, func(res *reconfig.InvokeResult, err error) {
 			if err != nil {
 				fail(i)(err)

@@ -2,9 +2,11 @@ package wami
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"presp/internal/faultinject"
 	"presp/internal/noc"
 	"presp/internal/reconfig"
 	"presp/internal/socgen"
@@ -272,6 +274,56 @@ func TestHardwareMatchesGoldenPipeline(t *testing.T) {
 				i, rep.Frames[i].Detections, swDet[i])
 		}
 	}
+}
+
+// TestDeadTileFallbackMatchesHealthyRun is the dead-tile leg of the
+// differential harness: one scene on SoC_X runs on a healthy SoC and
+// again with every ICAP program on rt_1 failing, which drives the tile
+// past TileDeadThreshold and sends its kernels to the CPU. The
+// processor runs the kernels the tile would have run, so every frame's
+// registration and detection results and the final background plane
+// must match the healthy run bit for bit, on the slower schedule.
+func TestDeadTileFallbackMatchesHealthyRun(t *testing.T) {
+	const frames = 6
+	cfg, alloc, err := RuntimeSoC("SoC_X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(rcfg reconfig.Config) (*RunReport, []float64) {
+		runner, _ := boot(t, cfg, alloc, rcfg, EvalLKIterations, false)
+		src, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := runner.ProcessFrames(src, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, runner.bg.Pix
+	}
+	healthy, healthyBg := run(reconfig.DefaultConfig())
+	plan, err := faultinject.ParsePlan("seed=7,icap@rt_1:count=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := reconfig.DefaultConfig()
+	faulty.FaultPlan = plan
+	dead, deadBg := run(faulty)
+
+	if dead.Stats.DeadTiles != 1 {
+		t.Fatalf("%d dead tiles, want rt_1 alone", dead.Stats.DeadTiles)
+	}
+	// SoC_X leaves Subtract and Change-Detection to the CPU anyway, so
+	// the dead tile must add fallbacks beyond those.
+	if dead.Stats.CPUFallbacks <= healthy.Stats.CPUFallbacks {
+		t.Fatalf("CPU fallbacks: %d with a dead tile, %d healthy", dead.Stats.CPUFallbacks, healthy.Stats.CPUFallbacks)
+	}
+	if g, w := functionalOf(dead), functionalOf(healthy); !reflect.DeepEqual(g, w) {
+		t.Errorf("frames with a dead tile %+v, healthy %+v", g, w)
+	}
+	sameBits(t, "final background", deadBg, healthyBg)
+	t.Logf("SoC_X: %.4f s/frame healthy, %.4f with rt_1 dead (%d CPU fallbacks vs %d)",
+		healthy.TimePerFrame(), dead.TimePerFrame(), dead.Stats.CPUFallbacks, healthy.Stats.CPUFallbacks)
 }
 
 // pipelineFriendlySoC builds a 5-tile SoC whose front-end kernels own a
