@@ -37,6 +37,20 @@ func elaborate(cfg *socgen.Config) (*socgen.Design, error) {
 	return d, nil
 }
 
+// flowSoCs builds the four WAMI flow SoCs SoC_A..SoC_D that Tables IV
+// and V evaluate.
+func flowSoCs() ([]*socgen.Config, error) {
+	var cfgs []*socgen.Config
+	for _, name := range wami.FlowSoCNames() {
+		cfg, err := wami.FlowSoC(name)
+		if err != nil {
+			return nil, err
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs, nil
+}
+
 // ElaborateConfig elaborates a configuration against the full
 // experiment registry (characterization + WAMI accelerators); exported
 // for the CLI tools.

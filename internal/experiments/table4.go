@@ -52,12 +52,13 @@ type Table4Result struct {
 // Table4 evaluates SoC_A..SoC_D under all three strategies (semi-parallel
 // at τ=2, as the paper fixes it) and records the chooser's pick.
 func Table4() (*Table4Result, error) {
+	cfgs, err := flowSoCs()
+	if err != nil {
+		return nil, err
+	}
 	res := &Table4Result{}
-	for _, name := range wami.FlowSoCNames() {
-		cfg, err := wami.FlowSoC(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, cfg := range cfgs {
+		name := cfg.Name
 		d, err := elaborate(cfg)
 		if err != nil {
 			return nil, err

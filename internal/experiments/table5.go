@@ -7,7 +7,6 @@ import (
 	"presp/internal/core"
 	"presp/internal/flow"
 	"presp/internal/report"
-	"presp/internal/wami"
 )
 
 // Table5SoC compares the full PR-ESP implementation (synthesis + P&R)
@@ -44,12 +43,13 @@ type Table5Result struct {
 // Table5 runs both flows end to end on SoC_A..SoC_D, letting the
 // size-driven chooser pick the PR-ESP strategy.
 func Table5() (*Table5Result, error) {
+	cfgs, err := flowSoCs()
+	if err != nil {
+		return nil, err
+	}
 	res := &Table5Result{}
-	for _, name := range wami.FlowSoCNames() {
-		cfg, err := wami.FlowSoC(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, cfg := range cfgs {
+		name := cfg.Name
 		d, err := elaborate(cfg)
 		if err != nil {
 			return nil, err

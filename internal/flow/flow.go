@@ -576,14 +576,11 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	switch mode {
 	case modePRESP:
 		// All syntheses run in parallel, one tool instance each.
-		cont := tool.Model().Contention(1 + len(d.RPs))
-		var maxSynth vivado.Minutes
+		runs := make([]vivado.Minutes, 0, len(res.SynthRuns))
 		for _, t := range res.SynthRuns {
-			if t > maxSynth {
-				maxSynth = t
-			}
+			runs = append(runs, t)
 		}
-		res.SynthWall = vivado.Minutes(float64(maxSynth) * cont)
+		res.SynthWall = tool.Model().ConcurrentWall(1+len(d.RPs), runs...)
 	case modeStandardDFX:
 		// Sequential synthesis in one instance: times add up (in sorted
 		// run order, so the float sum is reproducible).
@@ -592,12 +589,11 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 		}
 	}
 	if res.Strategy.Kind != core.Serial {
-		cont := tool.Model().Contention(res.Strategy.Tau)
 		for _, cr := range ctxResults {
 			if cr == nil {
 				continue // group failed or was cancelled (Collect policy)
 			}
-			run := GroupRun{Partitions: cr.Group, Runtime: vivado.Minutes(float64(cr.Runtime) * cont)}
+			run := GroupRun{Partitions: cr.Group, Runtime: tool.Model().ConcurrentWall(res.Strategy.Tau, cr.Runtime)}
 			res.Groups = append(res.Groups, run)
 			if run.Runtime > res.MaxOmega {
 				res.MaxOmega = run.Runtime

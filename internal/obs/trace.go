@@ -54,6 +54,7 @@ type Tracer struct {
 type traceLog struct {
 	mu     sync.Mutex
 	events []Event
+	named  map[int]bool // lanes that carry a thread_name event
 	epoch  time.Time
 }
 
@@ -160,12 +161,26 @@ func (t *Tracer) SetProcessName(name string) {
 	t.emit(Event{Name: "process_name", Phase: "M", Args: map[string]any{"name": name}})
 }
 
-// SetThreadName labels lane tid (worker index, tile name).
+// SetThreadName labels lane tid (worker index, tile name). A lane keeps
+// the first name it is given and later calls for it record nothing, so
+// a component that names its lanes on every run (the flow scheduler)
+// labels each lane once, and an owner that names a lane block before
+// handing it out (the server's flight slots) keeps its names.
 func (t *Tracer) SetThreadName(tid int, name string) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Name: "thread_name", Phase: "M", TID: t.laneBase + tid, Args: map[string]any{"name": name}})
+	tid += t.laneBase
+	t.log.mu.Lock()
+	defer t.log.mu.Unlock()
+	if t.log.named[tid] {
+		return
+	}
+	if t.log.named == nil {
+		t.log.named = make(map[int]bool)
+	}
+	t.log.named[tid] = true
+	t.log.events = append(t.log.events, Event{Name: "thread_name", Phase: "M", PID: tracePID, TID: tid, Args: map[string]any{"name": name}})
 }
 
 // Events returns a copy of everything recorded so far.

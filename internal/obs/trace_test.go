@@ -6,6 +6,23 @@ import (
 	"testing"
 )
 
+// TestThreadNameOncePerLane: a lane keeps its first name, through any
+// view of the tracer; later names for it record nothing.
+func TestThreadNameOncePerLane(t *testing.T) {
+	tr := NewTracer()
+	scoped := tr.scoped(2, nil)
+	tr.SetThreadName(2, "slot-1/worker-0")
+	for i := 0; i < 3; i++ {
+		scoped.SetThreadName(0, "worker-0")
+		scoped.SetThreadName(1, "worker-1")
+	}
+	ev := tr.Events()
+	if len(ev) != 2 || ev[0].TID != 2 || ev[0].Args["name"] != "slot-1/worker-0" ||
+		ev[1].TID != 3 || ev[1].Args["name"] != "worker-1" {
+		t.Fatalf("thread names %+v, want lane 2 slot-1/worker-0 and lane 3 worker-1 once each", ev)
+	}
+}
+
 func TestTracerRoundTrip(t *testing.T) {
 	tr := NewTracer()
 	tr.SetProcessName("presp-flow")

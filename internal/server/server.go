@@ -267,8 +267,12 @@ func New(cfg Config) *Server {
 	s.hQueueSec = reg.Histogram("server_job_queue_seconds")
 	s.hRunSec = reg.Histogram("server_job_run_seconds")
 	if tr := cfg.Observer.Tracer(); tr != nil {
+		lanes := s.flightLanes()
 		for i := 0; i < cfg.Workers; i++ {
 			tr.SetThreadName(serverTIDBase+i, fmt.Sprintf("server-worker-%d", i))
+			for w := 0; w < lanes; w++ {
+				tr.SetThreadName(i*lanes+w, fmt.Sprintf("slot-%d/worker-%d", i, w))
+			}
 		}
 	}
 
@@ -649,14 +653,20 @@ func (s *Server) execute(slot int, g *group) {
 // flightObserver is the observer a flight running on worker slot
 // hands its flow run. Concurrent flights share the server's registry
 // and trace, but each writes its scheduler lanes into a block of its
-// own, one lane per job worker, and tags its spans with the flight key,
-// so a trace of a busy server stays well nested.
+// own, one lane per job worker (named slot-<slot>/worker-<w> by New),
+// and tags its spans with the flight key, so a trace of a busy server
+// stays well nested.
 func (s *Server) flightObserver(slot int, key string) *obs.Observer {
+	return s.cfg.Observer.Scoped(slot*s.flightLanes(), map[string]any{"flight": key})
+}
+
+// flightLanes is the size of each worker slot's trace lane block.
+func (s *Server) flightLanes() int {
 	lanes, err := flow.NormalizeWorkers(s.cfg.JobWorkers)
 	if err != nil {
-		lanes = 1 // the flow run rejects the count itself
+		return 1 // the flow run rejects the count itself
 	}
-	return s.cfg.Observer.Scoped(slot*lanes, map[string]any{"flight": key})
+	return lanes
 }
 
 // breakerFailureLocked records one organic failure for (tenant, spec)

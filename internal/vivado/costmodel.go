@@ -7,8 +7,9 @@
 // IV spends hundreds of machine-hours measuring it), so the simulation's
 // heart is an empirical cost model: analytic formulas whose constants
 // are fit against the paper's published measurements (Tables III, IV
-// and V) by cmd/presp-calibrate. Times are virtual minutes; no real
-// Vivado runs anywhere.
+// and V) by cmd/presp-calibrate, which scores them with
+// internal/experiments. Times are virtual minutes; no real Vivado runs
+// anywhere.
 package vivado
 
 import (
@@ -245,6 +246,17 @@ func (m *CostModel) Contention(instances int) float64 {
 		return 1.0
 	}
 	return 1.0 + m.ContentionPerInstance*float64(instances-cap)
+}
+
+// ConcurrentWall is the wall time of runs executing at once as n Vivado
+// instances on the host: the longest run, slowed by Contention(n). With
+// one run it is that run's runtime under n-way contention.
+func (m *CostModel) ConcurrentWall(n int, runs ...Minutes) Minutes {
+	var longest Minutes
+	for _, t := range runs {
+		longest = max(longest, t)
+	}
+	return Minutes(float64(longest) * m.Contention(n))
 }
 
 // BitgenTime models generating one bitstream covering kluts kLUTs of

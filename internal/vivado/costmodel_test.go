@@ -84,6 +84,14 @@ func TestContention(t *testing.T) {
 	if m.Contention(16) <= m.Contention(8) {
 		t.Fatal("contention not monotone")
 	}
+	// Concurrent runs end with the longest, slowed by the contention of
+	// all n instances.
+	if got, want := m.ConcurrentWall(8, 3, 7, 5), Minutes(7*m.Contention(8)); got != want {
+		t.Fatalf("ConcurrentWall(8, 3, 7, 5) = %v, want %v", float64(got), float64(want))
+	}
+	if m.ConcurrentWall(8) != 0 || m.ConcurrentWall(2, 6) != 6 {
+		t.Fatal("ConcurrentWall: no runs take no time, and under capacity a run keeps its time")
+	}
 }
 
 func TestClamp01Property(t *testing.T) {

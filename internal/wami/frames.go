@@ -19,7 +19,6 @@ type FrameSource struct {
 	Targets int
 
 	frame int
-	seed  uint64
 }
 
 // NewFrameSource builds a source of n×n frames with the given global
@@ -31,12 +30,11 @@ func NewFrameSource(n int, dx, dy float64, targets int) (*FrameSource, error) {
 	if targets < 0 {
 		return nil, fmt.Errorf("wami: negative target count")
 	}
-	return &FrameSource{N: n, DX: dx, DY: dy, Targets: targets, seed: 0x9e3779b9}, nil
+	return &FrameSource{N: n, DX: dx, DY: dy, Targets: targets}, nil
 }
 
 // FrameIndex returns the index of the next frame Next will produce:
-// the number of frames taken from the source since it was built or
-// Reset.
+// the number of frames taken from the source since it was built.
 func (s *FrameSource) FrameIndex() int { return s.frame }
 
 // GroundTruthMotion returns the cumulative translation of frame idx
@@ -135,6 +133,3 @@ func (s *FrameSource) coveredBefore(t, x, y, idx int) bool {
 	}
 	return false
 }
-
-// Reset rewinds the source to frame 0.
-func (s *FrameSource) Reset() { s.frame = 0 }

@@ -33,6 +33,28 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestWamiLatencyModelsMatchHLS: the registered cycle models of the
+// HLS-generated kernels keep the latency ordering of their datapaths
+// for pixel-scaled kernels (more cycles per pixel -> slower).
+func TestWamiLatencyModelsMatchHLS(t *testing.T) {
+	reg, err := Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4096
+	fast, err := reg.Lookup(Names[KSubtract]) // 1.0 cyc/px at unroll 32
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := reg.Lookup(Names[KHessian]) // 2.6 cyc/px
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.CyclesPerInvocation(n) >= slow.CyclesPerInvocation(n) {
+		t.Fatal("subtract should be faster than hessian")
+	}
+}
+
 func TestAddToComposesWithDefault(t *testing.T) {
 	reg := accel.Default()
 	if err := AddTo(reg); err != nil {
@@ -247,9 +269,8 @@ func TestFrameSourceDeterministicWithGroundTruth(t *testing.T) {
 	if gx != 2.0 || gy != 1.0 {
 		t.Fatalf("ground truth: (%g, %g)", gx, gy)
 	}
-	a.Reset()
-	if a.FrameIndex() != 0 {
-		t.Fatal("reset did not rewind")
+	if a.FrameIndex() != 1 {
+		t.Fatalf("frame index %d after one frame, want 1", a.FrameIndex())
 	}
 }
 
