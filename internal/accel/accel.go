@@ -44,9 +44,6 @@ type Descriptor struct {
 	CyclesPerInvocation func(n int) int64
 	// ActivePowerW is the dynamic power draw while executing, in Watts.
 	ActivePowerW float64
-	// HLSTool records which flow produced the RTL ("vivado-hls",
-	// "stratus-hls"), as the paper distinguishes both.
-	HLSTool string
 }
 
 // Validate checks descriptor invariants.
@@ -129,7 +126,6 @@ func Default() *Registry {
 			return 64 + int64(n) // fully pipelined MAC: one item/cycle
 		},
 		ActivePowerW: 0.11,
-		HLSTool:      "vivado-hls",
 	})
 	mustRegister(r, &Descriptor{
 		Name:      "conv2d",
@@ -139,7 +135,6 @@ func Default() *Registry {
 			return 512 + 9*int64(n)/4 // 3x3 window, 4-wide datapath
 		},
 		ActivePowerW: 0.95,
-		HLSTool:      "stratus-hls",
 	})
 	mustRegister(r, &Descriptor{
 		Name:      "gemm",
@@ -149,7 +144,6 @@ func Default() *Registry {
 			return 512 + int64(n)/2
 		},
 		ActivePowerW: 0.88,
-		HLSTool:      "stratus-hls",
 	})
 	mustRegister(r, &Descriptor{
 		Name:      "fft",
@@ -163,7 +157,6 @@ func Default() *Registry {
 			return c
 		},
 		ActivePowerW: 0.92,
-		HLSTool:      "stratus-hls",
 	})
 	mustRegister(r, &Descriptor{
 		Name:      "sort",
@@ -177,7 +170,6 @@ func Default() *Registry {
 			return c
 		},
 		ActivePowerW: 0.63,
-		HLSTool:      "stratus-hls",
 	})
 	return r
 }
@@ -198,7 +190,6 @@ func NVDLA() *Descriptor {
 			return 4096 + 2*int64(n) // MAC-array streaming estimate
 		},
 		ActivePowerW: 2.4,
-		HLSTool:      "third-party-rtl",
 	}
 }
 

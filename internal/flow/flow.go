@@ -125,12 +125,11 @@ type Options struct {
 	// Heartbeat, when set, is called from the scheduler coordinator
 	// once per job the stage cache settled (before any job runs) and
 	// after every job that succeeded (never after a failed one) with
-	// the cumulative count of such jobs
-	// and the run's virtual-time position (sum of their modelled
-	// minutes). Service layers use it as a liveness signal: progress is
-	// measured in virtual minutes, staleness in real ones, so a stall
-	// watchdog can tell "slow but moving" from "wedged". Calls are
-	// serialized; the callback must not block.
+	// the cumulative count of such jobs and the run's virtual-time
+	// position (sum of their modelled minutes). The server uses each
+	// call only as a wall-clock liveness signal: its stall watchdog
+	// records when the last heartbeat came, not what it reports. Calls
+	// are serialized; the callback must not block.
 	Heartbeat func(completed int, virtual vivado.Minutes)
 	// Observer records metrics and trace spans for the run: scheduler
 	// job lifecycle, worker occupancy, per-stage runtime histograms,

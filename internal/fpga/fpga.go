@@ -202,16 +202,6 @@ func (f Family) ICAPPrimitive() string {
 // Regions returns the total number of clock regions.
 func (d *Device) Regions() int { return d.RegionCols * d.RegionRows }
 
-// RegionResources returns the resources available inside one clock region.
-func (d *Device) RegionResources() Resources {
-	n := d.Regions()
-	var r Resources
-	for i := range d.Total {
-		r[i] = d.Total[i] / n
-	}
-	return r
-}
-
 // GridCols returns the placement grid width in sub-columns.
 func (d *Device) GridCols() int { return d.RegionCols * d.SubColsPerRegion }
 

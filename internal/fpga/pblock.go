@@ -144,15 +144,6 @@ func (o *Occupancy) Claim(p Pblock) error {
 	return nil
 }
 
-// Release frees every cell owned by name.
-func (o *Occupancy) Release(name string) {
-	for i, own := range o.taken {
-		if own == name {
-			o.taken[i] = ""
-		}
-	}
-}
-
 // FreeCells returns the number of unclaimed placement cells.
 func (o *Occupancy) FreeCells() int {
 	n := 0

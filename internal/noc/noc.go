@@ -80,17 +80,19 @@ type link struct {
 	flits  int64
 }
 
+// The router's fixed parameters; every mesh has NumPlanes planes.
+const (
+	// flitBytes is the payload bytes per flit (ESP planes are 64-bit).
+	flitBytes = 8
+	// routerLatencyCycles is the per-hop router pipeline latency.
+	routerLatencyCycles = 2
+)
+
 // Config carries the mesh parameters.
 type Config struct {
 	Cols, Rows int
-	// Planes is the physical plane count; zero selects NumPlanes.
-	Planes int
-	// FlitBytes is the payload bytes per flit (ESP planes are 64-bit).
-	FlitBytes int
 	// FreqHz is the NoC clock. The paper's SoCs run the fabric at 78 MHz.
 	FreqHz float64
-	// RouterLatencyCycles is the per-hop router pipeline latency.
-	RouterLatencyCycles int
 }
 
 // FaultHook lets a fault-injection layer veto NoC operations. Each
@@ -135,10 +137,10 @@ func (n *Network) SetObserver(o *obs.Observer) {
 		n.mTransfers, n.mFlits = nil, nil
 		return
 	}
-	n.mTransfers = make([]*obs.Counter, n.cfg.Planes)
-	n.mFlits = make([]*obs.Counter, n.cfg.Planes)
-	for p := 0; p < n.cfg.Planes; p++ {
-		name := strings.ReplaceAll(Plane(p).String(), "-", "_")
+	n.mTransfers = make([]*obs.Counter, NumPlanes)
+	n.mFlits = make([]*obs.Counter, NumPlanes)
+	for p := Plane(0); p < NumPlanes; p++ {
+		name := strings.ReplaceAll(p.String(), "-", "_")
 		n.mTransfers[p] = reg.Counter("noc_transfers_total_" + name)
 		n.mFlits[p] = reg.Counter("noc_flits_total_" + name)
 	}
@@ -149,17 +151,8 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	if cfg.Cols <= 0 || cfg.Rows <= 0 {
 		return nil, fmt.Errorf("noc: invalid mesh %dx%d", cfg.Cols, cfg.Rows)
 	}
-	if cfg.Planes <= 0 {
-		cfg.Planes = int(NumPlanes)
-	}
-	if cfg.FlitBytes <= 0 {
-		cfg.FlitBytes = 8
-	}
 	if cfg.FreqHz <= 0 {
 		cfg.FreqHz = 78e6
-	}
-	if cfg.RouterLatencyCycles <= 0 {
-		cfg.RouterLatencyCycles = 2
 	}
 	return &Network{
 		cfg:   cfg,
@@ -205,18 +198,6 @@ func (n *Network) Route(src, dst Coord) ([]Coord, error) {
 		path = append(path, cur)
 	}
 	return path, nil
-}
-
-// Hops returns the hop count (Manhattan distance) between src and dst.
-func (n *Network) Hops(src, dst Coord) int {
-	dx, dy := dst.X-src.X, dst.Y-src.Y
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	return dx + dy
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection
@@ -295,8 +276,8 @@ func (e *ErrDecoupled) Error() string {
 // tail flit arrives. Links already busy push the start time back, which
 // is how contention manifests.
 func (n *Network) Transfer(p Plane, src, dst Coord, bytes int) (sim.Time, error) {
-	if int(p) < 0 || int(p) >= n.cfg.Planes {
-		return 0, fmt.Errorf("noc: plane %d out of range (%d planes)", p, n.cfg.Planes)
+	if p < 0 || p >= NumPlanes {
+		return 0, fmt.Errorf("noc: plane %d out of range (%d planes)", p, int(NumPlanes))
 	}
 	if n.gated[src] {
 		return 0, &ErrDecoupled{Tile: src}
@@ -316,12 +297,12 @@ func (n *Network) Transfer(p Plane, src, dst Coord, bytes int) (sim.Time, error)
 			return 0, err
 		}
 	}
-	flits := int64((bytes + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes)
+	flits := int64((bytes + flitBytes - 1) / flitBytes)
 	flits++ // head flit
 
 	now := n.eng.Now()
 	cycle := sim.Clock(1, n.cfg.FreqHz)
-	hopLat := sim.Time(n.cfg.RouterLatencyCycles) * cycle
+	hopLat := sim.Time(routerLatencyCycles) * cycle
 	serial := sim.Time(flits) * cycle
 
 	// Wormhole: the head advances one hop per router latency; each link

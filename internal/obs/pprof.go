@@ -5,8 +5,6 @@ import (
 	"net"
 	"net/http"
 	netpprof "net/http/pprof"
-	"os"
-	runpprof "runtime/pprof"
 )
 
 // StartPprof serves the standard pprof endpoints (/debug/pprof/...) on
@@ -28,22 +26,4 @@ func StartPprof(addr string) (string, func() error, error) {
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln) //nolint:errcheck // Serve returns when the listener closes.
 	return ln.Addr().String(), srv.Close, nil
-}
-
-// StartCPUProfile writes a CPU profile to path until the returned stop
-// func runs — the file-based alternative for batch CLI runs that exit
-// before anyone could scrape an HTTP endpoint.
-func StartCPUProfile(path string) (func() error, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: cpu profile: %w", err)
-	}
-	if err := runpprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("obs: cpu profile: %w", err)
-	}
-	return func() error {
-		runpprof.StopCPUProfile()
-		return f.Close()
-	}, nil
 }

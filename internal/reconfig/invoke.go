@@ -200,7 +200,7 @@ func (r *Runtime) execute(ts *tileState, accName string, in [][]float64, start s
 
 // RunOnCPU executes a kernel in software on the processor tile — the
 // fallback for Fig 3 kernels without an allocated accelerator in the
-// Table VI partitioning. The processor runs CPUSlowdown times slower
+// Table VI partitioning. The processor runs cpuSlowdown times slower
 // than the accelerator's pipeline and serializes with other software
 // kernels.
 func (r *Runtime) RunOnCPU(accName string, in [][]float64, done func(*InvokeResult, error)) {
@@ -221,8 +221,8 @@ func (r *Runtime) RunOnCPU(accName string, in [][]float64, done func(*InvokeResu
 	start := r.eng.Now()
 	runNow := func() {
 		r.cpuBusy = true
-		r.mustSetPower("cpu", r.cfg.CPUPowerW)
-		cycles := int64(float64(desc.CyclesPerInvocation(largestTensor(in))) * r.cfg.CPUSlowdown)
+		r.mustSetPower("cpu", cpuPowerW)
+		cycles := int64(float64(desc.CyclesPerInvocation(largestTensor(in))) * cpuSlowdown)
 		dur := sim.Clock(cycles, r.design.Cfg.FreqHz)
 		if err := r.eng.Schedule(dur, func() {
 			out, kerr := desc.Kernel.Run(in)

@@ -191,8 +191,8 @@ func (r *Runtime) attemptReconfig(req *request, start sim.Time, attempt int) {
 		fail(err)
 		return
 	}
-	r.mustSetPower("prc", r.cfg.ReconfigPowerW)
-	if err := r.eng.Schedule(r.cfg.DecoupleDelay, func() {
+	r.mustSetPower("prc", reconfigPowerW)
+	if err := r.eng.Schedule(decoupleDelay, func() {
 		// Step 2: DFXC DMA fetch (memory tile -> auxiliary tile).
 		plane := noc.PlaneDMA
 		if r.cfg.SharedDMAPlane {
@@ -242,7 +242,7 @@ func (r *Runtime) attemptReconfig(req *request, start sim.Time, attempt int) {
 				fail(err)
 				return
 			}
-			if err := r.eng.At(intrAt+r.cfg.DriverSwapDelay, func() {
+			if err := r.eng.At(intrAt+driverSwapDelay, func() {
 				// Handler: disengage decoupler, reset queues, swap driver.
 				if err := r.net.Recouple(ts.pos); err != nil {
 					fail(err)
@@ -319,7 +319,7 @@ func (r *Runtime) failReconfig(req *request, ts *tileState, start sim.Time, atte
 			r.tr.InstantAt("reconfig", "retry "+req.tileName, r.tileTID[req.tileName],
 				vusec(r.eng.Now()), map[string]any{"attempt": attempt, "error": err.Error()})
 		}
-		backoff := r.cfg.RetryBackoff * sim.Time(attempt)
+		backoff := retryBackoff * sim.Time(attempt)
 		if serr := r.eng.Schedule(backoff, func() { r.attemptReconfig(req, start, attempt+1) }); serr == nil {
 			return
 		}
@@ -397,11 +397,7 @@ func (r *Runtime) updateLeakagePower() {
 			loaded++
 		}
 	}
-	e := r.cfg.LeakageExponent
-	if e <= 0 {
-		e = 1
-	}
-	p := r.cfg.LeakagePerKLUTW*math.Pow(areaK, e) + r.cfg.PerTilePowerW*float64(loaded)
+	p := leakagePerKLUTW*math.Pow(areaK, leakageExponent) + perTilePowerW*float64(loaded)
 	r.mustSetPower("leakage", p)
 }
 
@@ -418,7 +414,7 @@ func (r *Runtime) setTileIdlePower(ts *tileState) {
 		r.mustSetPower("tile."+ts.t.Name, 0)
 		return
 	}
-	r.mustSetPower("tile."+ts.t.Name, desc.ActivePowerW*r.cfg.IdlePowerFraction)
+	r.mustSetPower("tile."+ts.t.Name, desc.ActivePowerW*idlePowerFraction)
 }
 
 func (r *Runtime) mustSetPower(name string, w float64) {
@@ -434,7 +430,7 @@ func (r *Runtime) mustSetPower(name string, w float64) {
 
 // updateContentionPower re-evaluates the superlinear uncore power term
 // from the count of concurrently active accelerators: k concurrent
-// masters draw ContentionPowerW·k·(k-1) beyond their own datapaths (the
+// masters draw contentionPowerW·k·(k-1) beyond their own datapaths (the
 // excess models DRAM/NoC contention — retries, stalls and arbitration
 // burn energy only when masters actually collide).
 func (r *Runtime) updateContentionPower() {
@@ -442,15 +438,5 @@ func (r *Runtime) updateContentionPower() {
 	if k < 1 {
 		k = 0
 	}
-	r.mustSetPower("uncore", r.cfg.ContentionPowerW*k*(k-1))
-}
-
-// pblockAreaLUTs returns the fabric area of the tile's partition (used
-// by energy accounting helpers and reporting).
-func (r *Runtime) pblockAreaLUTs(tileName string) (int, error) {
-	ts, err := r.tile(tileName)
-	if err != nil {
-		return 0, err
-	}
-	return ts.pblock.ResourcesOn(r.design.Dev)[fpga.LUT], nil
+	r.mustSetPower("uncore", contentionPowerW*k*(k-1))
 }

@@ -2,6 +2,8 @@ package reconfig
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -409,8 +411,6 @@ func TestCompressionSpeedsReconfiguration(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	reg := accel.Default()
-	cfg := DefaultConfig()
-	cfg.CPUSlowdown = 0.5
 	d, err := socgen.Elaborate(socgen.SOC2(), reg)
 	if err != nil {
 		t.Fatal(err)
@@ -418,9 +418,6 @@ func TestNewValidation(t *testing.T) {
 	plan, err := flow.FloorplanDesign(d, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := New(sim.NewEngine(), d, reg, plan, cfg); err == nil {
-		t.Fatal("sub-unity CPU slowdown accepted")
 	}
 	if _, err := New(nil, d, reg, plan, DefaultConfig()); err == nil {
 		t.Fatal("nil engine accepted")
@@ -709,5 +706,125 @@ func TestRegisteredBitstreamsSorted(t *testing.T) {
 				t.Fatalf("call %d: unsorted listing %v, want %v", i, names, want)
 			}
 		}
+	}
+}
+
+// diffInputs draws seeded inputs in the shape each accelerator's
+// functional model takes.
+var diffInputs = map[string]func(rng *rand.Rand) [][]float64{
+	"mac":    func(rng *rand.Rand) [][]float64 { return [][]float64{randVec(rng, 256), randVec(rng, 256)} },
+	"conv2d": func(rng *rand.Rand) [][]float64 { return [][]float64{randVec(rng, 16*16), randVec(rng, 3*3)} },
+	"gemm":   func(rng *rand.Rand) [][]float64 { return [][]float64{randVec(rng, 12*12), randVec(rng, 12*12)} },
+	"fft":    func(rng *rand.Rand) [][]float64 { return [][]float64{randVec(rng, 256)} },
+	"sort":   func(rng *rand.Rand) [][]float64 { return [][]float64{randVec(rng, 300)} },
+}
+
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// stageBitstream registers accName's partial bitstream for rt_1 unless
+// the testbed already staged it.
+func stageBitstream(t *testing.T, tb *testbed, accName string) {
+	t.Helper()
+	staged, err := tb.rt.RegisteredBitstreams("rt_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range staged {
+		if n == accName {
+			return
+		}
+	}
+	bss, err := flow.GenerateRuntimeBitstreams(context.Background(), tb.rt.design, tb.plan,
+		map[string][]string{"rt_1": {accName}}, tb.reg, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.rt.RegisterBitstreams(bss); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBaremetalMatchesManager is the differential leg between Section
+// V's two driver interfaces. For every accelerator with a functional
+// model, the same seeded inputs go through Baremetal.Reconfigure and
+// Invoke on one runtime and through the Linux manager's demand-swapping
+// InvokeOn on a fresh one: each call's outputs must be bit-identical,
+// and a second call on the already-loaded tile must take the same
+// virtual time on both paths.
+func TestBaremetalMatchesManager(t *testing.T) {
+	reg := accel.Default()
+	for _, name := range reg.Names() {
+		desc, err := reg.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if desc.Kernel == nil {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			gen, ok := diffInputs[name]
+			if !ok {
+				t.Fatalf("no input generator for accelerator %s", name)
+			}
+			in := gen(rand.New(rand.NewSource(7)))
+
+			bm := newTestbed(t)
+			stageBitstream(t, bm, name)
+			drv, err := NewBaremetal(bm.rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := drv.Reconfigure("rt_1", name); err != nil {
+				t.Fatal(err)
+			}
+			var bare [2]*InvokeResult
+			for i := range bare {
+				if bare[i], err = drv.Invoke("rt_1", name, in); err != nil {
+					t.Fatalf("baremetal call %d: %v", i, err)
+				}
+			}
+
+			lx := newTestbed(t)
+			stageBitstream(t, lx, name)
+			var linux [2]*InvokeResult
+			for i := range linux {
+				var ierr error
+				lx.rt.InvokeOn("rt_1", name, in, func(r *InvokeResult, err error) { linux[i], ierr = r, err })
+				lx.drain()
+				if ierr != nil || linux[i] == nil {
+					t.Fatalf("manager call %d: %v", i, ierr)
+				}
+			}
+
+			for i := range bare {
+				b, l := bare[i].Out, linux[i].Out
+				if len(b) != len(l) {
+					t.Fatalf("call %d: %d output tensors on baremetal, %d on the manager", i, len(b), len(l))
+				}
+				for k := range b {
+					if len(b[k]) != len(l[k]) {
+						t.Fatalf("call %d tensor %d: length %d vs %d", i, k, len(b[k]), len(l[k]))
+					}
+					for e := range b[k] {
+						if math.Float64bits(b[k][e]) != math.Float64bits(l[k][e]) {
+							t.Fatalf("call %d tensor %d[%d]: baremetal %v, manager %v", i, k, e, b[k][e], l[k][e])
+						}
+					}
+				}
+			}
+			if linux[1].Reconfigured {
+				t.Fatal("second manager call reconfigured a tile that already held the accelerator")
+			}
+			bd, ld := bare[1].End-bare[1].Start, linux[1].End-linux[1].Start
+			if bd != ld || bd <= 0 {
+				t.Fatalf("loaded-tile call took %v on baremetal, %v on the manager", bd, ld)
+			}
+		})
 	}
 }

@@ -29,33 +29,59 @@ import (
 	"presp/internal/tile"
 )
 
-// Config tunes the runtime.
-type Config struct {
-	// CPUSlowdown is the software-fallback factor: a kernel without an
+// The runtime's fixed hardware parameters: the board, the processor
+// and the power rails the paper's Section V manager runs on.
+const (
+	// cpuSlowdown is the software-fallback factor: a kernel without an
 	// allocated accelerator runs on the processor this many times slower
 	// than its accelerator latency model.
-	CPUSlowdown float64
-	// DriverSwapDelay is the kernel-side cost of unregistering the old
+	cpuSlowdown = 150
+	// driverSwapDelay is the kernel-side cost of unregistering the old
 	// accelerator driver and registering the new one.
-	DriverSwapDelay sim.Time
-	// DecoupleDelay is the decoupler engage/disengage latency.
-	DecoupleDelay sim.Time
-	// IdlePowerFraction is the clock-tree power of a configured but idle
+	driverSwapDelay = 120 * time.Microsecond
+	// decoupleDelay is the decoupler engage/disengage latency.
+	decoupleDelay = 2 * time.Microsecond
+	// idlePowerFraction is the clock-tree power of a configured but idle
 	// accelerator, as a fraction of its active power.
-	IdlePowerFraction float64
-	// ReconfigPowerW is the board power drawn while the ICAP programs.
-	ReconfigPowerW float64
-	// CPUPowerW is the processor's active power when running fallback
+	idlePowerFraction = 0.22
+	// reconfigPowerW is the board power drawn while the ICAP programs.
+	reconfigPowerW = 0.8
+	// cpuPowerW is the processor's active power when running fallback
 	// kernels.
-	CPUPowerW float64
-	// StaticPowerW is the always-on baseline power of the SoC.
-	StaticPowerW float64
-	// ContentionPowerW scales the superlinear NoC/memory power term:
+	cpuPowerW = 0.15
+	// staticPowerW is the always-on baseline power of the SoC.
+	staticPowerW = 0.1
+	// contentionPowerW scales the superlinear NoC/memory power term:
 	// with k accelerators active concurrently the uncore draws
-	// ContentionPowerW · k² (bandwidth contention burns energy in
+	// contentionPowerW · k·(k-1) (bandwidth contention burns energy in
 	// retries and stalls; this is what makes wide SoCs fast but
 	// inefficient, the Fig 4 trade-off).
-	ContentionPowerW float64
+	contentionPowerW = 2.0
+	// perTilePowerW is the fixed clock-spine and socket power each
+	// reconfigurable tile draws while it holds a configured module —
+	// linear in the tile count, on top of the area-driven leakage.
+	perTilePowerW = 3.0
+	// leakagePerKLUTW and leakageExponent form the configured-fabric
+	// leakage model: the SoC draws
+	//
+	//	P = leakagePerKLUTW · (Σ configured pblock area in kLUT)^leakageExponent
+	//
+	// while modules are loaded. The superlinear exponent models the
+	// thermal feedback of powering more fabric (leakage grows with die
+	// temperature, which grows with powered area); it is what makes
+	// SoCs with fewer, smaller reconfigurable regions more
+	// energy-efficient per frame even when they run longer — the Fig 4
+	// trade-off.
+	leakagePerKLUTW = 0.0025
+	leakageExponent = 1.75
+	// retryBackoff is the base delay before re-attempting a failed
+	// reconfiguration: attempt k waits k·retryBackoff. Linear backoff
+	// in virtual time keeps the schedule deterministic.
+	retryBackoff = 20 * time.Microsecond
+)
+
+// Config tunes the runtime.
+type Config struct {
 	// ICAPEffectiveBps is the end-to-end configuration throughput of the
 	// DFXC path (bitstream DMA over the NoC, AXI adapters, ICAP). The
 	// raw ICAPE2 primitive sustains 400 MB/s, but the paper's path
@@ -74,32 +100,11 @@ type Config struct {
 	// reconfiguration traffic contend with accelerator DMA (the NoC
 	// plane-count ablation).
 	SharedDMAPlane bool
-	// PerTilePowerW is the fixed clock-spine and socket power each
-	// reconfigurable tile draws while it holds a configured module —
-	// linear in the tile count, on top of the area-driven leakage.
-	PerTilePowerW float64
-	// LeakagePerKLUTW and LeakageExponent form the configured-fabric
-	// leakage model: the SoC draws
-	//
-	//	P = LeakagePerKLUTW · (Σ configured pblock area in kLUT)^LeakageExponent
-	//
-	// while modules are loaded. The superlinear exponent models the
-	// thermal feedback of powering more fabric (leakage grows with die
-	// temperature, which grows with powered area); it is what makes
-	// SoCs with fewer, smaller reconfigurable regions more
-	// energy-efficient per frame even when they run longer — the Fig 4
-	// trade-off.
-	LeakagePerKLUTW float64
-	LeakageExponent float64
 	// MaxReconfigRetries bounds how many times the manager re-attempts
 	// a partial reconfiguration whose hardware sequence failed
 	// (transient ICAP or DMA faults) before reporting the error to the
 	// caller. Zero disables retries.
 	MaxReconfigRetries int
-	// RetryBackoff is the base delay before re-attempting a failed
-	// reconfiguration: attempt k waits k·RetryBackoff. Linear backoff
-	// in virtual time keeps the schedule deterministic.
-	RetryBackoff sim.Time
 	// TileDeadThreshold declares a tile dead after this many
 	// consecutive reconfiguration failures, each having exhausted its
 	// retries. Invocations on a dead tile gracefully degrade to the
@@ -147,20 +152,8 @@ type Config struct {
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
 	return Config{
-		CPUSlowdown:        150,
-		DriverSwapDelay:    120 * time.Microsecond,
-		DecoupleDelay:      2 * time.Microsecond,
-		IdlePowerFraction:  0.22,
-		ReconfigPowerW:     0.8,
-		CPUPowerW:          0.15,
-		StaticPowerW:       0.1,
-		ContentionPowerW:   2.0,
 		ICAPEffectiveBps:   45e6,
-		PerTilePowerW:      3.0,
-		LeakagePerKLUTW:    0.0025,
-		LeakageExponent:    1.75,
 		MaxReconfigRetries: 2,
-		RetryBackoff:       20 * time.Microsecond,
 		TileDeadThreshold:  3,
 	}
 }
@@ -333,9 +326,6 @@ func New(eng *sim.Engine, d *socgen.Design, reg *accel.Registry, plan *floorplan
 	if eng == nil || d == nil || reg == nil || plan == nil {
 		return nil, fmt.Errorf("reconfig: nil dependency")
 	}
-	if cfg.CPUSlowdown <= 1 {
-		return nil, fmt.Errorf("reconfig: CPU slowdown %.1f must exceed 1", cfg.CPUSlowdown)
-	}
 	net, err := noc.New(eng, noc.Config{Cols: d.Cfg.Cols, Rows: d.Cfg.Rows, FreqHz: d.Cfg.FreqHz})
 	if err != nil {
 		return nil, err
@@ -439,7 +429,7 @@ func New(eng *sim.Engine, d *socgen.Design, reg *accel.Registry, plan *floorplan
 			r.tr.SetThreadName(i+1, "tile "+n)
 		}
 	}
-	if err := r.meter.SetPower("static", cfg.StaticPowerW); err != nil {
+	if err := r.meter.SetPower("static", staticPowerW); err != nil {
 		return nil, err
 	}
 	for _, n := range r.tileNames {

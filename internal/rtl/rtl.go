@@ -8,7 +8,6 @@ package rtl
 
 import (
 	"fmt"
-	"sort"
 
 	"presp/internal/fpga"
 )
@@ -200,62 +199,4 @@ func (m *Module) CloneAsBlackBox() *Module {
 		BlackBox: true,
 	}
 	return bb
-}
-
-// Library is a named collection of module definitions.
-type Library struct {
-	mods map[string]*Module
-}
-
-// NewLibrary returns an empty module library.
-func NewLibrary() *Library {
-	return &Library{mods: make(map[string]*Module)}
-}
-
-// Register adds a module definition; duplicate names are an error.
-func (l *Library) Register(m *Module) error {
-	if _, dup := l.mods[m.Name]; dup {
-		return fmt.Errorf("rtl: duplicate module %q", m.Name)
-	}
-	l.mods[m.Name] = m
-	return nil
-}
-
-// Lookup fetches a module by name.
-func (l *Library) Lookup(name string) (*Module, bool) {
-	m, ok := l.mods[name]
-	return m, ok
-}
-
-// Names lists registered module names sorted.
-func (l *Library) Names() []string {
-	out := make([]string, 0, len(l.mods))
-	for n := range l.mods {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Stats summarizes a hierarchy: module count, instance count, total cost.
-type Stats struct {
-	Modules   int
-	Instances int
-	Cost      fpga.Resources
-}
-
-// HierarchyStats computes Stats over module m.
-func HierarchyStats(m *Module) Stats {
-	var s Stats
-	seen := make(map[*Module]bool)
-	m.Walk(func(_ string, mod *Module) {
-		s.Instances++
-		if !seen[mod] {
-			seen[mod] = true
-			s.Modules++
-		}
-	})
-	s.Instances-- // the root itself is not an instance
-	s.Cost = m.TotalCost()
-	return s
 }

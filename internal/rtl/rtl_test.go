@@ -114,46 +114,6 @@ func TestFind(t *testing.T) {
 	}
 }
 
-func TestLibrary(t *testing.T) {
-	l := NewLibrary()
-	if err := l.Register(leaf("m1", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Register(leaf("m1", 2)); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if _, ok := l.Lookup("m1"); !ok {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := l.Lookup("m2"); ok {
-		t.Fatal("phantom module found")
-	}
-	if err := l.Register(leaf("a0", 1)); err != nil {
-		t.Fatal(err)
-	}
-	names := l.Names()
-	if len(names) != 2 || names[0] != "a0" || names[1] != "m1" {
-		t.Fatalf("Names not sorted: %v", names)
-	}
-}
-
-func TestHierarchyStats(t *testing.T) {
-	top := leaf("top", 100)
-	shared := leaf("shared", 10)
-	top.AddChild("s0", shared)
-	top.AddChild("s1", shared)
-	s := HierarchyStats(top)
-	if s.Modules != 2 {
-		t.Fatalf("unique modules: got %d want 2", s.Modules)
-	}
-	if s.Instances != 2 {
-		t.Fatalf("instances: got %d want 2", s.Instances)
-	}
-	if s.Cost[fpga.LUT] != 120 {
-		t.Fatalf("cost: got %d want 120", s.Cost[fpga.LUT])
-	}
-}
-
 func TestPortStrings(t *testing.T) {
 	if In.String() != "input" || Out.String() != "output" || InOut.String() != "inout" {
 		t.Fatal("direction names wrong")

@@ -84,6 +84,47 @@ func TestSubmitIsDurable(t *testing.T) {
 	}
 }
 
+// TestRecoverCountsFollowerAttempt: a job that joins a running flight
+// shares that run, so a crash interrupts it as much as the leader, and
+// recovery must count the interrupted attempt for both.
+func TestRecoverCountsFollowerAttempt(t *testing.T) {
+	dir := t.TempDir()
+	st := &stubRunner{gate: make(chan struct{}), started: make(chan int, 1)}
+	s, _ := bootWALServer(t, dir, st.run, Config{})
+	defer close(st.gate)
+
+	spec := Spec{Preset: "SOC_2", Tau: 10}
+	a, err := s.Submit("acme", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-st.started
+	b, err := s.Submit("beta", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Deduplicated || b.State != StateRunning {
+		t.Fatalf("follower did not join the running flight: %+v", b)
+	}
+
+	// The crash strikes with the run still held at the gate.
+	data, err := os.ReadFile(filepath.Join(dir, "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir2 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir2, "jobs.wal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := bootWALServer(t, dir2, (&stubRunner{}).run, Config{})
+	for _, j := range []JobView{a, b} {
+		v := waitState(t, s2, j.Tenant, j.ID, StateSucceeded)
+		if v.Attempts != 1 {
+			t.Errorf("job %s (%s) recovered with %d attempts, want 1", j.ID, j.Tenant, v.Attempts)
+		}
+	}
+}
+
 // buildScenarioWAL drives a live durable server through a representative
 // history — a run with a dedup subscriber and an idempotency key, a
 // queued-then-cancelled job, a second completed run, a failed run — and

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -91,6 +92,28 @@ func TestGoldenJobLifecycle(t *testing.T) {
 		t.Fatalf("get status = %d: %s", resp.StatusCode, body)
 	}
 	goldenCompare(t, "job_succeeded", body)
+}
+
+// TestSubmitBodyLimit: a submit body over the 1 MiB cap is a 400
+// bad_request, even when it is a valid spec padded with whitespace,
+// while an ordinary submit is still admitted.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := goldenServer(t, &stubRunner{}, Config{Workers: 1})
+	spec := `{"preset":"SOC_2","tau":7}`
+
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/jobs", strings.Repeat(" ", 2<<20)+spec)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("2 MiB submit status = %d, want 400: %s", resp.StatusCode, body)
+	}
+	var env errorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "bad_request" {
+		t.Fatalf("2 MiB submit envelope = %s (%v), want code bad_request", body, err)
+	}
+
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/jobs", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202: %s", resp.StatusCode, body)
+	}
 }
 
 func TestGoldenErrorEnvelopes(t *testing.T) {

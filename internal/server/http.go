@@ -51,9 +51,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes caps a job-spec request body. A spec is a few hundred
+// bytes; the cap stops a tenant from making the daemon read an
+// unbounded request.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decoding job spec: %v", err))

@@ -117,12 +117,8 @@ type group struct {
 
 	// lastBeat is the wall time of the last scheduler progress
 	// heartbeat; the watchdog declares a stall when it falls more than
-	// StallTimeout behind. virtMinutes is the modelled progress the
-	// heartbeat reported — the two time bases are deliberately
-	// distinct: progress is measured in virtual minutes, staleness in
-	// real ones.
-	lastBeat    time.Time
-	virtMinutes float64
+	// StallTimeout behind.
+	lastBeat time.Time
 	// stalled marks a run the watchdog cancelled; requeues counts how
 	// often this flight was put back on the queue.
 	stalled  bool
@@ -337,6 +333,12 @@ func (s *Server) SubmitIdempotent(tenant, idemKey string, spec Spec) (JobView, b
 			g.jobs = g.jobs[:len(g.jobs)-1]
 			return JobView{}, false, err
 		}
+		if g.running {
+			// The worker logged started only for the jobs it dispatched;
+			// a follower of a running flight shares that run, so a crash
+			// interrupts it too and recovery must count the attempt.
+			s.walAppendLocked(walRecord{Op: walStarted, Job: j.ID})
+		}
 		s.mDeduped.Inc()
 		return j.viewLocked(), false, nil
 	}
@@ -543,12 +545,10 @@ func (s *Server) execute(slot int, g *group) {
 		opt.ErrorPolicy = flow.Collect
 	}
 	// Progress heartbeats feed the stall watchdog: each completed
-	// scheduler job advances the flight's virtual-time position and
-	// refreshes its wall-clock liveness.
-	opt.Heartbeat = func(completed int, virt vivado.Minutes) {
+	// scheduler job refreshes the flight's wall-clock liveness.
+	opt.Heartbeat = func(int, vivado.Minutes) {
 		s.mu.Lock()
 		g.lastBeat = s.now()
-		g.virtMinutes = float64(virt)
 		s.mu.Unlock()
 	}
 

@@ -17,8 +17,6 @@ type consumer struct {
 	powerW float64
 	since  Time
 	joules float64
-	peakW  float64
-	busy   Time // accumulated time at non-zero power
 }
 
 // NewPowerMeter returns a meter bound to the engine's clock.
@@ -40,9 +38,6 @@ func (m *PowerMeter) SetPower(name string, watts float64) error {
 	}
 	m.settle(c, now)
 	c.powerW = watts
-	if watts > c.peakW {
-		c.peakW = watts
-	}
 	return nil
 }
 
@@ -50,9 +45,6 @@ func (m *PowerMeter) settle(c *consumer, now Time) {
 	if now > c.since {
 		dt := (now - c.since).Seconds()
 		c.joules += c.powerW * dt
-		if c.powerW > 0 {
-			c.busy += now - c.since
-		}
 	}
 	c.since = now
 }
@@ -87,16 +79,6 @@ func (m *PowerMeter) Power(name string) float64 {
 		return 0
 	}
 	return c.powerW
-}
-
-// BusyTime returns how long name has drawn non-zero power.
-func (m *PowerMeter) BusyTime(name string) Time {
-	c, ok := m.consumers[name]
-	if !ok {
-		return 0
-	}
-	m.settle(c, m.eng.Now())
-	return c.busy
 }
 
 // Consumers lists consumer names sorted.

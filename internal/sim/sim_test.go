@@ -142,9 +142,6 @@ func TestPowerMeterIntegration(t *testing.T) {
 	if got := m.Energy("x"); math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("energy: got %g want 2.0 J", got)
 	}
-	if got := m.BusyTime("x"); got != time.Second {
-		t.Fatalf("busy time: got %v want 1s", got)
-	}
 }
 
 func TestPowerMeterMultipleConsumers(t *testing.T) {

@@ -106,14 +106,6 @@ func ParseConfig(data []byte) (*Config, error) {
 	return &c, nil
 }
 
-// EncodeConfig serializes a configuration to the on-disk JSON form.
-func EncodeConfig(c *Config) ([]byte, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(c, "", "  ")
-}
-
 // RP is one reconfigurable partition of an elaborated design.
 type RP struct {
 	// Name is the partition name (derives from the tile name).

@@ -1,6 +1,7 @@
 package socgen
 
 import (
+	"encoding/json"
 	"testing"
 
 	"presp/internal/accel"
@@ -73,7 +74,7 @@ func TestReconfCPUSatisfiesCPURequirement(t *testing.T) {
 
 func TestJSONRoundtrip(t *testing.T) {
 	cfg := SOC2()
-	data, err := EncodeConfig(cfg)
+	data, err := json.MarshalIndent(cfg, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

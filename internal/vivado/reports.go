@@ -29,28 +29,3 @@ func (t *Tool) UtilizationReport(name string, used fpga.Resources) string {
 	b.WriteString("+-----------+--------+-----------+--------+\n")
 	return b.String()
 }
-
-// PblockUtilizationReport renders the per-partition utilization against
-// a pblock's enclosed fabric.
-func (t *Tool) PblockUtilizationReport(name string, pb fpga.Pblock, used fpga.Resources) (string, error) {
-	if err := pb.Validate(t.dev); err != nil {
-		return "", err
-	}
-	avail := pb.ResourcesOn(t.dev)
-	var b strings.Builder
-	fmt.Fprintf(&b, "Pblock Utilization: %s (%s)\n\n", name, pb)
-	b.WriteString("+-----------+--------+-----------+--------+\n")
-	b.WriteString("| Site Type | Used   | In Pblock | Util%  |\n")
-	b.WriteString("+-----------+--------+-----------+--------+\n")
-	for _, k := range fpga.Kinds() {
-		pct := 0.0
-		if avail[k] > 0 {
-			pct = 100 * float64(used[k]) / float64(avail[k])
-		} else if used[k] > 0 {
-			pct = 999.9
-		}
-		fmt.Fprintf(&b, "| %-9s | %6d | %9d | %5.1f%% |\n", k, used[k], avail[k], pct)
-	}
-	b.WriteString("+-----------+--------+-----------+--------+\n")
-	return b.String(), nil
-}

@@ -219,19 +219,3 @@ func TestUtilizationReport(t *testing.T) {
 		}
 	}
 }
-
-func TestPblockUtilizationReport(t *testing.T) {
-	tool := newTool(t)
-	pb := fpga.Pblock{Name: "rt_1", X0: 0, Y0: 0, X1: 3, Y1: 1}
-	rep, err := tool.PblockUtilizationReport("fft", pb, fpga.NewResources(33690, 37000, 72, 144))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep, "fft") || !strings.Contains(rep, "In Pblock") {
-		t.Fatalf("report wrong:\n%s", rep)
-	}
-	bad := fpga.Pblock{Name: "oob", X0: 0, Y0: 0, X1: 99, Y1: 0}
-	if _, err := tool.PblockUtilizationReport("x", bad, fpga.Resources{}); err == nil {
-		t.Fatal("invalid pblock accepted")
-	}
-}

@@ -44,54 +44,3 @@ func NodeFor(idx int) (Node, error) {
 	}
 	return Node{}, fmt.Errorf("wami: kernel %d not in the dataflow graph", idx)
 }
-
-// ValidateDataflow checks the graph is acyclic when the per-iteration
-// back edge (Warp depends on the previous iteration's Reshape-Add) is
-// removed, and that every kernel appears exactly once.
-func ValidateDataflow() error {
-	nodes := Dataflow()
-	seen := make(map[int]bool, len(nodes))
-	for _, n := range nodes {
-		if seen[n.Kernel] {
-			return fmt.Errorf("wami: kernel %d appears twice in the dataflow", n.Kernel)
-		}
-		seen[n.Kernel] = true
-	}
-	for idx := 1; idx <= NumKernels; idx++ {
-		if !seen[idx] {
-			return fmt.Errorf("wami: kernel %d missing from the dataflow", idx)
-		}
-	}
-	// Topological check ignoring the loop-carried edge into Warp.
-	state := make(map[int]int, len(nodes)) // 0 unvisited, 1 visiting, 2 done
-	byKernel := make(map[int]Node, len(nodes))
-	for _, n := range nodes {
-		byKernel[n.Kernel] = n
-	}
-	var visit func(k int) error
-	visit = func(k int) error {
-		switch state[k] {
-		case 1:
-			return fmt.Errorf("wami: dataflow cycle through kernel %d", k)
-		case 2:
-			return nil
-		}
-		state[k] = 1
-		for _, dep := range byKernel[k].Deps {
-			if k == KWarpImg && dep == KReshapeAdd {
-				continue // loop-carried dependency
-			}
-			if err := visit(dep); err != nil {
-				return err
-			}
-		}
-		state[k] = 2
-		return nil
-	}
-	for _, n := range nodes {
-		if err := visit(n.Kernel); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -11,10 +11,6 @@ type PipelineConfig struct {
 	LKIterations int
 	// LKEpsilon is the convergence threshold on ‖Δp‖.
 	LKEpsilon float64
-	// CDThreshold is the change-detection intensity threshold.
-	CDThreshold float64
-	// CDAlpha is the background update rate.
-	CDAlpha float64
 	// PipelineFrames overlaps consecutive frames on the SoC: frame i+1's
 	// front-end (Debayer, Grayscale) starts as soon as frame i's
 	// grayscale is available, hiding it behind frame i's registration
@@ -25,13 +21,19 @@ type PipelineConfig struct {
 	PipelineFrames bool
 }
 
+// The Change-Detection kernel's fixed inputs.
+const (
+	// cdThreshold is the change-detection intensity threshold.
+	cdThreshold = 25
+	// cdAlpha is the background update rate.
+	cdAlpha = 0.12
+)
+
 // DefaultPipelineConfig returns the evaluation configuration.
 func DefaultPipelineConfig() PipelineConfig {
 	return PipelineConfig{
 		LKIterations: 8,
 		LKEpsilon:    1e-3,
-		CDThreshold:  25,
-		CDAlpha:      0.12,
 	}
 }
 
@@ -83,9 +85,6 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.LKIterations <= 0 {
 		return nil, fmt.Errorf("wami: LK iteration bound must be positive")
 	}
-	if cfg.CDAlpha <= 0 || cfg.CDAlpha > 1 {
-		return nil, fmt.Errorf("wami: CD alpha %g out of (0,1]", cfg.CDAlpha)
-	}
 	return &Pipeline{cfg: cfg}, nil
 }
 
@@ -116,7 +115,7 @@ func (p *Pipeline) Process(mosaic *Image) (*FrameResult, error) {
 	res.LKIters = iters
 	res.Registered = Warp(gray, motion)
 
-	mask, newBg := ChangeDetection(res.Registered, p.bg, p.cfg.CDThreshold, p.cfg.CDAlpha)
+	mask, newBg := ChangeDetection(res.Registered, p.bg, cdThreshold, cdAlpha)
 	res.Mask = mask
 	for _, v := range mask.Pix {
 		if v != 0 {

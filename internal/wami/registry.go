@@ -131,7 +131,6 @@ func AddTo(r *accel.Registry) error {
 			// Dynamic power tracks datapath size (~21 mW per kLUT of
 			// active logic on this fabric and clock).
 			ActivePowerW: 0.021 * float64(luts) / 1000.0,
-			HLSTool:      "stratus-hls",
 		}
 		if err := r.Register(d); err != nil {
 			return err

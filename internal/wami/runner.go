@@ -488,7 +488,7 @@ func (r *Runner) lkLoop(gray *Image, sd [][]float64, hinv []float64, p Affine, i
 // background the detection replaces, and hands all of them back to the
 // free list.
 func (r *Runner) detect(gray *Image, warped []float64, sd [][]float64, motion Affine, iters int, fail func(error), finishFrame func(FrameStats)) {
-	r.dispatch(KChangeDetection, [][]float64{warped, r.bg.Pix, {r.cfg.CDThreshold, r.cfg.CDAlpha}}, func(res *reconfig.InvokeResult, err error) {
+	r.dispatch(KChangeDetection, [][]float64{warped, r.bg.Pix, {cdThreshold, cdAlpha}}, func(res *reconfig.InvokeResult, err error) {
 		if err != nil {
 			fail(err)
 			return
