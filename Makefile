@@ -147,7 +147,10 @@ fuzz:
 # bounded decoder on arbitrary streams, and the fused generator against
 # the reference encoding), and the WAMI kernels and frame synthesis
 # against the reference implementations they replaced (bit-identical
-# outputs for any size, pixels and warp).
+# outputs for any size, pixels and warp), and the two external JSON
+# parsers (a SoC configuration is accepted only if it round-trips
+# through json.Marshal; any submit body through the HTTP handler gets a
+# documented status, errors in the error envelope, never a 500).
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSchedulerExecute -fuzztime=5s ./internal/flow/
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/reconfig/
@@ -157,6 +160,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRLE -fuzztime=5s ./internal/bitstream/
 	$(GO) test -run=^$$ -fuzz=FuzzFusedEncoder -fuzztime=5s ./internal/bitstream/
 	$(GO) test -run=^$$ -fuzz=FuzzKernelsMatchReference -fuzztime=5s ./internal/wami/
+	$(GO) test -run=^$$ -fuzz=FuzzParseConfig -fuzztime=5s ./internal/socgen/
+	$(GO) test -run=^$$ -fuzz=FuzzSubmitBody -fuzztime=5s ./internal/server/
 
 # Crash battery for the durable job layer, part of `make ci`: replay the
 # job WAL truncated at every record boundary (plus a torn tail), kill -9

@@ -75,7 +75,7 @@ func parseCLI(args []string) (*cliOptions, error) {
 	fs.StringVar(&o.preset, "preset", "", "built-in SoC (SOC_1..SOC_4, SoC_A..SoC_D, SoC_X/Y/Z)")
 	fs.StringVar(&o.configPath, "config", "", "path to a JSON SoC configuration")
 	fs.StringVar(&o.strategy, "strategy", "", "force a strategy: serial, semi, fully (default: size-driven choice)")
-	fs.IntVar(&o.tau, "tau", core.DefaultSemiTau, "semi-parallel degree")
+	fs.IntVar(&o.tau, "tau", core.DefaultSemiTau, "semi-parallel degree, for a forced semi strategy or the size-driven choice")
 	fs.BoolVar(&o.compress, "compress", true, "compress bitstreams")
 	fs.StringVar(&o.baseline, "baseline", "", "also run a baseline: mono, dfx or both")
 	fs.BoolVar(&o.scripts, "scripts", false, "print the auto-generated CAD scripts")
@@ -163,6 +163,7 @@ func run(ctx context.Context, o *cliOptions) error {
 	}
 	cache := vivado.NewCheckpointCache()
 	opt := flow.Options{
+		SemiTau:       o.tau,
 		Compress:      o.compress,
 		Workers:       o.workers,
 		Cache:         cache,
@@ -173,7 +174,7 @@ func run(ctx context.Context, o *cliOptions) error {
 		Observer:      observer,
 	}
 	if o.strategy != "" {
-		kind, err := parseStrategy(o.strategy)
+		kind, err := core.ParseStrategyKind(o.strategy)
 		if err != nil {
 			return err
 		}
@@ -286,19 +287,6 @@ func loadConfig(preset, configPath string) (*socgen.Config, error) {
 		return cfg, nil
 	default:
 		return nil, fmt.Errorf("need -preset or -config (try -preset SOC_2)")
-	}
-}
-
-func parseStrategy(s string) (core.StrategyKind, error) {
-	switch s {
-	case "serial":
-		return core.Serial, nil
-	case "semi", "semi-parallel":
-		return core.SemiParallel, nil
-	case "fully", "fully-parallel":
-		return core.FullyParallel, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (want serial, semi or fully)", s)
 	}
 }
 

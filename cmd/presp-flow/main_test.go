@@ -262,3 +262,47 @@ func TestRunWritesTraceAndMetrics(t *testing.T) {
 		t.Fatalf("flow_jobs_total = %v, want %v", got, want)
 	}
 }
+
+// TestRunTauUnderChooser: -tau reaches the size-driven chooser, not only
+// a forced semi strategy. SoC_C's chooser picks semi-parallel: at the
+// default τ=2 without the flag, at τ=3 with -tau 3.
+func TestRunTauUnderChooser(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "-> semi-parallel (τ=2)"},
+		{[]string{"-tau", "3"}, "-> semi-parallel (τ=3)"},
+	} {
+		o, err := parseCLI(append([]string{"-preset", "SoC_C"}, c.args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := captureStdout(t, func() error { return run(context.Background(), o) })
+		if !strings.Contains(out, c.want) {
+			t.Errorf("presp-flow %v: output lacks %q:\n%s", c.args, c.want, out)
+		}
+	}
+}
+
+// captureStdout returns what fn prints to standard output.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}

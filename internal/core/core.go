@@ -169,6 +169,22 @@ func (s StrategyKind) String() string {
 	}
 }
 
+// ParseStrategyKind reads a strategy name as the CLIs and the job API
+// take it: "serial", "semi" or "semi-parallel", "fully" or
+// "fully-parallel".
+func ParseStrategyKind(s string) (StrategyKind, error) {
+	switch s {
+	case "serial":
+		return Serial, nil
+	case "semi", "semi-parallel":
+		return SemiParallel, nil
+	case "fully", "fully-parallel":
+		return FullyParallel, nil
+	default:
+		return 0, fmt.Errorf("unknown strategy %q (want serial, semi or fully)", s)
+	}
+}
+
 // Strategy is a concrete implementation plan: the kind, the parallelism
 // degree τ and the partition of RP names into P&R runs.
 type Strategy struct {

@@ -292,3 +292,20 @@ func TestStrategyKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestParseStrategyKind: every kind parses from its short name and from
+// its String form, and an unknown name is rejected.
+func TestParseStrategyKind(t *testing.T) {
+	for name, want := range map[string]StrategyKind{
+		"serial": Serial, "semi": SemiParallel, "fully": FullyParallel,
+	} {
+		for _, s := range []string{name, want.String()} {
+			if got, err := ParseStrategyKind(s); err != nil || got != want {
+				t.Errorf("ParseStrategyKind(%q) = %v, %v; want %v", s, got, err, want)
+			}
+		}
+	}
+	if _, err := ParseStrategyKind("yolo"); err == nil {
+		t.Fatal("unknown strategy accepted")
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	netpprof "net/http/pprof"
 )
 
 // StartPprof serves the standard pprof endpoints (/debug/pprof/...) on
@@ -13,11 +12,7 @@ import (
 // with ":0") and a shutdown func that closes the listener.
 func StartPprof(addr string) (string, func() error, error) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", netpprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
+	RegisterPprof(mux)
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -213,6 +213,68 @@ func buildScenarioWAL(t *testing.T) []walRecord {
 	}
 }
 
+// replayJob is one job's state folded from its WAL records.
+type replayJob struct {
+	id, tenant, key, idem string
+	spec                  Spec
+	started               bool
+	attempts              int
+	state                 JobState // terminal state, or "" if still live
+	errStr                string
+	result                *ResultView
+	order                 int
+}
+
+// foldWAL folds a record sequence into per-job end states, preserving
+// admission order. Records for jobs that were never admitted (their
+// admission sat in the torn tail) are dropped — without a spec there
+// is nothing to re-run, and the client never got an acknowledgement.
+func foldWAL(recs []walRecord) (map[string]*replayJob, []string) {
+	jobs := make(map[string]*replayJob)
+	var order []string
+	for _, r := range recs {
+		switch r.Op {
+		case walAdmitted:
+			if _, dup := jobs[r.Job]; dup || r.Spec == nil {
+				continue
+			}
+			jobs[r.Job] = &replayJob{
+				id: r.Job, tenant: r.Tenant, key: r.Key, idem: r.Idem,
+				spec: *r.Spec, order: len(order),
+			}
+			order = append(order, r.Job)
+		case walStarted:
+			if j := jobs[r.Job]; j != nil && j.state == "" {
+				j.started = true
+			}
+		case walRequeued:
+			if j := jobs[r.Job]; j != nil && j.state == "" {
+				j.started = false
+				j.attempts++
+			}
+		case walDone:
+			if j := jobs[r.Job]; j != nil && j.state == "" {
+				j.state = r.State
+				if j.state == "" {
+					j.state = StateFailed
+				}
+				j.errStr = r.Error
+				j.result = r.Result
+			}
+		case walCancelled:
+			if j := jobs[r.Job]; j != nil && j.state == "" {
+				j.state = StateCancelled
+			}
+		case walPoisoned:
+			if j := jobs[r.Job]; j != nil && j.state == "" {
+				j.state = StatePoisoned
+				j.errStr = r.Error
+			}
+		}
+	}
+	return jobs, order
+}
+
 // TestCrashEveryWALPrefix is the record-level crash battery: for every
 // prefix of a realistic WAL — every point a kill -9 could have struck
 // between appends — a fresh server must recover with zero lost and zero

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"presp/internal/report"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -114,6 +116,76 @@ func TestSubmitBodyLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202: %s", resp.StatusCode, body)
 	}
+}
+
+// TestSubmitTrailingData: a submit body must hold exactly one spec. A
+// second value or stray bytes after it are a 400 bad_request instead of
+// running the first spec and silently dropping the rest, while an
+// ordinary submit, trailing whitespace included, is still admitted.
+func TestSubmitTrailingData(t *testing.T) {
+	_, ts := goldenServer(t, &stubRunner{}, Config{Workers: 1})
+	for _, body := range []string{
+		`{"preset":"SOC_2","tau":7} {"preset":"nope"} trailing garbage`,
+		`{"preset":"SOC_2","tau":7} {}`,
+		`{"preset":"SOC_2","tau":7}]`,
+	} {
+		resp, got := doJSON(t, "POST", ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submit %q status = %d, want 400: %s", body, resp.StatusCode, got)
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(got, &env); err != nil || env.Error.Code != "bad_request" {
+			t.Fatalf("submit %q envelope = %s (%v), want code bad_request", body, got, err)
+		}
+	}
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/jobs", "{\"preset\":\"SOC_2\",\"tau\":7}\n \t")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202: %s", resp.StatusCode, body)
+	}
+}
+
+// FuzzSubmitBody drives arbitrary bodies, tenants and idempotency keys
+// through the HTTP handler: every response carries one of the statuses
+// the submit path documents, every error comes in the error envelope,
+// and nothing answers 500 or panics.
+func FuzzSubmitBody(f *testing.F) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	s.runFlow = (&stubRunner{}).run
+	f.Cleanup(func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			f.Errorf("shutdown: %v", err)
+		}
+	})
+	h := s.Handler()
+	f.Add([]byte(`{"preset":"SOC_2","tau":7}`), "acme", "")
+	f.Add([]byte(`{"preset":"SOC_2","tau":7} {"preset":"nope"} trailing garbage`), "acme", "")
+	f.Add([]byte(`{"preset":"SOC_1","strategy":"semi","tau":3,"compress":true}`), "beta", "k1")
+	f.Add([]byte(`{"preset":"SOC_1","strategy":"fully"}`), "beta", "k1")
+	f.Add([]byte(`{"preset":"SOC_99"}`), "", "")
+	f.Add([]byte(`{"preset":"SOC_1","power":9001}`), "", "")
+	f.Add([]byte(`{"preset":"SOC_2","faults":"seed=7,synth@rt_1_rp:count=1","retries":-1}`), "", "")
+	f.Add([]byte(`[]`), "", "")
+	f.Fuzz(func(t *testing.T, body []byte, tenant, idemKey string) {
+		req := httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body))
+		req.Header.Set("X-Tenant", tenant)
+		req.Header.Set("Idempotency-Key", idemKey)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		switch w.Code {
+		case http.StatusOK, http.StatusAccepted:
+			var v JobView
+			if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil || v.ID == "" {
+				t.Fatalf("status %d with body %s (%v), want a job view", w.Code, w.Body, err)
+			}
+		case http.StatusBadRequest, http.StatusConflict, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			var env errorEnvelope
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error.Code == "" || env.Error.Message == "" {
+				t.Fatalf("status %d with body %s (%v), want the error envelope", w.Code, w.Body, err)
+			}
+		default:
+			t.Fatalf("status %d for body %q: %s", w.Code, body, w.Body)
+		}
+	})
 }
 
 func TestGoldenErrorEnvelopes(t *testing.T) {
@@ -331,4 +403,81 @@ func TestGoldenIdempotentReplay(t *testing.T) {
 		t.Fatalf("mismatched reuse = %d, want 409: %s", resp.StatusCode, body)
 	}
 	goldenCompare(t, "error_idempotency_mismatch", body)
+}
+
+// TestGoldenRecoveredViews pins what recovery rebuilds, byte for byte.
+// For every prefix of the crash battery's WAL, a server with a pinned
+// clock recovers the log, and every job's view is recorded twice: once
+// right after Recover, with the first requeued flight held at the
+// runner, and once every job is terminal.
+func TestGoldenRecoveredViews(t *testing.T) {
+	recs := buildScenarioWAL(t)
+	pinned := func() time.Time { return time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC) }
+	views := func(s *Server) []JobView {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		out := make([]JobView, 0, len(s.jobs))
+		for _, id := range report.SortedKeys(s.jobs) {
+			out = append(out, s.jobs[id].viewLocked())
+		}
+		return out
+	}
+	var golden bytes.Buffer
+	dump := func(phase string, vs []JobView) {
+		fmt.Fprintf(&golden, "  %s\n", phase)
+		for _, v := range vs {
+			line, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&golden, "    %s\n", line)
+		}
+	}
+	for k := 0; k <= len(recs); k++ {
+		var img bytes.Buffer
+		for _, r := range recs[:k] {
+			enc, err := encodeWALRecord(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img.Write(enc)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), img.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := &stubRunner{gate: make(chan struct{}), started: make(chan int, 16)}
+		s := newTestServer(t, Config{Workers: 1, StateDir: dir, Now: pinned})
+		s.runFlow = st.run
+		stats, err := s.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&golden, "prefix %02d: %+v\n", k, stats)
+		if stats.Requeued > 0 {
+			<-st.started
+		}
+		dump("recovered", views(s))
+		close(st.gate)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			vs := views(s)
+			done := true
+			for _, v := range vs {
+				done = done && v.State.terminal()
+			}
+			if done {
+				dump("terminal", vs)
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("prefix %d: jobs never finished: %+v", k, vs)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goldenCompare(t, "recovered_views", golden.Bytes())
 }

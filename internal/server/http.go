@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -60,7 +61,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		// A second value or stray bytes after the spec: refuse the body
+		// rather than run the first spec and drop the rest.
+		err = errors.New("trailing data after the spec")
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decoding job spec: %v", err))
 		return
 	}

@@ -93,9 +93,9 @@ func compile(spec Spec) (*compiledSpec, error) {
 	}
 	cs := &compiledSpec{spec: spec, design: d}
 	if spec.Strategy != "" {
-		kind, err := parseStrategyKind(spec.Strategy)
+		kind, err := core.ParseStrategyKind(spec.Strategy)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("spec: %w", err)
 		}
 		tau := spec.Tau
 		if tau == 0 {
@@ -118,19 +118,6 @@ func compile(spec Spec) (*compiledSpec, error) {
 	}
 	cs.key = specKey(cs)
 	return cs, nil
-}
-
-func parseStrategyKind(s string) (core.StrategyKind, error) {
-	switch s {
-	case "serial":
-		return core.Serial, nil
-	case "semi", "semi-parallel":
-		return core.SemiParallel, nil
-	case "fully", "fully-parallel":
-		return core.FullyParallel, nil
-	default:
-		return 0, fmt.Errorf("spec: unknown strategy %q (want serial, semi or fully)", s)
-	}
 }
 
 // specKey is the single-flight identity of a compiled spec. It rides on

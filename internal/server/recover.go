@@ -25,18 +25,6 @@ type RecoveryStats struct {
 	Terminal int `json:"terminal"`
 }
 
-// replayJob is one job's state folded from its WAL records.
-type replayJob struct {
-	id, tenant, key, idem string
-	spec                  Spec
-	started               bool
-	attempts              int
-	state                 JobState // terminal state, or "" if still live
-	errStr                string
-	result                *ResultView
-	order                 int
-}
-
 // Recover opens the job WAL under Config.StateDir, replays it and
 // rebuilds the server's job table: terminal jobs come back with their
 // recorded outcomes (so idempotent resubmits and GETs keep working
@@ -78,57 +66,61 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	}
 	s.wal = w
 
-	stats := RecoveryStats{Records: len(recs)}
-	jobs, order := foldWAL(recs)
-
-	// Rebuild the job table in admission order so recovered IDs, queue
-	// positions and round-robin fairness match the pre-crash server.
-	for _, id := range order {
-		rj := jobs[id]
-		j := &Job{
-			ID:        rj.id,
-			Tenant:    rj.tenant,
-			Spec:      rj.spec,
-			Key:       rj.key,
-			IdemKey:   rj.idem,
-			Attempts:  rj.attempts,
-			Recovered: true,
-			Submitted: s.now(),
+	// Replay the log through the live state machine. An admitted record
+	// re-creates its job; records for jobs that were never admitted
+	// (their admission sat in the torn tail) are dropped — without a
+	// spec there is nothing to re-run, and the client never got an
+	// acknowledgement. The log keeps no transition times, so every
+	// replayed job is submitted, and every replayed outcome finished, at
+	// boot.
+	boot := s.now()
+	var order []*Job
+	for _, r := range recs {
+		if r.Op != walAdmitted {
+			s.applyLocked(r, boot)
+			continue
 		}
-		if n, err := strconv.Atoi(strings.TrimPrefix(rj.id, "j")); err == nil && n > s.seq {
+		if s.jobs[r.Job] != nil || r.Spec == nil {
+			continue
+		}
+		j := &Job{
+			ID:        r.Job,
+			Tenant:    r.Tenant,
+			Spec:      *r.Spec,
+			Key:       r.Key,
+			IdemKey:   r.Idem,
+			State:     StateQueued,
+			Recovered: true,
+			Submitted: boot,
+		}
+		if n, err := strconv.Atoi(strings.TrimPrefix(j.ID, "j")); err == nil && n > s.seq {
 			s.seq = n
 		}
 		s.jobs[j.ID] = j
 		if j.IdemKey != "" {
 			s.idem[tenantKey(j.Tenant, j.IdemKey)] = j.ID
 		}
-		stats.Jobs++
+		order = append(order, j)
+	}
+
+	// Re-admit live jobs in admission order, regrouping them into
+	// single-flight groups, so a post-crash queue keeps its positions,
+	// round-robin fairness and dedup exactly like the pre-crash one.
+	stats := RecoveryStats{Records: len(recs), Jobs: len(order)}
+	reg := s.cfg.Observer.Metrics()
+	for _, j := range order {
 		s.mRecovered.Inc()
-		if rj.state != "" {
-			j.State = rj.state
-			j.Err = rj.errStr
-			j.Result = rj.result
-			j.Finished = j.Submitted
+		if j.State.terminal() {
 			stats.Terminal++
 			continue
 		}
-		j.State = StateQueued
-		if rj.started {
+		stats.Requeued++
+		reg.Counter("server_recovered_requeued_total").Inc()
+		if j.State == StateRunning {
 			// The crash interrupted this run; the next attempt reuses
 			// its finished synthesis from the disk tier.
-			j.Attempts++
+			s.applyLocked(walRecord{Op: walRequeued, Job: j.ID}, boot)
 		}
-	}
-
-	// Re-admit live jobs, regrouping them into single-flight groups so
-	// a post-crash queue dedups exactly like the pre-crash one did.
-	reg := s.cfg.Observer.Metrics()
-	for _, id := range order {
-		rj := jobs[id]
-		if rj.state != "" {
-			continue
-		}
-		j := s.jobs[id]
 		if g, ok := s.flights[j.Key]; ok {
 			j.group = g
 			g.jobs = append(g.jobs, j)
@@ -138,21 +130,13 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		if err != nil {
 			// The admitted spec no longer compiles (version drift across
 			// the restart); fail it cleanly rather than wedging the queue.
-			j.State = StateFailed
-			j.Err = fmt.Sprintf("recovery: %v", err)
-			j.Finished = j.Submitted
+			s.transitionLocked(walRecord{Op: walDone, Job: j.ID, State: StateFailed,
+				Error: fmt.Sprintf("recovery: %v", err)}, boot)
 			s.mFailed.Inc()
-			s.walAppendLocked(walRecord{Op: walDone, Job: j.ID, State: StateFailed, Error: j.Err})
 			continue
 		}
 		s.enqueueLocked(s.newGroupLocked(cs, j))
 		s.cond.Signal()
-	}
-	for _, id := range order {
-		if rj := jobs[id]; rj.state == "" {
-			stats.Requeued++
-			reg.Counter("server_recovered_requeued_total").Inc()
-		}
 	}
 
 	if tr := s.cfg.Observer.Tracer(); tr != nil && stats.Jobs > 0 {
@@ -162,56 +146,6 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		})
 	}
 	return stats, nil
-}
-
-// foldWAL folds a record sequence into per-job end states, preserving
-// admission order. Records for jobs that were never admitted (their
-// admission sat in the torn tail) are dropped — without a spec there
-// is nothing to re-run, and the client never got an acknowledgement.
-func foldWAL(recs []walRecord) (map[string]*replayJob, []string) {
-	jobs := make(map[string]*replayJob)
-	var order []string
-	for _, r := range recs {
-		switch r.Op {
-		case walAdmitted:
-			if _, dup := jobs[r.Job]; dup || r.Spec == nil {
-				continue
-			}
-			jobs[r.Job] = &replayJob{
-				id: r.Job, tenant: r.Tenant, key: r.Key, idem: r.Idem,
-				spec: *r.Spec, order: len(order),
-			}
-			order = append(order, r.Job)
-		case walStarted:
-			if j := jobs[r.Job]; j != nil && j.state == "" {
-				j.started = true
-			}
-		case walRequeued:
-			if j := jobs[r.Job]; j != nil && j.state == "" {
-				j.started = false
-				j.attempts++
-			}
-		case walDone:
-			if j := jobs[r.Job]; j != nil && j.state == "" {
-				j.state = r.State
-				if j.state == "" {
-					j.state = StateFailed
-				}
-				j.errStr = r.Error
-				j.result = r.Result
-			}
-		case walCancelled:
-			if j := jobs[r.Job]; j != nil && j.state == "" {
-				j.state = StateCancelled
-			}
-		case walPoisoned:
-			if j := jobs[r.Job]; j != nil && j.state == "" {
-				j.state = StatePoisoned
-				j.errStr = r.Error
-			}
-		}
-	}
-	return jobs, order
 }
 
 // newGroupLocked builds a fresh flight group led by j and registers it.
@@ -225,7 +159,7 @@ func (s *Server) newGroupLocked(cs *compiledSpec, j *Job) *group {
 		jobs:     []*Job{j},
 		ctx:      ctx,
 		cancel:   cancel,
-		enqueued: s.now(),
+		enqueued: j.Submitted,
 	}
 	j.group = g
 	s.flights[cs.key] = g

@@ -325,10 +325,6 @@ func (s *Server) SubmitIdempotent(tenant, idemKey string, spec Spec) (JobView, b
 		j := s.newJobLocked(tenant, cs, idemKey, true)
 		j.group = g
 		g.jobs = append(g.jobs, j)
-		if g.running {
-			j.State = StateRunning
-			j.Started = g.started
-		}
 		if err := s.admitDurablyLocked(j); err != nil {
 			g.jobs = g.jobs[:len(g.jobs)-1]
 			return JobView{}, false, err
@@ -337,7 +333,7 @@ func (s *Server) SubmitIdempotent(tenant, idemKey string, spec Spec) (JobView, b
 			// The worker logged started only for the jobs it dispatched;
 			// a follower of a running flight shares that run, so a crash
 			// interrupts it too and recovery must count the attempt.
-			s.walAppendLocked(walRecord{Op: walStarted, Job: j.ID})
+			s.transitionLocked(walRecord{Op: walStarted, Job: j.ID}, g.started)
 		}
 		s.mDeduped.Inc()
 		return j.viewLocked(), false, nil
@@ -357,22 +353,11 @@ func (s *Server) SubmitIdempotent(tenant, idemKey string, spec Spec) (JobView, b
 		return JobView{}, false, &QueueFullError{Depth: s.cfg.QueueDepth}
 	}
 	j := s.newJobLocked(tenant, cs, idemKey, false)
-	ctx, cancel := context.WithCancel(context.Background())
-	g := &group{
-		key:      cs.key,
-		tenant:   tenant,
-		cs:       cs,
-		jobs:     []*Job{j},
-		ctx:      ctx,
-		cancel:   cancel,
-		enqueued: j.Submitted,
-	}
-	j.group = g
-	s.flights[cs.key] = g
+	g := s.newGroupLocked(cs, j)
 	s.enqueueLocked(g)
 	if err := s.admitDurablyLocked(j); err != nil {
 		s.removeQueuedLocked(g)
-		cancel()
+		g.cancel()
 		return JobView{}, false, err
 	}
 	s.cond.Signal()
@@ -404,19 +389,69 @@ func (s *Server) admitDurablyLocked(j *Job) error {
 	return nil
 }
 
-// walAppendLocked logs a non-admission transition best-effort: a
+// transitionLocked is the one way a live job changes state after
+// admission: it applies r through applyLocked, the state machine
+// Recover replays the log with, and logs it best-effort. It reports
+// false, logging nothing, for an unknown or already finished job. A
 // failing append is counted but does not fail the job — the transition
 // already happened in memory, and replay treats a missing tail record
 // conservatively (a re-run, never a loss). Callers hold s.mu.
-func (s *Server) walAppendLocked(rec walRecord) {
-	if s.wal == nil {
-		return
+func (s *Server) transitionLocked(r walRecord, at time.Time) bool {
+	if !s.applyLocked(r, at) {
+		return false
 	}
-	if err := s.wal.append(rec); err != nil {
-		s.mWALErrors.Inc()
-		return
+	if s.wal != nil {
+		if err := s.wal.append(r); err != nil {
+			s.mWALErrors.Inc()
+		} else {
+			s.mWALRecords.Inc()
+		}
 	}
-	s.mWALRecords.Inc()
+	return true
+}
+
+// applyLocked is the job state machine: it applies one logged
+// transition to its job, live through transitionLocked and at boot in
+// Recover's replay, and reports whether it did. Records for an unknown
+// or already finished job are ignored, so an outcome is never
+// overwritten. at is when the transition happened. A start is stamped
+// only on a job in a flight, whose start it shares: a replayed start
+// has no flight yet, since the attempt it logged is rerun. A finished
+// job drops its flight, which holds the compiled spec and its
+// elaborated design. Callers hold s.mu.
+func (s *Server) applyLocked(r walRecord, at time.Time) bool {
+	j := s.jobs[r.Job]
+	if j == nil || j.State.terminal() {
+		return false
+	}
+	switch r.Op {
+	case walStarted:
+		j.State = StateRunning
+		if j.group != nil {
+			j.Started = at
+		}
+		return true
+	case walRequeued:
+		j.State = StateQueued
+		j.Attempts++
+		return true
+	case walDone:
+		j.State = r.State
+		if !j.State.terminal() {
+			j.State = StateFailed
+		}
+		j.Err, j.Result = r.Error, r.Result
+	case walCancelled:
+		j.State = StateCancelled
+	case walPoisoned:
+		j.State = StatePoisoned
+		j.Err = r.Error
+	default:
+		return false
+	}
+	j.Finished = at
+	j.group = nil
+	return true
 }
 
 // newJobLocked allocates a job record. Callers hold s.mu.
@@ -512,9 +547,7 @@ func (s *Server) worker(slot int) {
 		g.started = s.now()
 		g.lastBeat = g.started
 		for _, j := range g.jobs {
-			j.State = StateRunning
-			j.Started = g.started
-			s.walAppendLocked(walRecord{Op: walStarted, Job: j.ID})
+			s.transitionLocked(walRecord{Op: walStarted, Job: j.ID}, g.started)
 		}
 		s.running++
 		s.gRunning.Set(float64(s.running))
@@ -574,12 +607,7 @@ func (s *Server) execute(slot int, g *group) {
 		g.ctx, g.cancel = context.WithCancel(context.Background())
 		g.enqueued = end
 		for _, j := range g.jobs {
-			if j.State.terminal() {
-				continue
-			}
-			j.State = StateQueued
-			j.Attempts++
-			s.walAppendLocked(walRecord{Op: walRequeued, Job: j.ID})
+			s.transitionLocked(walRecord{Op: walRequeued, Job: j.ID}, end)
 		}
 		s.enqueueLocked(g)
 		s.cond.Signal()
@@ -600,30 +628,17 @@ func (s *Server) execute(slot int, g *group) {
 		rv = summarizeResult(g.cs.spec, res)
 	}
 	for _, j := range g.jobs {
-		// A finished job drops its flight: the group holds the
-		// compiled spec and its elaborated design.
-		j.group = nil
-		if j.State.terminal() {
-			continue // cancelled subscribers keep their state
-		}
-		j.Finished = end
+		rec, counter := walRecord{Op: walDone, Job: j.ID, State: StateSucceeded, Result: rv}, s.mCompleted
 		switch {
 		case poisoned:
-			j.State = StatePoisoned
-			j.Err = fmt.Sprintf("poisoned: no scheduler progress for %v after %d attempts: %v",
-				s.cfg.StallTimeout, g.requeues+1, err)
-			s.mPoisoned.Inc()
-			s.walAppendLocked(walRecord{Op: walPoisoned, Job: j.ID, Error: j.Err})
+			rec, counter = walRecord{Op: walPoisoned, Job: j.ID, Error: fmt.Sprintf(
+				"poisoned: no scheduler progress for %v after %d attempts: %v",
+				s.cfg.StallTimeout, g.requeues+1, err)}, s.mPoisoned
 		case err != nil:
-			j.State = StateFailed
-			j.Err = err.Error()
-			s.mFailed.Inc()
-			s.walAppendLocked(walRecord{Op: walDone, Job: j.ID, State: StateFailed, Error: j.Err})
-		default:
-			j.State = StateSucceeded
-			j.Result = rv
-			s.mCompleted.Inc()
-			s.walAppendLocked(walRecord{Op: walDone, Job: j.ID, State: StateSucceeded, Result: rv})
+			rec, counter = walRecord{Op: walDone, Job: j.ID, State: StateFailed, Error: err.Error()}, s.mFailed
+		}
+		if s.transitionLocked(rec, end) {
+			counter.Inc()
 		}
 	}
 	// Circuit breaker accounting: only organic outcomes count — runs
@@ -791,12 +806,9 @@ func (s *Server) Cancel(tenant, id string) (JobView, error) {
 		}
 		return v, ErrFinished
 	}
-	j.State = StateCancelled
-	j.Finished = s.now()
-	s.mCancelled.Inc()
-	s.walAppendLocked(walRecord{Op: walCancelled, Job: j.ID})
 	g := j.group
-	j.group = nil
+	s.transitionLocked(walRecord{Op: walCancelled, Job: j.ID}, s.now())
+	s.mCancelled.Inc()
 	var cancelRun bool
 	if g != nil {
 		for i, gj := range g.jobs {
@@ -851,15 +863,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for _, tenant := range report.SortedKeys(s.queues) {
 			for _, g := range s.queues[tenant] {
 				for _, j := range g.jobs {
-					j.group = nil
-					if j.State.terminal() {
-						continue
+					rec := walRecord{Op: walDone, Job: j.ID, State: StateRejected, Error: ErrDraining.Error()}
+					if s.transitionLocked(rec, s.now()) {
+						s.mRejected.Inc()
 					}
-					j.State = StateRejected
-					j.Err = ErrDraining.Error()
-					j.Finished = s.now()
-					s.mRejected.Inc()
-					s.walAppendLocked(walRecord{Op: walDone, Job: j.ID, State: StateRejected, Error: j.Err})
 				}
 				g.jobs = nil
 				delete(s.flights, g.key)

@@ -6,8 +6,11 @@
 package socgen
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"presp/internal/accel"
@@ -93,11 +96,19 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// MarshalJSON is provided by the embedded struct tags; ParseConfig is the
-// inverse used by the CLI tools.
+// ParseConfig decodes and validates a JSON configuration, the inverse
+// of json.Marshal on a Config. It is strict: an unknown key (a misspelt
+// optional field) or anything after the configuration is an error, not
+// silently dropped.
 func ParseConfig(data []byte) (*Config, error) {
 	var c Config
-	if err := json.Unmarshal(data, &c); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&c)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("trailing data after the config")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("socgen: parsing config: %w", err)
 	}
 	if err := c.Validate(); err != nil {

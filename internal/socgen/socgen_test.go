@@ -2,6 +2,9 @@ package socgen
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"presp/internal/accel"
@@ -99,6 +102,75 @@ func TestParseConfigRejectsGarbage(t *testing.T) {
 	if _, err := ParseConfig([]byte(`{"name":"x"}`)); err == nil {
 		t.Fatal("invalid config parsed")
 	}
+}
+
+// TestParseConfigStrict: the committed example parses, while the same
+// file with an unknown key, or with anything after the configuration,
+// is rejected instead of silently dropping the extra input.
+func TestParseConfigStrict(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "configs", "dual_fft_gemm.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseConfig(data); err != nil {
+		t.Fatalf("example config rejected: %v", err)
+	}
+	if _, err := ParseConfig(append(data, "\n\t "...)); err != nil {
+		t.Fatalf("example config with trailing whitespace rejected: %v", err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["bogus_key"] = 1
+	bogus, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string][]byte{
+		"unknown key":   bogus,
+		"second value":  append(append([]byte(nil), data...), `{"name":"x"}`...),
+		"trailing junk": append(append([]byte(nil), data...), "trailing garbage"...),
+	} {
+		if _, err := ParseConfig(in); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// FuzzParseConfig: any input parses or is rejected without a panic,
+// and an accepted configuration marshals and parses back to an equal
+// value.
+func FuzzParseConfig(f *testing.F) {
+	if data, err := os.ReadFile(filepath.Join("..", "..", "examples", "configs", "dual_fft_gemm.json")); err == nil {
+		f.Add(data)
+	}
+	for _, c := range []*Config{validConfig(), SOC2()} {
+		data, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name":"x"} {}`))
+	f.Add([]byte("{not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ParseConfig(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("accepted config does not marshal: %v", err)
+		}
+		back, err := ParseConfig(again)
+		if err != nil {
+			t.Fatalf("marshalled config %s rejected: %v", again, err)
+		}
+		if !reflect.DeepEqual(back, c) {
+			t.Fatalf("round trip changed the config:\n%+v\n%+v", c, back)
+		}
+	})
 }
 
 func TestElaborateSplitsStaticAndReconfigurable(t *testing.T) {
