@@ -68,10 +68,13 @@ bench:
 # benchmarks (partial and full-device generation on the VC707 and VCU118
 # geometries) follow at 10 iterations, so the first call's encoder
 # scratch allocation does not stand for the steady state. The WAMI
-# runtime layers close the list at 10 iterations: every accelerator
-# kernel on a 128-px frame, frame synthesis, and a 16-frame batch on
-# each runtime SoC. The parsed results land in BENCH_flow.json,
-# BENCH_bitstream.json and BENCH_wami.json for diffing across changes;
+# runtime layers follow at 10 iterations: every accelerator kernel on a
+# 128-px frame, frame synthesis, and a 16-frame batch on each runtime
+# SoC. The reconfiguration manager's swap path closes the list at 1000
+# iterations (one fault-free swap takes microseconds of host time, so
+# ten would time little but the timer), reporting reconfigs/s. The
+# parsed results land in BENCH_flow.json, BENCH_bitstream.json,
+# BENCH_wami.json and BENCH_reconfig.json for diffing across changes;
 # these numbers are smoke-level, not statistics.
 #
 # Two gates ride along. A fully cached rerun must cost at most a fifth
@@ -117,6 +120,10 @@ bench-smoke:
 		END { \
 			if (n == 0) { print "alloc gate: ProcessFrames benchmarks did not run"; exit 1 } \
 			if (bad) { print "alloc gate: FAIL"; exit 1 } }' BENCH_wami.json
+	$(GO) test -run='^$$' -bench='^BenchmarkReconfigure$$' \
+		-benchtime=1000x -benchmem -timeout $(TEST_TIMEOUT) ./internal/reconfig/ \
+		| $(GO) run ./cmd/presp-benchjson > BENCH_reconfig.json
+	@cat BENCH_reconfig.json
 
 # Boot check for the flow-as-a-service daemon, part of `make ci`: build
 # presp-served, bind an ephemeral port, push one real job through the

@@ -1,8 +1,9 @@
 // Command presp-benchjson converts `go test -bench` output on stdin
 // into a stable JSON document on stdout, so benchmark numbers can be
-// committed and diffed (make bench-smoke writes BENCH_flow.json with
-// it). Non-benchmark lines pass through to stderr, keeping the test
-// summary visible in CI logs.
+// committed and diffed (make bench-smoke writes BENCH_flow.json,
+// BENCH_bitstream.json and BENCH_wami.json with it). Non-benchmark
+// lines pass through to stderr, keeping the test summary visible in CI
+// logs.
 package main
 
 import (
@@ -27,6 +28,9 @@ type Result struct {
 	// BytesPerOp and AllocsPerOp are present with -benchmem.
 	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
+	// Metrics holds every other reported unit: MB/s from SetBytes and
+	// the benchmark's own b.ReportMetric values (e.g. reconfigs/s).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // parseBenchLine parses one `go test -bench` result line, reporting
@@ -53,15 +57,20 @@ func parseBenchLine(line string) (Result, bool) {
 		}
 	}
 	for i := 4; i+1 < len(f); i += 2 {
-		v, err := strconv.ParseInt(f[i], 10, 64)
+		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
 			continue
 		}
-		switch f[i+1] {
+		switch unit := f[i+1]; unit {
 		case "B/op":
-			r.BytesPerOp = v
+			r.BytesPerOp = int64(v)
 		case "allocs/op":
-			r.AllocsPerOp = v
+			r.AllocsPerOp = int64(v)
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[unit] = v
 		}
 	}
 	return r, true

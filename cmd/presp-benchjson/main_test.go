@@ -21,6 +21,11 @@ func TestParseBenchLine(t *testing.T) {
 	if !ok || r.Name != "BenchmarkX" || r.Runs != 100 || r.NsPerOp != 2500 || r.BytesPerOp != 0 {
 		t.Fatalf("parsed: %+v, ok=%v", r, ok)
 	}
+	// Other units (SetBytes, b.ReportMetric) land in Metrics.
+	r, ok = parseBenchLine("BenchmarkReconfigure-2 1000 40123 ns/op 24923.5 reconfigs/s 512 B/op 7 allocs/op")
+	if !ok || r.NsPerOp != 40123 || r.Metrics["reconfigs/s"] != 24923.5 || r.BytesPerOp != 512 || r.AllocsPerOp != 7 {
+		t.Fatalf("parsed: %+v, ok=%v", r, ok)
+	}
 	for _, line := range []string{
 		"ok  \tpresp/internal/flow\t1.234s",
 		"goos: linux",

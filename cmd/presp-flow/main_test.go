@@ -285,6 +285,26 @@ func TestRunTauUnderChooser(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTauOutOfRange: under the size-driven chooser an
+// out-of-range -tau fails the run with the same error a forced
+// -strategy semi gets, instead of falling back to τ=2.
+func TestRunRejectsTauOutOfRange(t *testing.T) {
+	for _, args := range [][]string{
+		{"-tau", "99"},
+		{"-tau", "1"},
+		{"-strategy", "semi", "-tau", "99"},
+	} {
+		o, err := parseCLI(append([]string{"-preset", "SoC_C"}, args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = run(context.Background(), o)
+		if err == nil || !strings.Contains(err.Error(), "must satisfy 1 < τ < N=4") {
+			t.Errorf("presp-flow %v: err = %v, want the τ range error", args, err)
+		}
+	}
+}
+
 // captureStdout returns what fn prints to standard output.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()

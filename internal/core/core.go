@@ -277,6 +277,18 @@ func ForceStrategy(d *socgen.Design, kind StrategyKind, tau int) (*Strategy, err
 	return s, nil
 }
 
+// ChooseWithTau is Choose with a caller-set semi-parallel degree: when
+// the matrix selects semi-parallel and tau is not 0 (the default), the
+// strategy is forced to tau, and an out-of-range tau gets the same error
+// as a forced semi strategy. The other classes do not read tau.
+func ChooseWithTau(d *socgen.Design, tau int) (*Strategy, error) {
+	s, err := Choose(d)
+	if err != nil || s.Kind != SemiParallel || tau == 0 {
+		return s, err
+	}
+	return ForceStrategy(d, SemiParallel, tau)
+}
+
 // GroupRPs partitions the design's reconfigurable partitions into tau
 // groups using longest-processing-time bin packing on LUT size, so the
 // parallel runs are load-balanced (the slowest run bounds T_tot).

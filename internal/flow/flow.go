@@ -74,7 +74,8 @@ type Options struct {
 	// Nil lets core.Choose decide.
 	Strategy *core.Strategy
 	// SemiTau is the semi-parallel degree when the chooser selects
-	// semi-parallel (0 = core.DefaultSemiTau).
+	// semi-parallel (0 = core.DefaultSemiTau); a degree outside
+	// 1 < τ < N fails the run (core.ChooseWithTau).
 	SemiTau int
 	// Compress enables bitstream compression (the paper's deployment
 	// configuration).
@@ -267,17 +268,7 @@ func chooseStrategy(d *socgen.Design, opt Options, mode flowMode) (*core.Strateg
 	if opt.Strategy != nil {
 		return opt.Strategy, nil
 	}
-	s, err := core.Choose(d)
-	if err != nil {
-		return nil, err
-	}
-	if s.Kind == core.SemiParallel && opt.SemiTau > 1 && opt.SemiTau < len(d.RPs) {
-		s, err = core.ForceStrategy(d, core.SemiParallel, opt.SemiTau)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	return core.ChooseWithTau(d, opt.SemiTau)
 }
 
 // setupRun prepares the tool for one flow execution: fault injection

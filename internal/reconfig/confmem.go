@@ -60,9 +60,11 @@ func newConfigMem() *configMem {
 // heals a corrupted tile.
 func (m *configMem) program(bs *bitstream.Bitstream) {
 	m.golden = bs
-	// Every image reaches the ICAP verified against its recorded
-	// checksum (at fetch, or at registration for a boot image), so the
-	// checksum is the payload's CRC; only an image without one is hashed.
+	// Every image reaches the ICAP as the manager's private copy,
+	// verified against its recorded checksum at registration (a fetch
+	// that delivers other bytes fails verification and never programs),
+	// so the checksum is the payload's CRC; only an image without one is
+	// hashed.
 	m.goldenCRC = bs.Checksum
 	if m.goldenCRC == 0 {
 		m.goldenCRC = bs.CRC()

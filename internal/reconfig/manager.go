@@ -210,17 +210,18 @@ func (r *Runtime) attemptReconfig(req *request, start sim.Time, attempt int) {
 				map[string]any{"bytes": bs.Size(), "plane": plane.String()})
 		}
 		// The fetched image is CRC-checked on arrival, before the ICAP
-		// consumes it. An injected fetch fault delivers a corrupted
-		// copy, which the real verification machinery then catches.
-		fetched := bs
+		// consumes it. bs is the manager's private copy, verified at
+		// registration and never written since, so an intact fetch
+		// delivers bytes already known to match and has nothing to
+		// hash. Only an injected fetch fault delivers different bytes:
+		// a corrupted copy, which the real verification catches.
 		if ferr := r.faultCheck(faultinject.OpFetchCRC, req.tileName, req.accName); ferr != nil {
-			fetched = bs.CorruptedCopy(attempt)
-		}
-		if verr := fetched.Verify(); verr != nil {
-			if aerr := r.eng.At(arrive, func() { fail(verr) }); aerr != nil {
-				fail(aerr)
+			if verr := bs.CorruptedCopy(attempt).Verify(); verr != nil {
+				if aerr := r.eng.At(arrive, func() { fail(verr) }); aerr != nil {
+					fail(aerr)
+				}
+				return
 			}
-			return
 		}
 		// Step 3: ICAP programming overlaps the tail of the fetch; the
 		// slower of the two paths bounds completion.

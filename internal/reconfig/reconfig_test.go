@@ -26,7 +26,7 @@ type testbed struct {
 	plan *floorplan.Plan
 }
 
-func newTestbed(t *testing.T) *testbed {
+func newTestbed(t testing.TB) *testbed {
 	t.Helper()
 	reg := accel.Default()
 	cfg := &socgen.Config{

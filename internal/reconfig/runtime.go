@@ -12,6 +12,7 @@
 package reconfig
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -574,7 +575,10 @@ func (r *Runtime) tile(name string) (*tileState, error) {
 // RegisterBitstream stages a partial bitstream for (tile, accelerator):
 // the user-space loader mmaps it in DDR and the manager copies it into
 // kernel memory, creating the reference between bitstream, physical
-// address, target tile and driver (Section V).
+// address, target tile and driver (Section V). The copy is verified
+// here, once; nothing outside the manager can reach it, so its bytes
+// match its checksum for as long as it stays registered, whatever the
+// caller later does to bs.
 func (r *Runtime) RegisterBitstream(tileName, accName string, bs *bitstream.Bitstream) error {
 	ts, err := r.tile(tileName)
 	if err != nil {
@@ -589,16 +593,18 @@ func (r *Runtime) RegisterBitstream(tileName, accName string, bs *bitstream.Bits
 	if _, err := r.reg.Lookup(accName); err != nil {
 		return err
 	}
-	if err := bs.Verify(); err != nil {
+	img := *bs
+	img.Data = bytes.Clone(bs.Data)
+	if err := img.Verify(); err != nil {
 		return fmt.Errorf("reconfig: %s/%s: %w", tileName, accName, err)
 	}
-	ts.bitstream[accName] = bs
+	ts.bitstream[accName] = &img
 	// A tile booted with this accelerator got its frames from the full
 	// bitstream; registering the matching partial image gives the
 	// scrubber its golden reference, so install it as the resident
 	// config memory now (later swaps install theirs on ICAP success).
 	if ts.loaded == accName && ts.mem == nil {
-		ts.programConfigMem(bs)
+		ts.programConfigMem(&img)
 	}
 	return nil
 }

@@ -142,7 +142,11 @@ func buildScenarioWAL(t *testing.T) []walRecord {
 		}
 		return st.run(ctx, cs, opt)
 	}
-	s, _ := bootWALServer(t, dir, run, Config{Workers: 1})
+	// The clock is pinned an hour before the one TestGoldenRecoveredViews
+	// recovers with, so its golden shows which view times come from the
+	// log and which from the boot.
+	submitted := func() time.Time { return time.Date(2026, 8, 7, 11, 0, 0, 0, time.UTC) }
+	s, _ := bootWALServer(t, dir, run, Config{Workers: 1, Now: submitted})
 
 	// j1 runs (held at the gate), j2 queues behind it, j3 dedups onto
 	// j1's flight, j2 is cancelled while queued.

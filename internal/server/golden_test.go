@@ -144,6 +144,35 @@ func TestSubmitTrailingData(t *testing.T) {
 	}
 }
 
+// TestSubmitTauUnderChooser: SoC_C's size-driven chooser picks
+// semi-parallel, so a spec with no strategy and a τ outside 1 < τ < N is
+// a 400 in the error envelope with the code and message a forced semi
+// strategy gets (bad_spec), while an in-range τ is admitted. SOC_2's
+// chooser picks fully parallel, which does not read τ.
+func TestSubmitTauUnderChooser(t *testing.T) {
+	_, ts := goldenServer(t, &stubRunner{}, Config{Workers: 1})
+	for _, body := range []string{
+		`{"preset":"SoC_C","tau":99}`,
+		`{"preset":"SoC_C","tau":1}`,
+		`{"preset":"SoC_C","strategy":"semi","tau":99}`,
+	} {
+		resp, got := doJSON(t, "POST", ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submit %s status = %d, want 400: %s", body, resp.StatusCode, got)
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(got, &env); err != nil || env.Error.Code != "bad_spec" ||
+			!strings.Contains(env.Error.Message, "must satisfy 1 < τ < N=4") {
+			t.Fatalf("submit %s envelope = %s (%v), want bad_spec with the τ range", body, got, err)
+		}
+	}
+	for _, body := range []string{`{"preset":"SoC_C","tau":3}`, `{"preset":"SOC_2","tau":99}`} {
+		if resp, got := doJSON(t, "POST", ts.URL+"/v1/jobs", body); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s status = %d, want 202: %s", body, resp.StatusCode, got)
+		}
+	}
+}
+
 // FuzzSubmitBody drives arbitrary bodies, tenants and idempotency keys
 // through the HTTP handler: every response carries one of the statuses
 // the submit path documents, every error comes in the error envelope,

@@ -108,6 +108,12 @@ func compile(spec Spec) (*compiledSpec, error) {
 			}
 			cs.strategy = s
 		}
+	} else if spec.Flow == "presp" && spec.Tau != 0 {
+		// The size-driven chooser reads tau too: reject a degree the
+		// flow would fail on, with the forced strategy's error.
+		if _, err := core.ChooseWithTau(d, spec.Tau); err != nil {
+			return nil, fmt.Errorf("spec: %w", err)
+		}
 	}
 	if spec.Faults != "" {
 		plan, err := faultinject.ParsePlan(spec.Faults)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"presp/internal/vivado"
 )
@@ -70,9 +71,10 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	// re-creates its job; records for jobs that were never admitted
 	// (their admission sat in the torn tail) are dropped — without a
 	// spec there is nothing to re-run, and the client never got an
-	// acknowledgement. The log keeps no transition times, so every
-	// replayed job is submitted, and every replayed outcome finished, at
-	// boot.
+	// acknowledgement. A job keeps the submission time its admitted
+	// record carries (boot if the record has none it can parse); the log
+	// keeps no other transition times, so every replayed start and
+	// outcome happens at boot.
 	boot := s.now()
 	var order []*Job
 	for _, r := range recs {
@@ -83,6 +85,10 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		if s.jobs[r.Job] != nil || r.Spec == nil {
 			continue
 		}
+		submitted, err := time.Parse(time.RFC3339Nano, r.Time)
+		if err != nil {
+			submitted = boot
+		}
 		j := &Job{
 			ID:        r.Job,
 			Tenant:    r.Tenant,
@@ -90,8 +96,9 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			Key:       r.Key,
 			IdemKey:   r.Idem,
 			State:     StateQueued,
+			Dedup:     r.Dedup,
 			Recovered: true,
-			Submitted: boot,
+			Submitted: submitted,
 		}
 		if n, err := strconv.Atoi(strings.TrimPrefix(j.ID, "j")); err == nil && n > s.seq {
 			s.seq = n
@@ -135,7 +142,11 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			s.mFailed.Inc()
 			continue
 		}
-		s.enqueueLocked(s.newGroupLocked(cs, j))
+		g := s.newGroupLocked(cs, j)
+		// Queue time counts from the re-admission, not across the
+		// downtime.
+		g.enqueued = boot
+		s.enqueueLocked(g)
 		s.cond.Signal()
 	}
 

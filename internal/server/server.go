@@ -375,6 +375,7 @@ func (s *Server) admitDurablyLocked(j *Job) error {
 		rec := walRecord{
 			Op: walAdmitted, Job: j.ID, Tenant: j.Tenant, Key: j.Key,
 			Idem: j.IdemKey, Spec: &j.Spec, Time: j.Submitted.UTC().Format(time.RFC3339Nano),
+			Dedup: j.Dedup,
 		}
 		if err := s.wal.append(rec); err != nil {
 			s.mWALErrors.Inc()

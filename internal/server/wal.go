@@ -30,8 +30,9 @@ import (
 // walOp is the transition a record logs.
 const (
 	// walAdmitted: the job was accepted; carries the full Spec, tenant,
-	// single-flight key and idempotency key. The only record that must
-	// be durable before the client sees 202.
+	// single-flight key, idempotency key, submission time and whether
+	// the job joined an existing flight. The only record that must be
+	// durable before the client sees 202.
 	walAdmitted = "admitted"
 	// walStarted: the job's flight group began executing.
 	walStarted = "started"
@@ -62,6 +63,7 @@ type walRecord struct {
 	Error  string      `json:"error,omitempty"`
 	Result *ResultView `json:"result,omitempty"`
 	Time   string      `json:"time,omitempty"`
+	Dedup  bool        `json:"dedup,omitempty"`
 }
 
 // maxWALLine bounds one record's JSON line during replay; a "line"

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // walFixture is a representative record sequence: an admission with a
@@ -118,6 +119,49 @@ func TestWALReplaysParentFormat(t *testing.T) {
 	rerun := waitState(t, s, "acme", "j000002", StateSucceeded)
 	if !reflect.DeepEqual(rerun.Result.BitstreamCRCs, done.Result.BitstreamCRCs) {
 		t.Fatalf("rerun CRCs %v differ from the recorded %v", rerun.Result.BitstreamCRCs, done.Result.BitstreamCRCs)
+	}
+}
+
+// TestRecoverKeepsSubmissionTime: a recovered job keeps the submission
+// time and dedup flag of its admitted record; a record whose time is
+// missing or does not parse falls back to the boot clock.
+func TestRecoverKeepsSubmissionTime(t *testing.T) {
+	done := func(id string) walRecord {
+		return walRecord{Op: walDone, Job: id, State: StateSucceeded, Result: &ResultView{Flow: "presp"}}
+	}
+	admitted := func(id, at string, dedup bool) walRecord {
+		return walRecord{Op: walAdmitted, Job: id, Tenant: "acme", Key: "k",
+			Spec: &Spec{Preset: "SOC_1"}, Time: at, Dedup: dedup}
+	}
+	dir := t.TempDir()
+	data := encodeAll(t, []walRecord{
+		admitted("j000001", "2026-08-07T11:00:00.5Z", false), done("j000001"),
+		admitted("j000002", "2026-08-07T11:30:00Z", true), done("j000002"),
+		admitted("j000003", "", false), done("j000003"),
+		admitted("j000004", "yesterday", false), done("j000004"),
+	})
+	if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boot := func() time.Time { return time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC) }
+	s, _ := bootWALServer(t, dir, nil, Config{Now: boot})
+	for _, c := range []struct {
+		id, submitted string
+		dedup         bool
+	}{
+		{"j000001", "2026-08-07T11:00:00.5Z", false},
+		{"j000002", "2026-08-07T11:30:00Z", true},
+		{"j000003", "2026-08-07T12:00:00Z", false},
+		{"j000004", "2026-08-07T12:00:00Z", false},
+	} {
+		v, err := s.Get("acme", c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.SubmittedAt != c.submitted || v.Deduplicated != c.dedup {
+			t.Errorf("%s: submitted_at %s, deduplicated %v; want %s, %v",
+				c.id, v.SubmittedAt, v.Deduplicated, c.submitted, c.dedup)
+		}
 	}
 }
 

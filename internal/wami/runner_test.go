@@ -224,13 +224,19 @@ func TestFig4Orderings(t *testing.T) {
 	}
 }
 
-// TestHardwareMatchesGoldenPipeline runs the same frame stream through
-// the all-hardware SoC_Z and the software Pipeline: the accelerators
-// execute the identical kernels, so the estimated motion must agree to
-// machine precision and the detections must be close (the two paths
-// feed change-detection the last-iteration warp vs the final warp).
+// TestHardwareMatchesGoldenPipeline is the hardware-vs-software leg of
+// the differential harness: the same frame stream runs through the
+// software Pipeline and through the runner on every runtime SoC. The
+// accelerators execute the identical kernels in the same order, so on
+// every SoC each frame's estimated motion must be bit-identical and its
+// detection count equal. The runner feeds Change-Detection the warp it
+// computed in the last Lucas-Kanade iteration (the motion before the
+// final update) where the Pipeline warps again with the final motion,
+// so the background is checked, bit for bit, against a software chain
+// on the runner's schedule: Change-Detection over Warp(gray, p) with p
+// from one iteration fewer.
 func TestHardwareMatchesGoldenPipeline(t *testing.T) {
-	const frames = 4
+	const frames = 6
 	cfg := DefaultPipelineConfig()
 	cfg.LKIterations = 6
 	cfg.LKEpsilon = 1e-9 // run all iterations on both paths
@@ -245,6 +251,7 @@ func TestHardwareMatchesGoldenPipeline(t *testing.T) {
 	}
 	var swMotion []float64
 	var swDet []int
+	var prev, bg *Image // the runner's schedule
 	for i := 0; i < frames; i++ {
 		res, err := sw.Process(swSrc.Next())
 		if err != nil {
@@ -252,27 +259,45 @@ func TestHardwareMatchesGoldenPipeline(t *testing.T) {
 		}
 		swMotion = append(swMotion, math.Hypot(res.Motion[4], res.Motion[5]))
 		swDet = append(swDet, res.Detections)
+		if i == 0 {
+			bg = res.Gray.Clone()
+		} else {
+			p, _, err := LucasKanade(prev, res.Gray, cfg.LKIterations-1, cfg.LKEpsilon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, bg = ChangeDetection(Warp(res.Gray, p), bg, cdThreshold, cdAlpha)
+		}
+		prev = res.Gray
 	}
 
-	runner, _ := bootRunner(t, "SoC_Z", cfg.LKIterations)
-	runner.cfg.LKEpsilon = cfg.LKEpsilon
-	hwSrc, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := runner.ProcessFrames(hwSrc, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < frames; i++ {
-		if math.Abs(rep.Frames[i].MotionErr-swMotion[i]) > 1e-9 {
-			t.Errorf("frame %d: hardware motion %.9f vs software %.9f",
-				i, rep.Frames[i].MotionErr, swMotion[i])
-		}
-		if d := rep.Frames[i].Detections - swDet[i]; d > 4 || d < -4 {
-			t.Errorf("frame %d: hardware detections %d vs software %d",
-				i, rep.Frames[i].Detections, swDet[i])
-		}
+	for _, soc := range []string{"SoC_X", "SoC_Y", "SoC_Z"} {
+		t.Run(soc, func(t *testing.T) {
+			runner, _ := bootRunner(t, soc, cfg.LKIterations)
+			runner.cfg.LKEpsilon = cfg.LKEpsilon
+			hwSrc, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := runner.ProcessFrames(hwSrc, frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < frames; i++ {
+				if it := rep.Frames[i].LKIters; it != cfg.LKIterations {
+					t.Fatalf("frame %d: %d Lucas-Kanade iterations, want all %d", i, it, cfg.LKIterations)
+				}
+				if hw := rep.Frames[i].MotionErr; math.Float64bits(hw) != math.Float64bits(swMotion[i]) {
+					t.Errorf("frame %d: hardware motion %v (%#x) vs software %v (%#x)",
+						i, hw, math.Float64bits(hw), swMotion[i], math.Float64bits(swMotion[i]))
+				}
+				if rep.Frames[i].Detections != swDet[i] {
+					t.Errorf("frame %d: hardware detections %d vs software %d",
+						i, rep.Frames[i].Detections, swDet[i])
+				}
+			}
+			sameBits(t, "final background", runner.bg.Pix, bg.Pix)
+		})
 	}
 }
 
