@@ -70,9 +70,10 @@ bench:
 # scratch allocation does not stand for the steady state. The WAMI
 # runtime layers follow at 10 iterations: every accelerator kernel on a
 # 128-px frame, frame synthesis, and a 16-frame batch on each runtime
-# SoC. The reconfiguration manager's swap path closes the list at 1000
-# iterations (one fault-free swap takes microseconds of host time, so
-# ten would time little but the timer), reporting reconfigs/s. The
+# SoC. The reconfiguration manager's swap and invoke paths close the
+# list at 1000 iterations (one fault-free swap or invocation takes
+# microseconds of host time, so ten would time little but the timer),
+# reporting reconfigs/s and invocations/s. The
 # parsed results land in BENCH_flow.json, BENCH_bitstream.json,
 # BENCH_wami.json and BENCH_reconfig.json for diffing across changes;
 # these numbers are smoke-level, not statistics.
@@ -120,7 +121,7 @@ bench-smoke:
 		END { \
 			if (n == 0) { print "alloc gate: ProcessFrames benchmarks did not run"; exit 1 } \
 			if (bad) { print "alloc gate: FAIL"; exit 1 } }' BENCH_wami.json
-	$(GO) test -run='^$$' -bench='^BenchmarkReconfigure$$' \
+	$(GO) test -run='^$$' -bench='^Benchmark(Reconfigure|Invoke)$$' \
 		-benchtime=1000x -benchmem -timeout $(TEST_TIMEOUT) ./internal/reconfig/ \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_reconfig.json
 	@cat BENCH_reconfig.json

@@ -46,11 +46,13 @@ type Bitstream struct {
 	// Compressed records whether Data is compressed.
 	Compressed bool
 	// Checksum is the IEEE CRC-32 of Data, recorded at generation time.
-	// The runtime manager verifies every fetched image against it
-	// before the ICAP consumes it: real bitstreams carry per-frame CRC
-	// words for the same reason — a corrupted configuration image must
-	// never reach the fabric. Zero means "no checksum recorded" and
-	// disables verification (hand-built images in tests).
+	// The runtime manager verifies its private copy of the image against
+	// it once, at registration, and a fetch that delivers different
+	// bytes (a corrupted copy) again before the ICAP would consume it:
+	// real bitstreams carry per-frame CRC words for the same reason — a
+	// corrupted configuration image must never reach the fabric. Zero
+	// means "no checksum recorded" and disables verification
+	// (hand-built images in tests).
 	Checksum uint32
 }
 

@@ -73,9 +73,9 @@ func benchKernelInputs(b *testing.B) map[int][][]float64 {
 
 func BenchmarkWAMIKernel(b *testing.B) {
 	inputs := benchKernelInputs(b)
-	for idx := 1; idx <= NumKernels; idx++ {
-		k, in := kernelFor(idx), inputs[idx]
-		b.Run(Names[idx], func(b *testing.B) {
+	run := func(name string, idx int, in [][]float64) {
+		k := kernelFor(idx)
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				out, err := k.Run(in)
@@ -86,6 +86,14 @@ func BenchmarkWAMIKernel(b *testing.B) {
 			}
 		})
 	}
+	for idx := 1; idx <= NumKernels; idx++ {
+		run(Names[idx], idx, inputs[idx])
+	}
+	// warp-img above warps by a sub-pixel shift on Warp's general path.
+	// Inverse-compositional Lucas-Kanade starts from p = 0, so every
+	// warp of the runtime evaluation's single iteration per frame takes
+	// the zero-warp path instead.
+	run(Names[KWarpImg]+"-zero", KWarpImg, [][]float64{inputs[KWarpImg][0], make([]float64, 6)})
 }
 
 func BenchmarkFrameSourceNext(b *testing.B) {

@@ -100,80 +100,40 @@ func imageFrom(pix []float64) (Image, error) {
 }
 
 // Debayer demosaics an RGGB Bayer mosaic into an RGB image using
-// bilinear interpolation. Returns r, g, b planes.
+// bilinear interpolation. Returns r, g, b planes. A neighbour outside
+// the image reads the clamped border, as At does.
 func Debayer(mosaic *Image) (r, g, b *Image) {
 	n := mosaic.N
 	r, g, b = recycledImage(n), recycledImage(n), recycledImage(n)
 	m := mosaic.Pix
-	for y := 1; y < n-1; y++ {
-		up, row, dn := m[(y-1)*n:y*n], m[y*n:(y+1)*n], m[(y+1)*n:(y+2)*n]
+	for y := 0; y < n; y++ {
+		up, row, dn := m[max(y-1, 0)*n:][:n], m[y*n:(y+1)*n], m[min(y+1, n-1)*n:][:n]
 		rr, gr, br := r.Pix[y*n:(y+1)*n], g.Pix[y*n:(y+1)*n], b.Pix[y*n:(y+1)*n]
 		evenRow := y%2 == 0
-		for x := 1; x < n-1; x++ {
+		for x := range row {
+			xl, xr := max(x-1, 0), min(x+1, n-1)
 			evenCol := x%2 == 0
 			switch {
 			case evenRow && evenCol: // red site
 				rr[x] = row[x]
-				gr[x] = (row[x-1] + row[x+1] + up[x] + dn[x]) / 4
-				br[x] = (up[x-1] + up[x+1] + dn[x-1] + dn[x+1]) / 4
+				gr[x] = (row[xl] + row[xr] + up[x] + dn[x]) / 4
+				br[x] = (up[xl] + up[xr] + dn[xl] + dn[xr]) / 4
 			case evenRow && !evenCol: // green site on red row
 				gr[x] = row[x]
-				rr[x] = (row[x-1] + row[x+1]) / 2
+				rr[x] = (row[xl] + row[xr]) / 2
 				br[x] = (up[x] + dn[x]) / 2
 			case !evenRow && evenCol: // green site on blue row
 				gr[x] = row[x]
-				br[x] = (row[x-1] + row[x+1]) / 2
+				br[x] = (row[xl] + row[xr]) / 2
 				rr[x] = (up[x] + dn[x]) / 2
 			default: // blue site
 				br[x] = row[x]
-				gr[x] = (row[x-1] + row[x+1] + up[x] + dn[x]) / 4
-				rr[x] = (up[x-1] + up[x+1] + dn[x-1] + dn[x+1]) / 4
+				gr[x] = (row[xl] + row[xr] + up[x] + dn[x]) / 4
+				rr[x] = (up[xl] + up[xr] + dn[xl] + dn[xr]) / 4
 			}
 		}
 	}
-	forBorder(n, func(x, y int) { debayerAt(mosaic, r, g, b, x, y) })
 	return r, g, b
-}
-
-// debayerAt demosaics pixel (x, y) through the clamped accessors; it
-// serves the border, where a neighbour falls outside the image.
-func debayerAt(mosaic, r, g, b *Image, x, y int) {
-	evenRow := y%2 == 0
-	evenCol := x%2 == 0
-	switch {
-	case evenRow && evenCol: // red site
-		r.Set(x, y, mosaic.At(x, y))
-		g.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y)+mosaic.At(x, y-1)+mosaic.At(x, y+1))/4)
-		b.Set(x, y, (mosaic.At(x-1, y-1)+mosaic.At(x+1, y-1)+mosaic.At(x-1, y+1)+mosaic.At(x+1, y+1))/4)
-	case evenRow && !evenCol: // green site on red row
-		g.Set(x, y, mosaic.At(x, y))
-		r.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y))/2)
-		b.Set(x, y, (mosaic.At(x, y-1)+mosaic.At(x, y+1))/2)
-	case !evenRow && evenCol: // green site on blue row
-		g.Set(x, y, mosaic.At(x, y))
-		b.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y))/2)
-		r.Set(x, y, (mosaic.At(x, y-1)+mosaic.At(x, y+1))/2)
-	default: // blue site
-		b.Set(x, y, mosaic.At(x, y))
-		g.Set(x, y, (mosaic.At(x-1, y)+mosaic.At(x+1, y)+mosaic.At(x, y-1)+mosaic.At(x, y+1))/4)
-		r.Set(x, y, (mosaic.At(x-1, y-1)+mosaic.At(x+1, y-1)+mosaic.At(x-1, y+1)+mosaic.At(x+1, y+1))/4)
-	}
-}
-
-// forBorder calls f once for every pixel of the one-pixel border of an
-// n×n image: the pixels a 3×3 stencil cannot read without clamping.
-// When n < 3 that is every pixel.
-func forBorder(n int, f func(x, y int)) {
-	for x := 0; x < n; x++ {
-		f(x, 0)
-		if n > 1 {
-			f(x, n-1)
-		}
-	}
-	for y := 1; y < n-1; y++ {
-		f(0, y)
-		f(n-1, y)
-	}
 }
 
 // Grayscale converts RGB planes to luma with the ITU-R BT.601 weights.
@@ -185,23 +145,20 @@ func Grayscale(r, g, b *Image) *Image {
 	return out
 }
 
-// Gradient computes central-difference spatial gradients dx, dy.
+// Gradient computes central-difference spatial gradients dx, dy. A
+// neighbour outside the image reads the clamped border, as At does.
 func Gradient(im *Image) (gx, gy *Image) {
 	n := im.N
 	gx, gy = recycledImage(n), recycledImage(n)
 	p := im.Pix
-	for y := 1; y < n-1; y++ {
-		up, row, dn := p[(y-1)*n:y*n], p[y*n:(y+1)*n], p[(y+1)*n:(y+2)*n]
+	for y := 0; y < n; y++ {
+		up, row, dn := p[max(y-1, 0)*n:][:n], p[y*n:(y+1)*n], p[min(y+1, n-1)*n:][:n]
 		xr, yr := gx.Pix[y*n:(y+1)*n], gy.Pix[y*n:(y+1)*n]
-		for x := 1; x < n-1; x++ {
-			xr[x] = (row[x+1] - row[x-1]) / 2
+		for x := range row {
+			xr[x] = (row[min(x+1, n-1)] - row[max(x-1, 0)]) / 2
 			yr[x] = (dn[x] - up[x]) / 2
 		}
 	}
-	forBorder(n, func(x, y int) {
-		gx.Set(x, y, (im.At(x+1, y)-im.At(x-1, y))/2)
-		gy.Set(x, y, (im.At(x, y+1)-im.At(x, y-1))/2)
-	})
 	return gx, gy
 }
 
@@ -256,31 +213,53 @@ func (p Affine) matrix() [9]float64 {
 // Warp resamples image im through the affine warp with bilinear
 // interpolation (the warp-img kernel). Taps outside the image read the
 // clamped border.
+//
+// The zero warp, which every Lucas-Kanade run starts from, maps each
+// pixel to itself: its taps are the pixel and its right and lower
+// neighbours, clamped on the last column and row, and both fractions
+// are +0. It evaluates the same sum on those taps without the
+// coordinate arithmetic. It is not a copy: a zero-weighted tap still
+// turns −0 into +0 and an infinite neighbour into NaN.
 func Warp(im *Image, p Affine) *Image {
 	n := im.N
 	out := recycledImage(n)
 	pix := im.Pix
+	if p == (Affine{}) {
+		for y := 0; y < n; y++ {
+			row, dn := pix[y*n:(y+1)*n], pix[min(y+1, n-1)*n:][:n]
+			o := out.Pix[y*n : (y+1)*n]
+			for x := range o {
+				x1 := min(x+1, n-1)
+				o[x] = bilinear(0, 0, row[x], row[x1], dn[x], dn[x1])
+			}
+		}
+		return out
+	}
 	for y := 0; y < n; y++ {
 		row := out.Pix[y*n : (y+1)*n]
 		for x := range row {
 			sx, sy := p.Apply(float64(x), float64(y))
 			x0, y0 := int(math.Floor(sx)), int(math.Floor(sy))
 			fx, fy := sx-float64(x0), sy-float64(y0)
-			var v00, v10, v01, v11 float64
 			if uint(x0) < uint(n-1) && uint(y0) < uint(n-1) {
 				// The 2×2 footprint lies inside the image.
 				i := y0*n + x0
-				v00, v10, v01, v11 = pix[i], pix[i+1], pix[i+n], pix[i+n+1]
+				row[x] = bilinear(fx, fy, pix[i], pix[i+1], pix[i+n], pix[i+n+1])
 			} else {
-				v00, v10, v01, v11 = im.At(x0, y0), im.At(x0+1, y0), im.At(x0, y0+1), im.At(x0+1, y0+1)
+				row[x] = bilinear(fx, fy, im.At(x0, y0), im.At(x0+1, y0), im.At(x0, y0+1), im.At(x0+1, y0+1))
 			}
-			row[x] = (1-fx)*(1-fy)*v00 +
-				fx*(1-fy)*v10 +
-				(1-fx)*fy*v01 +
-				fx*fy*v11
 		}
 	}
 	return out
+}
+
+// bilinear weighs the taps v00, v10, v01 and v11 of a 2×2 footprint by
+// the fractional offsets fx, fy of the source coordinate.
+func bilinear(fx, fy, v00, v10, v01, v11 float64) float64 {
+	return (1-fx)*(1-fy)*v00 +
+		fx*(1-fy)*v10 +
+		(1-fx)*fy*v01 +
+		fx*fy*v11
 }
 
 // Subtract computes a - b per pixel (the error image kernel).

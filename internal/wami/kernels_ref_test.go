@@ -260,6 +260,42 @@ func borderWarps(n int) []Affine {
 	}
 }
 
+// sameBitsOrNaN is sameBits for inputs holding infinities: where the
+// reference value is NaN, got need only be NaN, because a NaN's payload
+// depends on the operand order that produced it.
+func sameBitsOrNaN(tb testing.TB, what string, got, want []float64) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d values, reference %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.IsNaN(want[i]) && math.IsNaN(got[i]) {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			tb.Fatalf("%s: value %d = %v (%#x), reference %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// specialImage returns an n×n image of random pixels, about a quarter
+// of them replaced by −0, +Inf or −Inf.
+func specialImage(rng *rand.Rand, n int) *Image {
+	im := randImage(rng, n)
+	for i := range im.Pix {
+		switch rng.Intn(12) {
+		case 0:
+			im.Pix[i] = math.Copysign(0, -1)
+		case 1:
+			im.Pix[i] = math.Inf(1)
+		case 2:
+			im.Pix[i] = math.Inf(-1)
+		}
+	}
+	return im
+}
+
 func randImage(rng *rand.Rand, n int) *Image {
 	im := NewImage(n)
 	for i := range im.Pix {
@@ -292,6 +328,40 @@ func TestKernelsMatchReference(t *testing.T) {
 			})
 		}
 		compareKernels(t, im, planes, hinv, warps)
+	}
+
+	// −0 and ±Inf reach the zero-weighted taps of the zero warp and the
+	// clamped border taps of the stencils; both must treat them as the
+	// reference does. The warps include p = −0 in every parameter, which
+	// equals Affine{} and so takes the zero-warp path.
+	notCopy := 0
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{1, 2, 3, 4, 5, 16, 17} {
+		for i := 0; i < 4; i++ {
+			im := specialImage(rng, n)
+			what := fmt.Sprintf("special n=%d image %d", n, i)
+			r, g, b := Debayer(im)
+			rr, rg, rb := refDebayer(im)
+			sameBitsOrNaN(t, what+" Debayer r", r.Pix, rr.Pix)
+			sameBitsOrNaN(t, what+" Debayer g", g.Pix, rg.Pix)
+			sameBitsOrNaN(t, what+" Debayer b", b.Pix, rb.Pix)
+			gx, gy := Gradient(im)
+			rgx, rgy := refGradient(im)
+			sameBitsOrNaN(t, what+" Gradient gx", gx.Pix, rgx.Pix)
+			sameBitsOrNaN(t, what+" Gradient gy", gy.Pix, rgy.Pix)
+			warps := append(borderWarps(n), Affine{negZero, negZero, negZero, negZero, negZero, negZero})
+			for _, p := range warps {
+				sameBitsOrNaN(t, fmt.Sprintf("%s Warp %v", what, p), Warp(im, p).Pix, refWarp(im, p).Pix)
+			}
+			for k, v := range refWarp(im, Affine{}).Pix {
+				if math.Float64bits(v) != math.Float64bits(im.Pix[k]) {
+					notCopy++
+				}
+			}
+		}
+	}
+	if notCopy == 0 {
+		t.Fatal("the reference zero warp copied every special image; a copy would pass unchecked")
 	}
 
 	overlaps := 0
@@ -357,6 +427,7 @@ func FuzzKernelsMatchReference(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 200, 3, 77}, 0.0, 0.0, 0.0, 0.0, -0.5, 0.5)
 	f.Add(uint8(16), []byte{9, 8, 7}, 0.05, 0.02, -0.03, -0.04, 1.3, -0.7)
 	f.Add(uint8(1), []byte{}, 0.0, 0.0, 0.0, 0.0, 40.0, -40.0)
+	f.Add(uint8(7), []byte{5, 250, 0, 128, 64}, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) // the zero warp
 	f.Fuzz(func(t *testing.T, size uint8, data []byte, p0, p1, p2, p3, p4, p5 float64) {
 		p := Affine{p0, p1, p2, p3, p4, p5}
 		for _, v := range p {
