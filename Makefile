@@ -68,9 +68,10 @@ bench:
 # benchmarks (partial and full-device generation on the VC707 and VCU118
 # geometries) follow at 10 iterations, so the first call's encoder
 # scratch allocation does not stand for the steady state. The WAMI
-# runtime layers follow at 10 iterations: every accelerator kernel on a
-# 128-px frame, frame synthesis, and a 16-frame batch on each runtime
-# SoC. The reconfiguration manager's swap and invoke paths close the
+# runtime layers follow: every accelerator kernel on a 128-px frame and
+# frame synthesis at 2000 iterations (tens to hundreds of microseconds
+# each, so ten would time mostly the cold start), and a 16-frame batch
+# on each runtime SoC at 10. The reconfiguration manager's swap and invoke paths close the
 # list at 1000 iterations (one fault-free swap or invocation takes
 # microseconds of host time, so ten would time little but the timer),
 # reporting reconfigs/s and invocations/s. The
@@ -109,8 +110,10 @@ bench-smoke:
 		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/bitstream/ \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_bitstream.json
 	@cat BENCH_bitstream.json
-	$(GO) test -run='^$$' -bench='^Benchmark(WAMIKernel|FrameSourceNext|ProcessFrames)$$' \
-		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/wami/ \
+	{ $(GO) test -run='^$$' -bench='^Benchmark(WAMIKernel|FrameSourceNext)$$' \
+		-benchtime=2000x -benchmem -timeout $(TEST_TIMEOUT) ./internal/wami/ && \
+	  $(GO) test -run='^$$' -bench='^BenchmarkProcessFrames$$' \
+		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/wami/; } \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_wami.json
 	@cat BENCH_wami.json
 	@awk -F'[:,]' ' \

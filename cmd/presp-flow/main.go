@@ -94,6 +94,9 @@ func parseCLI(args []string) (*cliOptions, error) {
 	if err := cu.Finish(fs); err != nil {
 		return nil, err
 	}
+	if err := cu.FaultPlan.ForFlow(); err != nil {
+		return nil, err
+	}
 	o.workers, o.timeout, o.faultPlan = cu.Workers, cu.Timeout, cu.FaultPlan
 	o.tracePath, o.metricsPath, o.cacheDir = cu.Trace, cu.Metrics, cu.CacheDir
 	if o.retries < 0 {

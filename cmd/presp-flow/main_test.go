@@ -71,6 +71,8 @@ func TestParseCLIRejects(t *testing.T) {
 		{"-error-policy", "lenient"},
 		{"-faults", "frobnicate@x:count=1"},
 		{"-faults", "synth:count=notanumber"},
+		{"-faults", "seed=1,icap=1.0,crc=1.0"}, // runtime ops: the flow never checks them
+		{"-faults", "seed=1,synth=0.5,seu@rt_1=0.1"},
 		{"-retries", "-1"},
 		{"-resume", "run.jsonl"},
 		{"-journal", "run.jsonl"},

@@ -67,6 +67,9 @@ func parseCLI(args []string) (*cliOptions, error) {
 	if err := cu.Finish(fs); err != nil {
 		return nil, err
 	}
+	if err := cu.FaultPlan.ForRuntime(); err != nil {
+		return nil, err
+	}
 	o.faultPlan, o.tracePath = cu.FaultPlan, cu.Trace
 	o.compress = !noCompress
 	if o.frames < 1 {

@@ -113,6 +113,8 @@ func TestParseCLIRejects(t *testing.T) {
 		{"-no-such-flag"},
 		{"-scrub-interval", "-1ms"},
 		{"-faults", "seu@rt_1=0"},
+		{"-faults", "seed=1,synth=1.0,impl=1.0"}, // CAD ops: the runtime never checks them
+		{"-faults", "seed=1,icap=0.2,drc@rt_1_rp"},
 	}
 	for _, args := range cases {
 		if _, err := parseCLI(args); err == nil {

@@ -1,48 +1,63 @@
 // Package faultinject is a deterministic, seed-driven fault-injection
-// layer for the simulated hardware substrate. A Plan names the
-// operations that must fail — NoC transfers, decoupler engage and
-// disengage, ICAP programming, bitstream fetch corruption, kernel
-// execution — either at exact occurrence indices (deterministic rules)
-// or at a seeded probability per occurrence (rate rules). Because the
-// simulation engine is single-threaded and its event order is
-// reproducible, the same plan against the same workload injects the
-// same faults at the same virtual times on every run, which is what
-// makes error-path behaviour testable at all: a failure you cannot
-// replay is a failure you cannot regression-test.
+// layer for both halves of the reproduction. A Plan names the
+// operations that must fail — in the simulated runtime, NoC transfers,
+// decoupler engage and disengage, ICAP programming, bitstream fetch
+// corruption, kernel execution and configuration-memory upsets; in the
+// compile-time flow, synthesis, floorplanning, place-and-route,
+// bitstream generation and DRC — either at exact occurrence indices
+// (deterministic rules) or at a seeded probability per occurrence
+// (rate rules). One Injector evaluates every plan, and the op decides
+// how a rule counts and draws: in the simulation engine's reproducible
+// event order, or per site where checks arrive from concurrent flow
+// jobs or per tile. Either way the same plan against the same workload
+// injects the same faults on every run, which is what makes error-path
+// behaviour testable at all: a failure you cannot replay is a failure
+// you cannot regression-test.
 //
-// The package is dependency-free by design; each substrate layer
-// (internal/noc, internal/reconfig) adapts its own operations onto
-// Injector.Check sites.
+// The package is dependency-free by design; each layer
+// (internal/noc, internal/reconfig, internal/vivado) adapts its own
+// operations onto Injector.Check sites.
 package faultinject
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"strings"
+	"sync"
 )
 
-// Op identifies one class of injectable operation.
+// Op identifies one class of injectable operation. The op, never the
+// caller, decides how a rule counts occurrences and draws its rate (see
+// Injector): stream ops are reported by the single-threaded simulation
+// engine in event order, per-site ops by concurrent flow jobs or per
+// tile, where only a site's own history is reproducible.
 type Op int
 
 const (
 	// OpTransfer is a NoC packet transfer (any plane; rules select a
-	// plane or endpoint tile through their site).
+	// plane or endpoint tile through their site). A runtime stream op.
 	OpTransfer Op = iota
-	// OpDecouple is the decoupler engaging before reconfiguration.
+	// OpDecouple is the decoupler engaging before reconfiguration. A
+	// runtime stream op.
 	OpDecouple
-	// OpRecouple is the decoupler disengaging after reconfiguration.
+	// OpRecouple is the decoupler disengaging after reconfiguration. A
+	// runtime stream op.
 	OpRecouple
-	// OpICAP is ICAP programming of a fetched bitstream.
+	// OpICAP is ICAP programming of a fetched bitstream. A runtime
+	// stream op.
 	OpICAP
 	// OpFetchCRC corrupts a bitstream image during the DMA fetch; the
-	// manager's CRC verification catches it before the ICAP does.
+	// manager's CRC verification catches it before the ICAP does. A
+	// runtime stream op.
 	OpFetchCRC
-	// OpKernel is accelerator kernel execution on a tile.
+	// OpKernel is accelerator kernel execution on a tile. A runtime
+	// stream op.
 	OpKernel
 	// OpCADSynth is a (simulated) CAD synthesis run in the compile-time
-	// flow. CAD operations are checked through vivado.FaultHook by a
-	// StableInjector, whose occurrence windows apply independently at
-	// each site (see StableInjector).
+	// flow, checked through vivado.FaultHook. CAD ops are per-site ops:
+	// a rule's occurrence window applies independently at each site.
 	OpCADSynth
 	// OpCADFloorplan is the floorplanning step of the flow.
 	OpCADFloorplan
@@ -57,43 +72,45 @@ const (
 	// induced bit flip in a tile's resident configuration image. SEU
 	// occurrences are the runtime's periodic per-tile config-memory
 	// sample ticks (reconfig.Config.SEUCheckInterval apart in virtual
-	// time), checked through a StableInjector so each tile's upset
+	// time). It is the runtime's one per-site op, so each tile's upset
 	// schedule is a pure function of (seed, rule, tile, tick) — never of
 	// what other tiles or operations did first.
 	OpSEU
 	numOps
 )
 
+// ops is the op-class table: each op's ParsePlan name, which half of
+// PR-ESP checks it, and how its rules count (see Injector.Check).
+var ops = [numOps]struct {
+	name string
+	// cad: the compile-time flow checks the op; the runtime checks
+	// every other op.
+	cad bool
+	// perSite: occurrences count per (rule, primary site) and rate
+	// draws are a pure hash; otherwise they count per rule and draw
+	// from the plan's stream.
+	perSite bool
+}{
+	OpTransfer:     {"transfer", false, false},
+	OpDecouple:     {"decouple", false, false},
+	OpRecouple:     {"recouple", false, false},
+	OpICAP:         {"icap", false, false},
+	OpFetchCRC:     {"crc", false, false},
+	OpKernel:       {"kernel", false, false},
+	OpCADSynth:     {"synth", true, true},
+	OpCADFloorplan: {"floorplan", true, true},
+	OpCADImpl:      {"impl", true, true},
+	OpCADBitgen:    {"bitgen", true, true},
+	OpCADDRC:       {"drc", true, true},
+	OpSEU:          {"seu", false, true},
+}
+
 // String names the operation the way ParsePlan spells it.
 func (o Op) String() string {
-	switch o {
-	case OpTransfer:
-		return "transfer"
-	case OpDecouple:
-		return "decouple"
-	case OpRecouple:
-		return "recouple"
-	case OpICAP:
-		return "icap"
-	case OpFetchCRC:
-		return "crc"
-	case OpKernel:
-		return "kernel"
-	case OpCADSynth:
-		return "synth"
-	case OpCADFloorplan:
-		return "floorplan"
-	case OpCADImpl:
-		return "impl"
-	case OpCADBitgen:
-		return "bitgen"
-	case OpCADDRC:
-		return "drc"
-	case OpSEU:
-		return "seu"
-	default:
+	if o < 0 || o >= numOps {
 		return fmt.Sprintf("op-%d", int(o))
 	}
+	return ops[o].name
 }
 
 // ParseOp parses an operation name as spelled by Op.String.
@@ -111,12 +128,14 @@ func ParseOp(s string) (Op, error) {
 // the sites the caller reports (plane name, tile name, accelerator
 // name — whatever labels the layer attaches to the operation).
 //
-// Matching occurrences are numbered from zero. The first After matches
-// never fault. A deterministic rule (Rate == 0) then faults the next
-// Count matches (Count < 0 means every later match — a persistent,
-// stuck-at fault). A rate rule (Rate > 0) faults each later match with
-// probability Rate drawn from the plan's seeded generator, stopping
-// after Count injected faults when Count > 0.
+// Matching occurrences are numbered from zero — per rule for a stream
+// op, per rule and primary site for a per-site op. The first After
+// matches never fault. A deterministic rule (Rate == 0) then faults the
+// next Count matches (Count < 0 means every later match — a
+// persistent, stuck-at fault). A rate rule (Rate > 0) faults each later
+// match with probability Rate, drawn from the plan's seed, stopping
+// after Count injected faults (at that site, for a per-site op) when
+// Count > 0.
 type Rule struct {
 	Op    Op
 	Site  string
@@ -183,6 +202,32 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
+// ForFlow returns an error naming the first rule for a runtime op,
+// which the compile-time flow never checks. A nil plan has none.
+func (p *Plan) ForFlow() error { return p.only(true, "the CAD flow") }
+
+// ForRuntime returns an error naming the first rule for a CAD op, which
+// the simulated runtime never checks. A nil plan has none.
+func (p *Plan) ForRuntime() error { return p.only(false, "the runtime") }
+
+func (p *Plan) only(cad bool, checker string) error {
+	if p == nil {
+		return nil
+	}
+	for _, r := range p.Rules {
+		if ops[r.Op].cad != cad {
+			var names []string
+			for o := Op(0); o < numOps; o++ {
+				if ops[o].cad == cad {
+					names = append(names, o.String())
+				}
+			}
+			return fmt.Errorf("faultinject: rule %s: %s never checks %s operations; it checks %s", r, checker, r.Op, strings.Join(names, ", "))
+		}
+	}
+	return nil
+}
+
 // String renders the plan in ParsePlan syntax.
 func (p *Plan) String() string {
 	parts := make([]string, 0, len(p.Rules)+1)
@@ -201,7 +246,10 @@ type Fault struct {
 	// Op and Site identify the faulted operation.
 	Op   Op
 	Site string
-	// Seq is the 1-based ordinal of this fault among all injected.
+	// Seq numbers the fault from 1. For a stream op it is the ordinal
+	// among the injector's stream-op faults; for a per-site op, the
+	// ordinal among the faults its rule fired at its primary site. So
+	// a per-site fault never renumbers a later stream-op fault.
 	Seq int
 	// Rule is the index of the plan rule that fired.
 	Rule int
@@ -223,17 +271,46 @@ func As(err error) (*Fault, bool) {
 	return f, ok
 }
 
-// Injector evaluates a plan against a stream of operations. It is not
-// safe for concurrent use; the single-threaded simulation engine
-// serializes all checks, which is also what keeps the injected fault
-// sequence reproducible.
+// Injector evaluates a plan against the operations its callers report.
+// It is safe for concurrent use. How a rule counts and draws follows
+// from its op (see the ops table), never from the caller:
+//
+//   - Stream ops (transfer, decouple, recouple, icap, crc, kernel) are
+//     reported by the single-threaded simulation engine, whose event
+//     order is reproducible. A rule counts its matches in that order
+//     and rate rules draw, on every match, the next value of the plan's
+//     seeded splitmix64 stream.
+//   - Per-site ops (the CAD ops and seu) count per (rule, primary
+//     site), where the primary site is the first site the caller
+//     reports, and a rate draw is a pure function of (seed, rule, site,
+//     occurrence). The flow checks CAD ops from its worker pool, one
+//     job per primary site, and the runtime samples seu per tile, so
+//     each counter advances in an order no other site can change and
+//     the injected faults are the same for any interleaving. The
+//     consequence, documented in ParsePlan: a site-less rule such as
+//     "synth:count=1" fails the first synthesis of every module.
+//
+// Per-site checks never consume the stream, so adding seu rules to a
+// runtime plan leaves its stream-op faults as they were.
 type Injector struct {
-	plan     Plan
-	rng      splitmix64
-	matches  []int
-	fired    []int
-	injected int
-	perOp    [numOps]int
+	plan Plan
+
+	mu      sync.Mutex
+	rng     splitmix64
+	matches map[ruleSite]int
+	fired   map[ruleSite]int
+	// streamFaults numbers stream-op faults (Fault.Seq).
+	streamFaults int
+	injected     int
+	perOp        [numOps]int
+}
+
+// ruleSite keys the occurrence counters: the rule and, for a per-site
+// op, the primary site (empty for a stream op, whose rule counts every
+// match).
+type ruleSite struct {
+	rule int
+	site string
 }
 
 // New builds an injector for the plan.
@@ -241,50 +318,66 @@ func New(plan Plan) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	rules := make([]Rule, len(plan.Rules))
-	copy(rules, plan.Rules)
-	plan.Rules = rules
+	plan.Rules = append([]Rule(nil), plan.Rules...)
 	return &Injector{
 		plan:    plan,
 		rng:     splitmix64(plan.Seed),
-		matches: make([]int, len(rules)),
-		fired:   make([]int, len(rules)),
+		matches: make(map[ruleSite]int),
+		fired:   make(map[ruleSite]int),
 	}, nil
 }
 
 // Check reports one occurrence of op at the given sites and returns the
 // fault to inject, or nil. Every matching rule advances its occurrence
-// counter (and rate rules always consume their random draw), so the
-// fault sequence depends only on the operation stream, not on which
-// earlier rules fired. The first listed site labels the fault.
+// counter, and a stream-op rate rule always consumes its draw, so the
+// fault sequence depends only on the operations reported, not on which
+// earlier rules fired. The first listed site labels the fault. A nil
+// injector returns nil at once; Check is small enough to inline, so a
+// fault-free run pays a pointer compare per check and takes no lock.
 func (in *Injector) Check(op Op, sites ...string) error {
-	if in == nil {
+	if in == nil || op < 0 || op >= numOps {
 		return nil
 	}
+	return in.check(op, sites)
+}
+
+func (in *Injector) check(op Op, sites []string) error {
+	perSite := ops[op].perSite
+	primary := firstSite(sites)
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	var fault *Fault
 	for ri := range in.plan.Rules {
 		r := &in.plan.Rules[ri]
 		if r.Op != op || !siteMatches(r.Site, sites) {
 			continue
 		}
-		n := in.matches[ri]
-		in.matches[ri]++
+		k := ruleSite{rule: ri}
+		if perSite {
+			k.site = primary
+		}
+		n := in.matches[k]
+		in.matches[k]++
 		if n < r.After {
 			continue
 		}
 		if r.Rate > 0 {
-			hit := in.draw() < r.Rate
-			if !hit || (r.Count > 0 && in.fired[ri] >= r.Count) {
+			if in.draw(perSite, k, n) >= r.Rate || r.Count > 0 && in.fired[k] >= r.Count {
 				continue
 			}
 		} else if r.Count >= 0 && n >= r.After+r.Count {
 			continue
 		}
-		in.fired[ri]++
+		in.fired[k]++
 		if fault == nil {
 			in.injected++
 			in.perOp[op]++
-			fault = &Fault{Op: op, Site: firstSite(sites), Seq: in.injected, Rule: ri}
+			seq := in.fired[k]
+			if !perSite {
+				in.streamFaults++
+				seq = in.streamFaults
+			}
+			fault = &Fault{Op: op, Site: primary, Seq: seq, Rule: ri}
 		}
 	}
 	if fault == nil {
@@ -298,6 +391,8 @@ func (in *Injector) Injected() int {
 	if in == nil {
 		return 0
 	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	return in.injected
 }
 
@@ -307,15 +402,9 @@ func (in *Injector) InjectedBy(op Op) int {
 	if in == nil || op < 0 || op >= numOps {
 		return 0
 	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	return in.perOp[op]
-}
-
-// Plan returns a copy of the injector's plan.
-func (in *Injector) Plan() Plan {
-	p := in.plan
-	p.Rules = make([]Rule, len(in.plan.Rules))
-	copy(p.Rules, in.plan.Rules)
-	return p
 }
 
 func siteMatches(want string, sites []string) bool {
@@ -337,10 +426,30 @@ func firstSite(sites []string) string {
 	return sites[0]
 }
 
-// draw returns a uniform float64 in [0,1).
-func (in *Injector) draw() float64 {
-	return float64(in.rng.next()>>11) / float64(1<<53)
+// draw returns a uniform float64 in [0,1) for occurrence n of the rule
+// and site in k. A stream op's draw is the plan stream's next value; a
+// per-site op's depends only on the seed, the rule, the site and n —
+// never on how many draws other sites consumed first.
+func (in *Injector) draw(perSite bool, k ruleSite, n int) float64 {
+	if !perSite {
+		return unit(in.rng.next())
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], in.plan.Seed)
+	h.Write(buf[:])
+	binary.LittleEndian.PutUint64(buf[:], uint64(k.rule))
+	h.Write(buf[:])
+	h.Write([]byte(k.site))
+	h.Write([]byte{0xff})
+	binary.LittleEndian.PutUint64(buf[:], uint64(n))
+	h.Write(buf[:])
+	s := splitmix64(h.Sum64())
+	return unit(s.next())
 }
+
+// unit maps a 64-bit value to a float64 in [0,1).
+func unit(x uint64) float64 { return float64(x>>11) / float64(1<<53) }
 
 // splitmix64 is the same tiny deterministic PRNG the bitstream
 // generator uses: no math/rand dependency, so injected fault sequences

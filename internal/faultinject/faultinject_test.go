@@ -290,3 +290,44 @@ func TestDrawConsumptionIsStable(t *testing.T) {
 		t.Fatalf("one-shot rule perturbed the rate sequence:\n%s\n%s", plain, withExtra)
 	}
 }
+
+// TestPlanForFlowAndRuntime: each half of PR-ESP rejects the first rule
+// for an op it never checks, naming that rule, and accepts its own ops.
+func TestPlanForFlowAndRuntime(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		// flowRule and runtimeRule name the rule each check rejects
+		// ("" = accepted).
+		flowRule, runtimeRule string
+	}{
+		{"seed=1,synth=1.0,impl@rt_1_rp:count=2,floorplan,bitgen=0.1,drc", "", "synth=1"},
+		{"seed=1,transfer@dma=0.1,decouple,recouple,icap=1.0,crc=1.0,kernel,seu=0.2", "transfer@dma=0.1", ""},
+		{"seed=1,synth=0.5,icap=1.0,crc=1.0", "icap=1", "synth=0.5"},
+		{"seed=1,seu@rt_1=0.5", "seu@rt_1=0.5", ""},
+		{"", "", ""},
+	} {
+		plan, err := ParsePlan(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			err  error
+			rule string
+		}{{"ForFlow", plan.ForFlow(), tc.flowRule}, {"ForRuntime", plan.ForRuntime(), tc.runtimeRule}} {
+			if c.rule == "" {
+				if c.err != nil {
+					t.Errorf("%q: %s: %v", tc.spec, c.name, c.err)
+				}
+				continue
+			}
+			if c.err == nil || !strings.Contains(c.err.Error(), "rule "+c.rule+":") {
+				t.Errorf("%q: %s = %v, want an error naming rule %s", tc.spec, c.name, c.err, c.rule)
+			}
+		}
+	}
+	var nilPlan *Plan
+	if nilPlan.ForFlow() != nil || nilPlan.ForRuntime() != nil {
+		t.Fatal("a nil plan was rejected")
+	}
+}

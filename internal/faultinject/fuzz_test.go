@@ -29,9 +29,9 @@ func FuzzCADFaultPlan(f *testing.F) {
 		sites := []string{"static", "rt_1", "rt_2", "full"}
 		ops := []Op{OpCADSynth, OpCADFloorplan, OpCADImpl, OpCADBitgen, OpCADDRC}
 		drive := func(rng *rand.Rand) string {
-			in, err := NewStable(*plan)
+			in, err := New(*plan)
 			if err != nil {
-				t.Fatalf("parsed plan rejected by NewStable: %v", err)
+				t.Fatalf("parsed plan rejected by New: %v", err)
 			}
 			// Per-site order is fixed (the flow serializes checks within a
 			// job); cross-site and cross-op interleaving is shuffled.

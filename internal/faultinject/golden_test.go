@@ -106,45 +106,16 @@ func goldenStream(opts []goldenCheck, n int) []goldenCheck {
 	return out
 }
 
-// goldenInjector routes checks the way the runtime and the flow do:
-// runtime stream ops to an Injector, CAD and seu ops to a
-// StableInjector, both built from the same plan.
-type goldenInjector struct {
-	stream *Injector
-	stable *StableInjector
-}
-
-func newGoldenInjector(plan Plan) (*goldenInjector, error) {
-	stream, err := New(plan)
-	if err != nil {
-		return nil, err
-	}
-	stable, err := NewStable(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &goldenInjector{stream: stream, stable: stable}, nil
-}
-
-func (g *goldenInjector) Check(op Op, sites ...string) error {
-	if op >= OpCADSynth {
-		return g.stable.Check(op, sites...)
-	}
-	return g.stream.Check(op, sites...)
-}
-
-func (g *goldenInjector) Injected() int { return g.stream.Injected() + g.stable.Injected() }
-
-func (g *goldenInjector) InjectedBy(op Op) int {
-	return g.stream.InjectedBy(op) + g.stable.InjectedBy(op)
-}
-
 // TestCheckOutcomesMatchGolden pins every Check outcome — nil, or the
 // fault's op, site, sequence number and rule — and the final
-// Injected/InjectedBy counts for each case above.
-// testdata/check_outcomes.golden was recorded from the two-injector
-// routing above. Regenerate with -update only for an intended
-// behaviour change.
+// Injected/InjectedBy counts for each case above, all through one
+// Injector. testdata/check_outcomes.golden was recorded before the
+// injector was merged, when callers routed runtime stream ops to an
+// Injector and CAD and seu ops to a separate order-independent
+// injector built from the same plan (their Injected counts summed), so
+// it shows that letting the op pick the counting rule changes no
+// outcome. Regenerate with -update only for an intended behaviour
+// change.
 func TestCheckOutcomesMatchGolden(t *testing.T) {
 	var b strings.Builder
 	for _, c := range goldenCases {
@@ -152,7 +123,7 @@ func TestCheckOutcomesMatchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		in, err := newGoldenInjector(*plan)
+		in, err := New(*plan)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -187,5 +158,44 @@ func TestCheckOutcomesMatchGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("check outcomes differ from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestSEUChecksLeaveStreamUntouched: in the mixed plan, the crc and
+// icap outcomes — fault sequence numbers included — are the same
+// whether or not seu checks are interleaved with them. seu counts per
+// site and draws from its own hash, so it neither renumbers a stream
+// fault nor consumes a stream draw.
+func TestSEUChecksLeaveStreamUntouched(t *testing.T) {
+	c := goldenCases[3]
+	plan, err := ParsePlan(c.plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(withSEU bool) (stream []string, seuFaults int) {
+		in, err := New(*plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ck := range goldenStream(c.opts, c.n) {
+			if ck.op == OpSEU && !withSEU {
+				continue
+			}
+			err := in.Check(ck.op, ck.sites...)
+			if ck.op != OpSEU {
+				stream = append(stream, fmt.Sprint(err))
+			}
+		}
+		return stream, in.InjectedBy(OpSEU)
+	}
+	alone, _ := run(false)
+	mixed, seuFaults := run(true)
+	if seuFaults == 0 {
+		t.Fatal("the mixed plan injected no seu fault, so the test shows nothing")
+	}
+	for i := range alone {
+		if alone[i] != mixed[i] {
+			t.Fatalf("stream check %d: %s alone, %s beside seu checks", i, alone[i], mixed[i])
+		}
 	}
 }

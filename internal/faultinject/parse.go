@@ -16,26 +16,30 @@ import (
 //
 //	<op>[@<site>][=<rate>][:after=<n>][:count=<n>]
 //
-// Runtime operations — transfer, decouple, recouple, icap, crc, kernel
-// — are injected by the single-threaded simulation engine; <site> is a
-// plane, tile or accelerator name, and occurrences are numbered
-// globally in event order. CAD operations — synth, floorplan, impl,
-// bitgen, drc — are injected into the concurrent flow engine through a
-// StableInjector; <site> is a partition name, module name, design name
-// or bitstream name, and each rule's After/Count window applies
+// The op decides how a rule counts (see Injector). Runtime stream
+// operations — transfer, decouple, recouple, icap, crc, kernel — are
+// reported by the single-threaded simulation engine; <site> is a plane,
+// tile or accelerator name, occurrences are numbered per rule in event
+// order, and rate rules draw from one seeded stream. CAD operations —
+// synth, floorplan, impl, bitgen, drc — are reported by the concurrent
+// flow engine; <site> is a partition name, module name, design name or
+// bitstream name, and each rule's After/Count window applies
 // independently at every site (retries of a job advance that site's
-// occurrence counter), which is what keeps injected CAD faults
-// byte-identical for any worker count.
+// occurrence counter), with rate draws a pure function of (seed, rule,
+// site, occurrence), which is what keeps injected CAD faults
+// byte-identical for any worker count. presp-flow and presp-served job
+// specs accept only CAD operations, presp-sim only runtime ones
+// (Plan.ForFlow, Plan.ForRuntime).
 //
 // The seu operation models configuration-memory single-event upsets:
 // a matching occurrence flips one bit in the target tile's resident
 // configuration image (detected and repaired by the readback scrubber
 // when reconfig.Config.ScrubInterval is set). Occurrences are the
 // runtime's periodic per-tile config-memory sample ticks
-// (reconfig.Config.SEUCheckInterval apart in virtual time), and —
-// like the CAD ops — seu rules are evaluated by a StableInjector, so
-// each tile's upset schedule is a pure function of (seed, rule, tile,
-// tick), independent of every other tile's. <site> is a tile name or
+// (reconfig.Config.SEUCheckInterval apart in virtual time), and seu
+// counts and draws per site like the CAD ops, so each tile's upset
+// schedule is a pure function of (seed, rule, tile, tick), independent
+// of every other tile's and of the stream ops. <site> is a tile name or
 // the name of the accelerator the tile holds. A seu rule with a zero
 // rate and no count is rejected with an explicit error: it would
 // inject nothing.

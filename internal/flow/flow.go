@@ -280,7 +280,7 @@ func setupRun(d *socgen.Design, opt Options) (*vivado.Tool, error) {
 		return nil, err
 	}
 	if opt.FaultPlan != nil {
-		inj, err := faultinject.NewStable(*opt.FaultPlan)
+		inj, err := faultinject.New(*opt.FaultPlan)
 		if err != nil {
 			return nil, err
 		}

@@ -220,8 +220,8 @@ func planHasSEU(p *faultinject.Plan) bool {
 }
 
 // seuBit picks the bit an SEU flips: a pure hash of (seed, tile, tick
-// ordinal) over the image's bit space. Like the StableInjector's
-// draws, the choice depends on nothing that happened on other tiles,
+// ordinal) over the image's bit space. Like the seu rules' own draws,
+// the choice depends on nothing that happened on other tiles,
 // so the corruption pattern — and therefore every post-repair CRC — is
 // identical for any flow worker count and any event interleaving.
 func seuBit(seed uint64, tileName string, ordinal int64, bits int) int {
@@ -274,7 +274,7 @@ func (r *Runtime) healthTick() {
 // their frames, and the swap installs a fresh image anyway. Dead and
 // never-programmed tiles have no resident image to corrupt.
 func (r *Runtime) seuPass() {
-	if r.seuInj == nil {
+	if !r.hasSEU {
 		return
 	}
 	for _, name := range r.tileNames {
@@ -282,8 +282,8 @@ func (r *Runtime) seuPass() {
 		if ts.mem == nil || ts.mem.golden == nil || ts.dead || ts.reconfig || ts.loaded == "" {
 			continue
 		}
-		if ferr := r.seuInj.Check(faultinject.OpSEU, name, ts.loaded); ferr != nil {
-			bit := seuBit(r.seuSeed, name, r.healthTickNo, ts.mem.bits())
+		if ferr := r.inj.Check(faultinject.OpSEU, name, ts.loaded); ferr != nil {
+			bit := seuBit(r.cfg.FaultPlan.Seed, name, r.healthTickNo, ts.mem.bits())
 			ts.mem.flip(bit)
 			r.stats.Scrub.Upsets++
 			r.mScrubUpsets.Inc()
@@ -381,12 +381,12 @@ func (r *Runtime) scheduleRepair(ts *tileState, tileName string) {
 }
 
 // armHealth wires the health subsystem during New: resolve the tick
-// period, the scrub cadence and the SEU injector. The chain itself
-// starts parked; the first runtime entry point unparks it.
-func (r *Runtime) armHealth() error {
-	hasSEU := planHasSEU(r.cfg.FaultPlan)
-	if r.cfg.ScrubInterval <= 0 && !hasSEU {
-		return nil
+// period, the scrub cadence and whether seu rules are sampled. The
+// chain itself starts parked; the first runtime entry point unparks it.
+func (r *Runtime) armHealth() {
+	r.hasSEU = planHasSEU(r.cfg.FaultPlan)
+	if r.cfg.ScrubInterval <= 0 && !r.hasSEU {
+		return
 	}
 	r.seuTick = r.cfg.SEUCheckInterval
 	if r.seuTick <= 0 {
@@ -403,14 +403,5 @@ func (r *Runtime) armHealth() error {
 			r.scrubEvery = 1
 		}
 	}
-	if hasSEU {
-		inj, err := faultinject.NewStable(*r.cfg.FaultPlan)
-		if err != nil {
-			return err
-		}
-		r.seuInj = inj
-		r.seuSeed = r.cfg.FaultPlan.Seed
-	}
 	r.healthArmed = true
-	return nil
 }

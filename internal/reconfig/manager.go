@@ -215,7 +215,7 @@ func (r *Runtime) attemptReconfig(req *request, start sim.Time, attempt int) {
 		// delivers bytes already known to match and has nothing to
 		// hash. Only an injected fetch fault delivers different bytes:
 		// a corrupted copy, which the real verification catches.
-		if ferr := r.faultCheck(faultinject.OpFetchCRC, req.tileName, req.accName); ferr != nil {
+		if ferr := r.inj.Check(faultinject.OpFetchCRC, req.tileName, req.accName); ferr != nil {
 			if verr := bs.CorruptedCopy(attempt).Verify(); verr != nil {
 				if aerr := r.eng.At(arrive, func() { fail(verr) }); aerr != nil {
 					fail(aerr)
@@ -233,7 +233,7 @@ func (r *Runtime) attemptReconfig(req *request, start sim.Time, attempt int) {
 					vusec(arrive), vusec(finish)-vusec(arrive),
 					map[string]any{"bytes": bs.Size()})
 			}
-			if ferr := r.faultCheck(faultinject.OpICAP, req.tileName, req.accName); ferr != nil {
+			if ferr := r.inj.Check(faultinject.OpICAP, req.tileName, req.accName); ferr != nil {
 				fail(ferr)
 				return
 			}

@@ -124,7 +124,7 @@ type Config struct {
 	ScrubInterval sim.Time
 	// SEUCheckInterval is the virtual-time period of the per-tile
 	// config-memory sample ticks that drive seu fault-plan rules (each
-	// tick is one StableInjector occurrence per tile). Zero derives it
+	// tick is one seu occurrence per tile). Zero derives it
 	// from ScrubInterval/4, falling back to 50µs — scrubbing coarser
 	// than the upset process keeps multi-bit accumulation observable.
 	SEUCheckInterval sim.Time
@@ -135,8 +135,8 @@ type Config struct {
 	// and accelerator names), kernel execution (sites: accelerator
 	// and tile names) and configuration-memory SEUs (sites: tile and
 	// resident accelerator names; seu rules are sampled every
-	// SEUCheckInterval of virtual time through a StableInjector, so the
-	// upset schedule is invariant under flow worker count).
+	// SEUCheckInterval of virtual time and count per tile, so the upset
+	// schedule is invariant under flow worker count).
 	FaultPlan *faultinject.Plan
 	// Observer, when non-nil, attaches the observability layer: the
 	// runtime records every reconfiguration as a Chrome-trace span in
@@ -261,16 +261,16 @@ type Runtime struct {
 	// inj is the armed fault injector (nil when no FaultPlan is set).
 	inj *faultinject.Injector
 
-	// Config-memory health subsystem (see confmem.go). seuInj evaluates
-	// seu rules order-independently; the tick chain is parked whenever
-	// it would be the only pending event, so Engine.Run(0) still drains.
+	// Config-memory health subsystem (see confmem.go). hasSEU records
+	// that the plan holds seu rules, which inj checks per tile; the tick
+	// chain is parked whenever it would be the only pending event, so
+	// Engine.Run(0) still drains.
 	healthArmed     bool
 	healthScheduled bool
 	healthTickNo    int64
 	seuTick         sim.Time
 	scrubEvery      int
-	seuInj          *faultinject.StableInjector
-	seuSeed         uint64
+	hasSEU          bool
 	// appInFlight counts outstanding application requests (demand
 	// reconfigs, invocations, CPU runs). The health tick chain runs
 	// only while it is positive — scrub repairs deliberately do not
@@ -355,9 +355,7 @@ func New(eng *sim.Engine, d *socgen.Design, reg *accel.Registry, plan *floorplan
 	if cfg.SEUCheckInterval < 0 {
 		return nil, fmt.Errorf("reconfig: negative SEU check interval %v", cfg.SEUCheckInterval)
 	}
-	if err := r.armHealth(); err != nil {
-		return nil, err
-	}
+	r.armHealth()
 	var haveMem, haveAux, haveCPU bool
 	for i := range d.Cfg.Tiles {
 		t := &d.Cfg.Tiles[i]
@@ -494,21 +492,9 @@ func (r *Runtime) siteName(c noc.Coord) string {
 	return c.String()
 }
 
-// faultCheck consults the armed injector; with no fault plan it is
-// free. Sites order matters only for the fault's label.
-func (r *Runtime) faultCheck(op faultinject.Op, sites ...string) error {
-	if r.inj == nil {
-		return nil
-	}
-	return r.inj.Check(op, sites...)
-}
-
-// FaultsInjected reports how many faults the armed injectors have
-// delivered so far (zero without a FaultPlan). SEUs are counted by
-// their own stable injector, so they are included here.
-func (r *Runtime) FaultsInjected() int {
-	return r.inj.Injected() + r.seuInj.InjectedBy(faultinject.OpSEU)
-}
+// FaultsInjected reports how many faults the armed injector has
+// delivered so far, SEUs included (zero without a FaultPlan).
+func (r *Runtime) FaultsInjected() int { return r.inj.Injected() }
 
 // Engine exposes the simulation engine (for scheduling application work).
 func (r *Runtime) Engine() *sim.Engine { return r.eng }

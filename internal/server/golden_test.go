@@ -144,6 +144,35 @@ func TestSubmitTrailingData(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsRuntimeFaultOps: the flow checks only CAD ops, so a
+// spec whose fault plan names a runtime op is a 400 bad_spec whose
+// message names the rule, and creates no job; a CAD-only plan is
+// admitted.
+func TestSubmitRejectsRuntimeFaultOps(t *testing.T) {
+	s, ts := goldenServer(t, &stubRunner{}, Config{Workers: 1})
+	for body, rule := range map[string]string{
+		`{"preset":"SOC_2","faults":"seed=1,icap=1.0,crc=1.0"}`: "icap=1",
+		`{"preset":"SOC_2","faults":"synth=0.5,seu@rt_1=0.1"}`:  "seu@rt_1=0.1",
+	} {
+		resp, got := doJSON(t, "POST", ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submit %s status = %d, want 400: %s", body, resp.StatusCode, got)
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(got, &env); err != nil || env.Error.Code != "bad_spec" ||
+			!strings.Contains(env.Error.Message, "rule "+rule+":") {
+			t.Fatalf("submit %s envelope = %s (%v), want bad_spec naming rule %s", body, got, err, rule)
+		}
+	}
+	if st := s.Snapshot(); st.Jobs != 0 {
+		t.Fatalf("rejected specs created %d job records, want 0", st.Jobs)
+	}
+	body := `{"preset":"SOC_2","faults":"seed=1,synth@rt_1_rp:count=1,impl=0.3"}`
+	if resp, got := doJSON(t, "POST", ts.URL+"/v1/jobs", body); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s status = %d, want 202: %s", body, resp.StatusCode, got)
+	}
+}
+
 // TestSubmitTauUnderChooser: SoC_C's size-driven chooser picks
 // semi-parallel, so a spec with no strategy and a τ outside 1 < τ < N is
 // a 400 in the error envelope with the code and message a forced semi

@@ -117,6 +117,9 @@ func compile(spec Spec) (*compiledSpec, error) {
 	}
 	if spec.Faults != "" {
 		plan, err := faultinject.ParsePlan(spec.Faults)
+		if err == nil {
+			err = plan.ForFlow()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
 		}

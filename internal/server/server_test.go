@@ -145,6 +145,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"negative tau", Spec{Preset: "SOC_1", Tau: -2}},
 		{"unknown policy", Spec{Preset: "SOC_1", ErrorPolicy: "ignore"}},
 		{"bad fault plan", Spec{Preset: "SOC_1", Faults: "lol=what"}},
+		{"runtime fault op", Spec{Preset: "SOC_1", Faults: "seed=1,synth=0.5,icap=1.0"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

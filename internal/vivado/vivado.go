@@ -51,7 +51,7 @@ type Tool struct {
 // FaultHook intercepts one CAD operation before it runs. A non-nil
 // returned error fails the operation (the flow's retry policy then
 // decides whether to re-run it). The first site is the operation's
-// primary site; faultinject.StableInjector.Check satisfies this
+// primary site; faultinject.Injector.Check satisfies this
 // signature directly.
 type FaultHook func(op faultinject.Op, sites ...string) error
 

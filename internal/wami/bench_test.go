@@ -10,7 +10,10 @@ import (
 // size of the runtime evaluation: each accelerator kernel through the
 // flat-tensor adapter the tiles run, frame synthesis, and whole 16-frame
 // batches on each runtime SoC (one Lucas-Kanade iteration per frame, as
-// in Fig 4). make bench-smoke records them in BENCH_wami.json.
+// in Fig 4). make bench-smoke records them in BENCH_wami.json. Like the
+// runner, the kernel and frame benchmarks hand every output plane back
+// to the free list, so an iteration pays what the runtime pays, not a
+// fresh allocation per plane.
 
 const benchEdge = EvalFrameEdge
 
@@ -83,6 +86,11 @@ func BenchmarkWAMIKernel(b *testing.B) {
 					b.Fatal(err)
 				}
 				benchSinkOut = out
+				for _, plane := range out {
+					if len(plane) == benchEdge*benchEdge {
+						releasePix(plane)
+					}
+				}
 			}
 		})
 	}
@@ -105,6 +113,7 @@ func BenchmarkFrameSourceNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSinkImage = src.Next()
+		releasePix(benchSinkImage.Pix)
 	}
 }
 
