@@ -102,7 +102,7 @@ const (
 )
 
 // ParseFaultPlan parses the textual fault-plan syntax shared by
-// presp-sim's and presp-flow's -faults flags:
+// presp-sim's -faults flag (runtime ops) and presp-flow's (CAD ops):
 //
 //	seed=<n>,<op>[@<site>][=<rate>][:after=<n>][:count=<n>],...
 func ParseFaultPlan(s string) (*FaultPlan, error) { return faultinject.ParsePlan(s) }
