@@ -64,7 +64,10 @@ bench:
 # costs nothing when disabled) and the incremental cold/warm/edit legs
 # (the stage-artifact cache's win on unchanged and one-kernel-edit
 # reruns) and the scheduler's own overhead on SOC_2's job graph with
-# no-op jobs, at 1 and 2 workers. The bitstream layer's own
+# no-op jobs, at 1 and 2 workers. The disk tier's store and load of a
+# VC707 full-image artifact (a load regenerates the image from its
+# recipe and verifies it) and of a floorplan artifact join them at 10
+# iterations. The bitstream layer's own
 # benchmarks (partial and full-device generation on the VC707 and VCU118
 # geometries) follow at 10 iterations, so the first call's encoder
 # scratch allocation does not stand for the steady state. The WAMI
@@ -88,8 +91,10 @@ bench:
 # BENCH_wami.json: the runner hands its kernel planes back to the WAMI
 # free list, and a plane that stops coming back shows up here.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^Benchmark(EvaluateStrategy(Cold|Warm)|RunPRESP(NilObserver|Observed|Incremental(Cold|Warm|Edit))|SchedulerNoop)$$' \
-		-benchtime=1x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ \
+	{ $(GO) test -run='^$$' -bench='^Benchmark(EvaluateStrategy(Cold|Warm)|RunPRESP(NilObserver|Observed|Incremental(Cold|Warm|Edit))|SchedulerNoop)$$' \
+		-benchtime=1x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ && \
+	  $(GO) test -run='^$$' -bench='^BenchmarkDiskStore$$' \
+		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/vivado/; } \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_flow.json
 	@cat BENCH_flow.json
 	$(GO) test -run='^$$' -bench='^BenchmarkRunPRESPIncremental(Cold|Warm)$$' \
@@ -154,7 +159,9 @@ fuzz:
 # and the injected fault set is interleaving-independent), the
 # disk-tier read path (any mutation of a persisted checkpoint or stage
 # artifact must fail the CRC check — corruption is quarantined, never
-# decoded), and the bitstream codec (the reference RLE round trip, the
+# decoded — and any CRC-valid body under a bitstream key regenerates an
+# image that reproduces its checksum or is a counted miss, within a
+# bounded allocation), and the bitstream codec (the reference RLE round trip, the
 # bounded decoder on arbitrary streams, and the fused generator against
 # the reference encoding), and the WAMI kernels and frame synthesis
 # against the reference implementations they replaced (bit-identical
@@ -167,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/reconfig/
 	$(GO) test -run=^$$ -fuzz=FuzzCADFaultPlan -fuzztime=5s ./internal/faultinject/
 	$(GO) test -run=^$$ -fuzz=FuzzDiskEntry -fuzztime=5s ./internal/vivado/
+	$(GO) test -run=^$$ -fuzz=FuzzArtifactRecipe -fuzztime=5s ./internal/vivado/
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=5s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzRLE -fuzztime=5s ./internal/bitstream/
 	$(GO) test -run=^$$ -fuzz=FuzzFusedEncoder -fuzztime=5s ./internal/bitstream/

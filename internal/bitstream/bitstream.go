@@ -31,7 +31,10 @@ func (k Kind) String() string {
 	return "full"
 }
 
-// Bitstream is one generated configuration image.
+// Bitstream is one generated configuration image. Its bytes are a pure
+// function of its Recipe, which is all a persistent store keeps of it:
+// the stage cache's disk tier writes the recipe and regenerates the
+// image on a hit, verified against Checksum.
 type Bitstream struct {
 	// Name identifies the image (e.g. "SoC_Y.rt_2.fft.pbs").
 	Name string
@@ -54,6 +57,11 @@ type Bitstream struct {
 	// means "no checksum recorded" and disables verification
 	// (hand-built images in tests).
 	Checksum uint32
+
+	// cut is the configured-word threshold the image was drawn with,
+	// the one value its Recipe adds to the fields above; zero for an
+	// image no Generator produced.
+	cut uint64
 }
 
 // Size returns the stored payload size in bytes.
@@ -124,6 +132,10 @@ func densityFor(fill float64) float64 {
 	return 0.015 + 0.095*min(max(fill, 0), 1)
 }
 
+// cutFor is the configured-word threshold at fabric fill fill: a word
+// is configured when the low half of its draw falls below it.
+func cutFor(fill float64) uint64 { return uint64(densityFor(fill) * (1 << 32)) }
+
 // Partial generates the compressed partial bitstream for a partition
 // occupying pblock pb with usedLUTs of logic, on behalf of module name,
 // in one pass.
@@ -145,19 +157,22 @@ func (g *Generator) Partial(name string, pb fpga.Pblock, usedLUTs int, compress 
 // in chunks on their own workers (Image.Chunk) and stitch it with
 // Image.Assemble.
 func (g *Generator) FullImage(name string, usedLUTs int, compress bool) Image {
-	// Approximate the device frame count from grid geometry.
-	pb := fpga.Pblock{Name: name, X0: 0, Y0: 0, X1: g.dev.GridCols() - 1, Y1: g.dev.GridRows() - 1}
 	fill := float64(usedLUTs) / float64(g.dev.Total[fpga.LUT])
-	return g.image(name, Full, pb.Frames(g.dev), fill, compress)
+	return g.image(name, Full, fullFrames(g.dev), fill, compress)
+}
+
+// fullFrames approximates the frame count of d's full-device image
+// from grid geometry.
+func fullFrames(d *fpga.Device) int {
+	pb := fpga.Pblock{Name: "full", X1: d.GridCols() - 1, Y1: d.GridRows() - 1}
+	return pb.Frames(d)
 }
 
 // image describes one bitstream of frames frames at fabric fill fill.
 func (g *Generator) image(name string, kind Kind, frames int, fill float64, compress bool) Image {
-	density := densityFor(fill)
 	return Image{
 		name: name, kind: kind, frames: frames, words: frames * g.dev.FrameWords,
-		seed: hashString(name), cut: uint64(density * (1 << 32)), density: density,
-		compress: compress,
+		seed: hashString(name), cut: cutFor(fill), compress: compress,
 	}
 }
 

@@ -404,12 +404,16 @@ func TestStageCacheDisabledUnderFaults(t *testing.T) {
 }
 
 // TestStageArtifactsParentFormat: testdata/parent_art holds two .art
-// entries written by the previous stage cache, which kept JSON bodies
-// in memory — the SOC_1 floorplan and the compressed rt_11_rp partial
-// image of a fully-parallel run. The {minutes, payload} body is
-// unchanged, so a store over them serves both as hits whose values
-// equal a cold run's, image CRC included, and a damaged copy is still
-// quarantined, never decoded.
+// entries written by an earlier stage cache — the SOC_1 floorplan and
+// the compressed rt_11_rp partial image of a fully-parallel run — and
+// testdata/recipe_art the same partial as today's codec writes it, a
+// recipe (171 bytes against the parent's 44,785). The floorplan body is
+// unchanged: with the recipe partial beside it both hit, the partial
+// regenerates the cold image, and a warm run skips both jobs. The
+// parent partial carries its payload bytes, which the recipe codec
+// does not read: it is quarantined as a miss, never decoded, and a
+// warm run recomputes it alone, writing back exactly the recipe
+// fixture. A damaged recipe entry is quarantined too.
 func TestStageArtifactsParentFormat(t *testing.T) {
 	const (
 		floorplanKey = "1349ee9cff9b1f0a"
@@ -433,13 +437,31 @@ func TestStageArtifactsParentFormat(t *testing.T) {
 		t.Fatalf("stage keys moved: floorplan %s, %s partial %s", sk.keys["floorplan"], partition, sk.keys["bitgen/"+partition])
 	}
 
-	fixture := func(t *testing.T, key string) []byte {
+	fixture := func(t *testing.T, set, key string) []byte {
 		t.Helper()
-		data, err := os.ReadFile(filepath.Join("testdata", "parent_art", key+".art"))
+		data, err := os.ReadFile(filepath.Join("testdata", set, key+".art"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
+	}
+	// openWith plants entries, opens a store over them and attaches it
+	// to a fresh stage cache.
+	openWith := func(t *testing.T, entries map[string][]byte) (string, *vivado.DiskStore, *vivado.StageCache) {
+		t.Helper()
+		dir := t.TempDir()
+		for key, data := range entries {
+			if err := os.WriteFile(filepath.Join(dir, key+".art"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds, err := vivado.OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := vivado.NewStageCache()
+		sc.SetDiskStore(ds)
+		return dir, ds, sc
 	}
 	var coldPartial *bitstream.Bitstream
 	for _, bs := range cold.PartialBitstreams {
@@ -451,36 +473,10 @@ func TestStageArtifactsParentFormat(t *testing.T) {
 		t.Fatalf("cold run has no compressed %s image", partition)
 	}
 
-	t.Run("hits", func(t *testing.T) {
-		dir := t.TempDir()
-		for _, key := range []string{floorplanKey, partialKey} {
-			if err := os.WriteFile(filepath.Join(dir, key+".art"), fixture(t, key), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ds, err := vivado.OpenDiskStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := ds.Stats(); st.Entries != 2 || st.Corrupt != 0 {
-			t.Fatalf("parent entries failed verify-at-open: %+v", st)
-		}
-		sc := vivado.NewStageCache()
-		sc.SetDiskStore(ds)
-		plan, _, ok := vivado.LookupStage[*floorplan.Plan](sc, floorplanKey)
-		if !ok || !reflect.DeepEqual(plan, cold.Plan) {
-			t.Fatalf("parent floorplan = %+v, %v; want the cold plan %+v", plan, ok, cold.Plan)
-		}
-		img, minutes, ok := vivado.LookupStage[*bitstream.Bitstream](sc, partialKey)
-		if !ok || !reflect.DeepEqual(img, coldPartial) || img.CRC() != coldPartial.CRC() || minutes <= 0 {
-			t.Fatalf("parent partial image: ok=%v minutes=%v, want the cold image (CRC %08x)", ok, minutes, coldPartial.CRC())
-		}
-		if err := img.Verify(); err != nil {
-			t.Fatal(err)
-		}
-
-		// A warm run over the same store skips both jobs and assembles
-		// the cold result.
+	// warmRun runs the flow again over sc and checks it skips the
+	// floorplan and skipBitgen partials and assembles the cold result.
+	warmRun := func(t *testing.T, sc *vivado.StageCache, skipBitgen int) {
+		t.Helper()
 		warmOpt := opt
 		warmOpt.StageCache = sc
 		d2 := elaborate(t, socgen.SOC1())
@@ -489,33 +485,76 @@ func TestStageArtifactsParentFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.Jobs.SkippedByStage[StagePlan] != 1 || warm.Jobs.SkippedByStage[StageBitgen] != 1 {
-			t.Fatalf("warm run skipped %v, want the floorplan and one partial", warm.Jobs.SkippedByStage)
+		if warm.Jobs.SkippedByStage[StagePlan] != 1 || warm.Jobs.SkippedByStage[StageBitgen] != skipBitgen {
+			t.Fatalf("warm run skipped %v, want the floorplan and %d partials", warm.Jobs.SkippedByStage, skipBitgen)
 		}
 		if resultSignature(warm) != resultSignature(cold) {
-			t.Fatalf("run over parent artifacts diverged:\n--- warm ---\n%s--- cold ---\n%s",
+			t.Fatalf("run over stored artifacts diverged:\n--- warm ---\n%s--- cold ---\n%s",
 				resultSignature(warm), resultSignature(cold))
+		}
+	}
+
+	t.Run("hits", func(t *testing.T) {
+		_, ds, sc := openWith(t, map[string][]byte{
+			floorplanKey: fixture(t, "parent_art", floorplanKey),
+			partialKey:   fixture(t, "recipe_art", partialKey),
+		})
+		if st := ds.Stats(); st.Entries != 2 || st.Corrupt != 0 {
+			t.Fatalf("entries failed verify-at-open: %+v", st)
+		}
+		plan, _, ok := vivado.LookupStage[*floorplan.Plan](sc, floorplanKey)
+		if !ok || !reflect.DeepEqual(plan, cold.Plan) {
+			t.Fatalf("parent floorplan = %+v, %v; want the cold plan %+v", plan, ok, cold.Plan)
+		}
+		img, minutes, ok := vivado.LookupStage[*bitstream.Bitstream](sc, partialKey)
+		if !ok || !reflect.DeepEqual(img, coldPartial) || img.CRC() != coldPartial.CRC() || minutes <= 0 {
+			t.Fatalf("recipe partial image: ok=%v minutes=%v, want the cold image (CRC %08x)", ok, minutes, coldPartial.CRC())
+		}
+		if err := img.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		warmRun(t, sc, 1)
+	})
+
+	t.Run("parent_payload", func(t *testing.T) {
+		dir, ds, sc := openWith(t, map[string][]byte{
+			floorplanKey: fixture(t, "parent_art", floorplanKey),
+			partialKey:   fixture(t, "parent_art", partialKey),
+		})
+		if st := ds.Stats(); st.Entries != 2 || st.Corrupt != 0 {
+			t.Fatalf("parent entries failed verify-at-open: %+v", st)
+		}
+		if img, _, ok := vivado.LookupStage[*bitstream.Bitstream](sc, partialKey); ok {
+			t.Fatalf("payload-carrying parent entry decoded as %s", img.Name)
+		}
+		path := filepath.Join(dir, partialKey+".art")
+		if _, err := os.Stat(path + ".bad"); err != nil {
+			t.Fatalf("payload-carrying parent entry not quarantined: %v", err)
+		}
+		if st := ds.Stats(); st.Misses != 1 || st.Corrupt != 1 || st.Entries != 1 {
+			t.Fatalf("disk stats after the parent partial lookup: %+v", st)
+		}
+		// The warm run recomputes the partial alone and writes it back
+		// as a recipe.
+		warmRun(t, sc, 0)
+		want := fixture(t, "recipe_art", partialKey)
+		if data, err := os.ReadFile(path); err != nil || string(data) != string(want) {
+			t.Fatalf("recomputed partial written as %q (%v), want the recipe fixture %q", data, err, want)
 		}
 	})
 
 	t.Run("damaged", func(t *testing.T) {
-		dir := t.TempDir()
-		ds, err := vivado.OpenDiskStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dir, ds, sc := openWith(t, nil)
 		// Plant the damaged copy after open, so the read path — not the
 		// verify-at-open scan — has to catch it.
-		data := fixture(t, partialKey)
+		data := fixture(t, "recipe_art", partialKey)
 		data[len(data)/2] ^= 0x20
 		path := filepath.Join(dir, partialKey+".art")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sc := vivado.NewStageCache()
-		sc.SetDiskStore(ds)
 		if img, _, ok := vivado.LookupStage[*bitstream.Bitstream](sc, partialKey); ok {
-			t.Fatalf("damaged parent entry decoded as %s", img.Name)
+			t.Fatalf("damaged recipe entry decoded as %s", img.Name)
 		}
 		if _, err := os.Stat(path + ".bad"); err != nil {
 			t.Fatalf("damaged entry not quarantined: %v", err)

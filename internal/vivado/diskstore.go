@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"presp/internal/bitstream"
 	"presp/internal/crcframe"
 	"presp/internal/obs"
 )
@@ -39,7 +40,10 @@ import (
 //     trusted and never loaded; the flow simply recomputes it.
 //     Quarantined files are kept for post-mortem but not forever: the
 //     GC ages them out after quarantineMaxAge, and while present they
-//     count against the byte budget ahead of live entries.
+//     count against the byte budget ahead of live entries. The store
+//     counts the ones it knows of — found at open or made since — and
+//     its GC lists the directory only while that count is non-zero or
+//     the store is over budget.
 //   - Open verifies every entry up front (quarantining the bad ones and
 //     applying the byte budget), so a warm start begins from a store
 //     that is known-good end to end.
@@ -57,6 +61,9 @@ type DiskStore struct {
 	dir      string
 	maxBytes int64
 	bytes    int64 // total size of live (non-quarantined) entries
+	// quarantined counts the *.bad files the store knows of: those found
+	// at open and those it made since.
+	quarantined int
 
 	hits          int64
 	misses        int64
@@ -110,7 +117,7 @@ var (
 	checkpointEntries = diskKind[*SynthCheckpoint]{ext: ".ckpt", encode: encodeCheckpoint, decode: decodeCheckpoint}
 	// artifactEntries are stage artifacts — floorplan solutions,
 	// implementation results, bitstream images (StageCache) — stored as
-	// {minutes, payload} bodies.
+	// {minutes, payload} bodies; an image's payload is its recipe.
 	artifactEntries = diskKind[stageArtifact]{ext: ".art", encode: encodeArtifact, decode: checkArtifact}
 )
 
@@ -228,10 +235,7 @@ type DiskStats struct {
 func (ds *DiskStore) Stats() DiskStats {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	n := 0
-	if names, err := ds.entryNamesLocked(); err == nil {
-		n = len(names)
-	}
+	n := len(ds.scanLocked(isLiveEntry))
 	quar := ds.scanLocked(isQuarantined)
 	var quarBytes int64
 	for _, f := range quar {
@@ -283,42 +287,32 @@ func (k diskKind[T]) load(ds *DiskStore, key string) (T, bool) {
 }
 
 // store persists v under key with an atomic CreateTemp+Rename write,
-// then applies the byte budget. Storing an already-present key is a
-// cheap no-op — entries are content-addressed, so same key means same
+// then applies the byte budget. Storing an already-present key writes
+// nothing — entries are content-addressed, so same key means same
 // bytes. Failures are returned but never poison the store: the worst
 // outcome of a failed write is a missing entry.
 //
-// The entry is encoded and sealed before ds.mu is taken: encoding a
-// multi-MB bitstream takes milliseconds, and every read-through waits
-// on ds.mu. Two concurrent stores of one key may both encode; the
-// second finds the entry present under the lock and writes nothing.
+// The entry is encoded before ds.mu is taken, since every read-through
+// waits on ds.mu. Two concurrent stores of one key may
+// both encode; the second finds the entry present under the lock and
+// writes nothing.
 func (k diskKind[T]) store(ds *DiskStore, key string, v T) error {
 	if key == "" {
 		return fmt.Errorf("vivado: disk store: empty key")
 	}
 	start := time.Now()
-	path := filepath.Join(ds.dir, key+k.ext)
-	var data []byte
-	var err error
-	if _, statErr := os.Stat(path); statErr != nil {
-		var body []byte
-		if body, err = k.encode(v); err == nil {
-			data = crcframe.Seal(body)
-		}
-	}
+	body, err := k.encode(v)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	defer func() { ds.hStore.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
 	if err != nil {
 		return fmt.Errorf("vivado: disk store: %w", err)
 	}
-	if data == nil {
+	path := filepath.Join(ds.dir, key+k.ext)
+	if _, err := os.Stat(path); err == nil {
 		return nil // content-addressed: the entry is already durable
 	}
-	if _, err := os.Stat(path); err == nil {
-		return nil // a concurrent store wrote it first
-	}
-	return ds.writeEntryLocked(path, data)
+	return ds.writeEntryLocked(path, crcframe.Seal(body))
 }
 
 // open verifies one entry file's CRC trailer and checks its body.
@@ -389,19 +383,43 @@ type stageArtifact struct {
 
 // artifactBody is the on-disk form of a stage artifact. The flow layer
 // owns the payload schema; the store only needs it to round-trip
-// losslessly through encoding/json.
+// losslessly through encoding/json. A bitstream image is the one
+// exception: its payload is its bitstream.Recipe, never its bytes.
 type artifactBody[T any] struct {
 	Minutes Minutes `json:"minutes"`
 	Payload T       `json:"payload"`
 }
 
+// encodeArtifact encodes a stage body. An image is written as its
+// recipe, and an image without one (hand-built) is not persisted.
 func encodeArtifact(a stageArtifact) ([]byte, error) {
-	return json.Marshal(artifactBody[any]{Minutes: a.minutes, Payload: a.value})
+	payload := a.value
+	if bs, ok := a.value.(*bitstream.Bitstream); ok {
+		r, ok := bs.Recipe()
+		if !ok {
+			return nil, fmt.Errorf("bitstream %s carries no recipe", bs.Name)
+		}
+		payload = r
+	}
+	return json.Marshal(artifactBody[any]{Minutes: a.minutes, Payload: payload})
 }
 
 // decodeArtifact decodes a stage body straight into the reader's
-// payload type, in one parse pass.
+// payload type, in one parse pass. An image is regenerated from its
+// recipe and must reproduce the recorded checksum; anything else —
+// including a body that carries the payload bytes — fails to decode.
 func decodeArtifact[T any](body []byte) (stageArtifact, error) {
+	if _, ok := any((*T)(nil)).(**bitstream.Bitstream); ok {
+		var b artifactBody[bitstream.Recipe]
+		if err := json.Unmarshal(body, &b); err != nil {
+			return stageArtifact{}, fmt.Errorf("decoding body: %w", err)
+		}
+		bs, err := b.Payload.Generate()
+		if err != nil {
+			return stageArtifact{}, err
+		}
+		return stageArtifact{value: bs, minutes: b.Minutes}, nil
+	}
 	var b artifactBody[T]
 	if err := json.Unmarshal(body, &b); err != nil {
 		return stageArtifact{}, fmt.Errorf("decoding body: %w", err)
@@ -424,6 +442,8 @@ func checkArtifact(body []byte) (stageArtifact, error) {
 func (ds *DiskStore) quarantineLocked(path string, size int64) {
 	if err := os.Rename(path, path+diskQuarantineExt); err != nil {
 		os.Remove(path) //nolint:errcheck // best-effort: gone is as good as quarantined
+	} else {
+		ds.quarantined++
 	}
 	ds.bytes -= size
 	if ds.bytes < 0 {
@@ -432,34 +452,30 @@ func (ds *DiskStore) quarantineLocked(path string, size int64) {
 	count(&ds.corrupt, &ds.exported.corrupt, ds.mCorrupt)
 }
 
-// entryNamesLocked lists the live entry file names — checkpoints and
-// stage artifacts. Callers hold ds.mu.
-func (ds *DiskStore) entryNamesLocked() ([]string, error) {
-	des, err := os.ReadDir(ds.dir)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(des))
-	for _, de := range des {
-		if de.Type().IsRegular() && isLiveEntry(de.Name()) {
-			names = append(names, de.Name())
-		}
-	}
-	return names, nil
-}
-
 // verifyAll scans the store at open: every entry is read and checked
-// against the codec of its kind, corrupt ones are quarantined, and the
-// byte budget (if any) applied.
+// against the codec of its kind, corrupt ones are quarantined, the
+// quarantined files already there are counted, and the byte budget (if
+// any) applied.
 func (ds *DiskStore) verifyAll() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	names, err := ds.entryNamesLocked()
+	des, err := os.ReadDir(ds.dir)
 	if err != nil {
 		return fmt.Errorf("vivado: disk store: %w", err)
 	}
-	ds.bytes = 0
-	for _, name := range names {
+	ds.bytes, ds.quarantined = 0, 0
+	for _, de := range des {
+		name := de.Name()
+		if !de.Type().IsRegular() {
+			continue
+		}
+		if isQuarantined(name) {
+			ds.quarantined++
+			continue
+		}
+		if !isLiveEntry(name) {
+			continue
+		}
 		path := filepath.Join(ds.dir, name)
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -532,8 +548,13 @@ func (ds *DiskStore) scanLocked(keep func(string) bool) []diskFile {
 // survivors count against the budget ahead of live entries — a
 // corruption storm must never crowd working checkpoints out of the
 // budget, nor grow the directory forever. Then live entries are evicted
-// oldest-accessed first until everything fits. Callers hold ds.mu.
+// oldest-accessed first until everything fits. With no quarantined file
+// known and the store within budget there is nothing to do, and the
+// directory is not listed. Callers hold ds.mu.
 func (ds *DiskStore) gcLocked() {
+	if ds.quarantined == 0 && (ds.maxBytes <= 0 || ds.bytes <= ds.maxBytes) {
+		return
+	}
 	quar := ds.scanLocked(isQuarantined)
 	now := time.Now()
 	kept := quar[:0]
@@ -548,6 +569,7 @@ func (ds *DiskStore) gcLocked() {
 		kept = append(kept, f)
 		quarBytes += f.size
 	}
+	ds.quarantined = len(kept)
 	if ds.maxBytes <= 0 || ds.bytes+quarBytes <= ds.maxBytes {
 		return
 	}
@@ -561,6 +583,7 @@ func (ds *DiskStore) gcLocked() {
 			continue
 		}
 		quarBytes -= f.size
+		ds.quarantined--
 		count(&ds.quarEvictions, &ds.exported.quarEvictions, ds.mQuarGC)
 	}
 	// ...then live entries, oldest-accessed first.

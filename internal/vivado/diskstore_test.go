@@ -24,7 +24,7 @@ func testCheckpoint(name string) *SynthCheckpoint {
 	}
 }
 
-func openTestStore(t *testing.T) *DiskStore {
+func openTestStore(t testing.TB) *DiskStore {
 	t.Helper()
 	ds, err := OpenDiskStore(t.TempDir())
 	if err != nil {
@@ -499,6 +499,61 @@ func TestDiskStoreQuarantineAgeOut(t *testing.T) {
 	if snap.Counters["cache_disk_quarantine_evictions"] != 1 {
 		t.Errorf("cache_disk_quarantine_evictions = %d, want 1",
 			snap.Counters["cache_disk_quarantine_evictions"])
+	}
+}
+
+// TestDiskStoreQuarantineFoundAtOpenAgesOut: a *.bad file already in
+// the directory at open is counted, so a later write still ages it out
+// — while the GC lists the directory only when it knows of a
+// quarantined file or the store is over budget, never on every write.
+func TestDiskStoreQuarantineFoundAtOpenAgesOut(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "k0"+checkpointEntries.ext+diskQuarantineExt)
+	if err := os.WriteFile(bad, []byte("corpse"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ds.Stats(); st.Quarantined != 1 || st.QuarantineEvictions != 0 {
+		t.Fatalf("stats at open = %+v, want the fresh quarantine kept", st)
+	}
+	old := time.Now().Add(-quarantineMaxAge - time.Hour)
+	if err := os.Chtimes(bad, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpointEntries.store(ds, "k1", testCheckpoint("acc")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Fatal("quarantine found at open not aged out by a later write")
+	}
+	if st := ds.Stats(); st.Quarantined != 0 || st.QuarantineEvictions != 1 {
+		t.Fatalf("stats after age-out = %+v, want 0 quarantined / 1 eviction", st)
+	}
+
+	// With none known, a write does not list the directory: an aged
+	// *.bad file planted behind the store's back stays until the next
+	// open counts it.
+	stray := filepath.Join(dir, "k9"+checkpointEntries.ext+diskQuarantineExt)
+	if err := os.WriteFile(stray, []byte("corpse"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(stray, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpointEntries.store(ds, "k2", testCheckpoint("acc2")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("write listed the directory with no quarantine known: %v", err)
+	}
+	if _, err := OpenDiskStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatal("reopen did not age out the stray quarantine file")
 	}
 }
 

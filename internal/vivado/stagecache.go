@@ -19,8 +19,12 @@ import "fmt"
 // (an optional DiskStore, usually shared with the checkpoint tier and
 // distinguished by file extension): Store writes a fresh entry through
 // as one {minutes, payload} body, and a memory miss decodes a verified
-// disk entry straight into the caller's type and promotes it. There is
-// no in-memory eviction; the disk tier has its own byte budget.
+// disk entry straight into the caller's type and promotes it. A
+// bitstream image's payload is its recipe (bitstream.Recipe), never its
+// bytes: a disk hit regenerates the image and promotes it only if it
+// reproduces the recorded checksum, and an image without a recipe (a
+// hand-built one) stays in memory only. There is no in-memory
+// eviction; the disk tier has its own byte budget.
 //
 // All methods are safe for concurrent use.
 type StageCache struct {
