@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-var updateSurface = flag.Bool("update", false, "rewrite the API-surface golden file")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // TestAPISurfaceGolden pins the exported API of the facade (package
 // presp) and the flow engine (internal/flow) against a golden listing.
@@ -43,7 +43,7 @@ func TestAPISurfaceGolden(t *testing.T) {
 	}
 
 	golden := filepath.Join("testdata", "api_surface.golden")
-	if *updateSurface {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
