@@ -89,3 +89,22 @@ func TestColumnAlignment(t *testing.T) {
 		t.Fatalf("misaligned columns:\n%s", out)
 	}
 }
+
+// TestPadCountsRunes checks that columns line up when cells hold
+// multi-byte runes: every rendered line of a column is as wide, in
+// runes, as its widest cell.
+func TestPadCountsRunes(t *testing.T) {
+	tb := New("", "κ≈α", "x")
+	tb.AddRow("γ>1", "a")
+	tb.AddRow("wide cell", "b")
+	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+	want := []string{
+		"κ≈α        x",
+		"---------  -",
+		"γ>1        a",
+		"wide cell  b",
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("got\n%s\nwant\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+}
