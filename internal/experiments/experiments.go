@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"presp/internal/accel"
 	"presp/internal/socgen"
@@ -77,7 +78,40 @@ func PresetConfig(name string) (*socgen.Config, error) {
 		cfg, _, err := wami.RuntimeSoC(name)
 		return cfg, err
 	}
-	return nil, fmt.Errorf("experiments: unknown preset %q", name)
+	return nil, unknownPreset(name)
+}
+
+func unknownPreset(name string) error {
+	return fmt.Errorf("experiments: unknown preset %q", name)
+}
+
+// presetDesigns elaborates each preset on first use and keeps the
+// design; a preset that fails to elaborate keeps its error.
+var presetDesigns = func() map[string]func() (*socgen.Design, error) {
+	m := make(map[string]func() (*socgen.Design, error))
+	for _, name := range PresetNames() {
+		m[name] = sync.OnceValues(func() (*socgen.Design, error) {
+			cfg, err := PresetConfig(name)
+			if err != nil {
+				return nil, err
+			}
+			return elaborate(cfg)
+		})
+	}
+	return m
+}()
+
+// PresetDesign returns the elaborated design of a built-in preset. The
+// design is elaborated once per process and shared by every caller, so
+// it is read-only: a caller that edits a design must elaborate its own
+// with ElaborateConfig. The flow engine never writes the design it
+// runs.
+func PresetDesign(name string) (*socgen.Design, error) {
+	design, ok := presetDesigns[name]
+	if !ok {
+		return nil, unknownPreset(name)
+	}
+	return design()
 }
 
 // PresetNames lists the built-in configurations in a stable order.

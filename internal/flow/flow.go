@@ -349,7 +349,8 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	// artifact is cached is settled while the graph is built. Nil when no
 	// stage cache is configured (or the run is un-keyable; see
 	// buildStageKeys).
-	sk := buildStageKeys(d, tool, res.Strategy, opt, mode)
+	staticMod := BuildStaticTop(d)
+	sk := buildStageKeys(d, staticMod, tool, res.Strategy, opt, mode)
 
 	g := &graph{}
 	var mu sync.Mutex // guards rpCks and SynthRuns across parallel synth jobs
@@ -360,11 +361,10 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	for _, m := range d.StaticModules {
 		staticRes = staticRes.Add(m.TotalCost())
 	}
-	staticMod := BuildStaticTop(d)
 	var staticCk *vivado.SynthCheckpoint
 	rpCks := make(map[string]*vivado.SynthCheckpoint, len(d.RPs))
 	synthStatic := g.add("synth/static", StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
-		ck, err := tool.Synthesize(ctx, staticMod, false, "static")
+		ck, err := tool.SynthesizeKeyed(ctx, sk.key("synth/static"), staticMod, false, "static")
 		if err != nil {
 			return 0, fmt.Errorf("flow: static synthesis: %w", err)
 		}
@@ -386,7 +386,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			if rp.Content == nil {
 				return 0, fmt.Errorf("flow: partition %s has no initial content to synthesize", rp.Name)
 			}
-			ck, err := tool.Synthesize(ctx, rp.Content, true, rp.Name)
+			ck, err := tool.SynthesizeKeyed(ctx, sk.key("synth/"+rp.Name), rp.Content, true, rp.Name)
 			if err != nil {
 				return 0, fmt.Errorf("flow: OoC synthesis of %s: %w", rp.Name, err)
 			}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"presp/internal/core"
+	"presp/internal/rtl"
 	"presp/internal/socgen"
 	"presp/internal/vivado"
 )
@@ -53,7 +54,9 @@ func newArtifactDigest(kind string) *vivado.Digest {
 
 // stageKeys holds the derived artifact keys of one partitioned run,
 // by the ID of the job each key addresses. A nil *stageKeys, or a job
-// without a key, disables caching for that job.
+// without a key, disables caching for that job. The synthesis jobs'
+// keys ("synth/static", "synth/<rp>") are checkpoint-cache keys, handed
+// to synthesis so it does not derive them again.
 type stageKeys struct {
 	cache *vivado.StageCache
 	keys  map[string]string // job ID -> artifact key
@@ -78,7 +81,8 @@ func groupJobID(gi int) string {
 // undefined); runs under a fault plan are not keyed either, because a
 // cache skip would bypass the injected fault and break the plan's
 // determinism contract. Both return nil, which disables stage caching.
-func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, opt Options, mode flowMode) *stageKeys {
+// staticTop is BuildStaticTop(d), built once per run.
+func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, strat *core.Strategy, opt Options, mode flowMode) *stageKeys {
 	if opt.StageCache == nil || opt.FaultPlan != nil {
 		return nil
 	}
@@ -105,7 +109,7 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 	}
 	strategyDigest := sd.Sum()
 
-	keys := make(map[string]string, 6+len(strat.Groups)+len(d.RPs))
+	keys := make(map[string]string, 7+len(strat.Groups)+2*len(d.RPs))
 
 	// Floorplan: device geometry, cost model (pblock slack), the static
 	// envelope and every partition's name, resource envelope and the
@@ -139,10 +143,12 @@ func buildStageKeys(d *socgen.Design, tool *vivado.Tool, strat *core.Strategy, o
 
 	// Synthesis keys are the upstream addresses of the implementation
 	// stage: the checkpoint cache's own content digests.
-	staticSynthKey := tool.CheckpointKey(BuildStaticTop(d), false)
+	staticSynthKey := tool.CheckpointKey(staticTop, false)
+	keys["synth/static"] = staticSynthKey
 	synthKey := make(map[string]string, len(d.RPs))
 	for _, rp := range d.RPs {
 		synthKey[rp.Name] = tool.CheckpointKey(rp.Content, true)
+		keys["synth/"+rp.Name] = synthKey[rp.Name]
 	}
 
 	// implKey is the key of the run the full image hangs off: the serial

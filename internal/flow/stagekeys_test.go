@@ -37,7 +37,7 @@ func TestContentAddressesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk := buildStageKeys(d, tool, strat, Options{Compress: true, StageCache: vivado.NewStageCache()}, modePRESP)
+	sk := buildStageKeys(d, BuildStaticTop(d), tool, strat, Options{Compress: true, StageCache: vivado.NewStageCache()}, modePRESP)
 	if sk == nil {
 		t.Fatal("SOC_2 run is not keyable")
 	}
@@ -60,7 +60,7 @@ func TestContentAddressesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys["impl/serial"] = buildStageKeys(d, tool, serial, Options{StageCache: vivado.NewStageCache()}, modeStandardDFX).keys["impl/serial"]
+	keys["impl/serial"] = buildStageKeys(d, BuildStaticTop(d), tool, serial, Options{StageCache: vivado.NewStageCache()}, modeStandardDFX).keys["impl/serial"]
 	var lines []string
 	for name, k := range keys {
 		lines = append(lines, name+"="+k)
@@ -88,5 +88,29 @@ synth/rt_4_rp=2eb4845c80a7d85e
 synth/static=f7e2dd98a368f8bf`
 	if got != want {
 		t.Fatalf("SOC_2 content addresses moved:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestStageKeysCarryCheckpointKeys: the synthesis keys a keyed run hands
+// to Tool.SynthesizeKeyed are exactly the keys Tool.Synthesize would
+// derive, so computing them once changes no checkpoint-cache entry.
+func TestStageKeysCarryCheckpointKeys(t *testing.T) {
+	d := elaborate(t, socgen.SOC2())
+	tool, err := vivado.New(d.Dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := chooseStrategy(d, Options{}, modePRESP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := buildStageKeys(d, BuildStaticTop(d), tool, strat, Options{StageCache: vivado.NewStageCache()}, modePRESP)
+	if got, want := sk.key("synth/static"), tool.CheckpointKey(BuildStaticTop(d), false); got != want {
+		t.Fatalf("synth/static key %q, want %q", got, want)
+	}
+	for _, rp := range d.RPs {
+		if got, want := sk.key("synth/"+rp.Name), tool.CheckpointKey(rp.Content, true); got != want {
+			t.Fatalf("synth/%s key %q, want %q", rp.Name, got, want)
+		}
 	}
 }

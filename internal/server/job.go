@@ -44,8 +44,8 @@ type Spec struct {
 }
 
 // compiledSpec is a validated spec plus everything derived from it at
-// admission time: the elaborated design, the forced strategy (if any),
-// the parsed fault plan and the single-flight key.
+// admission time: the preset's shared, read-only design, the forced
+// strategy (if any), the parsed fault plan and the single-flight key.
 type compiledSpec struct {
 	spec     Spec
 	design   *socgen.Design
@@ -54,20 +54,18 @@ type compiledSpec struct {
 	key      string
 }
 
-// compile validates and normalizes a spec, elaborates its design and
-// computes the single-flight key. Every rejection here becomes an HTTP
-// 400 before the job touches the queue.
+// compile validates and normalizes a spec, looks up its preset's design
+// and computes the single-flight key. Every rejection here becomes an
+// HTTP 400 before the job touches the queue.
 func compile(spec Spec) (*compiledSpec, error) {
 	if spec.Preset == "" {
 		return nil, fmt.Errorf("spec: preset is required (one of %v)", experiments.PresetNames())
 	}
-	cfg, err := experiments.PresetConfig(spec.Preset)
+	// The preset's shared design: elaborated once per process, read-only
+	// here and in the flow.
+	d, err := experiments.PresetDesign(spec.Preset)
 	if err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
-	}
-	d, err := experiments.ElaborateConfig(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("spec: elaborating %s: %w", spec.Preset, err)
 	}
 	if spec.Flow == "" {
 		spec.Flow = "presp"

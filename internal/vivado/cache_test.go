@@ -85,6 +85,33 @@ func TestCacheHitMatchesColdSynthesis(t *testing.T) {
 	}
 }
 
+// TestSynthesizeKeyedSharesEntries: a synthesis handed its checkpoint
+// key reads and fills the very entry an unkeyed synthesis derives, so
+// the flow's precomputed keys change no cache content.
+func TestSynthesizeKeyedSharesEntries(t *testing.T) {
+	tool, cache := cachedTool(t, "VC707")
+	m := testModule("acc", 20000)
+	key := tool.CheckpointKey(m, true)
+
+	cold, err := tool.SynthesizeKeyed(context.Background(), key, m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := tool.Synthesize(context.Background(), m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("unkeyed hit differs from keyed synthesis:\nkeyed:   %+v\nunkeyed: %+v", cold, warm)
+	}
+	if _, ok := cache.lookup(key); !ok {
+		t.Fatal("keyed synthesis stored nothing under its key")
+	}
+	if hits, misses := cache.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("stats: %d hits / %d misses, want 2/1", hits, misses)
+	}
+}
+
 // TestCacheKeyInvalidation: any change to the module's resources, its
 // hierarchy, the synthesis mode, the device or the cost model's
 // synthesis parameters must miss.

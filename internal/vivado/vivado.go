@@ -153,6 +153,14 @@ type SynthCheckpoint struct {
 // label the run for fault injection (the flow passes the partition
 // name); the module name is always appended as a matchable site.
 func (t *Tool) Synthesize(ctx context.Context, m *rtl.Module, ooc bool, sites ...string) (*SynthCheckpoint, error) {
+	return t.SynthesizeKeyed(ctx, "", m, ooc, sites...)
+}
+
+// SynthesizeKeyed is Synthesize for a caller that already holds the
+// run's checkpoint key, CheckpointKey(m, ooc), so the module is not
+// walked again to derive it. An empty key is derived here, and only
+// when a cache is attached.
+func (t *Tool) SynthesizeKeyed(ctx context.Context, key string, m *rtl.Module, ooc bool, sites ...string) (*SynthCheckpoint, error) {
 	if m == nil {
 		return nil, fmt.Errorf("vivado: synthesize nil module")
 	}
@@ -165,7 +173,9 @@ func (t *Tool) Synthesize(ctx context.Context, m *rtl.Module, ooc bool, sites ..
 	// Single-flight through the cache: concurrent misses on the same
 	// content collapse to one leader synthesis; followers share the
 	// leader's checkpoint (or its error) and count as hits.
-	key := checkpointKey(t.dev, t.model, m, ooc)
+	if key == "" {
+		key = checkpointKey(t.dev, t.model, m, ooc)
+	}
 	ck, role, err := t.cache.fetch(key, decodeCheckpoint, func() (*SynthCheckpoint, error) {
 		return t.synthesize(m, ooc)
 	})
