@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,6 +48,47 @@ func TestRecoverNoStateDir(t *testing.T) {
 	}
 	if _, err := s.Recover(); err == nil {
 		t.Fatal("second Recover succeeded, want error")
+	}
+}
+
+// TestStateDirLocked: a second server on a state directory that a live
+// server owns fails Recover with an error naming the lock, before it
+// replays or appends anything; once the owner shuts down, the directory
+// can be recovered again.
+func TestStateDirLocked(t *testing.T) {
+	dir := t.TempDir()
+	owner, _ := bootWALServer(t, dir, (&stubRunner{}).run, Config{})
+	j, err := owner.Submit("acme", Spec{Preset: "SOC_2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, owner, j.Tenant, j.ID, StateSucceeded)
+	before, err := os.ReadFile(filepath.Join(dir, "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	second := newTestServer(t, Config{Workers: 1, StateDir: dir})
+	_, err = second.Recover()
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, "LOCK")) {
+		t.Fatalf("second Recover on a locked state dir: err = %v, want one naming %s", err, filepath.Join(dir, "LOCK"))
+	}
+	if _, err := second.Submit("acme", Spec{Preset: "SOC_1"}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("the locked-out server wrote to the owner's WAL")
+	}
+
+	if err := owner.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, stats := bootWALServer(t, dir, (&stubRunner{}).run, Config{}); stats.Jobs != 1 {
+		t.Fatalf("recover after the owner shut down: %+v, want 1 job", stats)
 	}
 }
 

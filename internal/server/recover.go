@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"presp/internal/vivado"
@@ -34,9 +36,12 @@ type RecoveryStats struct {
 // tier, Recover attaches one at <StateDir>/cache (every flow run shares
 // it with the stage cache): every synthesis checkpoint reaches disk
 // before its job completes, so an interrupted run's rerun reuses all
-// the synthesis it finished. It must be called once, before the server takes traffic;
-// with no StateDir it is a durability-off no-op. Calling it twice, or
-// after jobs were already admitted, is an error.
+// the synthesis it finished. Recover first takes an exclusive lock on
+// <StateDir>/LOCK and holds it until Shutdown, so a second daemon on
+// the same directory fails here instead of interleaving its WAL appends
+// and job numbers with the owner's. It must be called once, before the
+// server takes traffic; with no StateDir it is a durability-off no-op.
+// Calling it twice, or after jobs were already admitted, is an error.
 func (s *Server) Recover() (RecoveryStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -53,6 +58,18 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return RecoveryStats{}, fmt.Errorf("server: state dir: %w", err)
 	}
+	lock, err := lockStateDir(s.cfg.StateDir)
+	if err != nil {
+		return RecoveryStats{}, err
+	}
+	// Released by Shutdown, or here if recovery fails.
+	s.lock = lock
+	defer func() {
+		if s.wal == nil {
+			s.lock = nil
+			lock.Close() //nolint:errcheck
+		}
+	}()
 	if s.cache.Disk() == nil {
 		ds, err := vivado.OpenDiskStore(filepath.Join(s.cfg.StateDir, "cache"))
 		if err != nil {
@@ -175,4 +192,23 @@ func (s *Server) newGroupLocked(cs *compiledSpec, j *Job) *group {
 	j.group = g
 	s.flights[cs.key] = g
 	return g
+}
+
+// lockStateDir takes an exclusive, non-blocking flock on <dir>/LOCK. The
+// kernel drops it when the returned file is closed or the process dies,
+// so a daemon killed with -9 never leaves a stale lock behind.
+func lockStateDir(dir string) (*os.File, error) {
+	path := filepath.Join(dir, "LOCK")
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("server: state dir lock: %w", err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close() //nolint:errcheck
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("server: state dir %s is in use: another daemon holds %s", dir, path)
+		}
+		return nil, fmt.Errorf("server: state dir lock %s: %w", path, err)
+	}
+	return f, nil
 }

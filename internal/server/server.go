@@ -29,6 +29,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -74,7 +75,8 @@ type Config struct {
 	// Cache already has a disk tier, Recover also attaches one at
 	// <dir>/cache, so an interrupted run reuses the synthesis it
 	// finished. Recover must be called once before the server takes
-	// traffic; until then nothing is logged.
+	// traffic; until then nothing is logged. One server owns a state
+	// directory at a time: Recover locks <dir>/LOCK until Shutdown.
 	StateDir string
 	// StallTimeout arms the stuck-job watchdog: a running flight that
 	// makes no scheduler progress (virtual-time heartbeats) for longer
@@ -160,9 +162,11 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// wal is the job write-ahead log, non-nil once Recover has opened
-	// it (StateDir set). idem maps tenant-scoped idempotency keys to job
-	// IDs; breakers holds per-(tenant, spec) failure circuits.
+	// it (StateDir set); lock holds the state directory's owner lock
+	// for as long. idem maps tenant-scoped idempotency keys to job IDs;
+	// breakers holds per-(tenant, spec) failure circuits.
 	wal          *wal
+	lock         *os.File
 	recovered    bool
 	idem         map[string]string
 	breakers     map[string]*breakerState
@@ -913,14 +917,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// closeWAL releases the job log after the last worker exits; later
-// appends become no-ops.
+// closeWAL releases the job log after the last worker exits, then the
+// state directory's lock; later appends become no-ops.
 func (s *Server) closeWAL() {
 	s.mu.Lock()
-	w := s.wal
-	s.wal = nil
+	w, lock := s.wal, s.lock
+	s.wal, s.lock = nil, nil
 	s.mu.Unlock()
 	if w != nil {
 		w.close() //nolint:errcheck // every durable record was already fsynced
+	}
+	if lock != nil {
+		lock.Close() //nolint:errcheck // closing the descriptor drops the flock
 	}
 }
