@@ -67,7 +67,9 @@ bench:
 # no-op jobs, at 1 and 2 workers. The disk tier's store and load of a
 # VC707 full-image artifact (a load regenerates the image from its
 # recipe and verifies it) and of a floorplan artifact join them at 10
-# iterations. The bitstream layer's own
+# iterations, and a warm flow-service submit (an in-process HTTP submit
+# and poll of a spec whose stages are all cached) at 500. The bitstream
+# layer's own
 # benchmarks (partial and full-device generation on the VC707 and VCU118
 # geometries) follow at 10 iterations, so the first call's encoder
 # scratch allocation does not stand for the steady state. The WAMI
@@ -94,7 +96,9 @@ bench-smoke:
 	{ $(GO) test -run='^$$' -bench='^Benchmark(EvaluateStrategy(Cold|Warm)|RunPRESP(NilObserver|Observed|Incremental(Cold|Warm|Edit))|SchedulerNoop)$$' \
 		-benchtime=1x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ && \
 	  $(GO) test -run='^$$' -bench='^BenchmarkDiskStore$$' \
-		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/vivado/; } \
+		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/vivado/ && \
+	  $(GO) test -run='^$$' -bench='^BenchmarkSubmitWarm$$' \
+		-benchtime=500x -benchmem -timeout $(TEST_TIMEOUT) ./internal/server/; } \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_flow.json
 	@cat BENCH_flow.json
 	$(GO) test -run='^$$' -bench='^BenchmarkRunPRESPIncremental(Cold|Warm)$$' \
