@@ -68,8 +68,9 @@ bench:
 # VC707 full-image artifact (a load regenerates the image from its
 # recipe and verifies it) and of a floorplan artifact join them at 10
 # iterations, and a warm flow-service submit (an in-process HTTP submit
-# and poll of a spec whose stages are all cached) at 500. The bitstream
-# layer's own
+# and GET of a spec whose stages are all cached) at 500 on one CPU: on
+# two, the hand-off to the server's worker goroutine moves ns/op by
+# ±20% between runs. The bitstream layer's own
 # benchmarks (partial and full-device generation on the VC707 and VCU118
 # geometries) follow at 10 iterations, so the first call's encoder
 # scratch allocation does not stand for the steady state. The WAMI
@@ -98,7 +99,7 @@ bench-smoke:
 	  $(GO) test -run='^$$' -bench='^BenchmarkDiskStore$$' \
 		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/vivado/ && \
 	  $(GO) test -run='^$$' -bench='^BenchmarkSubmitWarm$$' \
-		-benchtime=500x -benchmem -timeout $(TEST_TIMEOUT) ./internal/server/; } \
+		-benchtime=500x -cpu=1 -benchmem -timeout $(TEST_TIMEOUT) ./internal/server/; } \
 		| $(GO) run ./cmd/presp-benchjson > BENCH_flow.json
 	@cat BENCH_flow.json
 	$(GO) test -run='^$$' -bench='^BenchmarkRunPRESPIncremental(Cold|Warm)$$' \

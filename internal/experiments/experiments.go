@@ -81,6 +81,7 @@ func PresetConfig(name string) (*socgen.Config, error) {
 	return nil, unknownPreset(name)
 }
 
+// unknownPreset is the error for a name that is not a built-in preset.
 func unknownPreset(name string) error {
 	return fmt.Errorf("experiments: unknown preset %q", name)
 }

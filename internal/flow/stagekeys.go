@@ -145,10 +145,8 @@ func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, 
 	// stage: the checkpoint cache's own content digests.
 	staticSynthKey := tool.CheckpointKey(staticTop, false)
 	keys["synth/static"] = staticSynthKey
-	synthKey := make(map[string]string, len(d.RPs))
 	for _, rp := range d.RPs {
-		synthKey[rp.Name] = tool.CheckpointKey(rp.Content, true)
-		keys["synth/"+rp.Name] = synthKey[rp.Name]
+		keys["synth/"+rp.Name] = tool.CheckpointKey(rp.Content, true)
 	}
 
 	// implKey is the key of the run the full image hangs off: the serial
@@ -167,7 +165,7 @@ func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, 
 		se.U64(uint64(len(d.RPs)))
 		se.Str(staticSynthKey)
 		for _, rp := range d.RPs {
-			se.Str(synthKey[rp.Name])
+			se.Str(keys["synth/"+rp.Name])
 		}
 		implKey = se.Sum()
 		keys["impl/serial"] = implKey
@@ -192,7 +190,7 @@ func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, 
 			gr.U64(uint64(gi))
 			for _, name := range group {
 				gr.Str(name)
-				gr.Str(synthKey[name])
+				gr.Str(keys["synth/"+name])
 			}
 			grKey := gr.Sum()
 			keys[groupJobID(gi)] = grKey
