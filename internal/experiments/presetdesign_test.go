@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -185,7 +184,7 @@ func deepCopy(v reflect.Value, seen map[ptrKey]reflect.Value) reflect.Value {
 		c.Set(v)
 		return c
 	}
-	panic(fmt.Sprintf("deepCopy: unsupported kind %s (%s)", v.Kind(), strings.TrimSpace(v.Type().String())))
+	panic(fmt.Sprintf("deepCopy: unsupported kind %s (%s)", v.Kind(), v.Type()))
 }
 
 func isFault(err error) bool {
