@@ -64,7 +64,10 @@ bench:
 # costs nothing when disabled) and the incremental cold/warm/edit legs
 # (the stage-artifact cache's win on unchanged and one-kernel-edit
 # reruns) and the scheduler's own overhead on SOC_2's job graph with
-# no-op jobs, at 1 and 2 workers. The disk tier's store and load of a
+# no-op jobs, at 1 and 2 workers. The stage-key derivation follows at
+# 1000 iterations: BenchmarkStageKeys on SOC_1 and SOC_2, a fresh design
+# (derived every run) against a frozen one (the memoised lookup a
+# served preset gets). The disk tier's store and load of a
 # VC707 full-image artifact (a load regenerates the image from its
 # recipe and verifies it) and of a floorplan artifact join them at 10
 # iterations, and a warm flow-service submit (an in-process HTTP submit
@@ -96,6 +99,8 @@ bench:
 bench-smoke:
 	{ $(GO) test -run='^$$' -bench='^Benchmark(EvaluateStrategy(Cold|Warm)|RunPRESP(NilObserver|Observed|Incremental(Cold|Warm|Edit))|SchedulerNoop)$$' \
 		-benchtime=1x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ && \
+	  $(GO) test -run='^$$' -bench='^BenchmarkStageKeys$$' \
+		-benchtime=1000x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ && \
 	  $(GO) test -run='^$$' -bench='^BenchmarkDiskStore$$' \
 		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/vivado/ && \
 	  $(GO) test -run='^$$' -bench='^BenchmarkSubmitWarm$$' \

@@ -86,8 +86,8 @@ func unknownPreset(name string) error {
 	return fmt.Errorf("experiments: unknown preset %q", name)
 }
 
-// presetDesigns elaborates each preset on first use and keeps the
-// design; a preset that fails to elaborate keeps its error.
+// presetDesigns elaborates each preset on first use, freezes the design
+// and keeps it; a preset that fails to elaborate keeps its error.
 var presetDesigns = func() map[string]func() (*socgen.Design, error) {
 	m := make(map[string]func() (*socgen.Design, error))
 	for _, name := range PresetNames() {
@@ -96,7 +96,12 @@ var presetDesigns = func() map[string]func() (*socgen.Design, error) {
 			if err != nil {
 				return nil, err
 			}
-			return elaborate(cfg)
+			d, err := elaborate(cfg)
+			if err != nil {
+				return nil, err
+			}
+			d.Freeze()
+			return d, nil
 		})
 	}
 	return m
@@ -106,7 +111,9 @@ var presetDesigns = func() map[string]func() (*socgen.Design, error) {
 // design is elaborated once per process and shared by every caller, so
 // it is read-only: a caller that edits a design must elaborate its own
 // with ElaborateConfig. The flow engine never writes the design it
-// runs.
+// runs, and the design is frozen (socgen.Design.Freeze), so the flow
+// derives its static top and stage keys once and looks them up on
+// every later run.
 func PresetDesign(name string) (*socgen.Design, error) {
 	design, ok := presetDesigns[name]
 	if !ok {

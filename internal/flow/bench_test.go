@@ -234,6 +234,44 @@ func BenchmarkRunPRESPIncrementalEdit(b *testing.B) {
 	}
 }
 
+// BenchmarkStageKeys times the key derivation a keyed run does before
+// building its graph — the static top and every stage key — on SOC_1 and
+// SOC_2 under the size-driven strategy: on a fresh design each run
+// derives them, on a frozen one (the flow service's shared presets) it
+// looks up the memoised ones.
+func BenchmarkStageKeys(b *testing.B) {
+	for _, cfg := range []*socgen.Config{socgen.SOC1(), socgen.SOC2()} {
+		for _, frozen := range []bool{false, true} {
+			d, err := socgen.Elaborate(cfg, accel.Default())
+			if err != nil {
+				b.Fatal(err)
+			}
+			label := "fresh"
+			if frozen {
+				d.Freeze()
+				label = "frozen"
+			}
+			tool, err := vivado.New(d.Dev, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			strat, err := chooseStrategy(d, Options{}, modePRESP)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt := Options{Compress: true, StageCache: vivado.NewStageCache()}
+			b.Run(cfg.Name+"/"+label, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if buildStageKeys(d, memoFor(d, opt).staticTopOf(d), tool, strat, opt, modePRESP) == nil {
+						b.Fatal("run is not keyed")
+					}
+				}
+			})
+		}
+	}
+}
+
 // soc2NoopGraph builds a graph shaped like SOC_2's fully-parallel
 // PR-ESP run — 21 jobs: five syntheses, floorplan, scripts, the static
 // pre-route, four group runs, the full image's four chunks and its

@@ -348,8 +348,9 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	// job gets a content address derived from its inputs, so a job whose
 	// artifact is cached is settled while the graph is built. Nil when no
 	// stage cache is configured (or the run is un-keyable; see
-	// buildStageKeys).
-	staticMod := BuildStaticTop(d)
+	// buildStageKeys). A frozen design's static top and keys come from
+	// its memo (memoFor).
+	staticMod := memoFor(d, opt).staticTopOf(d)
 	sk := buildStageKeys(d, staticMod, tool, res.Strategy, opt, mode)
 
 	g := &graph{}

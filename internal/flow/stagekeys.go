@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"presp/internal/core"
 	"presp/internal/rtl"
@@ -25,8 +26,16 @@ import (
 // DesignDigest fingerprints the parts of a design a run's cached
 // results depend on: configuration name, device identity and capacity,
 // the static module set and every partition's name, content and
-// resource envelope.
+// resource envelope. A frozen design's digest is computed once.
 func DesignDigest(d *socgen.Design) string {
+	if m := memoOf(d); m != nil {
+		return m.digest
+	}
+	return designDigest(d)
+}
+
+// designDigest computes DesignDigest.
+func designDigest(d *socgen.Design) string {
 	h := vivado.NewDigest()
 	h.Str(d.Cfg.Name)
 	h.Str(d.Dev.Name)
@@ -75,17 +84,125 @@ func groupJobID(gi int) string {
 	return fmt.Sprintf("impl/group_%03d", gi)
 }
 
+// designMemo is what the flow derives from one frozen design and keeps
+// for the life of the process: the design digest, the static top and
+// the finished stage-key map of every run signature seen so far. A
+// frozen design is never written again (socgen.Design.Freeze), and each
+// value is a pure function of the design and the signature, so a
+// memoised value is the very value a fresh derivation would produce.
+// Every value is shared read-only, like a settled artifact.
+type designMemo struct {
+	digest    string
+	staticTop *rtl.Module
+	keys      sync.Map // runSignature -> map[string]string (nil: unkeyable)
+}
+
+// runSignature is what a memoised stage-key map depends on besides the
+// design. The device is the design's and the cost model is the default
+// (the memo serves only runs with Options.Model nil), so what is left
+// is the flow mode, the strategy — its digest covers kind, τ and the
+// exact group assignment, and two strategies with one digest already
+// share every key derived from it — and compression.
+type runSignature struct {
+	mode     flowMode
+	strategy vivado.Digest
+	compress bool
+}
+
+// designMemos maps each frozen design to its memo. Only frozen designs
+// enter — the presets experiments.PresetDesign shares — so the map is
+// bounded by them, and each memo by the run signatures its preset admits.
+// It is process-wide, like the designs it serves: every value is a pure
+// function of its key, so a caller reading another caller's entry gets
+// exactly what it would have derived itself.
+var designMemos sync.Map // *socgen.Design -> *designMemo
+
+// memoOf returns frozen design d's memo, creating it on first use; nil
+// when d is not frozen.
+func memoOf(d *socgen.Design) *designMemo {
+	if !d.Frozen() {
+		return nil
+	}
+	if m, ok := designMemos.Load(d); ok {
+		return m.(*designMemo)
+	}
+	m, _ := designMemos.LoadOrStore(d, &designMemo{digest: designDigest(d), staticTop: BuildStaticTop(d)})
+	return m.(*designMemo)
+}
+
+// memoFor returns the memo a run of d under opt reads its static top and
+// stage keys from: only a frozen design, under the default cost model,
+// in a run that is keyable (a stage cache and no fault plan). Every
+// other run — an unfrozen design that a caller may edit between runs, a
+// custom model, a fault plan — derives both afresh, and gets nil.
+func memoFor(d *socgen.Design, opt Options) *designMemo {
+	if opt.Model != nil || opt.StageCache == nil || opt.FaultPlan != nil {
+		return nil
+	}
+	return memoOf(d)
+}
+
+// staticTopOf returns the static top a run of d synthesizes: the
+// memoised one, or BuildStaticTop(d) when m is nil.
+func (m *designMemo) staticTopOf(d *socgen.Design) *rtl.Module {
+	if m == nil {
+		return BuildStaticTop(d)
+	}
+	return m.staticTop
+}
+
 // buildStageKeys derives every stage key of a partitioned run up front —
 // all inputs are known before the first job executes. A design with a
 // contentless partition cannot be keyed (its synthesis key is
 // undefined); runs under a fault plan are not keyed either, because a
 // cache skip would bypass the injected fault and break the plan's
 // determinism contract. Both return nil, which disables stage caching.
-// staticTop is BuildStaticTop(d), built once per run.
+// staticTop is the static top the run synthesizes, built once per run.
+// A run that memoFor admits derives its key map from the memoised static
+// top, once per run signature, and then only looks it up: the returned
+// map is the memoised one, shared read-only like a settled artifact.
 func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, strat *core.Strategy, opt Options, mode flowMode) *stageKeys {
 	if opt.StageCache == nil || opt.FaultPlan != nil {
 		return nil
 	}
+	sd := strategyDigest(strat)
+	var keys map[string]string
+	if m := memoFor(d, opt); m != nil {
+		sig := runSignature{mode: mode, strategy: sd, compress: opt.Compress}
+		v, ok := m.keys.Load(sig)
+		if !ok {
+			// Concurrent first runs may each derive the map; all derive
+			// the same one and the first stored is kept.
+			v, _ = m.keys.LoadOrStore(sig, deriveStageKeys(d, m.staticTop, tool, strat, sd.Sum(), opt.Compress, mode))
+		}
+		keys = v.(map[string]string)
+	} else {
+		keys = deriveStageKeys(d, staticTop, tool, strat, sd.Sum(), opt.Compress, mode)
+	}
+	if keys == nil {
+		return nil
+	}
+	return &stageKeys{cache: opt.StageCache, keys: keys}
+}
+
+// strategyDigest digests a strategy's kind, degree and exact group
+// assignment.
+func strategyDigest(strat *core.Strategy) vivado.Digest {
+	sd := newArtifactDigest("strategy/v1")
+	sd.Str(strat.Kind.String())
+	sd.U64(uint64(strat.Tau))
+	for _, group := range strat.Groups {
+		for _, name := range group {
+			sd.Str(name)
+		}
+		sd.Str("|")
+	}
+	return *sd
+}
+
+// deriveStageKeys computes the stage-key map of buildStageKeys afresh,
+// nil when the run cannot be keyed.
+func deriveStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, strat *core.Strategy, strategyDigest string, compress bool, mode flowMode) map[string]string {
 	for _, rp := range d.RPs {
 		if rp.Content == nil {
 			return nil
@@ -96,18 +213,6 @@ func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, 
 		return nil
 	}
 	modelDigest := string(modelBytes)
-
-	// Strategy digest: kind, degree and the exact group assignment.
-	sd := newArtifactDigest("strategy/v1")
-	sd.Str(strat.Kind.String())
-	sd.U64(uint64(strat.Tau))
-	for _, group := range strat.Groups {
-		for _, name := range group {
-			sd.Str(name)
-		}
-		sd.Str("|")
-	}
-	strategyDigest := sd.Sum()
 
 	keys := make(map[string]string, 7+len(strat.Groups)+2*len(d.RPs))
 
@@ -170,7 +275,7 @@ func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, 
 		implKey = se.Sum()
 		keys["impl/serial"] = implKey
 		for _, rp := range d.RPs {
-			keys["bitgen/"+rp.Name] = partialKey(implKey, rp.Name, d, opt.Compress)
+			keys["bitgen/"+rp.Name] = partialKey(implKey, rp.Name, d, compress)
 		}
 	default:
 		// Static pre-route: floorplan plus the static checkpoint and the
@@ -195,7 +300,7 @@ func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, 
 			grKey := gr.Sum()
 			keys[groupJobID(gi)] = grKey
 			for _, name := range group {
-				keys["bitgen/"+name] = partialKey(grKey, name, d, opt.Compress)
+				keys["bitgen/"+name] = partialKey(grKey, name, d, compress)
 			}
 		}
 	}
@@ -207,10 +312,10 @@ func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, 
 	bf.Str(d.Cfg.Name)
 	bf.Res(d.StaticResources.Add(d.ReconfigurableResources()))
 	bf.Res(d.Dev.Total)
-	bf.Flag(opt.Compress)
+	bf.Flag(compress)
 	bf.Str(implKey)
 	keys["bitgen/full"] = bf.Sum()
-	return &stageKeys{cache: opt.StageCache, keys: keys}
+	return keys
 }
 
 // partialKey derives one partition's partial-bitstream key from its

@@ -2,11 +2,14 @@ package flow
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"presp/internal/core"
+	"presp/internal/rtl"
 	"presp/internal/socgen"
 	"presp/internal/vivado"
 )
@@ -112,5 +115,86 @@ func TestStageKeysCarryCheckpointKeys(t *testing.T) {
 		if got, want := sk.key("synth/"+rp.Name), tool.CheckpointKey(rp.Content, true); got != want {
 			t.Fatalf("synth/%s key %q, want %q", rp.Name, got, want)
 		}
+	}
+}
+
+// TestUnfrozenDesignKeysFollowEdits: a design that is not frozen is
+// never memoised, so a kernel edited in place between two runs re-keys
+// exactly its synthesis, the implementation run that consumes it and
+// its partial bitstream.
+func TestUnfrozenDesignKeysFollowEdits(t *testing.T) {
+	d := elaborate(t, socgen.SOC2())
+	opt := Options{Strategy: forceFully(t, d), StageCache: vivado.NewStageCache()}
+	if memoFor(d, opt) != nil {
+		t.Fatal("an unfrozen design got a memo")
+	}
+	keysOf := func() map[string]string {
+		t.Helper()
+		tool, err := vivado.New(d.Dev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buildStageKeys(d, memoFor(d, opt).staticTopOf(d), tool, opt.Strategy, opt, modePRESP).keys
+	}
+	before := keysOf()
+	edited := editKernel(t, d, 1)
+	after := keysOf()
+	var changed []string
+	for id, k := range after {
+		if before[id] != k {
+			changed = append(changed, id)
+		}
+	}
+	sort.Strings(changed)
+	gi := -1
+	for i, group := range opt.Strategy.Groups {
+		if len(group) == 1 && group[0] == edited {
+			gi = i
+		}
+	}
+	want := []string{"bitgen/" + edited, groupJobID(gi), "synth/" + edited}
+	sort.Strings(want)
+	if len(before) != len(after) || !reflect.DeepEqual(changed, want) {
+		t.Fatalf("editing %s changed keys %v, want %v", edited, changed, want)
+	}
+}
+
+// TestMemoConcurrentFirstUse: runs that reach a frozen design together,
+// before any of them created its memo, all get one static top and one
+// key map per signature, equal to a fresh design's derivation.
+func TestMemoConcurrentFirstUse(t *testing.T) {
+	d := elaborate(t, socgen.SOC2())
+	d.Freeze()
+	fresh := elaborate(t, socgen.SOC2())
+	opt := Options{Compress: true, StageCache: vivado.NewStageCache()}
+	tool, err := vivado.New(d.Dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := chooseStrategy(d, opt, modePRESP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := buildStageKeys(fresh, BuildStaticTop(fresh), tool, strat, opt, modePRESP).keys
+	const runs = 8
+	keys := make([]map[string]string, runs)
+	tops := make([]*rtl.Module, runs)
+	var wg sync.WaitGroup
+	for i := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tops[i] = memoFor(d, opt).staticTopOf(d)
+			keys[i] = buildStageKeys(d, tops[i], tool, strat, opt, modePRESP).keys
+		}()
+	}
+	wg.Wait()
+	for i := range keys {
+		if tops[i] != tops[0] || reflect.ValueOf(keys[i]).UnsafePointer() != reflect.ValueOf(keys[0]).UnsafePointer() {
+			t.Fatalf("run %d got its own static top or key map", i)
+		}
+	}
+	if !reflect.DeepEqual(keys[0], want) {
+		t.Fatalf("memoised keys differ from a fresh derivation:\nmemo:    %v\nderived: %v", keys[0], want)
 	}
 }

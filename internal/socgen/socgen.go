@@ -147,7 +147,19 @@ type Design struct {
 	RPs []*RP
 	// StaticResources is the total utilization of the static part.
 	StaticResources fpga.Resources
+
+	// frozen marks a design shared read-only (see Freeze).
+	frozen bool
 }
+
+// Freeze marks d read-only for the rest of the process: no caller will
+// write it again, so a consumer may derive values from its content once
+// and keep them for as long as d lives. Call it before d is shared —
+// the flag is plain data, published by whatever publishes d.
+func (d *Design) Freeze() { d.frozen = true }
+
+// Frozen reports whether d was marked read-only by Freeze.
+func (d *Design) Frozen() bool { return d.frozen }
 
 // Elaborate builds the Design for config c, resolving accelerator names
 // against reg. Reconfigurable tiles receive the PR-ESP wrapper interface;

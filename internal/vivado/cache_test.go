@@ -112,6 +112,28 @@ func TestSynthesizeKeyedSharesEntries(t *testing.T) {
 	}
 }
 
+// TestSynthesizeKeyedWarmAllocs pins the allocations of a keyed,
+// cache-warm synthesis with no fault hook: the one copy of the
+// checkpoint the cache hands out, and no fault-site list, which only a
+// fault hook reads.
+func TestSynthesizeKeyedWarmAllocs(t *testing.T) {
+	tool, _ := cachedTool(t, "VC707")
+	m := testModule("acc", 20000)
+	key := tool.CheckpointKey(m, true)
+	ctx := context.Background()
+	if _, err := tool.SynthesizeKeyed(ctx, key, m, true, "rt_1_rp"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := tool.SynthesizeKeyed(ctx, key, m, true, "rt_1_rp"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("keyed warm synthesis: %v allocs/op, want 1 (the checkpoint copy)", allocs)
+	}
+}
+
 // TestCacheKeyInvalidation: any change to the module's resources, its
 // hierarchy, the synthesis mode, the device or the cost model's
 // synthesis parameters must miss.

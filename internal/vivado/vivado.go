@@ -164,7 +164,15 @@ func (t *Tool) SynthesizeKeyed(ctx context.Context, key string, m *rtl.Module, o
 	if m == nil {
 		return nil, fmt.Errorf("vivado: synthesize nil module")
 	}
-	if err := t.CheckFault(ctx, faultinject.OpCADSynth, append(append([]string(nil), sites...), m.Name)...); err != nil {
+	// The site list (sites plus the module name) is built only for a
+	// fault hook to read.
+	var err error
+	if t.fault == nil {
+		err = t.CheckFault(ctx, faultinject.OpCADSynth)
+	} else {
+		err = t.CheckFault(ctx, faultinject.OpCADSynth, append(append([]string(nil), sites...), m.Name)...)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if t.cache == nil {
