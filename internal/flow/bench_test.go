@@ -263,7 +263,8 @@ func BenchmarkStageKeys(b *testing.B) {
 			b.Run(cfg.Name+"/"+label, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if buildStageKeys(d, memoFor(d, opt).staticTopOf(d), tool, strat, opt, modePRESP) == nil {
+					m := memoFor(d, opt)
+					if buildStageKeys(d, m, m.staticTopOf(d), tool, strat, opt, modePRESP) == nil {
 						b.Fatal("run is not keyed")
 					}
 				}

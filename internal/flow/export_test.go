@@ -32,7 +32,7 @@ func StageKeyMap(d *socgen.Design, flowName string, opt Options) (map[string]str
 		return nil, false, err
 	}
 	m := memoFor(d, opt)
-	sk := buildStageKeys(d, m.staticTopOf(d), tool, strat, opt, mode)
+	sk := buildStageKeys(d, m, m.staticTopOf(d), tool, strat, opt, mode)
 	if sk == nil {
 		return nil, false, nil
 	}

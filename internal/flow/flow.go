@@ -350,8 +350,9 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	// stage cache is configured (or the run is un-keyable; see
 	// buildStageKeys). A frozen design's static top and keys come from
 	// its memo (memoFor).
-	staticMod := memoFor(d, opt).staticTopOf(d)
-	sk := buildStageKeys(d, staticMod, tool, res.Strategy, opt, mode)
+	memo := memoFor(d, opt)
+	staticMod := memo.staticTopOf(d)
+	sk := buildStageKeys(d, memo, staticMod, tool, res.Strategy, opt, mode)
 
 	g := &graph{}
 	var mu sync.Mutex // guards rpCks and SynthRuns across parallel synth jobs

@@ -432,7 +432,7 @@ func TestStageArtifactsParentFormat(t *testing.T) {
 	}
 	probe := opt
 	probe.StageCache = vivado.NewStageCache()
-	sk := buildStageKeys(d, BuildStaticTop(d), tool, opt.Strategy, probe, modePRESP)
+	sk := buildStageKeys(d, nil, BuildStaticTop(d), tool, opt.Strategy, probe, modePRESP)
 	if sk.keys["floorplan"] != floorplanKey || sk.keys["bitgen/"+partition] != partialKey {
 		t.Fatalf("stage keys moved: floorplan %s, %s partial %s", sk.keys["floorplan"], partition, sk.keys["bitgen/"+partition])
 	}

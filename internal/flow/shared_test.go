@@ -125,8 +125,11 @@ func TestFlowsNeverWriteSharedDesigns(t *testing.T) {
 // TestWarmCacheEquivalence: cold, checkpoint-warm and stage-warm runs
 // are observationally identical, over every preset. The cold run is on
 // a fresh design; the warm runs are on the preset's frozen shared
-// design, keyed from the flow's memo, so the stage-warm run settling
-// every keyed job also proves the memoised keys are the cold run's.
+// design. Two checkpoint-warm runs cover both synthesis key paths: one
+// with a stage cache, keyed from the flow's memo, and one with the
+// checkpoint cache alone, where synthesis derives each key itself. The
+// stage-warm run settling every keyed job also proves the memoised keys
+// are the cold run's.
 func TestWarmCacheEquivalence(t *testing.T) {
 	for _, name := range experiments.PresetNames() {
 		t.Run(name, func(t *testing.T) {
@@ -141,9 +144,12 @@ func TestWarmCacheEquivalence(t *testing.T) {
 				return res
 			}
 			cold := run(fresh, stage)
-			// Checkpoint-warm: every synthesis hits, every keyed stage
-			// misses an empty stage cache and runs.
+			// Checkpoint-warm, keyed: every synthesis hits, every keyed
+			// stage misses an empty stage cache and runs.
 			ckWarm := run(shared, vivado.NewStageCache())
+			// Checkpoint-warm, unkeyed: no stage cache, so synthesis
+			// derives each checkpoint key itself, and every one hits.
+			ckOnly := run(shared, nil)
 			// Stage-warm: every keyed stage settles from the cold run's
 			// artifacts.
 			stWarm := run(shared, stage)
@@ -152,17 +158,29 @@ func TestWarmCacheEquivalence(t *testing.T) {
 			for _, warm := range []struct {
 				name string
 				res  *flow.Result
-			}{{"checkpoint-warm", ckWarm}, {"stage-warm", stWarm}} {
+			}{{"checkpoint-warm", ckWarm}, {"checkpoint-only", ckOnly}, {"stage-warm", stWarm}} {
 				if got := flow.ResultSignature(warm.res); got != want {
 					t.Fatalf("%s run diverged from cold run:\n--- cold ---\n%s\n--- %s ---\n%s", warm.name, want, warm.name, got)
 				}
 			}
-			// A cold run hits only on partitions sharing one content.
-			if cold.Jobs.CacheHits+cold.Jobs.CacheMisses != cold.Jobs.SynthJobs || cold.Jobs.CacheMisses == 0 || cold.Jobs.Skipped != 0 {
-				t.Fatalf("cold run miscounted cache traffic: %+v", cold.Jobs)
+			// A cold run misses once for the static top and once per
+			// distinct partition content, and hits only on partitions
+			// repeating a content.
+			contents := map[string]bool{}
+			for _, rp := range fresh.RPs {
+				contents[rp.Content.Name] = true
 			}
-			if ckWarm.Jobs.CacheHits != ckWarm.Jobs.SynthJobs || ckWarm.Jobs.CacheMisses != 0 || ckWarm.Jobs.Skipped != 0 {
-				t.Fatalf("checkpoint-warm run did not hit the checkpoint cache alone: %+v", ckWarm.Jobs)
+			misses := 1 + len(contents)
+			if cold.Jobs.CacheMisses != misses || cold.Jobs.CacheHits != cold.Jobs.SynthJobs-misses || cold.Jobs.Skipped != 0 {
+				t.Fatalf("cold run miscounted cache traffic, want %d misses: %+v", misses, cold.Jobs)
+			}
+			for _, warm := range []struct {
+				name string
+				res  *flow.Result
+			}{{"checkpoint-warm", ckWarm}, {"checkpoint-only", ckOnly}} {
+				if j := warm.res.Jobs; j.CacheHits != j.SynthJobs || j.CacheMisses != 0 || j.Skipped != 0 {
+					t.Fatalf("%s run did not hit the checkpoint cache alone: %+v", warm.name, j)
+				}
 			}
 			if stWarm.Jobs.Skipped == 0 || stWarm.Jobs.StageCacheMisses != 0 || stWarm.Jobs.CacheMisses != 0 {
 				t.Fatalf("stage-warm run did not settle every keyed stage: %+v", stWarm.Jobs)

@@ -157,27 +157,28 @@ func (m *designMemo) staticTopOf(d *socgen.Design) *rtl.Module {
 // undefined); runs under a fault plan are not keyed either, because a
 // cache skip would bypass the injected fault and break the plan's
 // determinism contract. Both return nil, which disables stage caching.
-// staticTop is the static top the run synthesizes, built once per run.
-// A run that memoFor admits derives its key map from the memoised static
-// top, once per run signature, and then only looks it up: the returned
-// map is the memoised one, shared read-only like a settled artifact.
-func buildStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, strat *core.Strategy, opt Options, mode flowMode) *stageKeys {
+// staticTop is the static top the run synthesizes, built once per run
+// (m's when m is set). m is the run's memo (memoFor): with one, the key
+// map is derived once per run signature and then only looked up — the
+// returned map is the memoised one, shared read-only like a settled
+// artifact; with none, it is derived afresh.
+func buildStageKeys(d *socgen.Design, m *designMemo, staticTop *rtl.Module, tool *vivado.Tool, strat *core.Strategy, opt Options, mode flowMode) *stageKeys {
 	if opt.StageCache == nil || opt.FaultPlan != nil {
 		return nil
 	}
 	sd := strategyDigest(strat)
 	var keys map[string]string
-	if m := memoFor(d, opt); m != nil {
+	if m == nil {
+		keys = deriveStageKeys(d, staticTop, tool, strat, sd.Sum(), opt.Compress, mode)
+	} else {
 		sig := runSignature{mode: mode, strategy: sd, compress: opt.Compress}
 		v, ok := m.keys.Load(sig)
 		if !ok {
 			// Concurrent first runs may each derive the map; all derive
 			// the same one and the first stored is kept.
-			v, _ = m.keys.LoadOrStore(sig, deriveStageKeys(d, m.staticTop, tool, strat, sd.Sum(), opt.Compress, mode))
+			v, _ = m.keys.LoadOrStore(sig, deriveStageKeys(d, staticTop, tool, strat, sd.Sum(), opt.Compress, mode))
 		}
 		keys = v.(map[string]string)
-	} else {
-		keys = deriveStageKeys(d, staticTop, tool, strat, sd.Sum(), opt.Compress, mode)
 	}
 	if keys == nil {
 		return nil

@@ -40,7 +40,7 @@ func TestContentAddressesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk := buildStageKeys(d, BuildStaticTop(d), tool, strat, Options{Compress: true, StageCache: vivado.NewStageCache()}, modePRESP)
+	sk := buildStageKeys(d, nil, BuildStaticTop(d), tool, strat, Options{Compress: true, StageCache: vivado.NewStageCache()}, modePRESP)
 	if sk == nil {
 		t.Fatal("SOC_2 run is not keyable")
 	}
@@ -63,7 +63,7 @@ func TestContentAddressesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys["impl/serial"] = buildStageKeys(d, BuildStaticTop(d), tool, serial, Options{StageCache: vivado.NewStageCache()}, modeStandardDFX).keys["impl/serial"]
+	keys["impl/serial"] = buildStageKeys(d, nil, BuildStaticTop(d), tool, serial, Options{StageCache: vivado.NewStageCache()}, modeStandardDFX).keys["impl/serial"]
 	var lines []string
 	for name, k := range keys {
 		lines = append(lines, name+"="+k)
@@ -107,7 +107,7 @@ func TestStageKeysCarryCheckpointKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk := buildStageKeys(d, BuildStaticTop(d), tool, strat, Options{StageCache: vivado.NewStageCache()}, modePRESP)
+	sk := buildStageKeys(d, nil, BuildStaticTop(d), tool, strat, Options{StageCache: vivado.NewStageCache()}, modePRESP)
 	if got, want := sk.key("synth/static"), tool.CheckpointKey(BuildStaticTop(d), false); got != want {
 		t.Fatalf("synth/static key %q, want %q", got, want)
 	}
@@ -134,7 +134,8 @@ func TestUnfrozenDesignKeysFollowEdits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return buildStageKeys(d, memoFor(d, opt).staticTopOf(d), tool, opt.Strategy, opt, modePRESP).keys
+		m := memoFor(d, opt)
+		return buildStageKeys(d, m, m.staticTopOf(d), tool, opt.Strategy, opt, modePRESP).keys
 	}
 	before := keysOf()
 	edited := editKernel(t, d, 1)
@@ -175,7 +176,7 @@ func TestMemoConcurrentFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := buildStageKeys(fresh, BuildStaticTop(fresh), tool, strat, opt, modePRESP).keys
+	want := buildStageKeys(fresh, nil, BuildStaticTop(fresh), tool, strat, opt, modePRESP).keys
 	const runs = 8
 	keys := make([]map[string]string, runs)
 	tops := make([]*rtl.Module, runs)
@@ -184,8 +185,9 @@ func TestMemoConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tops[i] = memoFor(d, opt).staticTopOf(d)
-			keys[i] = buildStageKeys(d, tops[i], tool, strat, opt, modePRESP).keys
+			m := memoFor(d, opt)
+			tops[i] = m.staticTopOf(d)
+			keys[i] = buildStageKeys(d, m, tops[i], tool, strat, opt, modePRESP).keys
 		}()
 	}
 	wg.Wait()

@@ -166,13 +166,11 @@ func (t *Tool) SynthesizeKeyed(ctx context.Context, key string, m *rtl.Module, o
 	}
 	// The site list (sites plus the module name) is built only for a
 	// fault hook to read.
-	var err error
-	if t.fault == nil {
-		err = t.CheckFault(ctx, faultinject.OpCADSynth)
-	} else {
-		err = t.CheckFault(ctx, faultinject.OpCADSynth, append(append([]string(nil), sites...), m.Name)...)
+	var fs []string
+	if t.fault != nil {
+		fs = append(append([]string(nil), sites...), m.Name)
 	}
-	if err != nil {
+	if err := t.CheckFault(ctx, faultinject.OpCADSynth, fs...); err != nil {
 		return nil, err
 	}
 	if t.cache == nil {
