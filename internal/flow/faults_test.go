@@ -7,6 +7,7 @@ package flow
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"presp/internal/faultinject"
 	"presp/internal/leakcheck"
 	"presp/internal/socgen"
+	"presp/internal/vivado"
 )
 
 func parsePlan(t *testing.T, s string) *faultinject.Plan {
@@ -194,5 +196,65 @@ func TestMonolithicFaults(t *testing.T) {
 	}
 	if res.Jobs.Retries < 2 {
 		t.Fatalf("recorded %d retries, want >= 2", res.Jobs.Retries)
+	}
+}
+
+// TestSynthFaultsFireOnWarmCache: synthesis consults its fault hook
+// before the checkpoint cache, so a warm cache changes only the cache
+// traffic of a faulted run. SOC_2 runs under a seeded synth plan with
+// the collect policy, once over cold caches and once after a
+// fault-free warm-up of the same caches: both runs fail the same jobs
+// with the same injected faults, and their results and job statistics
+// are identical apart from the checkpoint-cache hit and miss counts.
+func TestSynthFaultsFireOnWarmCache(t *testing.T) {
+	plan := parsePlan(t, "seed=7,synth=0.5")
+	faulted := func(cache *vivado.CheckpointCache, stage *vivado.StageCache) *Result {
+		t.Helper()
+		res, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC2()), Options{
+			Compress: true, Cache: cache, StageCache: stage, FaultPlan: plan, ErrorPolicy: Collect,
+		})
+		if err != nil {
+			t.Fatalf("collect run errored: %v", err)
+		}
+		return res
+	}
+	injected := func(res *Result) int {
+		n := 0
+		for _, je := range res.JobErrors {
+			if f, ok := faultinject.As(je.Err); ok && f.Op == faultinject.OpCADSynth {
+				n++
+			}
+		}
+		return n
+	}
+
+	cold := faulted(vivado.NewCheckpointCache(), vivado.NewStageCache())
+	cache, stage := vivado.NewCheckpointCache(), vivado.NewStageCache()
+	if _, err := RunPRESP(context.Background(), elaborate(t, socgen.SOC2()), Options{
+		Compress: true, Cache: cache, StageCache: stage,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	warm := faulted(cache, stage)
+
+	if injected(cold) == 0 {
+		t.Fatal("the plan injected no synthesis fault, so the test shows nothing")
+	}
+	if got, want := injected(warm), injected(cold); got != want {
+		t.Fatalf("warm run injected %d synthesis faults, cold run %d", got, want)
+	}
+	if !reflect.DeepEqual(warm.JobErrors, cold.JobErrors) {
+		t.Fatalf("warm run failed other jobs:\nwarm: %v\ncold: %v", warm.JobErrors, cold.JobErrors)
+	}
+	if got, want := resultSignature(warm), resultSignature(cold); got != want {
+		t.Fatalf("warm run diverged from cold run:\n--- warm ---\n%s--- cold ---\n%s", got, want)
+	}
+	if warm.Jobs.CacheHits == 0 || warm.Jobs.CacheMisses != 0 {
+		t.Fatalf("warm run did not hit the checkpoint cache alone: %+v", warm.Jobs)
+	}
+	wj, cj := warm.Jobs, cold.Jobs
+	wj.CacheHits, wj.CacheMisses, cj.CacheHits, cj.CacheMisses = 0, 0, 0, 0
+	if !reflect.DeepEqual(wj, cj) {
+		t.Fatalf("warm run's job statistics differ beyond cache traffic:\nwarm: %+v\ncold: %+v", warm.Jobs, cold.Jobs)
 	}
 }
