@@ -67,7 +67,10 @@ bench:
 # no-op jobs, at 1 and 2 workers. The stage-key derivation follows at
 # 1000 iterations: BenchmarkStageKeys on SOC_1 and SOC_2, a fresh design
 # (derived every run) against a frozen one (the memoised lookup a
-# served preset gets). The disk tier's store and load of a
+# served preset gets). The store layer's memory-tier hits follow at
+# 1000 iterations too: BenchmarkCheckpointHit (a keyed warm synthesis)
+# and BenchmarkStageHit (a cached floorplan's lookup), each tens of
+# nanoseconds. The disk tier's store and load of a
 # VC707 full-image artifact (a load regenerates the image from its
 # recipe and verifies it) and of a floorplan artifact join them at 10
 # iterations, and a warm flow-service submit (an in-process HTTP submit
@@ -101,6 +104,8 @@ bench-smoke:
 		-benchtime=1x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ && \
 	  $(GO) test -run='^$$' -bench='^BenchmarkStageKeys$$' \
 		-benchtime=1000x -benchmem -timeout $(TEST_TIMEOUT) ./internal/flow/ && \
+	  $(GO) test -run='^$$' -bench='^Benchmark(CheckpointHit|StageHit)$$' \
+		-benchtime=1000x -benchmem -timeout $(TEST_TIMEOUT) ./internal/vivado/ && \
 	  $(GO) test -run='^$$' -bench='^BenchmarkDiskStore$$' \
 		-benchtime=10x -benchmem -timeout $(TEST_TIMEOUT) ./internal/vivado/ && \
 	  $(GO) test -run='^$$' -bench='^BenchmarkSubmitWarm$$' \

@@ -61,7 +61,7 @@ func Fig3() (*Fig3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ck, err := tool.Synthesize(context.Background(), d.RPs[0].Content, true)
+		ck, err := tool.Synthesize(context.Background(), "", d.RPs[0].Content, true)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: profiling %s: %w", name, err)
 		}

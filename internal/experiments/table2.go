@@ -49,7 +49,7 @@ func Table2() (*Table2Result, error) {
 		if len(d.RPs) != 1 {
 			return nil, fmt.Errorf("experiments: profiling SoC for %s has %d partitions", acc, len(d.RPs))
 		}
-		ck, err := tool.Synthesize(context.Background(), d.RPs[0].Content, true)
+		ck, err := tool.Synthesize(context.Background(), "", d.RPs[0].Content, true)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func Table2() (*Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ck, err := tool.Synthesize(context.Background(), flow.BuildStaticTop(d), false)
+		ck, err := tool.Synthesize(context.Background(), "", flow.BuildStaticTop(d), false)
 		if err != nil {
 			return nil, err
 		}

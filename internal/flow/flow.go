@@ -89,9 +89,12 @@ type Options struct {
 	Workers int
 	// Cache is a shared synthesis-checkpoint cache; runs with a warm
 	// cache skip re-synthesizing unchanged modules (nil = no cache).
-	// The caller owns it and may attach a persistent disk tier
-	// (SetDiskStore): each checkpoint then reaches disk before its
-	// synthesis job completes, so a later run — or the rerun of an
+	// The flow keys every synthesis job itself (stagekeys.go), also
+	// under a FaultPlan, whose synthesis faults fire before the lookup.
+	// Checkpoints are served shared, like stage artifacts, and never
+	// written. The caller owns the cache and may attach a persistent
+	// disk tier (SetDiskStore): each checkpoint then reaches disk before
+	// its synthesis job completes, so a later run — or the rerun of an
 	// interrupted one — over a cache on the same directory warm-starts
 	// instead of re-synthesizing.
 	Cache *vivado.CheckpointCache
@@ -344,12 +347,11 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 		return nil, err
 	}
 
-	// Stage-artifact keys for incremental re-flow: every post-synthesis
-	// job gets a content address derived from its inputs, so a job whose
-	// artifact is cached is settled while the graph is built. Nil when no
-	// stage cache is configured (or the run is un-keyable; see
-	// buildStageKeys). A frozen design's static top and keys come from
-	// its memo (memoFor).
+	// Content addresses: every synthesis job gets its checkpoint key and
+	// every post-synthesis job a stage key derived from its inputs, so a
+	// job whose artifact is cached is settled while the graph is built.
+	// Nil when the run has no cache (see buildStageKeys). A frozen
+	// design's static top and keys come from its memo (memoFor).
 	memo := memoFor(d, opt)
 	staticMod := memo.staticTopOf(d)
 	sk := buildStageKeys(d, memo, staticMod, tool, res.Strategy, opt, mode)
@@ -366,7 +368,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	var staticCk *vivado.SynthCheckpoint
 	rpCks := make(map[string]*vivado.SynthCheckpoint, len(d.RPs))
 	synthStatic := g.add("synth/static", StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
-		ck, err := tool.SynthesizeKeyed(ctx, sk.key("synth/static"), staticMod, false, "static")
+		ck, err := tool.Synthesize(ctx, sk.key("synth/static"), staticMod, false, "static")
 		if err != nil {
 			return 0, fmt.Errorf("flow: static synthesis: %w", err)
 		}
@@ -388,7 +390,7 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			if rp.Content == nil {
 				return 0, fmt.Errorf("flow: partition %s has no initial content to synthesize", rp.Name)
 			}
-			ck, err := tool.SynthesizeKeyed(ctx, sk.key("synth/"+rp.Name), rp.Content, true, rp.Name)
+			ck, err := tool.Synthesize(ctx, sk.key("synth/"+rp.Name), rp.Content, true, rp.Name)
 			if err != nil {
 				return 0, fmt.Errorf("flow: OoC synthesis of %s: %w", rp.Name, err)
 			}

@@ -18,6 +18,7 @@ import (
 	"presp/internal/experiments"
 	"presp/internal/faultinject"
 	"presp/internal/flow"
+	"presp/internal/rtl"
 	"presp/internal/socgen"
 	"presp/internal/vivado"
 )
@@ -49,9 +50,11 @@ func presetPair(t *testing.T, name string) (shared, fresh *socgen.Design) {
 // through shared checkpoint and stage caches (so keyed, hit, memoised
 // and single-flight paths all run), and the design must still deep-equal
 // the copy taken before — and the static top the flow memoised for it
-// must still deep-equal one built from that copy. Under -race a write
-// that the comparison could miss (one undone before the end) is a
-// reported race instead.
+// must still deep-equal one built from that copy. The checkpoint cache
+// serves its entries shared, so every checkpoint it holds under the
+// preset's synthesis keys must still deep-equal a fresh synthesis of
+// the same module. Under -race a write that the comparisons could miss
+// (one undone before the end) is a reported race instead.
 func TestFlowsNeverWriteSharedDesigns(t *testing.T) {
 	plan, err := faultinject.ParsePlan("seed=3,synth=0.3,floorplan=0.2,impl=0.3,bitgen=0.2,drc=0.2")
 	if err != nil {
@@ -119,17 +122,99 @@ func TestFlowsNeverWriteSharedDesigns(t *testing.T) {
 		if !reflect.DeepEqual(top, flow.BuildStaticTop(before)) {
 			t.Fatalf("%s: a flow run wrote the memoised static top", name)
 		}
+		checkServedCheckpoints(t, name, d, cache)
+	}
+}
+
+// checkServedCheckpoints fails when a checkpoint cache entry of shared
+// design d no longer deep-equals a fresh synthesis of its module on a
+// tool with no cache: the static top under "synth/static" and every
+// partition's content under "synth/<rp>". Each entry must be present.
+func checkServedCheckpoints(t *testing.T, name string, d *socgen.Design, cache *vivado.CheckpointCache) {
+	t.Helper()
+	keys, _, err := flow.StageKeyMap(d, "presp", flow.Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := vivado.New(d.Dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served.SetCache(cache)
+	plain, err := vivado.New(d.Dev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(id string, m *rtl.Module, ooc bool) {
+		t.Helper()
+		hits, _ := served.CacheStats()
+		got, err := served.Synthesize(context.Background(), keys[id], m, ooc)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", name, id, err)
+		}
+		if now, _ := served.CacheStats(); now != hits+1 {
+			t.Fatalf("%s: the checkpoint cache holds nothing under %s", name, id)
+		}
+		want, err := plain.Synthesize(context.Background(), "", m, ooc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: a flow run wrote the checkpoint served under %s:\nserved: %+v\nfresh:  %+v", name, id, got, want)
+		}
+	}
+	check("synth/static", flow.BuildStaticTop(d), false)
+	for _, rp := range d.RPs {
+		check("synth/"+rp.Name, rp.Content, true)
+	}
+}
+
+// TestFaultPlanOnSharedDesign: a fault-plan run on the frozen shared
+// SOC_2 reads the memoised keys for synthesis only. Over caches a
+// fault-free run warmed, it settles nothing and counts no stage miss —
+// a skip would bypass an injected fault — and it equals the same run
+// on a fresh design, job statistics included.
+func TestFaultPlanOnSharedDesign(t *testing.T) {
+	shared, fresh := presetPair(t, "SOC_2")
+	plan, err := faultinject.ParsePlan("seed=7,synth=0.5,impl=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(d *socgen.Design) *flow.Result {
+		t.Helper()
+		opt := flow.Options{Compress: true, Cache: vivado.NewCheckpointCache(), StageCache: vivado.NewStageCache()}
+		if _, err := flow.RunPRESP(context.Background(), d, opt); err != nil {
+			t.Fatal(err)
+		}
+		opt.FaultPlan, opt.ErrorPolicy = plan, flow.Collect
+		res, err := flow.RunPRESP(context.Background(), d, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got, want := run(shared), run(fresh)
+	if len(got.JobErrors) == 0 {
+		t.Fatal("the plan injected no fault, so the test shows nothing")
+	}
+	if got.Jobs.Skipped != 0 || got.Jobs.StageCacheMisses != 0 {
+		t.Fatalf("fault-plan run used the stage cache: %+v", got.Jobs)
+	}
+	if g, w := flow.ResultSignature(got), flow.ResultSignature(want); g != w {
+		t.Fatalf("shared-design run diverged from a fresh design's:\n--- shared ---\n%s\n--- fresh ---\n%s", g, w)
+	}
+	if !reflect.DeepEqual(got.Jobs, want.Jobs) {
+		t.Fatalf("job statistics differ:\nshared: %+v\nfresh:  %+v", got.Jobs, want.Jobs)
 	}
 }
 
 // TestWarmCacheEquivalence: cold, checkpoint-warm and stage-warm runs
 // are observationally identical, over every preset. The cold run is on
 // a fresh design; the warm runs are on the preset's frozen shared
-// design. Two checkpoint-warm runs cover both synthesis key paths: one
-// with a stage cache, keyed from the flow's memo, and one with the
-// checkpoint cache alone, where synthesis derives each key itself. The
-// stage-warm run settling every keyed job also proves the memoised keys
-// are the cold run's.
+// design. Two checkpoint-warm runs cover both cache shapes that read
+// the memoised synthesis keys: one with a stage cache and one with the
+// checkpoint cache alone. The stage-warm run settling every keyed job
+// also proves the memoised keys are the cold run's.
 func TestWarmCacheEquivalence(t *testing.T) {
 	for _, name := range experiments.PresetNames() {
 		t.Run(name, func(t *testing.T) {
@@ -147,8 +232,8 @@ func TestWarmCacheEquivalence(t *testing.T) {
 			// Checkpoint-warm, keyed: every synthesis hits, every keyed
 			// stage misses an empty stage cache and runs.
 			ckWarm := run(shared, vivado.NewStageCache())
-			// Checkpoint-warm, unkeyed: no stage cache, so synthesis
-			// derives each checkpoint key itself, and every one hits.
+			// Checkpoint-only: no stage cache, and every synthesis still
+			// hits under its memoised key.
 			ckOnly := run(shared, nil)
 			// Stage-warm: every keyed stage settles from the cold run's
 			// artifacts.
@@ -287,7 +372,9 @@ func TestMemoMatchesDerivedKeys(t *testing.T) {
 // the derived path even on a shared design. A cost model that compares
 // equal to the default field by field but holds a −0 marshals to
 // different key bytes, so the memo is keyed on the model being nil, not
-// on its value; a fault plan leaves the run unkeyed.
+// on its value. A fault plan changes no key, so its run reads the very
+// memoised map (and keys only its synthesis; see
+// TestFaultPlanOnSharedDesign).
 func TestMemoBypassedOffDefaults(t *testing.T) {
 	shared, fresh := presetPair(t, "SOC_2")
 	base := flow.Options{Compress: true, StageCache: vivado.NewStageCache()}
@@ -324,8 +411,9 @@ func TestMemoBypassedOffDefaults(t *testing.T) {
 	}
 	opt = base
 	opt.FaultPlan = plan
-	if got, memoised, err := flow.StageKeyMap(shared, "presp", opt); err != nil || memoised || got != nil {
-		t.Fatalf("fault plan: keys=%v memoised=%v err=%v, want an unkeyed run", got, memoised, err)
+	got, memoised, err = flow.StageKeyMap(shared, "presp", opt)
+	if err != nil || !memoised || reflect.ValueOf(got).UnsafePointer() != reflect.ValueOf(memoKeys).UnsafePointer() {
+		t.Fatalf("fault plan: memoised=%v err=%v, want the default run's memoised keys", memoised, err)
 	}
 }
 

@@ -61,11 +61,13 @@ func newArtifactDigest(kind string) *vivado.Digest {
 	return d
 }
 
-// stageKeys holds the derived artifact keys of one partitioned run,
-// by the ID of the job each key addresses. A nil *stageKeys, or a job
-// without a key, disables caching for that job. The synthesis jobs'
-// keys ("synth/static", "synth/<rp>") are checkpoint-cache keys, handed
-// to synthesis so it does not derive them again.
+// stageKeys holds the artifact keys of one partitioned run, by the ID
+// of the job each key addresses. The synthesis jobs' keys
+// ("synth/static", "synth/<rp>") are the checkpoint-cache keys
+// synthesis is handed; it derives none itself. The other keys address
+// the stage cache, which cache names: nil when the run has none, or
+// runs under a fault plan. A nil *stageKeys, or a job without a key,
+// disables caching for that job.
 type stageKeys struct {
 	cache *vivado.StageCache
 	keys  map[string]string // job ID -> artifact key
@@ -74,6 +76,15 @@ type stageKeys struct {
 // key returns job id's artifact key, "" when it has none.
 func (sk *stageKeys) key(id string) string {
 	if sk == nil {
+		return ""
+	}
+	return sk.keys[id]
+}
+
+// stageKey returns job id's stage-cache key: its artifact key when the
+// run reads and fills the stage cache, "" otherwise.
+func (sk *stageKeys) stageKey(id string) string {
+	if sk == nil || sk.cache == nil {
 		return ""
 	}
 	return sk.keys[id]
@@ -94,7 +105,7 @@ func groupJobID(gi int) string {
 type designMemo struct {
 	digest    string
 	staticTop *rtl.Module
-	keys      sync.Map // runSignature -> map[string]string (nil: unkeyable)
+	keys      sync.Map // runSignature -> map[string]string
 }
 
 // runSignature is what a memoised stage-key map depends on besides the
@@ -131,12 +142,12 @@ func memoOf(d *socgen.Design) *designMemo {
 }
 
 // memoFor returns the memo a run of d under opt reads its static top and
-// stage keys from: only a frozen design, under the default cost model,
-// in a run that is keyable (a stage cache and no fault plan). Every
-// other run — an unfrozen design that a caller may edit between runs, a
-// custom model, a fault plan — derives both afresh, and gets nil.
+// stage keys from: that of a frozen design under the default cost
+// model, whatever caches or fault plan the run has — the keys depend on
+// neither. Every other run — an unfrozen design that a caller may edit
+// between runs, a custom model — derives both afresh, and gets nil.
 func memoFor(d *socgen.Design, opt Options) *designMemo {
-	if opt.Model != nil || opt.StageCache == nil || opt.FaultPlan != nil {
+	if opt.Model != nil {
 		return nil
 	}
 	return memoOf(d)
@@ -151,19 +162,20 @@ func (m *designMemo) staticTopOf(d *socgen.Design) *rtl.Module {
 	return m.staticTop
 }
 
-// buildStageKeys derives every stage key of a partitioned run up front —
-// all inputs are known before the first job executes. A design with a
-// contentless partition cannot be keyed (its synthesis key is
-// undefined); runs under a fault plan are not keyed either, because a
-// cache skip would bypass the injected fault and break the plan's
-// determinism contract. Both return nil, which disables stage caching.
+// buildStageKeys derives every key of a partitioned run up front — all
+// inputs are known before the first job executes — for a run with a
+// checkpoint cache or a stage cache; a run with neither keys nothing
+// and gets nil. Stage keys address the stage cache only in a run
+// without a fault plan, because a cache skip would bypass the injected
+// fault and break the plan's determinism contract; the synthesis keys
+// serve the checkpoint cache in every run, whose fault gate comes first.
 // staticTop is the static top the run synthesizes, built once per run
 // (m's when m is set). m is the run's memo (memoFor): with one, the key
 // map is derived once per run signature and then only looked up — the
 // returned map is the memoised one, shared read-only like a settled
 // artifact; with none, it is derived afresh.
 func buildStageKeys(d *socgen.Design, m *designMemo, staticTop *rtl.Module, tool *vivado.Tool, strat *core.Strategy, opt Options, mode flowMode) *stageKeys {
-	if opt.StageCache == nil || opt.FaultPlan != nil {
+	if opt.Cache == nil && opt.StageCache == nil {
 		return nil
 	}
 	sd := strategyDigest(strat)
@@ -180,10 +192,11 @@ func buildStageKeys(d *socgen.Design, m *designMemo, staticTop *rtl.Module, tool
 		}
 		keys = v.(map[string]string)
 	}
-	if keys == nil {
-		return nil
+	sk := &stageKeys{keys: keys}
+	if opt.FaultPlan == nil {
+		sk.cache = opt.StageCache
 	}
-	return &stageKeys{cache: opt.StageCache, keys: keys}
+	return sk
 }
 
 // strategyDigest digests a strategy's kind, degree and exact group
@@ -201,21 +214,32 @@ func strategyDigest(strat *core.Strategy) vivado.Digest {
 	return *sd
 }
 
-// deriveStageKeys computes the stage-key map of buildStageKeys afresh,
-// nil when the run cannot be keyed.
+// deriveStageKeys computes the key map of buildStageKeys afresh. Its
+// synthesis keys are the upstream addresses of the implementation
+// stage: the checkpoint cache's own content digests. A design with a
+// contentless partition, whose synthesis key is undefined, or a cost
+// model that does not marshal gets only the synthesis keys it can: the
+// post-synthesis stages stay unkeyed.
 func deriveStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool, strat *core.Strategy, strategyDigest string, compress bool, mode flowMode) map[string]string {
+	keys := make(map[string]string, 7+len(strat.Groups)+2*len(d.RPs))
+	staticSynthKey := tool.CheckpointKey(staticTop, false)
+	keys["synth/static"] = staticSynthKey
+	contentless := false
 	for _, rp := range d.RPs {
 		if rp.Content == nil {
-			return nil
+			contentless = true
+			continue
 		}
+		keys["synth/"+rp.Name] = tool.CheckpointKey(rp.Content, true)
+	}
+	if contentless {
+		return keys
 	}
 	modelBytes, err := json.Marshal(tool.Model())
 	if err != nil {
-		return nil
+		return keys
 	}
 	modelDigest := string(modelBytes)
-
-	keys := make(map[string]string, 7+len(strat.Groups)+2*len(d.RPs))
 
 	// Floorplan: device geometry, cost model (pblock slack), the static
 	// envelope and every partition's name, resource envelope and the
@@ -246,14 +270,6 @@ func deriveStageKeys(d *socgen.Design, staticTop *rtl.Module, tool *vivado.Tool,
 	sc.Str(fpKey)
 	sc.Str(strategyDigest)
 	keys["scripts"] = sc.Sum()
-
-	// Synthesis keys are the upstream addresses of the implementation
-	// stage: the checkpoint cache's own content digests.
-	staticSynthKey := tool.CheckpointKey(staticTop, false)
-	keys["synth/static"] = staticSynthKey
-	for _, rp := range d.RPs {
-		keys["synth/"+rp.Name] = tool.CheckpointKey(rp.Content, true)
-	}
 
 	// implKey is the key of the run the full image hangs off: the serial
 	// run, or the static pre-route. Each partial bitstream hangs off the
@@ -342,7 +358,7 @@ func partialKey(implKey, rpName string, d *socgen.Design, compress bool) string 
 // returns the job's handle. A keyed miss is counted on g and leaves the
 // job to the caller.
 func settleStage[T any](g *graph, sk *stageKeys, id string, stage Stage, apply func(T, vivado.Minutes)) (int, bool) {
-	key := sk.key(id)
+	key := sk.stageKey(id)
 	if key == "" {
 		return 0, false
 	}
@@ -361,7 +377,7 @@ func settleStage[T any](g *graph, sk *stageKeys, id string, stage Stage, apply f
 // happens-before) and a keyed value is stored write-through. Only the
 // disk tier encodes: memory stores never touch JSON.
 func stageRun[T any](sk *stageKeys, id string, run func(ctx context.Context) (T, vivado.Minutes, error), apply func(T, vivado.Minutes)) func(ctx context.Context) (vivado.Minutes, error) {
-	key := sk.key(id)
+	key := sk.stageKey(id)
 	return func(ctx context.Context) (vivado.Minutes, error) {
 		v, t, err := run(ctx)
 		if err != nil {

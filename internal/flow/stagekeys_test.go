@@ -95,8 +95,9 @@ synth/static=f7e2dd98a368f8bf`
 }
 
 // TestStageKeysCarryCheckpointKeys: the synthesis keys a keyed run hands
-// to Tool.SynthesizeKeyed are exactly the keys Tool.Synthesize would
-// derive, so computing them once changes no checkpoint-cache entry.
+// to Tool.Synthesize are exactly Tool.CheckpointKey's, so the flow's
+// derivation addresses the very checkpoint-cache entries persisted
+// under them.
 func TestStageKeysCarryCheckpointKeys(t *testing.T) {
 	d := elaborate(t, socgen.SOC2())
 	tool, err := vivado.New(d.Dev, nil)

@@ -22,33 +22,27 @@ import (
 // follower shares the leader's checkpoint or its error — and the
 // optional persistent tier: the cache's owner may attach a DiskStore
 // once (SetDiskStore); inserts then write through and a memory miss
-// probes the disk inside the flight before paying the compute. The memory tier keeps every checkpoint it is given.
-// Disk-served lookups count as hits — the whole point of the tier is
-// that a restarted daemon's first submission costs file reads, not
-// re-synthesis.
+// probes the disk inside the flight before paying the compute. The
+// memory tier keeps every checkpoint it is given. Disk-served lookups
+// count as hits — the whole point of the tier is that a restarted
+// daemon's first submission costs file reads, not re-synthesis.
 //
-// The cache is safe for concurrent use by the flow's worker pool.
-// Checkpoints are deep-copied on both store and load, so callers can
-// never mutate a cached entry through an aliased pointer.
+// The cache is safe for concurrent use by the flow's worker pool. Like
+// every stage artifact, a checkpoint is served shared: the synthesis
+// that computed it and every later hit get the one stored value, which
+// nothing may write.
 type CheckpointCache struct {
 	*store[*SynthCheckpoint]
 }
 
 // NewCheckpointCache returns an empty, memory-only cache.
 func NewCheckpointCache() *CheckpointCache {
-	return &CheckpointCache{newStore(checkpointEntries, (*SynthCheckpoint).clone)}
+	return &CheckpointCache{newStore(checkpointEntries)}
 }
 
 // Evictions always returns 0: the cache keeps every entry. It remains
 // only for the benchmark harness, which still reports it.
 func (c *CheckpointCache) Evictions() int64 { return 0 }
-
-// clone deep-copies a checkpoint.
-func (ck *SynthCheckpoint) clone() *SynthCheckpoint {
-	out := *ck
-	out.BlackBoxes = append([]string(nil), ck.BlackBoxes...)
-	return &out
-}
 
 // checkpointKey digests everything a synthesis run depends on into an
 // FNV-1a content hash: device identity and capacity, the cost model's

@@ -20,7 +20,7 @@ func testModule(name string, luts int) *rtl.Module {
 	return m
 }
 
-// lookup fetches a copy of the checkpoint under key without computing
+// lookup fetches the checkpoint under key without computing
 // it, counting the access as a hit or miss.
 func (c *CheckpointCache) lookup(key string) (*SynthCheckpoint, bool) {
 	ck, _, err := c.fetch(key, decodeCheckpoint, nil)
@@ -48,89 +48,94 @@ func cachedTool(t *testing.T, board string) (*Tool, *CheckpointCache) {
 	return tool, cache
 }
 
+// synth synthesizes m through tool under its checkpoint key, as the
+// flow does for every synthesis job.
+func synth(tool *Tool, m *rtl.Module, ooc bool) (*SynthCheckpoint, error) {
+	return tool.Synthesize(context.Background(), tool.CheckpointKey(m, ooc), m, ooc)
+}
+
 // TestCacheHitMatchesColdSynthesis: the checkpoint served from a warm
-// cache is deep-equal to the one a cold synthesis produces, and the
-// caller cannot corrupt the cache through the returned pointer.
+// cache is deep-equal to the one a cache-less synthesis produces, and
+// it is the very checkpoint the filling synthesis stored: the cache
+// serves it shared, as it does every stage artifact.
 func TestCacheHitMatchesColdSynthesis(t *testing.T) {
 	tool, cache := cachedTool(t, "VC707")
 	m := testModule("acc", 20000)
 
-	cold, err := tool.Synthesize(context.Background(), m, true)
+	plain, err := New(tool.Device(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := tool.Synthesize(context.Background(), m, true)
+	cold, err := plain.Synthesize(context.Background(), "", m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled, err := synth(tool, m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := synth(tool, m, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("cache hit differs from cold synthesis:\ncold: %+v\nwarm: %+v", cold, warm)
 	}
-	if cold == warm {
-		t.Fatal("cache returned an aliased pointer, not a copy")
+	if warm != filled {
+		t.Fatal("cache hit is not the checkpoint its miss stored")
 	}
 	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("stats: %d hits / %d misses, want 1/1", hits, misses)
 	}
-
-	// Mutating the returned checkpoint must not poison later hits.
-	warm.Resources[fpga.LUT] = 1
-	warm.Runtime = -1
-	again, err := tool.Synthesize(context.Background(), m, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, again) {
-		t.Fatal("mutating a returned checkpoint corrupted the cache")
-	}
 }
 
-// TestSynthesizeKeyedSharesEntries: a synthesis handed its checkpoint
-// key reads and fills the very entry an unkeyed synthesis derives, so
-// the flow's precomputed keys change no cache content.
-func TestSynthesizeKeyedSharesEntries(t *testing.T) {
+// TestSynthesizeUnkeyedBypassesCache: an empty key synthesizes
+// directly — synthesis derives no key — so it neither reads nor fills
+// the attached cache, while the keyed run of the same module does.
+func TestSynthesizeUnkeyedBypassesCache(t *testing.T) {
 	tool, cache := cachedTool(t, "VC707")
 	m := testModule("acc", 20000)
-	key := tool.CheckpointKey(m, true)
-
-	cold, err := tool.SynthesizeKeyed(context.Background(), key, m, true)
+	unkeyed, err := tool.Synthesize(context.Background(), "", m, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := tool.Synthesize(context.Background(), m, true)
+	if cache.Len() != 0 || tool.cacheHits.Load()+tool.cacheMisses.Load() != 0 {
+		t.Fatalf("unkeyed synthesis touched the cache: %d entries", cache.Len())
+	}
+	keyed, err := synth(tool, m, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("unkeyed hit differs from keyed synthesis:\nkeyed:   %+v\nunkeyed: %+v", cold, warm)
+	if !reflect.DeepEqual(unkeyed, keyed) {
+		t.Fatalf("keyed synthesis differs from unkeyed:\nunkeyed: %+v\nkeyed:   %+v", unkeyed, keyed)
 	}
-	if _, ok := cache.lookup(key); !ok {
+	if _, ok := cache.lookup(tool.CheckpointKey(m, true)); !ok {
 		t.Fatal("keyed synthesis stored nothing under its key")
 	}
-	if hits, misses := cache.Stats(); hits != 2 || misses != 1 {
-		t.Fatalf("stats: %d hits / %d misses, want 2/1", hits, misses)
+	if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("stats: %d hits / %d misses, want 1/1", hits, misses)
 	}
 }
 
-// TestSynthesizeKeyedWarmAllocs pins the allocations of a keyed,
-// cache-warm synthesis with no fault hook: the one copy of the
-// checkpoint the cache hands out, and no fault-site list, which only a
-// fault hook reads.
-func TestSynthesizeKeyedWarmAllocs(t *testing.T) {
+// TestSynthesizeWarmAllocs pins the allocations of a keyed, cache-warm
+// synthesis with no fault hook: none. The cache serves its stored
+// checkpoint itself, and the fault-site list is built only for a fault
+// hook to read.
+func TestSynthesizeWarmAllocs(t *testing.T) {
 	tool, _ := cachedTool(t, "VC707")
 	m := testModule("acc", 20000)
 	key := tool.CheckpointKey(m, true)
 	ctx := context.Background()
-	if _, err := tool.SynthesizeKeyed(ctx, key, m, true, "rt_1_rp"); err != nil {
+	if _, err := tool.Synthesize(ctx, key, m, true, "rt_1_rp"); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := tool.SynthesizeKeyed(ctx, key, m, true, "rt_1_rp"); err != nil {
+		if _, err := tool.Synthesize(ctx, key, m, true, "rt_1_rp"); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 1 {
-		t.Fatalf("keyed warm synthesis: %v allocs/op, want 1 (the checkpoint copy)", allocs)
+	if allocs != 0 {
+		t.Fatalf("keyed warm synthesis: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -139,7 +144,7 @@ func TestSynthesizeKeyedWarmAllocs(t *testing.T) {
 // synthesis parameters must miss.
 func TestCacheKeyInvalidation(t *testing.T) {
 	tool, cache := cachedTool(t, "VC707")
-	if _, err := tool.Synthesize(context.Background(), testModule("acc", 20000), true); err != nil {
+	if _, err := synth(tool, testModule("acc", 20000), true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -148,17 +153,17 @@ func TestCacheKeyInvalidation(t *testing.T) {
 		run   func() error
 	}{
 		{"changed resources", func() error {
-			_, err := tool.Synthesize(context.Background(), testModule("acc", 20001), true)
+			_, err := synth(tool, testModule("acc", 20001), true)
 			return err
 		}},
 		{"changed ooc mode", func() error {
-			_, err := tool.Synthesize(context.Background(), testModule("acc", 20000), false)
+			_, err := synth(tool, testModule("acc", 20000), false)
 			return err
 		}},
 		{"changed hierarchy", func() error {
 			m := testModule("acc", 20000)
 			m.AddChild("u_extra", &rtl.Module{Name: "extra", Cost: fpga.NewResources(10, 10, 0, 0)})
-			_, err := tool.Synthesize(context.Background(), m, true)
+			_, err := synth(tool, m, true)
 			return err
 		}},
 		{"changed device", func() error {
@@ -171,7 +176,7 @@ func TestCacheKeyInvalidation(t *testing.T) {
 				return err
 			}
 			other.SetCache(cache)
-			_, err = other.Synthesize(context.Background(), testModule("acc", 20000), true)
+			_, err = synth(other, testModule("acc", 20000), true)
 			return err
 		}},
 		{"changed model", func() error {
@@ -186,7 +191,7 @@ func TestCacheKeyInvalidation(t *testing.T) {
 				return err
 			}
 			other.SetCache(cache)
-			_, err = other.Synthesize(context.Background(), testModule("acc", 20000), true)
+			_, err = synth(other, testModule("acc", 20000), true)
 			return err
 		}},
 	}
@@ -204,7 +209,7 @@ func TestCacheKeyInvalidation(t *testing.T) {
 
 	// And the identical input still hits.
 	hitsBefore, _ := cache.Stats()
-	if _, err := tool.Synthesize(context.Background(), testModule("acc", 20000), true); err != nil {
+	if _, err := synth(tool, testModule("acc", 20000), true); err != nil {
 		t.Fatal(err)
 	}
 	if hits, _ := cache.Stats(); hits != hitsBefore+1 {
@@ -213,24 +218,25 @@ func TestCacheKeyInvalidation(t *testing.T) {
 }
 
 // TestCacheConcurrentSynthesize hammers one shared cache from many
-// goroutines — the race detector gates the locking discipline.
+// goroutines — the race detector gates the locking discipline — and
+// every caller of one content gets the one checkpoint stored for it.
 func TestCacheConcurrentSynthesize(t *testing.T) {
 	tool, cache := cachedTool(t, "VC707")
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
+	var got [8][8]*SynthCheckpoint
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				m := testModule(fmt.Sprintf("acc%d", i%4), 10000+(i%4)*100)
-				ck, err := tool.Synthesize(context.Background(), m, true)
+				ck, err := synth(tool, m, true)
 				if err != nil {
 					errs <- err
 					return
 				}
-				// Touch the result: clones must be private per caller.
-				ck.BlackBoxes = append(ck.BlackBoxes, "scratch")
+				got[w][i] = ck
 			}
 		}(w)
 	}
@@ -238,6 +244,13 @@ func TestCacheConcurrentSynthesize(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	for w := range got {
+		for i, ck := range got[w] {
+			if ck != got[0][i%4] {
+				t.Fatalf("caller %d/%d got its own checkpoint of acc%d", w, i, i%4)
+			}
+		}
 	}
 	if cache.Len() != 4 {
 		t.Fatalf("cache holds %d entries, want 4", cache.Len())
@@ -262,7 +275,7 @@ func TestToolWithoutCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tool.Synthesize(context.Background(), testModule("acc", 20000), true); err != nil {
+	if _, err := synth(tool, testModule("acc", 20000), true); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := tool.CacheStats(); hits != 0 || misses != 0 {

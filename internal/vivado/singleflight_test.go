@@ -1,7 +1,6 @@
 package vivado
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -38,7 +37,7 @@ func TestMaterializeSingleFlight(t *testing.T) {
 				return
 			}
 			tool.SetCache(cache)
-			results[i], errs[i] = tool.Synthesize(context.Background(), testModule("sf_mod", 1200), true)
+			results[i], errs[i] = synth(tool, testModule("sf_mod", 1200), true)
 		}()
 	}
 	wg.Wait()
@@ -158,12 +157,11 @@ func waitParked(t *testing.T, n int) {
 	}
 }
 
-// TestMaterializeNoAliasing: the leader's returned checkpoint and every
-// follower's copy are independent of the cached entry — mutating any of
-// them must not corrupt what later callers see. This pins the
-// reduced-clone landing path (the leader hands back its own computed
-// checkpoint, the cache keeps its private copy).
-func TestMaterializeNoAliasing(t *testing.T) {
+// TestMaterializeSharesStoredCheckpoint: the leader of a flight, each
+// follower parked on it and a later lookup all get the one checkpoint
+// the cache stored — the same pointer, served shared like every stage
+// artifact, not a copy per caller.
+func TestMaterializeSharesStoredCheckpoint(t *testing.T) {
 	cache := NewCheckpointCache()
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -177,32 +175,36 @@ func TestMaterializeNoAliasing(t *testing.T) {
 		leaderCk <- ck
 	}()
 	<-started
-	followerCk := make(chan *SynthCheckpoint, 1)
-	go func() {
-		ck, _, _ := cache.materialize("k", func() (*SynthCheckpoint, error) {
-			return nil, fmt.Errorf("follower must not compute")
-		})
-		followerCk <- ck
-	}()
+	const followers = 4
+	followerCks := make(chan *SynthCheckpoint, followers)
+	for i := 0; i < followers; i++ {
+		go func() {
+			ck, role, err := cache.materialize("k", func() (*SynthCheckpoint, error) {
+				return nil, fmt.Errorf("follower must not compute")
+			})
+			if role != roleFollower || err != nil {
+				ck = nil
+			}
+			followerCks <- ck
+		}()
+	}
+	waitParked(t, followers)
 	close(release)
-	lck, fck := <-leaderCk, <-followerCk
-	if lck == nil || fck == nil {
-		t.Fatal("nil checkpoint from flight")
+	lck := <-leaderCk
+	if lck == nil || lck.Name != "acc" {
+		t.Fatalf("leader got %+v, want its computed checkpoint", lck)
 	}
-	if lck == fck {
-		t.Fatal("leader and follower share one checkpoint pointer")
+	for i := 0; i < followers; i++ {
+		if fck := <-followerCks; fck != lck {
+			t.Fatalf("follower got %p (%+v), want the leader's stored checkpoint %p", fck, fck, lck)
+		}
 	}
-	// Mutate both returned copies through every reference type they carry.
-	lck.Name = "scribbled"
-	lck.BlackBoxes[0] = "scribbled"
-	fck.Name = "scribbled2"
-	fck.BlackBoxes[0] = "scribbled2"
 	cached, ok := cache.lookup("k")
 	if !ok {
 		t.Fatal("entry missing")
 	}
-	if cached.Name != "acc" || cached.BlackBoxes[0] != "u_rp0" {
-		t.Fatalf("cache was corrupted through an aliased result: %+v", cached)
+	if cached != lck {
+		t.Fatalf("later lookup got %p, want the stored checkpoint %p", cached, lck)
 	}
 }
 

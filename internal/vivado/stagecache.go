@@ -33,7 +33,7 @@ type StageCache struct {
 
 // NewStageCache returns an empty, memory-only stage-artifact cache.
 func NewStageCache() *StageCache {
-	return &StageCache{newStore(artifactEntries, nil)}
+	return &StageCache{newStore(artifactEntries)}
 }
 
 // Store records v, published with its modelled minutes, under key and

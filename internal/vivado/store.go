@@ -16,14 +16,11 @@ import (
 // disk boundary — on write-through of a fresh entry and on promotion
 // from disk — one pass per direction. Keys are content addresses, so
 // the first value stored under a key wins and a re-store is a no-op.
-//
-// clone, when set, copies values on the way in and out of the store
-// (checkpoints are mutable structs handed to callers); without it the
-// stored value itself is served to every caller, who must treat it as
-// immutable.
+// Every tier serves the stored value itself, shared by every caller —
+// the leader that computed it, each follower and every later hit — so
+// a value handed to the store, or served by it, must never be mutated.
 type store[V any] struct {
-	kind  diskKind[V]
-	clone func(V) V
+	kind diskKind[V]
 
 	mu       sync.Mutex
 	entries  map[string]V
@@ -59,10 +56,9 @@ const (
 // its key in neither tier.
 var errMiss = errors.New("vivado: not cached")
 
-func newStore[V any](kind diskKind[V], clone func(V) V) *store[V] {
+func newStore[V any](kind diskKind[V]) *store[V] {
 	return &store[V]{
 		kind:     kind,
-		clone:    clone,
 		entries:  make(map[string]V),
 		inflight: make(map[string]*flight[V]),
 	}
@@ -103,14 +99,6 @@ func (s *store[V]) Len() int {
 	return len(s.entries)
 }
 
-// copy applies the store's clone policy.
-func (s *store[V]) copy(v V) V {
-	if s.clone == nil {
-		return v
-	}
-	return s.clone(v)
-}
-
 // fetch returns the value under key. A memory entry is served
 // immediately (roleHit). Otherwise the first caller opens a flight:
 // with a disk tier attached it probes the store, decoding the entry
@@ -127,12 +115,11 @@ func (s *store[V]) copy(v V) V {
 // without wedging the key — the next caller after a failure starts a
 // fresh flight.
 func (s *store[V]) fetch(key string, decode func([]byte) (V, error), compute func() (V, error)) (V, flightRole, error) {
-	var zero V
 	s.mu.Lock()
 	if v, ok := s.entries[key]; ok {
 		s.hits++
 		s.mu.Unlock()
-		return s.copy(v), roleHit, nil
+		return v, roleHit, nil
 	}
 	if fl, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
@@ -145,10 +132,7 @@ func (s *store[V]) fetch(key string, decode func([]byte) (V, error), compute fun
 			s.hits++
 		}
 		s.mu.Unlock()
-		if fl.err != nil {
-			return zero, roleFollower, fl.err
-		}
-		return s.copy(fl.v), roleFollower, nil
+		return fl.v, roleFollower, fl.err
 	}
 	fl := &flight[V]{done: make(chan struct{})}
 	s.inflight[key] = fl
@@ -163,30 +147,27 @@ func (s *store[V]) fetch(key string, decode func([]byte) (V, error), compute fun
 		read.decode = decode
 		if v, ok := read.load(disk, key); ok {
 			s.land(key, fl, v, nil, true)
-			return v, roleHit, nil
+			return fl.v, roleHit, nil
 		}
 	}
 
 	s.mu.Lock()
 	s.misses++
 	s.mu.Unlock()
-	if compute == nil {
-		s.land(key, fl, zero, errMiss, false)
-		return zero, roleLeader, errMiss
+	var v V
+	err := errMiss
+	if compute != nil {
+		v, err = compute()
 	}
-	v, err := compute()
 	s.land(key, fl, v, err, false)
-	if err != nil {
-		return zero, roleLeader, err
-	}
-	return v, roleLeader, nil
+	return fl.v, roleLeader, err
 }
 
 // land closes a flight with its outcome: on success the value is
 // stored, written through to the disk tier unless it came from there
-// (hit), and published to the followers (the opener keeps v itself, so
-// no extra copy is made for it). hit also counts the landing as a
-// cache hit; the miss of a computed landing was counted already.
+// (hit), and published in fl.v to the opener and the followers alike.
+// hit also counts the landing as a cache hit; the miss of a computed
+// landing was counted already.
 func (s *store[V]) land(key string, fl *flight[V], v V, err error, hit bool) {
 	s.mu.Lock()
 	delete(s.inflight, key)
@@ -213,16 +194,14 @@ func (s *store[V]) put(key string, v V) error {
 	return s.unlockAndFlush(key, stored, fresh)
 }
 
-// insertLocked stores (a copy of) v under key unless the key is
-// already present, and returns the stored value and whether it is new.
-// Callers hold s.mu.
+// insertLocked stores v under key unless the key is already present,
+// and returns the stored value and whether it is new. Callers hold s.mu.
 func (s *store[V]) insertLocked(key string, v V) (V, bool) {
 	if stored, ok := s.entries[key]; ok {
 		return stored, false
 	}
-	stored := s.copy(v)
-	s.entries[key] = stored
-	return stored, true
+	s.entries[key] = v
+	return v, true
 }
 
 // unlockAndFlush releases s.mu, then writes v through to the disk tier

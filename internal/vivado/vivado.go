@@ -27,6 +27,8 @@ import (
 // and fault hook are read-only after setup, the optional checkpoint
 // cache locks internally, and the hit/miss counters are atomic — the
 // flow's worker pool drives one shared instance from many goroutines.
+// The cache is addressed only by the keys Synthesize's callers pass
+// (CheckpointKey); the tool derives none itself.
 type Tool struct {
 	dev   *fpga.Device
 	model *CostModel
@@ -77,8 +79,8 @@ func (t *Tool) Device() *fpga.Device { return t.dev }
 func (t *Tool) Model() *CostModel { return t.model }
 
 // SetCache attaches a shared synthesis-checkpoint cache (nil detaches).
-// Subsequent Synthesize calls consult it before paying the modelled
-// synthesis cost and populate it on misses.
+// Subsequent keyed Synthesize calls consult it before paying the
+// modelled synthesis cost and populate it on misses.
 func (t *Tool) SetCache(c *CheckpointCache) { t.cache = c }
 
 // SetFaultHook attaches a CAD fault-injection hook (nil detaches). Set
@@ -122,10 +124,11 @@ func (t *Tool) CacheStats() (hits, misses int64) {
 	return t.cacheHits.Load(), t.cacheMisses.Load()
 }
 
-// CheckpointKey returns the content-addressed cache key a synthesis of
-// m would use on this tool — the digest of everything the run depends
-// on. The flow derives its stage-artifact keys from it, so an edited
-// module invalidates exactly the stages downstream of its synthesis.
+// CheckpointKey returns the content-addressed cache key of a synthesis
+// of m on this tool — the digest of everything the run depends on. The
+// flow hands it to Synthesize and derives its stage-artifact keys from
+// it, so an edited module invalidates exactly the stages downstream of
+// its synthesis.
 func (t *Tool) CheckpointKey(m *rtl.Module, ooc bool) string {
 	return checkpointKey(t.dev, t.model, m, ooc)
 }
@@ -149,18 +152,17 @@ type SynthCheckpoint struct {
 
 // Synthesize runs synthesis on module m. In OoC mode the module is
 // compiled against its own interface; otherwise black boxes are
-// permitted only for declared reconfigurable partitions. Optional sites
-// label the run for fault injection (the flow passes the partition
-// name); the module name is always appended as a matchable site.
-func (t *Tool) Synthesize(ctx context.Context, m *rtl.Module, ooc bool, sites ...string) (*SynthCheckpoint, error) {
-	return t.SynthesizeKeyed(ctx, "", m, ooc, sites...)
-}
-
-// SynthesizeKeyed is Synthesize for a caller that already holds the
-// run's checkpoint key, CheckpointKey(m, ooc), so the module is not
-// walked again to derive it. An empty key is derived here, and only
-// when a cache is attached.
-func (t *Tool) SynthesizeKeyed(ctx context.Context, key string, m *rtl.Module, ooc bool, sites ...string) (*SynthCheckpoint, error) {
+// permitted only for declared reconfigurable partitions. key is the
+// run's checkpoint key, CheckpointKey(m, ooc), as the flow derives it
+// for every synthesis job: with a cache attached, a non-empty key is
+// looked up — and filled on a miss — while an empty one synthesizes
+// directly. Synthesis itself never derives a key. The returned
+// checkpoint is shared with the cache and must not be written.
+// Optional sites label the run for fault injection (the flow passes the
+// partition name); the module name is always appended as a matchable
+// site. The fault gate runs before the cache, so a warm cache still
+// gets its injected faults.
+func (t *Tool) Synthesize(ctx context.Context, key string, m *rtl.Module, ooc bool, sites ...string) (*SynthCheckpoint, error) {
 	if m == nil {
 		return nil, fmt.Errorf("vivado: synthesize nil module")
 	}
@@ -173,15 +175,12 @@ func (t *Tool) SynthesizeKeyed(ctx context.Context, key string, m *rtl.Module, o
 	if err := t.CheckFault(ctx, faultinject.OpCADSynth, fs...); err != nil {
 		return nil, err
 	}
-	if t.cache == nil {
+	if t.cache == nil || key == "" {
 		return t.synthesize(m, ooc)
 	}
 	// Single-flight through the cache: concurrent misses on the same
 	// content collapse to one leader synthesis; followers share the
 	// leader's checkpoint (or its error) and count as hits.
-	if key == "" {
-		key = checkpointKey(t.dev, t.model, m, ooc)
-	}
 	ck, role, err := t.cache.fetch(key, decodeCheckpoint, func() (*SynthCheckpoint, error) {
 		return t.synthesize(m, ooc)
 	})

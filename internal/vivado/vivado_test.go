@@ -34,22 +34,22 @@ func TestNewValidation(t *testing.T) {
 func TestSynthesize(t *testing.T) {
 	tool := newTool(t)
 	m := &rtl.Module{Name: "m", Cost: fpga.NewResources(10000, 11000, 4, 8)}
-	ck, err := tool.Synthesize(context.Background(), m, true)
+	ck, err := tool.Synthesize(context.Background(), "", m, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ck.Resources != m.Cost || !ck.OoC || ck.Runtime <= 0 {
 		t.Fatalf("checkpoint wrong: %+v", ck)
 	}
-	if _, err := tool.Synthesize(context.Background(), nil, false); err == nil {
+	if _, err := tool.Synthesize(context.Background(), "", nil, false); err == nil {
 		t.Fatal("nil module synthesized")
 	}
 	empty := &rtl.Module{Name: "empty"}
-	if _, err := tool.Synthesize(context.Background(), empty, false); err == nil {
+	if _, err := tool.Synthesize(context.Background(), "", empty, false); err == nil {
 		t.Fatal("empty module synthesized")
 	}
 	huge := &rtl.Module{Name: "huge", Cost: fpga.NewResources(400000, 0, 0, 0)}
-	if _, err := tool.Synthesize(context.Background(), huge, false); err == nil {
+	if _, err := tool.Synthesize(context.Background(), "", huge, false); err == nil {
 		t.Fatal("over-capacity module synthesized")
 	}
 }
@@ -59,7 +59,7 @@ func TestSynthesizeRecordsBlackBoxes(t *testing.T) {
 	top := &rtl.Module{Name: "top", Cost: fpga.NewResources(5000, 5000, 0, 0)}
 	bb := &rtl.Module{Name: "rp_bb", BlackBox: true}
 	top.AddChild("rp0", bb)
-	ck, err := tool.Synthesize(context.Background(), top, false)
+	ck, err := tool.Synthesize(context.Background(), "", top, false)
 	if err != nil {
 		t.Fatal(err)
 	}
