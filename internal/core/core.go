@@ -205,15 +205,29 @@ type Strategy struct {
 // evaluation ("for all the semi-parallel implementations we set τ = 2").
 const DefaultSemiTau = 2
 
-// Choose applies the Table I decision matrix: it computes metrics,
-// classifies the design and returns the strategy PR-ESP selects.
+// Strategy returns the strategy kind the Table I decision matrix
+// assigns to the class:
 //
 //	class 1.1 -> serial
 //	class 1.2 -> fully-parallel (of the semi/fully pair, the evaluation
 //	             shows fully-parallel wins for these designs)
-//	class 1.3 -> semi-parallel with τ = DefaultSemiTau
+//	class 1.3 -> semi-parallel
 //	class 2.1 -> fully-parallel
 //	class 2.2 -> serial
+func (c Class) Strategy() StrategyKind {
+	switch c {
+	case Class12, Class21:
+		return FullyParallel
+	case Class13:
+		return SemiParallel
+	default:
+		return Serial
+	}
+}
+
+// Choose applies the Table I decision matrix: it computes metrics,
+// classifies the design and returns the strategy PR-ESP selects, the
+// class's Strategy with semi-parallel at τ = DefaultSemiTau.
 func Choose(d *socgen.Design) (*Strategy, error) {
 	m, err := ComputeMetrics(d)
 	if err != nil {
@@ -223,13 +237,11 @@ func Choose(d *socgen.Design) (*Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Strategy{Class: cls, Metrics: m}
-	switch cls {
-	case Class11, Class22:
-		s.Kind = Serial
+	s := &Strategy{Kind: cls.Strategy(), Class: cls, Metrics: m}
+	switch s.Kind {
+	case Serial:
 		s.Tau = 1
-	case Class13:
-		s.Kind = SemiParallel
+	case SemiParallel:
 		s.Tau = DefaultSemiTau
 		if s.Tau >= m.N {
 			// Semi-parallel at τ = N is fully parallel; report it as such
@@ -238,8 +250,7 @@ func Choose(d *socgen.Design) (*Strategy, error) {
 			s.Tau = m.N
 		}
 		s.Groups = GroupRPs(d, s.Tau)
-	case Class12, Class21:
-		s.Kind = FullyParallel
+	case FullyParallel:
 		s.Tau = m.N
 		s.Groups = GroupRPs(d, s.Tau)
 	}

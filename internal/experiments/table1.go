@@ -88,20 +88,6 @@ func syntheticMetrics(kappaRegime, gammaRegime string) (core.Metrics, bool) {
 	return m, true
 }
 
-// strategyForClass maps a class to the Table I strategy label.
-func strategyForClass(c core.Class) string {
-	switch c {
-	case core.Class11, core.Class22:
-		return "serial"
-	case core.Class13:
-		return "semi-parallel"
-	case core.Class12, core.Class21:
-		return "fully-parallel"
-	default:
-		return "?"
-	}
-}
-
 // Table1 regenerates the strategy decision matrix.
 func Table1() (*Table1Result, error) {
 	res := &Table1Result{}
@@ -120,7 +106,7 @@ func Table1() (*Table1Result, error) {
 				return nil, err
 			}
 			cell.Class = cls.String()
-			cell.Strategy = strategyForClass(cls)
+			cell.Strategy = cls.Strategy().String()
 			res.Cells = append(res.Cells, cell)
 		}
 	}

@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"presp/internal/bitstream"
 	"presp/internal/core"
@@ -357,7 +356,6 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	sk := buildStageKeys(d, memo, staticMod, tool, res.Strategy, opt, mode)
 
 	g := &graph{}
-	var mu sync.Mutex // guards rpCks and SynthRuns across parallel synth jobs
 
 	// --- Parse & split, then OoC synthesis (Fig 1): one job per
 	// module, all independent. ---
@@ -365,8 +363,12 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 	for _, m := range d.StaticModules {
 		staticRes = staticRes.Add(m.TotalCost())
 	}
+	// Each synthesis job publishes its checkpoint in its own slot:
+	// staticCk, or rpCks[i] for d.RPs[i]. Only the jobs that depend on a
+	// synthesis read its slot, so the scheduler orders every read after
+	// the write.
 	var staticCk *vivado.SynthCheckpoint
-	rpCks := make(map[string]*vivado.SynthCheckpoint, len(d.RPs))
+	rpCks := make([]*vivado.SynthCheckpoint, len(d.RPs))
 	synthStatic := g.add("synth/static", StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
 		ck, err := tool.Synthesize(ctx, sk.key("synth/static"), staticMod, false, "static")
 		if err != nil {
@@ -376,16 +378,13 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			return 0, fmt.Errorf("flow: static split lost logic: top has %d LUTs, tiles sum to %d",
 				got, staticRes[fpga.LUT])
 		}
-		mu.Lock()
 		staticCk = ck
-		res.SynthRuns["static"] = ck.Runtime
-		mu.Unlock()
 		return ck.Runtime, nil
 	})
-	synthAll := []int{synthStatic}
-	synthOf := make(map[string]int, len(d.RPs)) // partition -> its synthesis job
-	for _, rp := range d.RPs {
-		rp := rp
+	synthAll := []int{synthStatic}              // then d.RPs[i]'s synthesis at 1+i
+	rpIndex := make(map[string]int, len(d.RPs)) // partition -> its slot in rpCks
+	for i, rp := range d.RPs {
+		i, rp := i, rp
 		h := g.add("synth/"+rp.Name, StageSynth, nil, func(ctx context.Context) (vivado.Minutes, error) {
 			if rp.Content == nil {
 				return 0, fmt.Errorf("flow: partition %s has no initial content to synthesize", rp.Name)
@@ -394,14 +393,11 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			if err != nil {
 				return 0, fmt.Errorf("flow: OoC synthesis of %s: %w", rp.Name, err)
 			}
-			mu.Lock()
-			rpCks[rp.Name] = ck
-			res.SynthRuns[rp.Name] = ck.Runtime
-			mu.Unlock()
+			rpCks[i] = ck
 			return ck.Runtime, nil
 		})
 		synthAll = append(synthAll, h)
-		synthOf[rp.Name] = h
+		rpIndex[rp.Name] = i
 	}
 
 	// --- Floorplanning (FLORA-adapted), plus the DFX design rule
@@ -492,18 +488,14 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 			gi, group := gi, group
 			deps := []int{static}
 			for _, name := range group {
-				deps = append(deps, synthOf[name])
+				deps = append(deps, synthAll[1+rpIndex[name]])
 			}
 			h := addStage(g, sk, groupJobID(gi), StageImpl, deps,
 				func(ctx context.Context) (*vivado.ContextResult, vivado.Minutes, error) {
-					// Snapshot the group's checkpoints: other synthesis jobs
-					// may still be writing rpCks concurrently.
 					cks := make(map[string]*vivado.SynthCheckpoint, len(group))
-					mu.Lock()
 					for _, name := range group {
-						cks[name] = rpCks[name]
+						cks[name] = rpCks[rpIndex[name]]
 					}
-					mu.Unlock()
 					cr, err := tool.ImplementInContext(ctx, rs, group, cks)
 					if err != nil {
 						return nil, 0, err
@@ -561,6 +553,16 @@ func runPartitioned(ctx context.Context, d *socgen.Design, opt Options, mode flo
 
 	if err := execGraph(ctx, g, tool, opt, res); err != nil {
 		return nil, err
+	}
+	// A synthesis that failed or never ran (Collect policy) left its
+	// slot empty and is absent from SynthRuns.
+	if staticCk != nil {
+		res.SynthRuns["static"] = staticCk.Runtime
+	}
+	for i, ck := range rpCks {
+		if ck != nil {
+			res.SynthRuns[d.RPs[i].Name] = ck.Runtime
+		}
 	}
 
 	// --- Wall-time aggregation: the analytic model of the paper,

@@ -583,11 +583,14 @@ func (s *Server) execute(slot int, g *group) {
 		opt.ErrorPolicy = flow.Collect
 	}
 	// Progress heartbeats feed the stall watchdog: each completed
-	// scheduler job refreshes the flight's wall-clock liveness.
-	opt.Heartbeat = func(int, vivado.Minutes) {
-		s.mu.Lock()
-		g.lastBeat = s.now()
-		s.mu.Unlock()
+	// scheduler job refreshes the flight's wall-clock liveness. Without
+	// a watchdog nothing reads it, and a job need not take the lock.
+	if s.cfg.StallTimeout > 0 {
+		opt.Heartbeat = func(int, vivado.Minutes) {
+			s.mu.Lock()
+			g.lastBeat = s.now()
+			s.mu.Unlock()
+		}
 	}
 
 	tr := s.cfg.Observer.Tracer()

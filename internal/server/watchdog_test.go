@@ -101,6 +101,29 @@ func TestWatchdogStallRequeueRecovers(t *testing.T) {
 // TestHeartbeatsPreventStall: a run that is slow in wall time but keeps
 // reporting virtual-time progress must never trip the watchdog — the
 // two time bases are independent, and liveness is "heartbeats keep
+// TestWatchdogOwnsHeartbeat: only the stall watchdog reads a flight's
+// heartbeat, so a server without one hands the flow no Heartbeat hook
+// and a finished scheduler job takes no server lock.
+func TestWatchdogOwnsHeartbeat(t *testing.T) {
+	for _, stall := range []time.Duration{0, time.Minute} {
+		hooked := make(chan bool, 1)
+		st := &stubRunner{}
+		s := newTestServer(t, Config{Workers: 1, StallTimeout: stall})
+		s.runFlow = func(ctx context.Context, cs *compiledSpec, opt flow.Options) (*flow.Result, error) {
+			hooked <- opt.Heartbeat != nil
+			return st.run(ctx, cs, opt)
+		}
+		v, err := s.Submit("acme", Spec{Preset: "SOC_2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, "acme", v.ID, StateSucceeded)
+		if got, want := <-hooked, stall > 0; got != want {
+			t.Errorf("StallTimeout %v: heartbeat installed = %v, want %v", stall, got, want)
+		}
+	}
+}
+
 // arriving", not "finishes quickly".
 func TestHeartbeatsPreventStall(t *testing.T) {
 	st := &stubRunner{}

@@ -125,7 +125,7 @@ func BenchmarkProcessFrames(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runner, rt := boot(b, cfg, alloc, reconfig.DefaultConfig(), EvalLKIterations, false)
+			runner, rt := boot(b, cfg, alloc, reconfig.DefaultConfig(), EvalLKIterations)
 			batch := func() *RunReport {
 				// Each batch is a fresh runner and frame stream on the
 				// same runtime, whose tiles stay configured between

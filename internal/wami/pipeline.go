@@ -11,14 +11,6 @@ type PipelineConfig struct {
 	LKIterations int
 	// LKEpsilon is the convergence threshold on ‖Δp‖.
 	LKEpsilon float64
-	// PipelineFrames overlaps consecutive frames on the SoC: frame i+1's
-	// front-end (Debayer, Grayscale) starts as soon as frame i's
-	// grayscale is available, hiding it behind frame i's registration
-	// loop. The paper's evaluation keeps this off ("all SoCs process
-	// individual frames without pipelining"); it is implemented as the
-	// natural extension. Only the hardware runner honours it — the
-	// software Pipeline is inherently sequential.
-	PipelineFrames bool
 }
 
 // The Change-Detection kernel's fixed inputs.

@@ -217,31 +217,6 @@ func (r *Runner) dispatch(idx int, in [][]float64, done func(*reconfig.InvokeRes
 	})
 }
 
-// grayFuture is the handoff between a frame's front-end chain and the
-// consumer that needs the grayscale image (possibly a later frame, in
-// pipelined mode).
-type grayFuture struct {
-	img   *Image
-	done  bool
-	waits []func(*Image)
-}
-
-func (f *grayFuture) set(img *Image) {
-	f.img, f.done = img, true
-	for _, w := range f.waits {
-		w(img)
-	}
-	f.waits = nil
-}
-
-func (f *grayFuture) get(fn func(*Image)) {
-	if f.done {
-		fn(f.img)
-		return
-	}
-	f.waits = append(f.waits, fn)
-}
-
 // renderAhead starts the producer of frames first … first+n-1 of src,
 // where first is src's current index, and returns the channel they
 // arrive on in order. Once a frame is sent, the receiver owns its
@@ -293,9 +268,8 @@ func (r *Runner) ProcessFrames(src *FrameSource, n int) (*RunReport, error) {
 	}
 
 	// launchFrontEnd runs Debayer and Grayscale on the next mosaic and
-	// resolves the returned future with the grayscale image.
-	launchFrontEnd := func(i int) *grayFuture {
-		fut := &grayFuture{}
+	// hands the grayscale image to then.
+	launchFrontEnd := func(i int, then func(*Image)) {
 		mosaic := <-frames
 		src.frame++
 		r.dispatch(KDebayer, [][]float64{mosaic.Pix}, func(res *reconfig.InvokeResult, err error) {
@@ -311,22 +285,17 @@ func (r *Runner) ProcessFrames(src *FrameSource, n int) (*RunReport, error) {
 					return
 				}
 				releasePix(rgb...)
-				fut.set(&Image{N: mosaic.N, Pix: res.Out[0]})
+				then(&Image{N: mosaic.N, Pix: res.Out[0]})
 			})
 		})
-		return fut
 	}
 
-	var processFrame func(i int, fut *grayFuture)
-	processFrame = func(i int, fut *grayFuture) {
+	var processFrame func(i int)
+	processFrame = func(i int) {
 		frameStart := r.rt.Engine().Now()
 		energyStart := r.rt.Meter().TotalEnergy()
 		reconfStart := r.rt.Stats().Reconfigurations
-		if fut == nil {
-			fut = launchFrontEnd(i)
-		}
 
-		var nextFut *grayFuture
 		finishFrame := func(fs FrameStats) {
 			fs.Time = r.rt.Engine().Now() - frameStart
 			fs.Energy = r.rt.Meter().TotalEnergy() - energyStart
@@ -337,7 +306,7 @@ func (r *Runner) ProcessFrames(src *FrameSource, n int) (*RunReport, error) {
 				rep.TotalEnergy += fs.Energy
 			}
 			if i+1 < n {
-				processFrame(i+1, nextFut)
+				processFrame(i + 1)
 			}
 		}
 
@@ -368,13 +337,8 @@ func (r *Runner) ProcessFrames(src *FrameSource, n int) (*RunReport, error) {
 			r.lkLoop(gray, sd, hinv, Affine{}, 1, fail(i), finishFrame)
 		}
 
-		fut.get(func(g *Image) {
+		launchFrontEnd(i, func(g *Image) {
 			gray = g
-			// Pipelined mode: the next frame's front-end starts now,
-			// overlapping this frame's registration loop.
-			if r.cfg.PipelineFrames && i+1 < n {
-				nextFut = launchFrontEnd(i + 1)
-			}
 			join()
 		})
 		// Setup chain on the template (previous frame).
@@ -411,7 +375,7 @@ func (r *Runner) ProcessFrames(src *FrameSource, n int) (*RunReport, error) {
 		}
 	}
 
-	processFrame(0, nil)
+	processFrame(0)
 	r.rt.Engine().Run(0)
 	if runErr != nil {
 		return nil, runErr

@@ -7,10 +7,8 @@ import (
 	"testing"
 
 	"presp/internal/faultinject"
-	"presp/internal/noc"
 	"presp/internal/reconfig"
 	"presp/internal/socgen"
-	"presp/internal/tile"
 )
 
 // bootRunner boots the named runtime SoC and a runner on it.
@@ -20,12 +18,12 @@ func bootRunner(t testing.TB, socName string, iters int) (*Runner, *reconfig.Run
 	if err != nil {
 		t.Fatal(err)
 	}
-	return boot(t, cfg, alloc, reconfig.DefaultConfig(), iters, false)
+	return boot(t, cfg, alloc, reconfig.DefaultConfig(), iters)
 }
 
 // boot brings up (cfg, alloc) under rcfg and builds a runner bounded at
-// iters Lucas-Kanade iterations, overlapping frames when pipelined.
-func boot(t testing.TB, cfg *socgen.Config, alloc Allocation, rcfg reconfig.Config, iters int, pipelined bool) (*Runner, *reconfig.Runtime) {
+// iters Lucas-Kanade iterations.
+func boot(t testing.TB, cfg *socgen.Config, alloc Allocation, rcfg reconfig.Config, iters int) (*Runner, *reconfig.Runtime) {
 	t.Helper()
 	reg, err := Registry()
 	if err != nil {
@@ -37,7 +35,6 @@ func boot(t testing.TB, cfg *socgen.Config, alloc Allocation, rcfg reconfig.Conf
 	}
 	pcfg := DefaultPipelineConfig()
 	pcfg.LKIterations = iters
-	pcfg.PipelineFrames = pipelined
 	runner, err := NewRunner(rt, alloc, pcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +312,7 @@ func TestDeadTileFallbackMatchesHealthyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(rcfg reconfig.Config) (*RunReport, []float64) {
-		runner, _ := boot(t, cfg, alloc, rcfg, EvalLKIterations, false)
+		runner, _ := boot(t, cfg, alloc, rcfg, EvalLKIterations)
 		src, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
 		if err != nil {
 			t.Fatal(err)
@@ -349,100 +346,4 @@ func TestDeadTileFallbackMatchesHealthyRun(t *testing.T) {
 	sameBits(t, "final background", deadBg, healthyBg)
 	t.Logf("SoC_X: %.4f s/frame healthy, %.4f with rt_1 dead (%d CPU fallbacks vs %d)",
 		healthy.TimePerFrame(), dead.TimePerFrame(), dead.Stats.CPUFallbacks, healthy.Stats.CPUFallbacks)
-}
-
-// pipelineFriendlySoC builds a 5-tile SoC whose front-end kernels own a
-// dedicated tile, so a pipelined next-frame front-end never contends
-// with the registration loop.
-func pipelineFriendlySoC() (*socgen.Config, Allocation) {
-	cfg := &socgen.Config{
-		Name: "SoC_P", Board: "VC707", Cols: 3, Rows: 3, FreqHz: 78e6,
-		Tiles: []tile.Tile{
-			{Name: "cpu0", Kind: tile.CPU, Pos: noc.Coord{X: 0, Y: 0}},
-			{Name: "mem0", Kind: tile.Mem, Pos: noc.Coord{X: 1, Y: 0}},
-			{Name: "aux0", Kind: tile.Aux, Pos: noc.Coord{X: 2, Y: 0}},
-			{Name: "rt_f", Kind: tile.Reconf, AccelName: Names[KDebayer], Pos: noc.Coord{X: 0, Y: 1}},
-			{Name: "rt_1", Kind: tile.Reconf, AccelName: Names[KMult], Pos: noc.Coord{X: 1, Y: 1}},
-			{Name: "rt_2", Kind: tile.Reconf, AccelName: Names[KReshapeAdd], Pos: noc.Coord{X: 2, Y: 1}},
-			{Name: "rt_3", Kind: tile.Reconf, AccelName: Names[KSDUpdate], Pos: noc.Coord{X: 0, Y: 2}},
-			{Name: "rt_4", Kind: tile.Reconf, AccelName: Names[KChangeDetection], Pos: noc.Coord{X: 1, Y: 2}},
-		},
-	}
-	alloc := Allocation{
-		"rt_f": {KDebayer, KGrayscale},
-		"rt_1": {KWarpImg, KMult},
-		"rt_2": {KSubtract, KReshapeAdd},
-		"rt_3": {KGradient, KSteepestDescent, KSDUpdate},
-		"rt_4": {KHessian, KMatrixInvert, KChangeDetection},
-	}
-	return cfg, alloc
-}
-
-// runPipelineCase boots an arbitrary (config, allocation) pair and runs
-// the WAMI stream with or without frame pipelining, under the given
-// runtime configuration.
-func runPipelineCase(t *testing.T, cfg *socgen.Config, alloc Allocation, rcfg reconfig.Config, pipelined bool) *RunReport {
-	t.Helper()
-	runner, _ := boot(t, cfg, alloc, rcfg, EvalLKIterations, pipelined)
-	src, err := NewFrameSource(EvalFrameEdge, EvalMotionX, EvalMotionY, EvalTargets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := runner.ProcessFrames(src, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
-
-// TestFramePipeliningExtension: overlapping consecutive frames (the
-// extension the paper's evaluation leaves off) improves throughput when
-// the front-end owns a dedicated tile — and, instructively, *hurts*
-// under the Table VI allocations, where the front-end kernels share
-// tiles with loop kernels and the early front-end churns their
-// partitions. Functional results are identical either way.
-func TestFramePipeliningExtension(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run simulation in -short mode")
-	}
-	cfg, alloc := pipelineFriendlySoC()
-	// In the evaluation regime the single PRC serializes every swap, so
-	// pipelining is bounded; with a DMA-engine-grade configuration path
-	// (the raw 400 MB/s ICAP) frames are compute-bound and the overlap
-	// pays. Demonstrate the extension there.
-	fast := reconfig.DefaultConfig()
-	fast.ICAPEffectiveBps = 400e6
-	seq := runPipelineCase(t, cfg, alloc, fast, false)
-	pipe := runPipelineCase(t, cfg, alloc, fast, true)
-	if pipe.TimePerFrame() >= seq.TimePerFrame() {
-		t.Fatalf("pipelining did not improve throughput on the dedicated-front-end SoC: %.4f vs %.4f",
-			pipe.TimePerFrame(), seq.TimePerFrame())
-	}
-	for i := 1; i < len(seq.Frames); i++ {
-		if seq.Frames[i].MotionErr != pipe.Frames[i].MotionErr {
-			t.Errorf("frame %d: motion differs under pipelining: %.9f vs %.9f",
-				i, seq.Frames[i].MotionErr, pipe.Frames[i].MotionErr)
-		}
-		if seq.Frames[i].Detections != pipe.Frames[i].Detections {
-			t.Errorf("frame %d: detections differ: %d vs %d",
-				i, seq.Frames[i].Detections, pipe.Frames[i].Detections)
-		}
-	}
-	t.Logf("SoC_P throughput: sequential %.4f, pipelined %.4f s/frame (%.1f%% faster)",
-		seq.TimePerFrame(), pipe.TimePerFrame(),
-		(1-pipe.TimePerFrame()/seq.TimePerFrame())*100)
-
-	// The negative result on SoC_Z: shared tiles make pipelining a loss.
-	zCfg, zAlloc, err := RuntimeSoC("SoC_Z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	zSeq := runPipelineCase(t, zCfg, zAlloc, reconfig.DefaultConfig(), false)
-	zPipe := runPipelineCase(t, zCfg, zAlloc, reconfig.DefaultConfig(), true)
-	if zPipe.TimePerFrame() < zSeq.TimePerFrame()*0.98 {
-		t.Errorf("expected pipelining to be neutral-to-harmful on SoC_Z's shared tiles: %.4f vs %.4f",
-			zPipe.TimePerFrame(), zSeq.TimePerFrame())
-	}
-	t.Logf("SoC_Z throughput: sequential %.4f, pipelined %.4f s/frame (shared-tile churn)",
-		zSeq.TimePerFrame(), zPipe.TimePerFrame())
 }
