@@ -87,55 +87,59 @@ func TestProcessFramesErrorDrainsProducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := func() (*RunReport, []float64) {
-		runner, _ := boot(t, cfg, alloc, reconfig.DefaultConfig(), 1)
+	// The subtest keeps the name of the sequential frame schedule it has
+	// always driven, which is now the runner's only one.
+	t.Run("pipelined=false", func(t *testing.T) {
+		clean := func() (*RunReport, []float64) {
+			runner, _ := boot(t, cfg, alloc, reconfig.DefaultConfig(), 1)
+			src, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := runner.ProcessFrames(src, frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep, runner.bg.Pix
+		}
+		wantRep, wantBg := clean()
+
+		reg, err := Registry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		debayer := wrapKernel(t, reg, KDebayer, 0)
+		hessian := wrapKernel(t, reg, KHessian, 3)
+		rt, _, err := Boot(cfg, alloc, reg, nil, reconfig.DefaultConfig(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcfg := DefaultPipelineConfig()
+		pcfg.LKIterations = 1
+		runner, err := NewRunner(rt, alloc, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		src, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := runner.ProcessFrames(src, frames)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := runner.ProcessFrames(src, frames); !errors.Is(err, errInjected) {
+			t.Fatalf("ProcessFrames returned %v, want the injected kernel failure", err)
 		}
-		return rep, runner.bg.Pix
-	}
-	wantRep, wantBg := clean()
+		if hessian.calls != 4 {
+			t.Errorf("hessian ran %d times, want 4 (two clean frames, then tile and CPU)", hessian.calls)
+		}
+		// No tile fails here, so every launched front-end ran Debayer
+		// exactly once.
+		if got, launched := src.FrameIndex(), debayer.calls; got != launched || launched >= frames {
+			t.Errorf("FrameIndex %d after %d front-ends of %d frames", got, launched, frames)
+		}
 
-	reg, err := Registry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	debayer := wrapKernel(t, reg, KDebayer, 0)
-	hessian := wrapKernel(t, reg, KHessian, 3)
-	rt, _, err := Boot(cfg, alloc, reg, nil, reconfig.DefaultConfig(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := DefaultPipelineConfig()
-	pcfg.LKIterations = 1
-	runner, err := NewRunner(rt, alloc, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewFrameSource(64, EvalMotionX, EvalMotionY, EvalTargets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runner.ProcessFrames(src, frames); !errors.Is(err, errInjected) {
-		t.Fatalf("ProcessFrames returned %v, want the injected kernel failure", err)
-	}
-	if hessian.calls != 4 {
-		t.Errorf("hessian ran %d times, want 4 (two clean frames, then tile and CPU)", hessian.calls)
-	}
-	// No tile fails here, so every launched front-end ran Debayer
-	// exactly once.
-	if got, launched := src.FrameIndex(), debayer.calls; got != launched || launched >= frames {
-		t.Errorf("FrameIndex %d after %d front-ends of %d frames", got, launched, frames)
-	}
-
-	gotRep, gotBg := clean()
-	if !reflect.DeepEqual(gotRep.Frames, wantRep.Frames) {
-		t.Errorf("frames after the failed run differ from a clean run:\n got %+v\nwant %+v", gotRep.Frames, wantRep.Frames)
-	}
-	sameBits(t, "final background", gotBg, wantBg)
+		gotRep, gotBg := clean()
+		if !reflect.DeepEqual(gotRep.Frames, wantRep.Frames) {
+			t.Errorf("frames after the failed run differ from a clean run:\n got %+v\nwant %+v", gotRep.Frames, wantRep.Frames)
+		}
+		sameBits(t, "final background", gotBg, wantBg)
+	})
 }
